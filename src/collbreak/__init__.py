@@ -67,7 +67,7 @@ from .integrate import (
     simulate,
     step,
 )
-from .kernel import KernelSpec, eval_kernel, kernel_bound_check, kernel_matrix
+from .kernel import KernelSpec, eval_kernel
 from .output import emit_outputs, load_run
 from .scheme import (
     RhsWorkspace,

@@ -122,6 +122,14 @@ class SimConfig:
         return "\n".join(lines) + "\n"
 
 
+def _finite_float(token: str) -> float:
+    """float(token), refusing inf and nan with ValueError."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 def _parse_lines(text: str, name: str) -> dict:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,10 +148,10 @@ def _parse_lines(text: str, name: str) -> dict:
             parsed = value
         else:
             try:
-                parsed = parser(value)
+                parsed = _finite_float(value) if parser is float else parser(value)
             except ValueError:
                 raise ConfigError(
-                    f"expected {parser.__name__}, got {value!r}", key=key, line=lineno
+                    f"expected a finite {parser.__name__}, got {value!r}", key=key, line=lineno
                 ) from None
         values[key] = (parsed, lineno)
     return values
@@ -153,7 +161,7 @@ def _snapshot_times(raw: str, t_end: float, line) -> tuple:
     raw = raw.strip()
     try:
         if "," in raw:
-            times = sorted(float(tok) for tok in raw.split(",") if tok.strip())
+            times = sorted(_finite_float(tok) for tok in raw.split(",") if tok.strip())
         else:
             count = int(raw)
             if count < 1:
@@ -293,7 +301,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         orders = (k0, 1.0, 1.0 + k0)
     else:
         try:
-            orders = tuple(float(tok) for tok in raw_orders.split(",") if tok.strip())
+            orders = tuple(_finite_float(tok) for tok in raw_orders.split(",") if tok.strip())
         except ValueError:
             raise ConfigError(
                 f"expected comma list of floats, got {raw_orders!r}",

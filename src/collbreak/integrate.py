@@ -185,11 +185,7 @@ def run(config) -> RunOutput:
     from . import config as config_mod
 
     workspace, state0 = config_mod.build_problem(config)
-    tol = Tolerances(
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-        dt_floor=1e-12 * config.t_end if config.t_end > 0.0 else 0.0,
-    )
+    tol = Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
     out = simulate(workspace, state0, config.snapshot_times, tol)
     out.config = config
     return out

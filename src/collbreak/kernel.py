@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["KernelSpec", "eval_kernel", "kernel_matrix", "kernel_bound_check"]
+__all__ = ["KernelSpec", "eval_kernel", "kernel_factors"]
 
 _EXPONENT_RANGE = (-2.0, 2.0)
 
@@ -67,49 +67,28 @@ def _inside_cutoff(spec: KernelSpec, x):
     return ((x > 1.0 / n) & (x < n)).astype(float)
 
 
+def kernel_factors(spec: KernelSpec, sizes):
+    """Rank-2 factors (a1, a2) with Phi(x, y) = a1(x) a2(y) + a2(x) a1(y).
+
+    a_k = x^lambda_k times the cut-off indicator, so a truncated kernel keeps
+    the same rank.  Non-positive sizes are rejected.
+    """
+    x = np.asarray(sizes, dtype=float)
+    if np.any(x <= 0.0):
+        raise DomainError("kernel arguments must be positive sizes")
+    mask = _inside_cutoff(spec, x)
+    return mask * power(x, spec.lambda1), mask * power(x, spec.lambda2)
+
+
 def eval_kernel(spec: KernelSpec, x, y):
     """Collision rate between sizes x and y (scalars or broadcastable arrays).
 
     Returns x^l1 y^l2 + x^l2 y^l1, multiplied by the open-interval indicator
     product when a truncation index is set.  Non-positive sizes are rejected.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("kernel arguments must be positive sizes")
-    value = power(x, spec.lambda1) * power(y, spec.lambda2) + power(
-        x, spec.lambda2
-    ) * power(y, spec.lambda1)
-    if spec.truncation is not None:
-        value = value * _inside_cutoff(spec, x) * _inside_cutoff(spec, y)
+    x1, x2 = kernel_factors(spec, x)
+    y1, y2 = kernel_factors(spec, y)
+    value = x1 * y2 + x2 * y1
     if value.ndim == 0:
         return float(value)
     return value
-
-
-def kernel_matrix(spec: KernelSpec, sizes) -> np.ndarray:
-    """Dense symmetric matrix of collision rates over a vector of sizes.
-
-    Assembled as A + A.T from one outer product so the result is exactly
-    symmetric in floating point.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    if np.any(sizes <= 0.0):
-        raise DomainError("kernel arguments must be positive sizes")
-    a = np.outer(power(sizes, spec.lambda1), power(sizes, spec.lambda2))
-    mat = a + a.T
-    if spec.truncation is not None:
-        mask = _inside_cutoff(spec, sizes)
-        mat = mat * np.outer(mask, mask)
-    return mat
-
-
-def kernel_bound_check(spec: KernelSpec, k0: float, x: float, y: float) -> bool:
-    """Whether Phi(x, y) <= 2 (x^k0 + x)(y^k0 + y).
-
-    Pure predicate used by the property-test suite; valid on the admissible
-    range k0 <= lambda1 <= lambda2 <= 1.
-    """
-    lhs = eval_kernel(KernelSpec(spec.lambda1, spec.lambda2), x, y)
-    rhs = 2.0 * (x**k0 + x) * (y**k0 + y)
-    return bool(lhs <= rhs)

@@ -129,8 +129,23 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     return manifest
 
 
+def _verified_lines(run_dir: Path, name: str, files: dict) -> list:
+    """Lines of an emitted file whose SHA-256 matches the manifest's entry."""
+    try:
+        data = (run_dir / name).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc}") from None
+    if hashlib.sha256(data).hexdigest() != files.get(name):
+        raise InputError(f"{name} does not match its SHA-256 in manifest.json")
+    return data.decode().splitlines()
+
+
 def load_run(run_dir) -> RunOutput:
-    """Reconstruct a RunOutput from an emitted run directory."""
+    """Reconstruct a RunOutput from an emitted run directory.
+
+    Every file is checked against its SHA-256 in the manifest before it is
+    parsed, so a truncated or edited run is refused with ``InputError``.
+    """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -141,18 +156,19 @@ def load_run(run_dir) -> RunOutput:
     text = "\n".join(f"{k} = {v}" for k, v in manifest["config"].items())
     config = parse_config_text(text, name=str(manifest_path), base_dir=str(run_dir))
     grid = build_grid(config.x_min, config.x_max, config.n_cells)
+    files = manifest.get("files", {})
 
-    moments = {}
-    with open(run_dir / "moments.csv") as handle:
-        header = handle.readline().strip().split(",")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    for col, name in enumerate(header):
-        moments[name] = data[:, col]
+    lines = _verified_lines(run_dir, "moments.csv", files)
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    moments = dict(zip(lines[0].split(","), data.T))
+    if data.shape[0] != len(manifest["snapshots"]):
+        raise InputError("moments.csv and the manifest list different snapshot counts")
 
     times = []
     states = []
     for row, entry in enumerate(manifest["snapshots"]):
-        table = np.loadtxt(run_dir / entry["file"], delimiter=",", skiprows=1, ndmin=2)
+        lines = _verified_lines(run_dir, entry["file"], files)
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         if table.shape[0] != grid.n_cells:
             raise InputError(f"{entry['file']} does not match the manifest grid")
         contents = table[:, 4]

@@ -1,21 +1,39 @@
 """Conservative sectional right-hand side with exact mass bookkeeping.
 
 Fragment counts are defined mass-first: the mass a breaking parent deposits
-into a cell, divided by the cell's representative size.  Mass conservation
-is then an algebraic identity of the assembled tensors, with everything
+into a cell, divided by the cell's representative size, with everything
 falling below the smallest cell routed to an explicit dust accumulator.
+
+Both factors of the model have low rank, so no pair tensor is ever formed.
+The kernel is a sum of two products, Phi c = a1 (a2.c) + a2 (a1.c) with
+a_k = mask * reps^lambda_k, which gives the event-mass vector
+w = c * (Phi c) in O(N).  A parent of size x deposits x^(-nu-1)
+(b^a - a'^a) of fragment mass into any size interval (a', b) below it,
+a = nu + 2.  With p_j = reps_j^(-nu-1), edges e and p_j reps_j^a = reps_j,
+a breakup in cell j changes
+
+    cell i < j   by  g_i p_j,  g_i = (e_{i+1}^a - e_i^a) / reps_i
+    cell j       by  -p_j e_j^a / reps_j   (fragments kept, minus the parent)
+    dust         by  p_j e_0^a,
+
+so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i: two dot
+products and one reversed cumulative sum.  Weighted by reps, the deposits
+into cells below j telescope to p_j (e_j^a - e_0^a), which with the dust
+balances the own-cell loss p_j e_j^a term by term, so
+sum_i reps_i d_contents_i + d_dust = 0 holds to round-off.  Every reduction
+is numpy's own pairwise or cumulative sum, never BLAS, so identical inputs
+give bitwise identical rates whatever the thread settings.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daughter import DaughterLaw, cell_mass_deposit, partial_moment, upsilon_power
+from .daughter import DaughterLaw, partial_moment, upsilon_power
 from .grid import SizeGrid, State
-from .kernel import KernelSpec, kernel_matrix
+from .kernel import KernelSpec, kernel_factors
 
 __all__ = [
     "RhsWorkspace",
@@ -26,116 +44,87 @@ __all__ = [
     "subgrid_moment_flux",
 ]
 
-# Fixed row-block size of the pair reduction.  The block partition never
-# depends on the worker count, so serial and threaded assembly are bitwise
-# identical.
-_BLOCK_ROWS = 64
-
 
 @dataclass(frozen=True)
 class RhsWorkspace:
-    """Precomputed tensors for the pairwise O(N^2) assembly."""
+    """Length-N factors of the kernel and of the fragment deposits.
+
+    Per breakup of a parent in cell j, ``lower_counts[i] * parent_factor[j]``
+    fragments land in each cell i < j, the count in cell j changes by
+    ``own_change[j]`` (fragments kept minus the parent itself), and
+    ``dust_row[j]`` of mass falls below the grid.  Memory is O(N).
+    """
 
     grid: SizeGrid
     kernel: KernelSpec
     law: DaughterLaw
-    kernel_mat: np.ndarray = field(repr=False)
-    deposit_counts: np.ndarray = field(repr=False)  # n[i, j]: counts into i per break of j
+    kernel_lo: np.ndarray = field(repr=False)  # mask * reps^lambda1
+    kernel_hi: np.ndarray = field(repr=False)  # mask * reps^lambda2
+    parent_factor: np.ndarray = field(repr=False)  # p_j = reps_j^(-nu-1)
+    lower_counts: np.ndarray = field(repr=False)  # g_i
+    own_change: np.ndarray = field(repr=False)  # -p_j e_j^a / reps_j
     dust_row: np.ndarray = field(repr=False)  # mass below x_min per break of j
 
 
 def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorkspace:
-    """Assemble the kernel matrix, fragment-count tensor, and dust row.
-
-    For a parent in cell j fragments are distributed from its representative
-    size: counts into cell i <= j are the deposited fragment mass over
-    reps[i], and the mass landing below the grid goes to ``dust_row``.
-    Column sums telescope so reps @ counts + dust equals the parent size
-    exactly.
-    """
-    n = grid.n_cells
+    """Kernel factors, parent factor, fragment counts and dust row of a grid."""
     reps = grid.reps
-    edges = grid.edges
-    counts = np.zeros((n, n))
-    dust = np.empty(n)
-    for j in range(n):
-        parent = reps[j]
-        dust[j] = cell_mass_deposit(law, parent, 0.0, edges[0])
-        for i in range(j + 1):
-            hi = min(edges[i + 1], parent)
-            counts[i, j] = cell_mass_deposit(law, parent, edges[i], hi) / reps[i]
-    mat = kernel_matrix(kernel, reps)
-    counts.flags.writeable = False
-    dust.flags.writeable = False
-    mat.flags.writeable = False
-    return RhsWorkspace(grid, kernel, law, mat, counts, dust)
+    a = law.nu + 2.0
+    edge_mass = grid.edges**a
+    parent = reps ** (-law.nu - 1.0)
+    vectors = (
+        *kernel_factors(kernel, reps),
+        parent,
+        np.diff(edge_mass) / reps,
+        -parent * edge_mass[:-1] / reps,
+        parent * edge_mass[0],
+    )
+    for vec in vectors:
+        vec.flags.writeable = False
+    return RhsWorkspace(grid, kernel, law, *vectors)
 
 
-def _row_blocks(n):
-    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
+    """w = c * (Phi c): per cell, the rate of collisions its particles undergo."""
+    lo, hi = workspace.kernel_lo, workspace.kernel_hi
+    return contents * (lo * (hi * contents).sum() + hi * (lo * contents).sum())
 
 
-def _block_matvec(matrix, vec, workers):
-    """matrix @ vec with a fixed row-block partition.
-
-    Each output row is reduced by numpy's pairwise summation over the same
-    axis length regardless of blocking or thread scheduling, so results are
-    reproducible bit for bit for any worker count.
-    """
-    blocks = _row_blocks(matrix.shape[0])
-
-    def one(block):
-        lo, hi = block
-        return np.sum(matrix[lo:hi] * vec, axis=1)
-
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, blocks))
-    else:
-        parts = [one(b) for b in blocks]
-    return np.concatenate(parts)
-
-
-def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray, workers: int = 1):
+def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     """Time derivative (d_contents, d_dust) for a raw contents vector.
 
-    With R[j, l] = Phi[j, l] c[j] c[l], the gain into cell i is
-    (1/2) sum_{j,l} R[j,l] (n[i|j] + n[i|l]) and the loss is
-    c[i] (Phi c)[i]; by symmetry of R both reduce through the event-mass
-    vector w[j] = c[j] (Phi c)[j].  The identity
-    sum_i reps[i] d_contents[i] + d_dust = 0 holds to round-off.
+    Every collision breaks both partners, so the particles of cell j break
+    up at rate w[j] and send their fragments down from there.
     """
-    q = _block_matvec(workspace.kernel_mat, contents, workers)
-    w = contents * q
-    gain = _block_matvec(workspace.deposit_counts, w, workers)
-    d_contents = gain - w
-    d_dust = float(np.sum(workspace.dust_row * w))
-    return d_contents, d_dust
+    w = _event_mass(workspace, contents)
+    # above[i] = sum_{j>i} p_j w_j for i < N-1
+    above = (workspace.parent_factor * w)[:0:-1].cumsum()[::-1]
+    d_contents = workspace.own_change * w
+    d_contents[:-1] += workspace.lower_counts[:-1] * above
+    return d_contents, float((workspace.dust_row * w).sum())
 
 
-def rhs(workspace: RhsWorkspace, state: State, workers: int = 1):
+def rhs(workspace: RhsWorkspace, state: State):
     """Time derivative of a State; see ``rhs_arrays``."""
-    return rhs_arrays(workspace, state.contents, workers)
+    return rhs_arrays(workspace, state.contents)
 
 
 def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float:
     """Gap between the scheme's k-th moment production and the continuum form.
 
     Compares sum reps^k d_contents against the closed power test-function
-    rate (1/2) sum Upsilon_k(reps_j, reps_l) R[j,l].  The gap is the cell
-    discretisation error plus the k-th moment flux below x_min (the latter
-    is ``subgrid_moment_flux``; subtracting it isolates the part that
-    vanishes under grid refinement).  At k = 1 the residual equals minus
-    the dust production exactly.  Requires k > |nu| - 1.
+    rate (1/2) sum Upsilon_k(reps_j, reps_l) R[j,l], R[j,l] = Phi c_j c_l.
+    The gap is the cell discretisation error plus the k-th moment flux below
+    x_min (the latter is ``subgrid_moment_flux``; subtracting it isolates the
+    part that vanishes under grid refinement).  At k = 1 the residual equals
+    minus the dust production exactly.  Requires k > |nu| - 1.
     """
-    reps = workspace.grid.reps
+    reps_k = workspace.grid.reps**k
     d_contents, _ = rhs(workspace, state)
-    produced = float(np.sum(reps**k * d_contents))
+    produced = float(np.sum(reps_k * d_contents))
     # (1/2) sum_{j,l} (r_j^k + r_l^k) R_{jl} = sum_j r_j^k w_j by symmetry.
     coeff = upsilon_power(workspace.law, k, 1.0, 1.0) / 2.0
-    q = _block_matvec(workspace.kernel_mat, state.contents, 1)
-    w = state.contents * q
-    continuum = coeff * float(np.sum(reps**k * w))
+    continuum = coeff * float(np.sum(reps_k * _event_mass(workspace, state.contents)))
     return produced - continuum
 
 
@@ -145,13 +134,7 @@ def subgrid_moment_flux(workspace: RhsWorkspace, state: State, k: float) -> floa
     Exact per-event closed form summed over all collision pairs; finite
     for k > |nu| - 1.
     """
-    grid = workspace.grid
-    per_parent = np.array(
-        [
-            partial_moment(workspace.law, k, parent, 0.0, grid.edges[0])
-            for parent in grid.reps
-        ]
-    )
-    q = _block_matvec(workspace.kernel_mat, state.contents, 1)
-    w = state.contents * q
-    return float(np.sum(per_parent * w))
+    grid, p = workspace.grid, workspace.parent_factor
+    # Per breakup, the k-th moment falling below e_0 scales with the parent as p_j.
+    first = partial_moment(workspace.law, k, grid.reps[0], 0.0, grid.edges[0])
+    return float(np.sum(first * p / p[0] * _event_mass(workspace, state.contents)))

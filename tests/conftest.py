@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -39,6 +44,35 @@ def quad_oracle(f, a, b, dps=30):
             inc_prev = inc
             hi = lo
         return float(estimate if estimate is not None else total)
+
+
+# Prints a digest of one right-hand-side evaluation; run it here and in a
+# fresh process to compare the two bit for bit.
+RHS_DIGEST = """
+import hashlib
+import numpy as np
+import collbreak as cb
+grid = cb.build_grid(1e-3, 10.0, 200)
+ws = cb.precompute(grid, cb.KernelSpec(0.6, 0.6), cb.DaughterLaw(-1.2, 0.5))
+dc, dd = cb.rhs_arrays(ws, np.random.default_rng(4).uniform(size=200))
+print(hashlib.sha256(dc.tobytes()).hexdigest(), dd.hex())
+"""
+
+
+def run_in_fresh_process(code):
+    """Standard output of ``code`` run by a new Python interpreter.
+
+    The child imports the same collbreak sources but runs with different
+    BLAS/OpenMP thread settings, so equal output shows results depend on
+    neither the process nor the thread configuration.
+    """
+    src = str(Path(cb.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

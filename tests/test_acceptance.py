@@ -8,7 +8,8 @@ import pytest
 
 import collbreak as cb
 from collbreak import DaughterLaw, KernelSpec, State
-from conftest import quad_oracle
+from conftest import RHS_DIGEST, quad_oracle, run_in_fresh_process
+from dense_oracle import DenseRhs
 
 A1_CONFIG = """
 kernel.lambda1 = 0.6
@@ -280,23 +281,47 @@ def test_a8_picard_cross_validation():
     )
 
 
-def test_a9_determinism(tmp_path):
-    config = cb.parse_config_text(A1_CONFIG.replace("time.t_end = 1.0", "time.t_end = 0.2"))
-    hashes = []
-    for tag in ("first", "second"):
-        manifest = cb.emit_outputs(cb.run(config), tmp_path / tag)
-        hashes.append(manifest["content_hash"])
+def test_a9_determinism(tmp_path, capsys):
+    text = A1_CONFIG.replace("time.t_end = 1.0", "time.t_end = 0.2")
+    config = cb.parse_config_text(text)
+    hashes = [cb.emit_outputs(cb.run(config), tmp_path / tag)["content_hash"] for tag in "ab"]
 
     grid = cb.build_grid(1e-3, 10.0, 200)
     workspace = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
     state = cb.exponential_state(grid, 1.0, 1.0)
-    dc1, dd1 = cb.rhs(workspace, state, workers=1)
-    dc8, dd8 = cb.rhs(workspace, state, workers=8)
-    bitwise = bool(np.array_equal(dc1, dc8) and dd1 == dd8)
-    ok = hashes[0] == hashes[1] and bitwise
+    dc1, dd1 = cb.rhs(workspace, state)
+    dc2, dd2 = cb.rhs(workspace, state)
+    repeated = bool(np.array_equal(dc1, dc2) and dd1 == dd2)
+
+    exec(RHS_DIGEST, {})
+    here = capsys.readouterr().out
+    child = run_in_fresh_process(
+        RHS_DIGEST
+        + f"config = cb.parse_config_text({text!r})\n"
+        + f"print(cb.emit_outputs(cb.run(config), {str(tmp_path / 'c')!r})['content_hash'])\n"
+    ).splitlines()
+    same_rhs = child[:-1] == here.splitlines()
+    hashes.append(child[-1])
+    ok = len(set(hashes)) == 1 and repeated and same_rhs
     _verdict(
         "A9",
         ok,
-        f"run hashes equal: {hashes[0] == hashes[1]}, "
-        f"1 vs 8 workers bitwise identical: {bitwise}",
+        f"run hashes equal (twice here, once in a fresh process): {len(set(hashes)) == 1}, "
+        f"repeated RHS bitwise identical: {repeated}, fresh-process RHS identical: {same_rhs}",
     )
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_a1_factored_rhs_matches_dense_oracle(n, monkeypatch):
+    config = cb.parse_config_text(A1_CONFIG.replace("grid.n_cells = 128", f"grid.n_cells = {n}"))
+    factored = cb.run(config)
+    dense = DenseRhs(factored.grid, config.kernel, config.law)
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda workspace, contents: dense(contents))
+    oracle = cb.run(config)
+    weights = cb.weight_vector(factored.grid, config.law.k0)
+    worst = max(
+        float(np.sum(weights * np.abs(a.contents - b.contents)) / np.sum(weights * np.abs(b.contents)))
+        for a, b in zip(factored.states, oracle.states)
+    )
+    ok = len(factored.states) == len(oracle.states) and worst <= 1e-12
+    _verdict("A1-oracle", ok, f"n={n}: factored vs dense RHS run, worst weighted gap {worst:.2e} (<=1e-12)")

