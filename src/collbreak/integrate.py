@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractionError, DomainError, StiffnessError
-from .grid import State, weight_vector
+from .grid import State
 from .scheme import RhsWorkspace, rhs_arrays
 
 __all__ = [
@@ -41,48 +42,65 @@ class Tolerances:
     dt_floor: float = 0.0
 
 
-def _augment(state: State) -> np.ndarray:
-    return np.concatenate([state.contents, [state.dust_mass]])
+def step(
+    workspace: RhsWorkspace,
+    state: State,
+    dt_target: float,
+    tol: Tolerances,
+    rates=None,
+):
+    """One accepted Bogacki-Shampine RK(2,3) step, first same as last (FSAL).
 
-
-def _f(workspace, y):
-    d_contents, d_dust = rhs_arrays(workspace, y[:-1])
-    return np.concatenate([d_contents, [d_dust]])
-
-
-def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerances):
-    """One accepted Bogacki-Shampine RK(2,3) step.
-
+    ``rates`` is the right-hand side ``(d_contents, d_dust)`` at ``state``
+    when the caller has it, normally the ``next_rates`` of the previous
+    step; when None it is evaluated here, once, outside the rejection loop.
     Halves the step until the embedded error estimate passes and no content
     would land below -1e-14 times the state scale; accepted round-off
     negatives are clipped to zero with the created mass tracked in
-    ``clip_mass``.  Returns (new_state, dt_used, dt_next).
+    ``clip_mass``.  A rejection whose error estimate is NaN, or whose halved
+    step no longer moves the time, raises ``StiffnessError``.
+
+    Returns (new_state, dt_used, dt_next, next_rates).  ``next_rates`` is the
+    last stage k4 = f(y3), which is the right-hand side at the new state, or
+    None when clipping changed y3.  Handed back in, it makes an accepted
+    step cost three right-hand sides and each rejected attempt three more.
     """
     if dt_target <= 0.0:
         raise DomainError(f"dt_target must be positive, got {dt_target}")
-    grid = workspace.grid
-    weights = weight_vector(grid, workspace.law.k0)
-    y = _augment(state)
-    scale = float(np.max(np.abs(y[:-1]), initial=0.0))
-    neg_floor = _NEG_FLOOR_FRACTION * scale
-    tol_value = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
+    weights = workspace.error_weights
+    c = state.contents
+    weighted = np.abs(c)
+    neg_floor = _NEG_FLOOR_FRACTION * float(weighted.max(initial=0.0))
+    weighted *= weights
+    tol_value = tol.abs_tol + tol.rel_tol * float(weighted.sum())
 
+    k1, d1 = rhs_arrays(workspace, c) if rates is None else rates
     dt = float(dt_target)
     while True:
         if tol.dt_floor > 0.0 and dt < tol.dt_floor:
             raise StiffnessError(state.time, dt)
-        k1 = _f(workspace, y)
-        k2 = _f(workspace, y + (dt / 2.0) * k1)
-        k3 = _f(workspace, y + (3.0 * dt / 4.0) * k2)
-        y3 = y + dt * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-        k4 = _f(workspace, y3)
-        y2 = y + dt * (
-            (7.0 / 24.0) * k1 + (1.0 / 4.0) * k2 + (1.0 / 3.0) * k3 + (1.0 / 8.0) * k4
-        )
-        est = float(np.sum(weights * np.abs(y3[:-1] - y2[:-1])))
-        if est <= tol_value and float(np.min(y3[:-1], initial=0.0)) >= -neg_floor:
+        k2, d2 = rhs_arrays(workspace, c + (dt / 2.0) * k1)
+        k3, d3 = rhs_arrays(workspace, c + (3.0 * dt / 4.0) * k2)
+        y3 = c + dt * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+        k4, d4 = rhs_arrays(workspace, y3)
+        # weights * |y3 - y2| for the embedded second-order solution y2,
+        # y2 = c + dt*((7/24) k1 + (1/4) k2 + (1/3) k3 + (1/8) k4).
+        err = (7.0 / 24.0) * k1
+        err += (1.0 / 4.0) * k2
+        err += (1.0 / 3.0) * k3
+        err += (1.0 / 8.0) * k4
+        err *= dt
+        err += c
+        err -= y3
+        np.abs(err, out=err)
+        err *= weights
+        est = float(err.sum())
+        low = float(y3.min(initial=0.0))
+        if est <= tol_value and low >= -neg_floor:
             break
         dt /= 2.0
+        if math.isnan(est) or state.time + dt == state.time:
+            raise StiffnessError(state.time, dt)
 
     if est > 0.0:
         factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 3.0)))
@@ -90,20 +108,20 @@ def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerance
         factor = 5.0
     dt_next = dt * factor
 
-    contents = y3[:-1]
     clipped = 0.0
-    negative = contents < 0.0
-    if np.any(negative):
-        clipped = float(np.sum(grid.reps[negative] * -contents[negative]))
-        contents = contents.copy()
-        contents[negative] = 0.0
+    next_rates = (k4, d4)
+    if low < 0.0:
+        negative = y3 < 0.0
+        clipped = float((workspace.grid.reps[negative] * -y3[negative]).sum())
+        y3[negative] = 0.0
+        next_rates = None
     new_state = State(
-        contents=contents,
-        dust_mass=float(y3[-1]),
+        contents=y3,
+        dust_mass=state.dust_mass + dt * ((2.0 / 9.0) * d1 + (1.0 / 3.0) * d2 + (4.0 / 9.0) * d3),
         time=state.time + dt,
         clip_mass=state.clip_mass + clipped,
     )
-    return new_state, dt, dt_next
+    return new_state, dt, dt_next, next_rates
 
 
 @dataclass
@@ -144,7 +162,10 @@ def simulate(
     """Integrate from the first snapshot time to the last, recording snapshots.
 
     Snapshot times must be sorted and start at the initial state's time.
-    Deterministic: the step sequence depends only on the inputs.
+    Deterministic: the step sequence depends only on the inputs.  Each step
+    hands its ``next_rates`` to the next, so a run costs one right-hand side
+    to start, three per accepted step, three per rejected attempt and one
+    after each step that clipped.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if times.size < 1 or np.any(np.diff(times) <= 0.0):
@@ -162,12 +183,13 @@ def simulate(
     state = state0.copy()
     snapshots = [state.copy()]
     dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
+    rates = None
     for target in times[1:]:
         while state.time < target:
             remaining = float(target) - state.time
             clamp = remaining <= dt_next
             dt_target = remaining if clamp else dt_next
-            state, dt_used, dt_next = step(workspace, state, dt_target, tol)
+            state, dt_used, dt_next, rates = step(workspace, state, dt_target, tol, rates)
             if clamp and dt_used == dt_target:
                 state.time = float(target)
         snapshots.append(state.copy())
@@ -239,10 +261,7 @@ def picard_solve(
             derivs[node], _ = rhs_arrays(workspace, traj[node])
         new_traj = np.empty_like(traj)
         new_traj[0] = c0
-        acc = np.zeros_like(c0)
-        for node in range(1, m):
-            acc = acc + (h / 2.0) * (derivs[node - 1] + derivs[node])
-            new_traj[node] = c0 + acc
+        new_traj[1:] = c0 + np.cumsum((h / 2.0) * (derivs[:-1] + derivs[1:]), axis=0)
         diff = float(np.max(np.sum(norm_weights * np.abs(new_traj - traj), axis=1)))
         diffs.append(diff)
         traj = new_traj

@@ -90,23 +90,19 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     moments_path.write_text("\n".join(lines) + "\n")
 
     widths = grid.widths()
+    # The grid columns are the same in every snapshot: format them once.
+    grid_columns = zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist(), grid.reps.tolist())
+    prefixes = [f"{i},{lo!r},{hi!r},{rep!r}" for i, (lo, hi, rep) in enumerate(grid_columns)]
     snapshot_files = []
     for state, t in zip(run.states, run.times):
         name = _snapshot_name(t)
         rows = ["cell_index,edge_lo,edge_hi,rep,content,density"]
-        for i in range(grid.n_cells):
-            rows.append(
-                ",".join(
-                    [
-                        str(i),
-                        _fmt(grid.edges[i]),
-                        _fmt(grid.edges[i + 1]),
-                        _fmt(grid.reps[i]),
-                        _fmt(state.contents[i]),
-                        _fmt(state.contents[i] / widths[i]),
-                    ]
-                )
+        rows += [
+            f"{prefix},{content!r},{density!r}"
+            for prefix, content, density in zip(
+                prefixes, state.contents.tolist(), (state.contents / widths).tolist()
             )
+        ]
         (out / name).write_text("\n".join(rows) + "\n")
         snapshot_files.append({"t": float(t), "file": name})
 

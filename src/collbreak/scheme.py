@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .daughter import DaughterLaw, partial_moment, upsilon_power
-from .grid import SizeGrid, State
+from .grid import SizeGrid, State, weight_vector
 from .kernel import KernelSpec, kernel_factors
 
 __all__ = [
@@ -52,7 +52,9 @@ class RhsWorkspace:
     Per breakup of a parent in cell j, ``lower_counts[i] * parent_factor[j]``
     fragments land in each cell i < j, the count in cell j changes by
     ``own_change[j]`` (fragments kept minus the parent itself), and
-    ``dust_row[j]`` of mass falls below the grid.  Memory is O(N).
+    ``dust_row[j]`` of mass falls below the grid.  ``error_weights`` are the
+    weights max(reps^k0, reps^(1+k0)) of the integrator's error norm.
+    Memory is O(N).
     """
 
     grid: SizeGrid
@@ -64,10 +66,11 @@ class RhsWorkspace:
     lower_counts: np.ndarray = field(repr=False)  # g_i
     own_change: np.ndarray = field(repr=False)  # -p_j e_j^a / reps_j
     dust_row: np.ndarray = field(repr=False)  # mass below x_min per break of j
+    error_weights: np.ndarray = field(repr=False)  # weight_vector(grid, law.k0)
 
 
 def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorkspace:
-    """Kernel factors, parent factor, fragment counts and dust row of a grid."""
+    """Kernel factors, parent factor, fragment counts, dust row and error weights."""
     reps = grid.reps
     a = law.nu + 2.0
     edge_mass = grid.edges**a
@@ -78,6 +81,7 @@ def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorks
         np.diff(edge_mass) / reps,
         -parent * edge_mass[:-1] / reps,
         parent * edge_mass[0],
+        weight_vector(grid, law.k0),
     )
     for vec in vectors:
         vec.flags.writeable = False

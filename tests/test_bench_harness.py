@@ -1,9 +1,10 @@
 """The benchmark's jobs still run against the program, with every check.
 
-Loads ``bench/workloads.py`` and ``bench/probes.py`` as they are and runs the
-``crossval`` and ``fine-grid`` jobs at smoke size inside a ``Probe``, plain
-and traced.  A renamed function the probes wrap, or a workspace field they
-read, fails here instead of in a benchmark run.  No timing is asserted.
+Loads ``bench/workloads.py`` and ``bench/probes.py`` as they are and runs
+every job at smoke size inside a ``Probe``, plain and traced.  A renamed
+function the probes wrap, or a workspace field they read, fails here instead
+of in a benchmark run; so does a solver that bypasses ``integrate.step`` or
+hides right-hand-side calls from the probe.  No timing is asserted.
 """
 
 import importlib.util
@@ -31,7 +32,7 @@ probes = _load("probes")
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
-@pytest.mark.parametrize("name", ["crossval", "fine-grid"])
+@pytest.mark.parametrize("name", ["crossval", "fine-grid", "shatter"])
 def test_smoke_job_passes_its_checks(name, traced, tmp_path):
     workload = workloads.WORKLOADS[name](1, tmp_path, smoke=True)
     workload.setup()
@@ -44,3 +45,6 @@ def test_smoke_job_passes_its_checks(name, traced, tmp_path):
         assert layers["scheme.precompute_calls"] >= 1
         assert layers["scheme.rhs_calls"] == probe.rhs_calls
         assert layers["grid.cells"] > 0
+        # FSAL: three RHS per accepted step, plus one to start each run
+        assert layers["integrate.steps_accepted"] > 0
+        assert 3.0 <= layers["integrate.rhs_per_step"] < 4.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from collbreak import (
     State,
     StiffnessError,
     Tolerances,
+    integrate,
 )
+from rk_oracle import oracle_simulate, oracle_step
+from test_acceptance import A1_CONFIG, A5_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +31,7 @@ def truncated_problem():
 def test_step_zero_state_accepts_target(small_problem):
     ws, _ = small_problem
     zero = State(np.zeros(ws.grid.n_cells))
-    out, dt_used, dt_next = cb.step(ws, zero, 0.05, Tolerances())
+    out, dt_used, dt_next, _ = cb.step(ws, zero, 0.05, Tolerances())
     assert np.all(out.contents == 0.0)
     assert out.dust_mass == 0.0
     assert dt_used == 0.05
@@ -36,7 +41,7 @@ def test_step_zero_state_accepts_target(small_problem):
 def test_step_conserves_budget_and_advances_time(small_problem):
     ws, s0 = small_problem
     before = float(np.sum(ws.grid.reps * s0.contents)) + s0.dust_mass
-    out, dt_used, _ = cb.step(ws, s0, 1e-3, Tolerances())
+    out, dt_used, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
     after = float(np.sum(ws.grid.reps * out.contents)) + out.dust_mass
     assert after == pytest.approx(before, abs=1e-13)
     assert out.time == pytest.approx(s0.time + dt_used)
@@ -54,6 +59,117 @@ def test_stiffness_error_on_dt_floor(small_problem):
     tol = Tolerances(rel_tol=1e-30, abs_tol=0.0, dt_floor=1e-3)
     with pytest.raises(StiffnessError):
         cb.step(ws, s0, 0.01, tol)
+
+
+def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
+    ws, s0 = small_problem
+    bad = s0.copy()
+    bad.contents[3] = np.nan
+    calls = []
+    real = integrate.rhs_arrays
+
+    def counted(workspace, contents):
+        calls.append(1)
+        # a step that keeps halving dt would otherwise never return
+        assert len(calls) <= 40, "step keeps retrying a NaN state"
+        return real(workspace, contents)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted)
+    with pytest.raises(StiffnessError):
+        cb.step(ws, bad, 0.1, Tolerances())
+    assert len(calls) == 4
+
+
+@pytest.fixture(scope="module")
+def clip_problem():
+    """A full small cell and a nearly empty top cell that decays much faster.
+
+    With lambda = (1, 1) the top cell's relative loss rate is 1e3 times the
+    full cell's, so a step the error control accepts overshoots it below
+    zero by round-off scale and the step clips.  Run to t = 10 at
+    rel_tol = 1e-4, the run both clips and rejects steps.
+    """
+    grid = cb.build_grid(1e-2, 1e2, 24)
+    ws = cb.precompute(grid, KernelSpec(1.0, 1.0), DaughterLaw(-0.5, 0.6))
+    state0 = cb.monodisperse_state(grid, 0.1, 1.0)
+    state0.contents[-1] = 1e-30
+    return ws, state0
+
+
+def _same_states(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x.contents, y.contents)
+        and x.dust_mass == y.dust_mass
+        and x.clip_mass == y.clip_mass
+        and x.time == y.time
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, x_min", [(A1_CONFIG, None), (A5_CONFIG, 1e-4)], ids=["A1-n128", "A5-xmin1e-4"]
+)
+def test_fsal_simulate_bitwise_equals_four_stage_oracle(text, x_min):
+    config = cb.parse_config_text(text)
+    if x_min is not None:
+        config = cb.with_x_min(config, x_min)
+    ws, s0 = cb.build_problem(config)
+    tol = Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+    out = cb.simulate(ws, s0, config.snapshot_times, tol)
+    ref = oracle_simulate(ws, s0, config.snapshot_times, tol)
+    assert _same_states(out.states, ref)
+
+
+def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
+    ws, s0 = clip_problem
+    out, dt_used, dt_next, next_rates = cb.step(ws, s0, 0.1, Tolerances())
+    ref, ref_dt, ref_next = oracle_step(ws, s0, 0.1, Tolerances())
+    assert out.clip_mass > 0.0
+    assert next_rates is None
+    assert _same_states([out], [ref])
+    assert (dt_used, dt_next) == (ref_dt, ref_next)
+    times, loose = np.linspace(0.0, 10.0, 3), Tolerances(rel_tol=1e-4)
+    run = cb.simulate(ws, s0, times, loose)
+    assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
+
+
+def test_step_returns_rates_at_new_state(small_problem):
+    ws, s0 = small_problem
+    out, _, _, (d_contents, d_dust) = cb.step(ws, s0, 1e-3, Tolerances())
+    expect = cb.rhs_arrays(ws, out.contents)
+    assert np.array_equal(d_contents, expect[0])
+    assert d_dust == expect[1]
+
+
+@pytest.mark.parametrize("problem", ["a1", "clip"])
+def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
+    if problem == "a1":
+        config = cb.parse_config_text(A1_CONFIG)
+        (ws, s0), times, tol = cb.build_problem(config), config.snapshot_times, None
+    else:
+        (ws, s0), times, tol = clip_problem, np.linspace(0.0, 10.0, 3), Tolerances(rel_tol=1e-4)
+    tally = {"rhs": 0, "accepted": 0, "rejected": 0, "clips": 0}
+    real_rhs, real_step = integrate.rhs_arrays, integrate.step
+
+    def counted_rhs(workspace, contents):
+        tally["rhs"] += 1
+        return real_rhs(workspace, contents)
+
+    def counted_step(workspace, state, dt_target, tol, rates=None):
+        result = real_step(workspace, state, dt_target, tol, rates)
+        tally["accepted"] += 1
+        tally["rejected"] += round(math.log2(dt_target / result[1]))
+        tally["clips"] += result[3] is None
+        return result
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
+    monkeypatch.setattr(integrate, "step", counted_step)
+    cb.simulate(ws, s0, times, tol)
+    # one k1 to start, k2, k3, k4 per attempt, and a fresh k1 after a clip
+    expect = 3 * tally["accepted"] + 1 + tally["clips"] + 3 * tally["rejected"]
+    assert tally["rhs"] == expect
+    if problem == "clip":
+        assert tally["clips"] > 0 and tally["rejected"] > 0
 
 
 def test_simulate_deterministic(small_problem):
