@@ -15,6 +15,7 @@ from .bounds import (
     existence_bounds,
     gronwall_envelope,
     hypothesis_checklist,
+    initial_bounds,
     nonexistence_bound,
 )
 from .config import SimConfig, build_problem, parse_config, parse_config_text, with_x_min
@@ -50,6 +51,7 @@ from .grid import (
     SizeGrid,
     State,
     build_grid,
+    check_grid,
     density_state,
     exponential_state,
     moment,

@@ -13,6 +13,12 @@ envelope must keep the E1 factor.  Interpolating the bracket against mass
 and the (k0+1)-th moment gives  dM/dt <= 2 E1 c3 M^(1+q) with
 q = (1-lambda)/(1-k0) when lambda < 1 (finite horizon T_k0), and a linear
 inequality with a growing exponential envelope when lambda >= 1.
+
+``initial_bounds`` is the single entry point from a problem to its report:
+it takes the initial moments of a state on its grid and returns the regime,
+the hypothesis checklist and the applicable existence or non-existence
+constants.  ``collbreak bounds``, the run manifest and ``collbreak verify``
+all go through it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .daughter import DaughterLaw, e_constant
 from .errors import DomainError, InputError
+from .grid import SizeGrid, State, moment
 from .kernel import KernelSpec
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
     "BoundsReport",
     "classify_regime",
     "hypothesis_checklist",
+    "initial_bounds",
     "existence_bounds",
     "nonexistence_bound",
     "gronwall_envelope",
@@ -131,6 +139,38 @@ class BoundsReport:
             ]
         return out
 
+    def entry(self) -> dict:
+        """Regime and checklist, plus ``to_dict()`` under the theorem it bounds.
+
+        The constants go under "existence" or "nonexistence"; an Uncovered
+        report carries neither.
+        """
+        out = {"regime": self.regime.value, "checklist": self.checklist}
+        if self.c1 is not None:
+            out["existence"] = self.to_dict()
+        if self.t1_bound is not None:
+            out["nonexistence"] = self.to_dict()
+        return out
+
+
+def initial_bounds(
+    kernel: KernelSpec, law: DaughterLaw, grid: SizeGrid, state: State, times
+) -> BoundsReport:
+    """The bounds report of the problem started from ``state`` on ``grid``.
+
+    Non-existence regimes get ``nonexistence_bound``; every other regime
+    gets ``existence_bounds`` with C1 tabulated over ``times``, which leaves
+    an Uncovered report bare.  The initial data must carry positive mass
+    and moments.
+    """
+    moment_fn = lambda k: moment(grid, state, k)
+    rho = moment_fn(1.0)
+    if classify_regime(kernel, law) is Regime.NON_EXISTENCE:
+        return nonexistence_bound(kernel, law, rho, moment_fn)
+    return existence_bounds(
+        kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
+    )
+
 
 def existence_bounds(
     kernel: KernelSpec,
@@ -144,7 +184,8 @@ def existence_bounds(
 
     Given the initial mass rho and the initial k0 and (k0+1) moments,
     returns c1, c2, c3, the horizon T_k0 (infinite for homogeneity >= 1),
-    and the envelope C1 as a callable plus a table over ``t_values``.
+    and the envelope C1 as a callable plus a table over the ``t_values``
+    before T_k0.
     Parameters outside the theorem's hypotheses yield an Uncovered report
     with no constants.
     """
@@ -197,7 +238,9 @@ def existence_bounds(
     report.t_k0 = t_k0
     report.c1_of = c1_of
     if t_values is not None:
-        report.c1_table = [(float(t), c1_of(float(t))) for t in np.atleast_1d(t_values)]
+        report.c1_table = [
+            (float(t), c1_of(float(t))) for t in np.atleast_1d(t_values) if t < t_k0
+        ]
     return report
 
 

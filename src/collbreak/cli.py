@@ -52,28 +52,16 @@ def _cmd_simulate(args) -> int:
 
 def _initial_report(config):
     workspace, state0 = build_problem(config)
-    grid = workspace.grid
-    moment_fn = lambda k: moment(grid, state0, k)
-    rho = moment_fn(1.0)
-    payload = {
-        "regime": bounds_mod.classify_regime(config.kernel, config.law).value,
-        "checklist": bounds_mod.hypothesis_checklist(config.kernel, config.law),
-        "initial_moments": {
-            "rho": rho,
-            "M_k0": moment_fn(config.law.k0),
-            "M_1+k0": moment_fn(1.0 + config.law.k0),
-        },
-    }
-    existence = bounds_mod.existence_bounds(
-        config.kernel, config.law, rho, moment_fn(config.law.k0), moment_fn(1.0 + config.law.k0)
+    grid, k0 = workspace.grid, config.law.k0
+    report = bounds_mod.initial_bounds(
+        config.kernel, config.law, grid, state0, config.snapshot_times
     )
-    if existence.c1 is not None:
-        ts = [t for t in config.snapshot_times if t < existence.t_k0]
-        existence.c1_table = [(float(t), existence.c1_of(float(t))) for t in ts]
-        payload["existence"] = existence.to_dict()
-    nonexistence = bounds_mod.nonexistence_bound(config.kernel, config.law, rho, moment_fn)
-    if nonexistence.t1_bound is not None:
-        payload["nonexistence"] = nonexistence.to_dict()
+    payload = report.entry()
+    payload["initial_moments"] = {
+        "rho": moment(grid, state0, 1.0),
+        "M_k0": moment(grid, state0, k0),
+        "M_1+k0": moment(grid, state0, 1.0 + k0),
+    }
     return payload
 
 

@@ -20,10 +20,12 @@ from .errors import ConfigError, DomainError
 from .grid import (
     SizeGrid,
     build_grid,
+    check_grid,
     exponential_state,
     monodisperse_state,
     table_state,
 )
+from .integrate import Tolerances
 from .kernel import KernelSpec
 from .scheme import precompute
 
@@ -54,6 +56,19 @@ _KEYS = {
     "picard.tol": (float, 1e-10),
     "output.dir": (str, None),
     "output.moments": (str, None),
+}
+
+# DomainError.param of the owning types' checks -> the key that sets it.
+_PARAM_KEYS = {
+    "nu": "daughter.nu",
+    "k0": "daughter.k0",
+    "lambda1": "kernel.lambda1",
+    "lambda2": "kernel.lambda2",
+    "truncation": "kernel.truncation_n",
+    "x_min": "grid.x_min",
+    "n_cells": "grid.n_cells",
+    "rel_tol": "time.rel_tol",
+    "abs_tol": "time.abs_tol",
 }
 
 
@@ -204,48 +219,18 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
     def line_of(key):
         return values[key][1] if key in values else None
 
-    nu = get("daughter.nu")
-    if not -2.0 < nu <= 0.0:
-        raise ConfigError(
-            f"nu={nu} violates the admissible range nu in (-2, 0] of the "
-            "power-law daughter family",
-            key="daughter.nu",
-            line=line_of("daughter.nu"),
-        )
-    k0 = get("daughter.k0")
-    if not max(0.0, abs(nu) - 1.0) < k0 < 1.0:
-        raise ConfigError(
-            f"k0={k0} violates the hypothesis k0 > |nu|-1 = {abs(nu) - 1.0} "
-            "(finite k0-th fragment moment) with k0 in (0, 1)",
-            key="daughter.k0",
-            line=line_of("daughter.k0"),
-        )
-    law = DaughterLaw(nu, k0)
-
+    x_min, x_max, n_cells = get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")
+    rel_tol, abs_tol = get("time.rel_tol"), get("time.abs_tol")
     try:
+        law = DaughterLaw(get("daughter.nu"), get("daughter.k0"))
         kernel = KernelSpec(
             get("kernel.lambda1"), get("kernel.lambda2"), get("kernel.truncation_n")
         )
+        check_grid(x_min, x_max, n_cells)
+        Tolerances(rel_tol, abs_tol)
     except DomainError as exc:
-        key = "kernel.lambda1" if "lambda1" in str(exc) else "kernel.lambda2"
-        if "truncation" in str(exc):
-            key = "kernel.truncation_n"
+        key = _PARAM_KEYS[exc.param]
         raise ConfigError(str(exc), key=key, line=line_of(key)) from None
-
-    x_min, x_max = get("grid.x_min"), get("grid.x_max")
-    n_cells = get("grid.n_cells")
-    if not 0.0 < x_min < x_max:
-        raise ConfigError(
-            f"need 0 < x_min < x_max, got ({x_min}, {x_max})",
-            key="grid.x_min",
-            line=line_of("grid.x_min"),
-        )
-    if n_cells < 2:
-        raise ConfigError(
-            f"need at least 2 cells, got {n_cells}",
-            key="grid.n_cells",
-            line=line_of("grid.n_cells"),
-        )
 
     kind = get("init.kind")
     if kind not in _INIT_KINDS:
@@ -283,13 +268,6 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         raise ConfigError("t_end must be non-negative", key="time.t_end", line=line_of("time.t_end"))
     snapshots = _snapshot_times(get("time.snapshots"), t_end, line_of("time.snapshots"))
 
-    rel_tol, abs_tol = get("time.rel_tol"), get("time.abs_tol")
-    if rel_tol < 0.0 or abs_tol < 0.0 or rel_tol + abs_tol == 0.0:
-        raise ConfigError(
-            "tolerances must be non-negative and not both zero",
-            key="time.rel_tol",
-            line=line_of("time.rel_tol"),
-        )
     max_iter, picard_tol = get("picard.max_iter"), get("picard.tol")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1", key="picard.max_iter", line=line_of("picard.max_iter"))
@@ -298,7 +276,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
 
     raw_orders = get("output.moments")
     if raw_orders is None:
-        orders = (k0, 1.0, 1.0 + k0)
+        orders = (law.k0, 1.0, 1.0 + law.k0)
     else:
         try:
             orders = tuple(_finite_float(tok) for tok in raw_orders.split(",") if tok.strip())
@@ -308,7 +286,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
                 key="output.moments",
                 line=line_of("output.moments"),
             ) from None
-    threshold = abs(nu) - 1.0
+    threshold = abs(law.nu) - 1.0
     for k in orders:
         if k <= threshold:
             raise ConfigError(
@@ -393,8 +371,10 @@ def build_problem(config: SimConfig):
 
 def with_x_min(config: SimConfig, x_min: float) -> SimConfig:
     """Same physics on a grid cut at ``x_min``, cells per decade preserved."""
-    if not 0.0 < x_min < config.x_max:
-        raise ConfigError(f"x_min={x_min} must lie in (0, x_max={config.x_max})")
+    try:
+        check_grid(x_min, config.x_max, config.n_cells)
+    except DomainError as exc:
+        raise ConfigError(str(exc), key=_PARAM_KEYS[exc.param]) from None
     decades_old = math.log10(config.x_max / config.x_min)
     per_decade = config.n_cells / decades_old
     decades_new = math.log10(config.x_max / x_min)

@@ -38,12 +38,13 @@ class DaughterLaw:
         nu = float(self.nu)
         k0 = float(self.k0)
         if not -2.0 < nu <= 0.0:
-            raise DomainError(f"nu={nu} outside (-2, 0]")
+            raise DomainError(f"nu={nu} outside the admissible range (-2, 0]", param="nu")
         lo = max(0.0, abs(nu) - 1.0)
         if not lo < k0 < 1.0:
             raise DomainError(
-                f"k0={k0} outside ({lo}, 1); need k0 > |nu|-1 for a finite "
-                "k0-th fragment moment"
+                f"k0={k0} outside ({lo}, 1); need k0 > |nu|-1 = {abs(nu) - 1.0} "
+                "for a finite k0-th fragment moment",
+                param="k0",
             )
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "k0", k0)
@@ -61,12 +62,8 @@ class DaughterLaw:
         return e_constant(self, 1.0) + 1.0
 
 
-def beta_star(law: DaughterLaw, s: float, x: float, partner: float | None = None):
-    """Daughter density at fragment size s for a parent of size x.
-
-    The partner size is accepted and ignored: this family does not depend
-    on the collision partner.
-    """
+def beta_star(law: DaughterLaw, s: float, x: float):
+    """Daughter density at fragment size s for a parent of size x."""
     if x <= 0.0:
         raise DomainError("parent size must be positive")
     if not 0.0 < s < x:

@@ -86,10 +86,7 @@ def c1_bound_check(run: RunOutput, report, t_horizon: float):
     Returns (passed, margin) with margin = C1 - max M_k0.  The horizon must
     precede the blow-up time of the envelope when that time is finite.
     """
-    if report.regime not in (
-        bounds_mod.Regime.GLOBAL_EXISTENCE,
-        bounds_mod.Regime.LOCAL_EXISTENCE,
-    ):
+    if report.c1_of is None:
         raise InputError(f"regime {report.regime.value} has no small-size envelope")
     if report.t_k0 is not None and math.isfinite(report.t_k0) and t_horizon >= report.t_k0:
         raise InputError(
@@ -254,16 +251,8 @@ def run_verification(run: RunOutput) -> list[dict]:
             }
         )
 
-    regime = bounds_mod.classify_regime(run.kernel, run.law)
-    if regime in (bounds_mod.Regime.GLOBAL_EXISTENCE, bounds_mod.Regime.LOCAL_EXISTENCE):
-        first = run.states[0]
-        report = bounds_mod.existence_bounds(
-            run.kernel,
-            run.law,
-            run.rho,
-            float(np.sum(run.grid.reps**k0 * first.contents)),
-            float(np.sum(run.grid.reps ** (1.0 + k0) * first.contents)),
-        )
+    report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.states[0], run.times)
+    if report.c1 is not None:
         horizon = float(run.times[-1])
         if math.isfinite(report.t_k0):
             horizon = min(horizon, 0.9 * report.t_k0)
@@ -275,7 +264,7 @@ def run_verification(run: RunOutput) -> list[dict]:
                 "detail": f"M_k0 margin {margin:.4g} below C1(T) at T={horizon:.4g}",
             }
         )
-    if regime is bounds_mod.Regime.NON_EXISTENCE:
+    if report.regime is bounds_mod.Regime.NON_EXISTENCE:
         ok = nonexistence_growth_check(run, k0)
         results.append(
             {

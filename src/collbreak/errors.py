@@ -8,7 +8,14 @@ class CollbreakError(Exception):
 
 
 class DomainError(CollbreakError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``param`` names the offending parameter, when there is one.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class DivergentMomentError(DomainError):

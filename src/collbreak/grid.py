@@ -12,6 +12,7 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "SizeGrid",
     "State",
+    "check_grid",
     "build_grid",
     "moment",
     "tail_moment",
@@ -49,12 +50,17 @@ class SizeGrid:
         return self.edges[1:] - self.edges[:-1]
 
 
+def check_grid(x_min: float, x_max: float, n_cells: int) -> None:
+    """Refuse grid parameters ``build_grid`` cannot use, without building the grid."""
+    if not 0.0 < x_min < x_max:
+        raise DomainError(f"need 0 < x_min < x_max, got ({x_min}, {x_max})", param="x_min")
+    if n_cells < 2:
+        raise DomainError(f"need n_cells >= 2, got {n_cells}", param="n_cells")
+
+
 def build_grid(x_min: float, x_max: float, n_cells: int) -> SizeGrid:
     """Geometric grid with n_cells cells between x_min and x_max."""
-    if not 0.0 < x_min < x_max:
-        raise ConfigError(f"need 0 < x_min < x_max, got ({x_min}, {x_max})")
-    if n_cells < 2:
-        raise ConfigError(f"need n_cells >= 2, got {n_cells}")
+    check_grid(x_min, x_max, n_cells)
     edges = np.geomspace(x_min, x_max, n_cells + 1)
     reps = np.sqrt(edges[:-1] * edges[1:])
     edges.flags.writeable = False
@@ -147,7 +153,8 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     Each sample extends over a bin bounded by the geometric midpoints of
     neighbouring sample sizes (end bins reuse the adjacent ratio).  On the
     grid the table was emitted from this reproduces the original contents;
-    on any other grid the step density is integrated cell by cell.
+    on any other grid the step density is integrated cell by cell.  A table
+    that puts no mass on the grid is refused, with or without ``mass``.
     """
     sizes = np.asarray(sizes, dtype=float)
     densities = np.asarray(densities, dtype=float)
@@ -176,9 +183,9 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
         overlap = np.maximum(right - left, 0.0)
         contents[i] = float(np.sum(densities * overlap))
     state = State(contents)
+    raw = moment(grid, state, 1.0)
+    if raw <= 0.0:
+        raise ConfigError("table carries no mass on the grid", key="init.path")
     if mass is not None:
-        raw = moment(grid, state, 1.0)
-        if raw <= 0.0:
-            raise ConfigError("table carries no mass on the grid")
         state.contents *= mass / raw
     return state

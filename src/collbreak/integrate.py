@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractionError, DomainError, StiffnessError
-from .grid import State
+from .grid import State, moment
 from .scheme import RhsWorkspace, rhs_arrays
 
 __all__ = [
@@ -34,12 +34,21 @@ class Tolerances:
 
     The error estimate is measured in the weighted norm
     sum max(reps^k0, reps^(1+k0)) |e_i|, the same topology in which
-    solutions of the continuous problem are separated.
+    solutions of the continuous problem are separated.  Every field must be
+    finite and non-negative, and the two tolerances must not both be zero.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     dt_floor: float = 0.0
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "dt_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name}={value} must be finite and non-negative", param=name)
+        if self.rel_tol + self.abs_tol == 0.0:
+            raise DomainError("rel_tol and abs_tol must not both be zero", param="rel_tol")
 
 
 def step(
@@ -145,8 +154,7 @@ class RunOutput:
 
     @property
     def rho(self) -> float:
-        first = self.states[0]
-        return float(np.sum(self.grid.reps * first.contents)) + first.dust_mass
+        return moment(self.grid, self.states[0], 1.0) + self.states[0].dust_mass
 
     def moments(self, k: float) -> np.ndarray:
         reps_k = self.grid.reps**k

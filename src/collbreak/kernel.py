@@ -39,19 +39,18 @@ class KernelSpec:
     def __post_init__(self):
         l1 = float(self.lambda1)
         l2 = float(self.lambda2)
-        if l1 > l2:
-            l1, l2 = l2, l1
         lo, hi = _EXPONENT_RANGE
+        # checked under the names they were given, before canonical ordering
         for name, val in (("lambda1", l1), ("lambda2", l2)):
             if not lo <= val <= hi:
-                raise DomainError(f"{name}={val} outside [{lo}, {hi}]")
+                raise DomainError(f"{name}={val} outside [{lo}, {hi}]", param=name)
         if self.truncation is not None:
             n = int(self.truncation)
             if n < 1:
-                raise DomainError(f"truncation index must be >= 1, got {n}")
+                raise DomainError(f"truncation index must be >= 1, got {n}", param="truncation")
             object.__setattr__(self, "truncation", n)
-        object.__setattr__(self, "lambda1", l1)
-        object.__setattr__(self, "lambda2", l2)
+        object.__setattr__(self, "lambda1", min(l1, l2))
+        object.__setattr__(self, "lambda2", max(l1, l2))
 
     @property
     def homogeneity(self) -> float:

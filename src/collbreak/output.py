@@ -18,7 +18,7 @@ from .errors import InputError
 from .grid import State, build_grid
 from .integrate import RunOutput
 
-__all__ = ["emit_outputs", "load_run", "write_manifest_bounds"]
+__all__ = ["emit_outputs", "load_run"]
 
 
 def _fmt(value) -> str:
@@ -38,32 +38,6 @@ def _moment_columns(run: RunOutput):
 
 def _snapshot_name(t: float) -> str:
     return f"snapshot_{_fmt(t)}.csv"
-
-
-def write_manifest_bounds(run: RunOutput) -> dict:
-    """Regime classification and the applicable constants for a run."""
-    regime = bounds_mod.classify_regime(run.kernel, run.law)
-    entry = {
-        "regime": regime.value,
-        "checklist": bounds_mod.hypothesis_checklist(run.kernel, run.law),
-    }
-    first = run.states[0]
-    reps = run.grid.reps
-    k0 = run.law.k0
-    m_k0 = float(np.sum(reps**k0 * first.contents))
-    m_k0p1 = float(np.sum(reps ** (1.0 + k0) * first.contents))
-    if regime in (bounds_mod.Regime.GLOBAL_EXISTENCE, bounds_mod.Regime.LOCAL_EXISTENCE):
-        report = bounds_mod.existence_bounds(run.kernel, run.law, run.rho, m_k0, m_k0p1)
-        ts = [t for t in run.times if t < report.t_k0]
-        report.c1_table = [(float(t), report.c1_of(float(t))) for t in ts]
-        entry["existence"] = report.to_dict()
-    if regime is bounds_mod.Regime.NON_EXISTENCE:
-        moment_fn = lambda k: float(np.sum(reps**k * first.contents))
-        report = bounds_mod.nonexistence_bound(
-            run.kernel, run.law, run.rho, moment_fn
-        )
-        entry["nonexistence"] = report.to_dict()
-    return entry
 
 
 def emit_outputs(run: RunOutput, out_dir) -> dict:
@@ -116,7 +90,9 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     manifest = {
         "config": run.config.resolved() if run.config is not None else None,
         "rho": run.rho,
-        "bounds": write_manifest_bounds(run),
+        "bounds": bounds_mod.initial_bounds(
+            run.kernel, run.law, grid, run.states[0], run.times
+        ).entry(),
         "snapshots": snapshot_files,
         "files": files,
         "content_hash": combined,
@@ -164,10 +140,10 @@ def load_run(run_dir) -> RunOutput:
     states = []
     for row, entry in enumerate(manifest["snapshots"]):
         lines = _verified_lines(run_dir, entry["file"], files)
-        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-        if table.shape[0] != grid.n_cells:
+        # only the content column is kept; the rest is derived from the grid
+        contents = np.loadtxt(lines[1:], delimiter=",", usecols=4, ndmin=1)
+        if contents.size != grid.n_cells:
             raise InputError(f"{entry['file']} does not match the manifest grid")
-        contents = table[:, 4]
         states.append(
             State(
                 contents=contents,

@@ -177,11 +177,12 @@ def test_gronwall_envelope_mesh_mismatch():
 
 def test_bounds_report_serialises():
     report = cb.existence_bounds(
-        KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), 1.0, 1.0, 1.0, t_values=[0.01]
+        KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), 1.0, 1.0, 1.0, t_values=[0.01, 1.0]
     )
     payload = report.to_dict()
     assert payload["regime"] == "LocalExistence"
-    assert payload["c1_table"][0]["T"] == 0.01
+    # T = 1 lies past the horizon T_k0 = 1/9 and is left out of the table
+    assert [row["T"] for row in payload["c1_table"]] == [0.01]
     nonex = cb.nonexistence_bound(
         KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), 1.0, lambda k: 1.0
     )

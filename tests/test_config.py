@@ -57,6 +57,27 @@ def test_k0_violation_cites_hypothesis():
     assert "k0 > |nu|-1" in message
 
 
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("daughter.nu = -2.5\n", "daughter.nu", 1),
+        ("daughter.nu = -1.5\ndaughter.k0 = 0.4\n", "daughter.k0", 2),
+        ("kernel.lambda1 = 3\n", "kernel.lambda1", 1),
+        ("kernel.lambda2 = 0.1\nkernel.lambda1 = 2.5\n", "kernel.lambda1", 2),
+        ("# comment\nkernel.lambda2 = -3\n", "kernel.lambda2", 2),
+        ("kernel.truncation_n = 0\n", "kernel.truncation_n", 1),
+        ("grid.x_min = 20\n", "grid.x_min", 1),
+        ("grid.n_cells = 1\n", "grid.n_cells", 1),
+        ("time.rel_tol = -1e-8\n", "time.rel_tol", 1),
+        ("time.rel_tol = 0\ntime.abs_tol = -1\n", "time.abs_tol", 2),
+    ],
+)
+def test_range_violation_cites_key_and_line(text, key, line):
+    with pytest.raises(ConfigError) as info:
+        cb.parse_config_text(text)
+    assert (info.value.key, info.value.line) == (key, line)
+
+
 def test_moment_orders_validated_against_divergence_threshold():
     with pytest.raises(ConfigError) as info:
         cb.parse_config_text("daughter.nu = -1.5\ndaughter.k0 = 0.6\noutput.moments = 0.4,1\n")

@@ -176,7 +176,6 @@ def test_log_case_away_from_origin():
     assert value == pytest.approx(oracle, rel=1e-10)
 
 
-def test_beta_star_ignores_partner_and_vanishes_outside():
+def test_beta_star_vanishes_outside():
     law = DaughterLaw(-1.2, 0.5)
-    assert beta_star(law, 0.5, 2.0) == beta_star(law, 0.5, 2.0, partner=17.0)
     assert beta_star(law, 3.0, 2.0) == 0.0

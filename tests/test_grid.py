@@ -20,12 +20,11 @@ def test_two_cell_example():
 
 
 def test_bad_bounds_rejected():
-    with pytest.raises(ConfigError):
-        cb.build_grid(2.0, 1.0, 8)
-    with pytest.raises(ConfigError):
-        cb.build_grid(0.0, 1.0, 8)
-    with pytest.raises(ConfigError):
-        cb.build_grid(1.0, 2.0, 1)
+    cases = (((2.0, 1.0, 8), "x_min"), ((0.0, 1.0, 8), "x_min"), ((1.0, 2.0, 1), "n_cells"))
+    for args, param in cases:
+        with pytest.raises(cb.DomainError) as info:
+            cb.build_grid(*args)
+        assert info.value.param == param
 
 
 def test_edges_ratio_constant_and_reps_interior():
@@ -104,6 +103,10 @@ def test_table_state_rejects_bad_input():
         cb.table_state(grid, [1.0, 0.5], [1.0, 1.0])  # not increasing
     with pytest.raises(ConfigError):
         cb.table_state(grid, [1.0, 2.0], [1.0, -1.0])  # negative density
+    for mass in (None, 1.0):
+        with pytest.raises(ConfigError) as info:
+            cb.table_state(grid, [20.0, 40.0], [1.0, 1.0], mass=mass)  # all above x_max
+        assert info.value.key == "init.path"
 
 
 def test_weight_vector_crossover():

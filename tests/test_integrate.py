@@ -54,6 +54,23 @@ def test_step_rejects_bad_dt(small_problem):
         cb.step(ws, s0, 0.0, Tolerances())
 
 
+@pytest.mark.parametrize(
+    "fields, param",
+    [
+        ({"rel_tol": math.nan}, "rel_tol"),
+        ({"abs_tol": -1e-12}, "abs_tol"),
+        ({"rel_tol": math.inf}, "rel_tol"),
+        ({"dt_floor": math.nan}, "dt_floor"),
+        ({"dt_floor": -1.0}, "dt_floor"),
+        ({"rel_tol": 0.0, "abs_tol": 0.0}, "rel_tol"),
+    ],
+)
+def test_tolerances_refuse_bad_values(fields, param):
+    with pytest.raises(cb.DomainError) as info:
+        Tolerances(**fields)
+    assert info.value.param == param
+
+
 def test_stiffness_error_on_dt_floor(small_problem):
     ws, s0 = small_problem
     tol = Tolerances(rel_tol=1e-30, abs_tol=0.0, dt_floor=1e-3)

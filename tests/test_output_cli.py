@@ -180,6 +180,49 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+# (lambda, nu, k0) of one configuration per regime
+REGIMES = {
+    "GlobalExistence": (0.6, -1.2, 0.5),
+    "LocalExistence": (0.3, -1.1, 0.2),
+    "NonExistence": (0.0, -1.5, 0.6),
+    "Uncovered": (0.2, -1.2, 0.5),
+}
+
+
+def _regime_config(regime):
+    lam, nu, k0 = REGIMES[regime]
+    return BASE_CONFIG.replace(
+        "kernel.lambda1 = 0.6\nkernel.lambda2 = 0.6\ndaughter.nu = -1.2\ndaughter.k0 = 0.5",
+        f"kernel.lambda1 = {lam}\nkernel.lambda2 = {lam}\ndaughter.nu = {nu}\ndaughter.k0 = {k0}",
+    )
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_cli_bounds_matches_manifest(tmp_path, capsys, regime):
+    cfg = _write(tmp_path, _regime_config(regime))
+    assert main(["bounds", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["initial_moments"]
+    assert report["regime"] == regime
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["bounds"] == report
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("regime", ["GlobalExistence", "Uncovered"])
+def test_cli_refuses_table_without_mass_on_grid(tmp_path, capsys, command, regime):
+    table = tmp_path / "above.csv"
+    table.write_text("20.0,1.0\n40.0,1.0\n")  # every bin lies above x_max = 10
+    text = _regime_config(regime).replace("init.kind = exponential", "init.kind = table")
+    cfg = _write(tmp_path, text.replace("init.mass = 1.0", f"init.path = {table}"))
+    out = tmp_path / "out"
+    argv = [command, cfg, "--out", str(out)] if command == "simulate" else [command, cfg]
+    assert main(argv) == 2
+    assert "init.path: table carries no mass on the grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_distance_same_run_is_zero(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_CONFIG)
     a = str(tmp_path / "a")
