@@ -52,7 +52,6 @@ from .grid import (
     State,
     build_grid,
     check_grid,
-    density_state,
     exponential_state,
     moment,
     monodisperse_state,
@@ -64,6 +63,7 @@ from .integrate import (
     PicardResult,
     RunOutput,
     Tolerances,
+    check_picard,
     picard_solve,
     run,
     simulate,

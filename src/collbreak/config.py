@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .daughter import DaughterLaw
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InputError
 from .grid import (
     SizeGrid,
     build_grid,
@@ -25,7 +25,7 @@ from .grid import (
     monodisperse_state,
     table_state,
 )
-from .integrate import Tolerances
+from .integrate import Tolerances, check_picard
 from .kernel import KernelSpec
 from .scheme import precompute
 
@@ -69,6 +69,8 @@ _PARAM_KEYS = {
     "n_cells": "grid.n_cells",
     "rel_tol": "time.rel_tol",
     "abs_tol": "time.abs_tol",
+    "max_iter": "picard.max_iter",
+    "tol": "picard.tol",
 }
 
 
@@ -175,9 +177,7 @@ def _parse_lines(text: str, name: str) -> dict:
 def _snapshot_times(raw: str, t_end: float, line) -> tuple:
     raw = raw.strip()
     try:
-        if "," in raw:
-            times = sorted(_finite_float(tok) for tok in raw.split(",") if tok.strip())
-        else:
+        if raw.isdigit():
             count = int(raw)
             if count < 1:
                 raise ValueError
@@ -185,6 +185,8 @@ def _snapshot_times(raw: str, t_end: float, line) -> tuple:
                 times = [0.0]
             else:
                 times = list(np.linspace(0.0, t_end, max(count, 2)))
+        else:  # a comma list of times, possibly of one
+            times = sorted(_finite_float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(
             f"expected a count or comma list of times, got {raw!r}",
@@ -228,6 +230,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         )
         check_grid(x_min, x_max, n_cells)
         Tolerances(rel_tol, abs_tol)
+        check_picard(get("picard.max_iter"), get("picard.tol"))
     except DomainError as exc:
         key = _PARAM_KEYS[exc.param]
         raise ConfigError(str(exc), key=key, line=line_of(key)) from None
@@ -268,12 +271,6 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         raise ConfigError("t_end must be non-negative", key="time.t_end", line=line_of("time.t_end"))
     snapshots = _snapshot_times(get("time.snapshots"), t_end, line_of("time.snapshots"))
 
-    max_iter, picard_tol = get("picard.max_iter"), get("picard.tol")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1", key="picard.max_iter", line=line_of("picard.max_iter"))
-    if picard_tol <= 0.0:
-        raise ConfigError("tol must be positive", key="picard.tol", line=line_of("picard.tol"))
-
     raw_orders = get("output.moments")
     if raw_orders is None:
         orders = (law.k0, 1.0, 1.0 + law.k0)
@@ -311,8 +308,8 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         snapshot_times=snapshots,
         rel_tol=float(rel_tol),
         abs_tol=float(abs_tol),
-        picard_max_iter=int(max_iter),
-        picard_tol=float(picard_tol),
+        picard_max_iter=int(get("picard.max_iter")),
+        picard_tol=float(get("picard.tol")),
         moment_orders=tuple(float(k) for k in orders),
         out_dir=get("output.dir"),
     )
@@ -329,28 +326,28 @@ def parse_config(path) -> SimConfig:
 
 
 def _read_table(path: str):
-    """(size, density) columns from a plain CSV or an emitted snapshot file."""
+    """(sizes, densities) of a two-column CSV whose first line may be a header."""
     try:
-        with open(path) as handle:
-            first = handle.readline()
-            rest = handle.read()
-    except OSError as exc:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read init.path {path}: {exc}", key="init.path") from None
-    header = [tok.strip() for tok in first.strip().split(",")]
-    if "rep" in header and "density" in header:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return data[:, header.index("rep")], data[:, header.index("density")]
-    try:
-        float(header[0])
-        text = first + rest
-        skip = 0
-    except ValueError:
-        text = rest
-        skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    if data.shape[1] < 2:
-        raise ConfigError("table needs two columns (size, density)", key="init.path")
-    return data[:, 0], data[:, 1]
+    sizes, densities = [], []
+    for lineno, line in enumerate(lines, start=1):
+        cells = line.split("#", 1)[0].split(",")
+        if not "".join(cells).strip():
+            continue  # blank or comment line
+        try:
+            size, density = map(float, cells[:2])
+        except ValueError:
+            if lineno == 1:
+                continue  # a header
+            raise ConfigError(
+                f"{path} line {lineno}: expected a size and a density, got {line!r}",
+                key="init.path",
+            ) from None
+        sizes.append(size)
+        densities.append(density)
+    return sizes, densities
 
 
 def initial_state(config: SimConfig, grid: SizeGrid):
@@ -358,8 +355,17 @@ def initial_state(config: SimConfig, grid: SizeGrid):
         return monodisperse_state(grid, config.init_size, config.init_mass)
     if config.init_kind == "exponential":
         return exponential_state(grid, config.init_mass, config.init_mean)
-    sizes, densities = _read_table(config.init_path)
-    return table_state(grid, sizes, densities, mass=config.init_mass)
+    if not Path(config.init_path).is_dir():
+        return table_state(grid, *_read_table(config.init_path), mass=config.init_mass)
+    from .output import load_run  # output imports this module
+
+    try:
+        run = load_run(config.init_path)
+    except InputError as exc:
+        raise ConfigError(str(exc), key="init.path") from None
+    # restart from the run's last snapshot, a step density on its own grid
+    densities = run.states[-1].contents / run.grid.widths()
+    return table_state(grid, run.grid.reps, densities, mass=config.init_mass)
 
 
 def build_problem(config: SimConfig):

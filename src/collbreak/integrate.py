@@ -18,6 +18,7 @@ __all__ = [
     "step",
     "simulate",
     "run",
+    "check_picard",
     "picard_solve",
 ]
 
@@ -230,6 +231,14 @@ class PicardResult:
     iterations: int
 
 
+def check_picard(max_iter: int, tol: float) -> None:
+    """Refuse Picard settings ``picard_solve`` cannot use."""
+    if max_iter < 1:
+        raise DomainError(f"need max_iter >= 1, got {max_iter}", param="max_iter")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol={tol} must be finite and positive", param="tol")
+
+
 def picard_solve(
     workspace: RhsWorkspace,
     state0: State,
@@ -249,8 +258,7 @@ def picard_solve(
         raise ConfigError("picard mode requires a kernel with a truncation index")
     if t_end < 0.0:
         raise DomainError(f"t_end must be non-negative, got {t_end}")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
+    check_picard(max_iter, tol)
     if t_end == 0.0:
         return PicardResult(state0.copy(), [], 0)
 

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import pytest
 
 import collbreak as cb
@@ -70,12 +72,30 @@ def test_k0_violation_cites_hypothesis():
         ("grid.n_cells = 1\n", "grid.n_cells", 1),
         ("time.rel_tol = -1e-8\n", "time.rel_tol", 1),
         ("time.rel_tol = 0\ntime.abs_tol = -1\n", "time.abs_tol", 2),
+        ("grid.n_cells = 1000001\n", "grid.n_cells", 1),
+        ("picard.max_iter = 0\n", "picard.max_iter", 1),
+        ("\npicard.tol = 0\n", "picard.tol", 2),
+        ("picard.tol = -1e-10\n", "picard.tol", 1),
     ],
 )
 def test_range_violation_cites_key_and_line(text, key, line):
     with pytest.raises(ConfigError) as info:
         cb.parse_config_text(text)
     assert (info.value.key, info.value.line) == (key, line)
+
+
+def test_huge_grid_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            cb.parse_config_text("grid.n_cells = 1000000000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.key, info.value.line) == ("grid.n_cells", 1)
+    assert f"n_cells <= {cb.grid.MAX_CELLS}" in str(info.value)
+    assert peak < 1e6
+    cb.parse_config_text(f"grid.n_cells = {cb.grid.MAX_CELLS}\n")
 
 
 def test_moment_orders_validated_against_divergence_threshold():

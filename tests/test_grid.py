@@ -70,13 +70,17 @@ def test_monodisperse_mass_exact():
     assert np.count_nonzero(state.contents) == 1
 
 
-def test_density_sampling_matches_per_cell_quadrature():
-    grid = cb.build_grid(1e-2, 10.0, 24)
-    density = lambda x: np.exp(-x)
-    state = cb.density_state(grid, density)
-    for i in (0, 7, 23):
-        ref, _ = quad(density, grid.edges[i], grid.edges[i + 1], epsrel=1e-13, epsabs=0.0)
-        assert state.contents[i] == pytest.approx(ref, rel=1e-10)
+@pytest.mark.parametrize("mass, mean", [(1.0, 1.0), (2.5, 0.05), (0.3, 40.0)])
+def test_exponential_state_matches_per_cell_quadrature(mass, mean):
+    # fine cells near x_min, where a difference of exponentials would lose digits
+    grid = cb.build_grid(1e-7, 10.0, 300)
+    state = cb.exponential_state(grid, mass, mean)
+    density = lambda x: np.exp(-x / mean)
+    ref = np.array(
+        [quad(density, lo, hi, epsrel=1e-13, epsabs=0.0)[0] for lo, hi in zip(grid.edges[:-1], grid.edges[1:])]
+    )
+    ref *= mass / np.sum(grid.reps * ref)
+    np.testing.assert_allclose(state.contents, ref, rtol=1e-10, atol=0.0)
 
 
 def test_exponential_state_normalised():

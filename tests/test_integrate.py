@@ -246,6 +246,26 @@ def test_picard_requires_truncation(small_problem):
         cb.picard_solve(ws, s0, 0.01)
 
 
+@pytest.mark.parametrize(
+    "kwargs, param",
+    [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-10}, "tol"),
+        ({"max_iter": 0}, "max_iter"),
+    ],
+)
+def test_picard_refuses_bad_settings_before_any_rhs(truncated_problem, monkeypatch, kwargs, param):
+    ws, s0 = truncated_problem
+    calls = []
+    monkeypatch.setattr(integrate, "rhs_arrays", lambda *a: calls.append(a))
+    with pytest.raises(cb.DomainError) as info:
+        cb.picard_solve(ws, s0, 0.01, **kwargs)
+    assert info.value.param == param
+    assert calls == []
+
+
 def test_picard_zero_state_is_fixed_point(truncated_problem):
     ws, _ = truncated_problem
     zero = State(np.zeros(ws.grid.n_cells))

@@ -1,11 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collbreak as cb
 from collbreak.cli import main
+from collbreak.output import _content_hash
 
 BASE_CONFIG = """
 kernel.lambda1 = 0.6
@@ -34,14 +40,20 @@ def emitted_run(tmp_path_factory):
 
 def test_emit_files_exist_with_headers(emitted_run):
     _, run, manifest, out_dir = emitted_run
+    assert sorted(p.name for p in out_dir.iterdir()) == ["contents.csv", "manifest.json", "moments.csv"]
     moments = (out_dir / "moments.csv").read_text().splitlines()
     assert moments[0] == "t,M_0.5,M_1.0,M_1.5,dust_mass,clip_mass"
     assert len(moments) == 1 + len(run.times)
-    snap = (out_dir / manifest["snapshots"][0]["file"]).read_text().splitlines()
-    assert snap[0] == "cell_index,edge_lo,edge_hi,rep,content,density"
-    assert len(snap) == 1 + run.grid.n_cells
+    # one headerless row of contents per snapshot, in moments.csv row order
+    rows = (out_dir / "contents.csv").read_text().splitlines()
+    assert len(rows) == len(run.times)
+    for row, state in zip(rows, run.states):
+        assert row == ",".join(repr(c) for c in state.contents.tolist())
     payload = json.loads((out_dir / "manifest.json").read_text())
-    assert payload["content_hash"] == manifest["content_hash"]
+    assert payload == manifest
+    assert payload["format"] == 2
+    assert sorted(payload["files"]) == ["contents.csv", "moments.csv"]
+    assert "snapshots" not in payload
     assert payload["bounds"]["regime"] == "GlobalExistence"
 
 
@@ -49,9 +61,11 @@ def test_emit_load_round_trip(emitted_run):
     _, run, _, out_dir = emitted_run
     loaded = cb.load_run(out_dir)
     assert np.array_equal(loaded.times, run.times)
+    assert len(loaded.states) == len(run.states)
     for a, b in zip(loaded.states, run.states):
         assert np.array_equal(a.contents, b.contents)
-        assert a.dust_mass == b.dust_mass
+        assert (a.time, a.dust_mass, a.clip_mass) == (b.time, b.dust_mass, b.clip_mass)
+    assert loaded.grid == run.grid
     assert loaded.kernel == run.kernel
     assert loaded.law == run.law
 
@@ -65,11 +79,11 @@ def test_identical_runs_identical_hashes(emitted_run, tmp_path):
 
 
 def test_table_init_round_trips_moments(emitted_run, tmp_path):
-    config, run, manifest, out_dir = emitted_run
-    snap = manifest["snapshots"][-1]["file"]
+    # a run directory as init.path restarts from its last snapshot
+    _, run, _, out_dir = emitted_run
     text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
     text = text.replace("init.mass = 1.0", "")
-    text += f"init.path = {out_dir / snap}\n"
+    text += f"init.path = {out_dir}\n"
     rebuilt_cfg = cb.parse_config_text(text)
     workspace, state = cb.build_problem(rebuilt_cfg)
     for k in (0.5, 1.0, 1.5):
@@ -81,9 +95,10 @@ def test_table_init_round_trips_moments(emitted_run, tmp_path):
 def test_zero_horizon_emits_single_snapshot(tmp_path):
     config = cb.parse_config_text("time.t_end = 0\ngrid.n_cells = 8\n")
     run = cb.run(config)
-    manifest = cb.emit_outputs(run, tmp_path)
-    assert len(manifest["snapshots"]) == 1
+    cb.emit_outputs(run, tmp_path)
     assert (tmp_path / "moments.csv").read_text().count("\n") == 2
+    assert (tmp_path / "contents.csv").read_text().count("\n") == 1
+    assert len(cb.load_run(tmp_path).states) == 1
 
 
 def _write(tmp_path, text, name="case.cfg"):
@@ -127,31 +142,25 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     # inflate the final snapshot contents: mass budget must break
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    snap = tmp_path / "out" / manifest["snapshots"][-1]["file"]
-    lines = snap.read_text().splitlines()
-    header, rows = lines[0], lines[1:]
-    doctored = [header]
-    for row in rows:
-        cells = row.split(",")
-        cells[4] = repr(float(cells[4]) * 3.0)
-        doctored.append(",".join(cells))
-    snap.write_text("\n".join(doctored) + "\n")
-    # re-sign the doctored file so it passes the load-time integrity check
-    # and reaches the verification battery
-    manifest["files"][snap.name] = hashlib.sha256(snap.read_bytes()).hexdigest()
+    contents = tmp_path / "out" / "contents.csv"
+    rows = contents.read_text().splitlines()
+    rows[-1] = ",".join(repr(float(cell) * 3.0) for cell in rows[-1].split(","))
+    contents.write_text("\n".join(rows) + "\n")
+    # re-sign the doctored file and the manifest so they pass the load-time
+    # integrity checks and reach the verification battery
+    manifest["files"]["contents.csv"] = hashlib.sha256(contents.read_bytes()).hexdigest()
+    manifest["content_hash"] = _content_hash(manifest)
     (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", out_dir]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(not check["passed"] for check in payload["checks"])
 
 
-@pytest.mark.parametrize("target", ["moments.csv", "last snapshot"])
-def test_cli_verify_rejects_truncated_file(tmp_path, capsys, target):
+@pytest.mark.parametrize("name", ["moments.csv", "contents.csv"])
+def test_cli_verify_rejects_truncated_file(tmp_path, capsys, name):
     cfg = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    name = "moments.csv" if target == "moments.csv" else manifest["snapshots"][-1]["file"]
     path = out / name
     path.write_bytes(path.read_bytes()[:150])
     capsys.readouterr()
@@ -263,3 +272,127 @@ def test_cli_shatter_study_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "conservative"
     assert len(payload["rows"]) == 3
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param("1.0,2.0\nabc,3\n", "line 2: expected a size and a density", id="malformed-row"),
+        pytest.param("size,density\n1.0,2.0\n3.0\n", "line 3: expected", id="one-column"),
+        pytest.param("1.0,nan\n2.0,1.0\n", "must be finite", id="nan-density"),
+        pytest.param("inf,1.0\n", "must be finite", id="inf-size"),
+        pytest.param("0.5,1.0\n1.0,-inf\n", "must be finite", id="minus-inf-density"),
+    ],
+)
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_cli_refuses_malformed_or_non_finite_table(tmp_path, capsys, command, table, message):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    cfg = _write(tmp_path, text.replace("init.mass = 1.0", f"init.path = {path}"))
+    out = tmp_path / "out"
+    argv = [command, cfg, "--out", str(out)] if command == "simulate" else [command, cfg]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "init.path: " in captured.err and message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_table_header_and_comments_are_skipped(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("size,density\n# a comment\n0.5,1.0\n\n1.0,2.0  # inline\n")
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    config = cb.parse_config_text(text.replace("init.mass = 1.0", f"init.path = {path}"))
+    _, state = cb.build_problem(config)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("0.5,1.0\n1.0,2.0\n")
+    _, want = cb.build_problem(dataclasses.replace(config, init_path=str(plain)))
+    assert np.array_equal(state.contents, want.contents)
+
+
+def _simulated(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("key, value", [("grid.n_cells", 24), ("kernel.lambda1", 0.5)])
+def test_load_run_refuses_edited_config_echo(tmp_path, capsys, key, value):
+    out, manifest = _simulated(tmp_path, capsys)
+    manifest["config"][key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", str(out)]) == 2
+    assert "does not match its content_hash" in capsys.readouterr().err
+    with pytest.raises(cb.InputError):
+        cb.load_run(out)
+
+
+def test_load_run_refuses_other_formats(tmp_path, capsys):
+    out, manifest = _simulated(tmp_path, capsys)
+    del manifest["format"]  # as in the per-snapshot layout, which had no field
+    manifest["content_hash"] = _content_hash(manifest)
+    for text in (json.dumps(manifest), "[]"):
+        (out / "manifest.json").write_text(text)
+        assert main(["verify", str(out)]) == 2
+        assert "is not a format-2 run manifest" in capsys.readouterr().err
+
+
+def test_restart_refuses_tampered_run(tmp_path, capsys):
+    out, _ = _simulated(tmp_path, capsys)
+    contents = out / "contents.csv"
+    contents.write_bytes(contents.read_bytes().replace(b"e-", b"e-1", 1))
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    cfg = _write(tmp_path, text + f"init.path = {out}\n", name="restart.cfg")
+    assert main(["bounds", cfg]) == 2
+    assert "init.path: contents.csv does not match its SHA-256" in capsys.readouterr().err
+
+
+# a run on a small grid whose snapshots after the first (the configured
+# initial data, which the manifest's bounds are computed from) are arbitrary
+# non-negative floats: the layout must carry each through repr and back,
+# subnormals included
+_cells = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def _runs(draw):
+    n_cells = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["exponential", "monodisperse"]))
+    config = cb.parse_config_text(
+        BASE_CONFIG.replace("grid.n_cells = 48", f"grid.n_cells = {n_cells}").replace(
+            "init.kind = exponential", f"init.kind = {kind}"
+        )
+    )
+    workspace, state0 = cb.build_problem(config)
+    times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True)))
+    states = [state0] + [
+        cb.State(
+            np.array(draw(st.lists(_cells, min_size=n_cells, max_size=n_cells))),
+            dust_mass=draw(_cells),
+            time=t,
+            clip_mass=draw(_cells),
+        )
+        for t in times[1:]
+    ]
+    state0.time = times[0]
+    return cb.RunOutput(workspace.grid, config.kernel, config.law, np.array(times), states, config)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(run=_runs())
+def test_emit_load_emit_is_byte_identical(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        manifest = cb.emit_outputs(run, first)
+        loaded = cb.load_run(first)
+        assert cb.emit_outputs(loaded, second) == manifest
+        for name in ("manifest.json", "moments.csv", "contents.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert np.array_equal(loaded.times, run.times)
+    assert len(loaded.states) == len(run.states)
+    for a, b in zip(loaded.states, run.states):
+        assert np.array_equal(a.contents, b.contents)
+        assert (a.time, a.dust_mass, a.clip_mass) == (b.time, b.dust_mass, b.clip_mass)
