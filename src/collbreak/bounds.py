@@ -101,6 +101,23 @@ def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
     return Regime.UNCOVERED
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where the power overflows a double."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _json_number(value):
+    """A finite value as itself, any other as the string "inf", "-inf" or "nan".
+
+    JSON has no non-finite numbers; a bound beyond double precision says
+    only that it is larger than every double.
+    """
+    return value if math.isfinite(value) else str(float(value))
+
+
 @dataclass
 class BoundsReport:
     """Constants and horizons derived from one kernel/daughter/initial-data triple."""
@@ -129,12 +146,12 @@ class BoundsReport:
         for name in ("e1", "c1", "c2", "c3", "t_k0", "t1_bound", "t1_argmin"):
             value = getattr(self, name)
             if value is not None:
-                out[name] = value if math.isfinite(value) else "inf"
+                out[name] = _json_number(value)
         if self.c1_table:
-            out["c1_table"] = [{"T": t, "C1": v} for t, v in self.c1_table]
+            out["c1_table"] = [{"T": t, "C1": _json_number(v)} for t, v in self.c1_table]
         if self.t1_table is not None:
             out["t1_table"] = [
-                {"k": row[0], "ell1": row[1], "ell2": row[2], "T1": row[3]}
+                {"k": row[0], "ell1": row[1], "ell2": _json_number(row[2]), "T1": _json_number(row[3])}
                 for row in self.t1_table
             ]
         return out
@@ -201,16 +218,16 @@ def existence_bounds(
     k0 = law.k0
     e1 = e_constant(law, 1.0)
     c1 = max(
-        rho ** (l1 / (1.0 - k0)),
-        rho ** ((1.0 - l1) / k0) * m_k0p1_in ** ((k0 + l1 - 1.0) / k0),
+        _power(rho, l1 / (1.0 - k0)),
+        _power(rho, (1.0 - l1) / k0) * _power(m_k0p1_in, (k0 + l1 - 1.0) / k0),
     )
     c2 = max(
-        rho ** (l2 / (1.0 - k0)),
-        rho ** ((1.0 - l2) / k0) * m_k0p1_in ** ((k0 + l2 - 1.0) / k0),
+        _power(rho, l2 / (1.0 - k0)),
+        _power(rho, (1.0 - l2) / k0) * _power(m_k0p1_in, (k0 + l2 - 1.0) / k0),
     )
     c3 = max(
-        c1 * rho ** ((l2 - k0) / (1.0 - k0)),
-        c2 * rho ** ((l1 - k0) / (1.0 - k0)),
+        c1 * _power(rho, (l2 - k0) / (1.0 - k0)),
+        c2 * _power(rho, (l1 - k0) / (1.0 - k0)),
     )
     report.e1, report.c1, report.c2, report.c3 = e1, c1, c2, c3
 
@@ -218,22 +235,25 @@ def existence_bounds(
         t_k0 = (
             (1.0 - k0)
             / (2.0 * (1.0 - lam) * e1 * c3)
-            * m_k0_in ** (-(1.0 - lam) / (1.0 - k0))
+            * _power(m_k0_in, -(1.0 - lam) / (1.0 - k0))
         )
 
         def c1_of(t: float) -> float:
             if t >= t_k0:
                 raise DomainError(f"T={t} at or beyond the horizon T_k0={t_k0}")
-            base = m_k0_in ** (-(1.0 - lam) / (1.0 - k0)) - 2.0 * (
+            base = _power(m_k0_in, -(1.0 - lam) / (1.0 - k0)) - 2.0 * (
                 1.0 - lam
             ) * e1 * c3 * t / (1.0 - k0)
-            return base ** (-(1.0 - k0) / (1.0 - lam))
+            return _power(base, -(1.0 - k0) / (1.0 - lam))
 
     else:
         t_k0 = math.inf
 
         def c1_of(t: float) -> float:
-            return (1.0 + m_k0_in) * math.exp(2.0 * e1 * c3 * t / (1.0 - k0))
+            try:
+                return (1.0 + m_k0_in) * math.exp(2.0 * e1 * c3 * t / (1.0 - k0))
+            except OverflowError:  # the envelope exceeds every double
+                return math.inf
 
     report.t_k0 = t_k0
     report.c1_of = c1_of
@@ -278,18 +298,16 @@ def nonexistence_bound(
         return l1 - k + max(k + l2 - 1.0, 0.0)
 
     def ell2(k: float) -> float:
-        return rho ** ((l1 - k) / (1.0 - k)) * min(
-            rho ** (l2 / (1.0 - k)),
-            rho ** ((1.0 + k0 - k - l2) / k0) * m_1pk0 ** ((k + l2 - 1.0) / k0),
+        return _power(rho, (l1 - k) / (1.0 - k)) * min(
+            _power(rho, l2 / (1.0 - k)),
+            _power(rho, (1.0 + k0 - k - l2) / k0) * _power(m_1pk0, (k + l2 - 1.0) / k0),
         )
 
     def t1_of(k: float) -> float:
         if not lo < k < 1.0:
             raise DomainError(f"k={k} outside the admissible interval ({lo}, 1)")
         e1v = ell1(k)
-        return (k + nu + 1.0) / (abs(e1v) * ell2(k)) * moment_fn(k) ** (
-            e1v / (1.0 - k)
-        )
+        return (k + nu + 1.0) / (abs(e1v) * ell2(k)) * _power(moment_fn(k), e1v / (1.0 - k))
 
     if k_grid is None:
         span = 1.0 - lo

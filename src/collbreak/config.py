@@ -66,6 +66,7 @@ _PARAM_KEYS = {
     "lambda2": "kernel.lambda2",
     "truncation": "kernel.truncation_n",
     "x_min": "grid.x_min",
+    "x_max": "grid.x_max",
     "n_cells": "grid.n_cells",
     "rel_tol": "time.rel_tol",
     "abs_tol": "time.abs_tol",
@@ -369,10 +370,19 @@ def initial_state(config: SimConfig, grid: SizeGrid):
 
 
 def build_problem(config: SimConfig):
-    """Grid + workspace + initial state for a configuration."""
+    """Grid + workspace + initial state for a configuration.
+
+    Initial data whose moments overflow double precision is refused, key
+    ``init.mass``.
+    """
     grid = build_grid(config.x_min, config.x_max, config.n_cells)
     workspace = precompute(grid, config.kernel, config.law)
-    return workspace, initial_state(config, grid)
+    state = initial_state(config, grid)
+    # sum max(reps^k0, reps^(1+k0)) c bounds every moment of order k0..1+k0;
+    # a dot product, since only its finiteness matters
+    if not math.isfinite(workspace.error_weights @ state.contents):
+        raise ConfigError("initial data overflows double precision", key="init.mass")
+    return workspace, state
 
 
 def with_x_min(config: SimConfig, x_min: float) -> SimConfig:

@@ -10,6 +10,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "MAX_CELLS",
+    "SIZE_RANGE",
     "SizeGrid",
     "State",
     "check_grid",
@@ -27,6 +28,12 @@ __all__ = [
 # 50 bytes a cell), but every snapshot writes about 20 bytes a cell, so a
 # 1e6-cell run makes tens of megabytes per snapshot.
 MAX_CELLS = 10**6
+
+# Smallest and largest sizes a grid, an exponential mean or a table may
+# hold.  Representative sizes and table bin bounds are geometric means of
+# two sizes, and moments go up to order 2, so the product of two sizes has
+# to stay a normal double.
+SIZE_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,11 @@ def check_grid(x_min: float, x_max: float, n_cells: int) -> None:
     """Refuse grid parameters ``build_grid`` cannot use, without building the grid."""
     if not 0.0 < x_min < x_max:
         raise DomainError(f"need 0 < x_min < x_max, got ({x_min}, {x_max})", param="x_min")
+    lo, hi = SIZE_RANGE
+    if x_min < lo:
+        raise DomainError(f"need x_min >= {lo}, got {x_min}", param="x_min")
+    if x_max > hi:
+        raise DomainError(f"need x_max <= {hi}, got {x_max}", param="x_max")
     if n_cells < 2:
         raise DomainError(f"need n_cells >= 2, got {n_cells}", param="n_cells")
     if n_cells > MAX_CELLS:
@@ -125,8 +137,9 @@ def exponential_state(grid: SizeGrid, mass: float, mean: float) -> State:
     it, written with ``expm1`` so that narrow cells lose no digits; the
     contents are then rescaled so the grid mass M_1 equals ``mass``.
     """
-    if mean <= 0.0:
-        raise ConfigError(f"mean size must be positive, got {mean}")
+    lo, hi = SIZE_RANGE
+    if not lo <= mean <= hi:
+        raise ConfigError(f"mean size must lie in [{lo}, {hi}], got {mean}", key="init.mean")
     if mass <= 0.0:
         raise ConfigError(f"mass must be positive, got {mass}")
     scale = mass / mean**2
@@ -145,8 +158,10 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     Each sample extends over a bin bounded by the geometric midpoints of
     neighbouring sample sizes (end bins reuse the adjacent ratio).  On the
     grid the table was emitted from this reproduces the original contents;
-    on any other grid the step density is integrated cell by cell.  A table
-    that puts no mass on the grid is refused, with or without ``mass``.
+    on any other grid the step density is integrated exactly, as the sum of
+    density times overlap length over the bins each cell meets, in
+    O(cells + rows).  A table that puts no mass on the grid is refused, with
+    or without ``mass``.
     """
     sizes = np.asarray(sizes, dtype=float)
     densities = np.asarray(densities, dtype=float)
@@ -154,28 +169,33 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
         raise ConfigError("table must be two equal-length columns (size, density)")
     if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(densities))):
         raise ConfigError("table sizes and densities must be finite", key="init.path")
-    if np.any(sizes <= 0.0):
-        raise ConfigError("table sizes must be positive")
+    lo, hi = SIZE_RANGE
+    if np.any(sizes < lo) or np.any(sizes > hi):
+        raise ConfigError(f"table sizes must lie in [{lo}, {hi}]", key="init.path")
     if np.any(np.diff(sizes) <= 0.0):
         raise ConfigError("table sizes must be strictly increasing")
     if np.any(densities < 0.0):
         raise ConfigError("table densities must be non-negative")
 
+    # bin k is [bounds[k], bounds[k+1])
     if sizes.size == 1:
-        lo = np.array([sizes[0] * 0.5])
-        hi = np.array([sizes[0] * 2.0])
+        bounds = np.array([sizes[0] * 0.5, sizes[0] * 2.0])
     else:
         mids = np.sqrt(sizes[:-1] * sizes[1:])
-        lo = np.concatenate(([sizes[0] ** 2 / mids[0]], mids))
-        hi = np.concatenate((mids, [sizes[-1] ** 2 / mids[-1]]))
+        bounds = np.concatenate(([sizes[0] ** 2 / mids[0]], mids, [sizes[-1] ** 2 / mids[-1]]))
 
-    contents = np.zeros(grid.n_cells)
-    for i in range(grid.n_cells):
-        a, b = grid.edges[i], grid.edges[i + 1]
-        left = np.maximum(lo, a)
-        right = np.minimum(hi, b)
-        overlap = np.maximum(right - left, 0.0)
-        contents[i] = float(np.sum(densities * overlap))
+    # Merge the sorted cell edges with the sorted bin bounds (a stable sort
+    # of two sorted runs is linear).  Each gap between neighbouring points
+    # lies in one cell and one bin, or off the grid or the table, and its
+    # length is exactly that cell's overlap with that bin.
+    points = np.concatenate((grid.edges, bounds))
+    order = np.argsort(points, kind="stable")
+    from_grid = order <= grid.n_cells
+    cell = np.cumsum(from_grid)[:-1] - 1
+    row = np.cumsum(~from_grid)[:-1] - 1
+    inside = (cell >= 0) & (cell < grid.n_cells) & (row >= 0) & (row < sizes.size)
+    overlap = np.diff(points[order])[inside]
+    contents = np.bincount(cell[inside], densities[row[inside]] * overlap, grid.n_cells)
     state = State(contents)
     raw = moment(grid, state, 1.0)
     if raw <= 0.0:

@@ -75,8 +75,8 @@ def step(
     None when clipping changed y3.  Handed back in, it makes an accepted
     step cost three right-hand sides and each rejected attempt three more.
     """
-    if dt_target <= 0.0:
-        raise DomainError(f"dt_target must be positive, got {dt_target}")
+    if not 0.0 < dt_target < math.inf:
+        raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
     weights = workspace.error_weights
     c = state.contents
     weighted = np.abs(c)
@@ -170,16 +170,20 @@ def simulate(
 ) -> RunOutput:
     """Integrate from the first snapshot time to the last, recording snapshots.
 
-    Snapshot times must be sorted and start at the initial state's time.
+    Snapshot times must be finite, strictly increasing and start at the
+    initial state's time; non-finite times are refused with ``DomainError``
+    before any right-hand side is evaluated.
     Deterministic: the step sequence depends only on the inputs.  Each step
     hands its ``next_rates`` to the next, so a run costs one right-hand side
     to start, three per accepted step, three per rejected attempt and one
     after each step that clipped.
     """
     times = np.asarray(snapshot_times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise DomainError(f"snapshot times must be finite, got {times}", param="snapshot_times")
     if times.size < 1 or np.any(np.diff(times) <= 0.0):
         raise ConfigError("snapshot times must be strictly increasing")
-    if abs(times[0] - state0.time) > 0.0:
+    if times[0] != state0.time:
         raise ConfigError(
             f"first snapshot time {times[0]} differs from state time {state0.time}"
         )
@@ -253,11 +257,18 @@ def picard_solve(
     differ by at most ``tol`` in the norm ||.||_k0 + ||.||_1.  The horizon
     must be short enough for contraction; callers split longer intervals
     into chained calls.
+
+    Each iteration evaluates the whole 65-node trajectory in one batched
+    ``rhs_arrays`` call, and one more batched call at the converged
+    trajectory gives the dust rates, so a solve costs ``iterations + 1``
+    calls.  The rows are bitwise those of per-node calls.  A ``t_end`` that
+    is negative or not finite is refused with ``DomainError`` before any
+    call.
     """
     if workspace.kernel.truncation is None:
         raise ConfigError("picard mode requires a kernel with a truncation index")
-    if t_end < 0.0:
-        raise DomainError(f"t_end must be non-negative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise DomainError(f"t_end={t_end} must be finite and non-negative", param="t_end")
     check_picard(max_iter, tol)
     if t_end == 0.0:
         return PicardResult(state0.copy(), [], 0)
@@ -266,27 +277,33 @@ def picard_solve(
     norm_weights = grid.reps**workspace.law.k0 + grid.reps
     mesh = np.linspace(0.0, t_end, _PICARD_PANELS + 1)
     h = mesh[1] - mesh[0]
-    m = mesh.size
     c0 = state0.contents
 
-    traj = np.tile(c0, (m, 1))
+    traj = np.tile(c0, (mesh.size, 1))
     diffs = []
     for iteration in range(1, max_iter + 1):
-        derivs = np.empty_like(traj)
-        for node in range(m):
-            derivs[node], _ = rhs_arrays(workspace, traj[node])
-        new_traj = np.empty_like(traj)
-        new_traj[0] = c0
-        new_traj[1:] = c0 + np.cumsum((h / 2.0) * (derivs[:-1] + derivs[1:]), axis=0)
-        diff = float(np.max(np.sum(norm_weights * np.abs(new_traj - traj), axis=1)))
+        rates, _ = rhs_arrays(workspace, traj)
+        # new[k] = c0 + the trapezoid panels (h/2) (f_{i-1} + f_i) summed over i <= k,
+        # built in place so that no more than three trajectories are alive
+        new = np.empty_like(traj)
+        new[0] = c0
+        panels = new[1:]
+        np.add(rates[:-1], rates[1:], panels)
+        panels *= h / 2.0
+        np.cumsum(panels, axis=0, out=panels)
+        panels += c0
+        # the rates' buffer now holds weights * |new - traj|
+        gap = np.subtract(new, traj, rates)
+        np.abs(gap, gap)
+        gap *= norm_weights
+        diff = float(np.max(np.sum(gap, axis=1)))
+        del rates, gap  # free the buffer before the next batched call
+        traj = new
         diffs.append(diff)
-        traj = new_traj
         if not np.isfinite(diff):
             raise ContractionError(diff, iteration)
         if diff <= tol:
-            dust_rates = np.empty(m)
-            for node in range(m):
-                _, dust_rates[node] = rhs_arrays(workspace, traj[node])
+            _, dust_rates = rhs_arrays(workspace, traj)
             dust = state0.dust_mass + float(
                 np.sum((h / 2.0) * (dust_rates[:-1] + dust_rates[1:]))
             )

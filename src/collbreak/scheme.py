@@ -16,13 +16,19 @@ a breakup in cell j changes
     cell j       by  -p_j e_j^a / reps_j   (fragments kept, minus the parent)
     dust         by  p_j e_0^a,
 
-so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i: two dot
-products and one reversed cumulative sum.  Weighted by reps, the deposits
-into cells below j telescope to p_j (e_j^a - e_0^a), which with the dust
-balances the own-cell loss p_j e_j^a term by term, so
-sum_i reps_i d_contents_i + d_dust = 0 holds to round-off.  Every reduction
-is numpy's own pairwise or cumulative sum, never BLAS, so identical inputs
-give bitwise identical rates whatever the thread settings.
+so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i: per
+state, two dot products and one reversed cumulative sum.  Weighted by reps,
+the deposits into cells below j telescope to p_j (e_j^a - e_0^a), which with
+the dust balances the own-cell loss p_j e_j^a term by term, so
+sum_i reps_i d_contents_i + d_dust = 0 holds to round-off.
+
+States are rows along the last axis, so ``rhs_arrays`` takes one state of
+shape (N,) or a batch of shape (..., N) in one call, reducing and
+accumulating over the last axis only.  Every reduction is numpy's own
+pairwise or cumulative sum, never BLAS, and numpy applies it to a
+contiguous last axis row by row in the same order as to a single vector,
+so identical inputs give bitwise identical rates whatever the thread
+settings, and a batched row equals the same state evaluated alone.
 """
 
 from __future__ import annotations
@@ -89,23 +95,42 @@ def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorks
 
 
 def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
-    """w = c * (Phi c): per cell, the rate of collisions its particles undergo."""
+    """w = c * (Phi c) per row: the rate of collisions each cell's particles undergo."""
     lo, hi = workspace.kernel_lo, workspace.kernel_hi
-    return contents * (lo * (hi * contents).sum() + hi * (lo * contents).sum())
+    hi_sum = np.add.reduce(hi * contents, -1)
+    lo_sum = np.add.reduce(lo * contents, -1)
+    # A single state's sums stay scalars, which numpy multiplies faster than
+    # (1,)-shaped arrays; a batch's get a trailing axis to broadcast per row.
+    if contents.ndim > 1:
+        hi_sum, lo_sum = hi_sum[..., None], lo_sum[..., None]
+    w = lo * hi_sum
+    w += hi * lo_sum
+    w *= contents
+    return w
 
 
 def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
-    """Time derivative (d_contents, d_dust) for a raw contents vector.
+    """Time derivative (d_contents, d_dust) of raw contents of shape (..., N).
 
     Every collision breaks both partners, so the particles of cell j break
-    up at rate w[j] and send their fragments down from there.
+    up at rate w[j] and send their fragments down from there.  Each row
+    along the last axis is an independent state, so a batch of states costs
+    one call.  In a batch laid out row by row (C order) every row comes out
+    bitwise equal to a call on that row alone, because numpy reduces and
+    accumulates a contiguous last axis row by row in the same order; other
+    layouts agree to round-off.  ``d_contents`` has the shape of
+    ``contents``; ``d_dust`` has its leading shape, and is a Python float
+    for a single state.
     """
     w = _event_mass(workspace, contents)
+    # tail[..., k] = sum_{j >= N-1-k} p_j w_j, so reversed it reads
     # above[i] = sum_{j>i} p_j w_j for i < N-1
-    above = (workspace.parent_factor * w)[:0:-1].cumsum()[::-1]
-    d_contents = workspace.own_change * w
-    d_contents[:-1] += workspace.lower_counts[:-1] * above
-    return d_contents, float((workspace.dust_row * w).sum())
+    tail = np.add.accumulate((workspace.parent_factor * w)[..., :0:-1], -1)
+    d_dust = np.add.reduce(workspace.dust_row * w, -1)
+    d_contents = w  # w's last use was above; reuse its buffer
+    d_contents *= workspace.own_change
+    d_contents[..., :-1] += workspace.lower_counts[:-1] * tail[..., ::-1]
+    return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust
 
 
 def rhs(workspace: RhsWorkspace, state: State):

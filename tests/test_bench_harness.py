@@ -4,7 +4,8 @@ Loads ``bench/workloads.py`` and ``bench/probes.py`` as they are and runs
 every job at smoke size inside a ``Probe``, plain and traced.  A renamed
 function the probes wrap, or a workspace field they read, fails here instead
 of in a benchmark run; so does a solver that bypasses ``integrate.step`` or
-hides right-hand-side calls from the probe.  No timing is asserted.
+hides right-hand-side calls from the probe, or a Picard solve that goes back
+to one call per trapezoid node.  No timing is asserted.
 """
 
 import importlib.util
@@ -48,3 +49,7 @@ def test_smoke_job_passes_its_checks(name, traced, tmp_path):
         # FSAL: three RHS per accepted step, plus one to start each run
         assert layers["integrate.steps_accepted"] > 0
         assert 3.0 <= layers["integrate.rhs_per_step"] < 4.0
+        if name == "crossval":
+            # Picard: one batched call per iteration plus one per window for the dust
+            assert layers["integrate.picard_iterations"] > 0
+            assert layers["integrate.picard_rhs_calls"] == layers["integrate.picard_iterations"] + workload.windows

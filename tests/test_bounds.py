@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -188,3 +189,16 @@ def test_bounds_report_serialises():
     )
     payload = nonex.to_dict()
     assert len(payload["t1_table"]) == 64
+
+
+def test_bounds_beyond_double_range_read_inf():
+    # rho = 67 makes the lambda >= 1 envelope exp(2 E1 c3 T / (1 - k0))
+    # overflow by T = 1; powers of a huge rho overflow in the constants
+    kernel, law = KernelSpec(0.5, 0.5), DaughterLaw(-1.2, 0.5)
+    report = cb.existence_bounds(kernel, law, 67.0, 67.0, 67.0, t_values=[0.01, 1.0])
+    assert math.isfinite(report.c1_of(0.01)) and report.c1_of(1.0) == math.inf
+    assert [row["C1"] for row in report.to_dict()["c1_table"]][1] == "inf"
+    huge = cb.existence_bounds(KernelSpec(1.0, 1.0), DaughterLaw(-1.2, 0.5), 1e200, 1e200, 1e200)
+    assert huge.c1 == math.inf
+    json.dumps(huge.to_dict(), allow_nan=False)
+    json.dumps(report.to_dict(), allow_nan=False)

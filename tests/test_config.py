@@ -1,10 +1,19 @@
 
+import contextlib
+import io
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collbreak as cb
 from collbreak import ConfigError
+from collbreak.cli import main
+from collbreak.config import _KEYS
 
 
 def test_empty_file_gives_documented_defaults():
@@ -73,6 +82,8 @@ def test_k0_violation_cites_hypothesis():
         ("time.rel_tol = -1e-8\n", "time.rel_tol", 1),
         ("time.rel_tol = 0\ntime.abs_tol = -1\n", "time.abs_tol", 2),
         ("grid.n_cells = 1000001\n", "grid.n_cells", 1),
+        ("grid.x_min = 1e-151\n", "grid.x_min", 1),
+        ("grid.x_max = 1e151\n", "grid.x_max", 1),
         ("picard.max_iter = 0\n", "picard.max_iter", 1),
         ("\npicard.tol = 0\n", "picard.tol", 2),
         ("picard.tol = -1e-10\n", "picard.tol", 1),
@@ -143,6 +154,90 @@ def test_round_trip_is_fixed_point():
     assert first == second
     third = cb.parse_config_text(second.to_text())
     assert second == third
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text whose every value lies inside its documented range."""
+    nu = draw(st.floats(-2.0, 0.0, exclude_min=True))
+    threshold = abs(nu) - 1.0
+    x_min = draw(st.floats(1e-8, 1.0))
+    x_max = draw(st.floats(x_min, 1e3, exclude_min=True))
+    t_end = draw(st.floats(0.0, 1e3))
+    kind = draw(st.sampled_from(["monodisperse", "exponential", "table"]))
+    lines = {
+        "kernel.lambda1": draw(st.floats(-2.0, 2.0)),
+        "kernel.lambda2": draw(st.floats(-2.0, 2.0)),
+        "daughter.nu": nu,
+        "daughter.k0": draw(st.floats(max(0.0, threshold), 1.0, exclude_min=True, exclude_max=True)),
+        "grid.x_min": x_min,
+        "grid.x_max": x_max,
+        "grid.n_cells": draw(st.integers(2, cb.grid.MAX_CELLS)),
+        "init.kind": kind,
+        "time.t_end": t_end,
+        "time.rel_tol": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "time.abs_tol": draw(st.floats(0.0, 1.0)),
+        "picard.max_iter": draw(st.integers(1, 1000)),
+        "picard.tol": draw(st.floats(0.0, 1.0, exclude_min=True)),
+    }
+    if draw(st.booleans()):
+        lines["kernel.truncation_n"] = draw(st.integers(1, 100))
+    if kind == "monodisperse":
+        lines["init.size"] = draw(st.floats(x_min, x_max))
+    elif kind == "exponential":
+        lines["init.mean"] = draw(st.floats(1e-6, 1e6))
+    else:
+        lines["init.path"] = "table.csv"
+    if kind != "table" or draw(st.booleans()):
+        lines["init.mass"] = draw(st.floats(1e-6, 1e6))
+    if draw(st.booleans()):
+        lines["time.snapshots"] = str(draw(st.integers(1, 50)))
+    else:
+        times = draw(st.lists(st.floats(0.0, t_end), min_size=1, max_size=6))
+        lines["time.snapshots"] = ",".join(repr(t) for t in times)
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.floats(threshold, 5.0, exclude_min=True), min_size=1, max_size=4))
+        lines["output.moments"] = ",".join(repr(k) for k in orders)
+    return "".join(
+        f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+        for key, value in lines.items()
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(text=_config_texts())
+def test_to_text_round_trips_generated_configs(text):
+    first = cb.parse_config_text(text)
+    second = cb.parse_config_text(first.to_text())
+    assert second == first
+    assert second.to_text() == first.to_text()
+
+
+_FLOAT_KEYS = sorted(key for key, (parser, _) in _KEYS.items() if parser is float)
+_LIST_KEYS = ["time.snapshots", "output.moments"]
+_float_tokens = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "-0.0", "5e-324", "1.7976931348623157e308"]),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(values=st.dictionaries(st.sampled_from(_FLOAT_KEYS + _LIST_KEYS), _float_tokens, min_size=1, max_size=4))
+def test_any_float_values_exit_0_or_2(values):
+    # a small grid keeps each example cheap; every other value is random
+    text = "grid.n_cells = 16\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.cfg"
+        path.write_text(text)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["bounds", str(path)])
+    assert code in (0, 2), stderr.getvalue()
+    if code == 0:
+        # strict JSON: NaN or Infinity in the report fails to parse
+        json.loads(stdout.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    else:
+        assert stdout.getvalue() == ""
 
 
 def test_with_x_min_preserves_cells_per_decade():

@@ -101,12 +101,59 @@ def test_table_state_round_trips_grid_contents():
         )
 
 
+def _table_contents_loop(grid, sizes, densities):
+    """Reference for ``table_state``: the O(cells x rows) loop it replaced.
+
+    Integrates the step density cell by cell, overlapping every bin with
+    every cell.  Its per-overlap terms are the merged build's, but it sums
+    them in another order, so the two agree to round-off, not bitwise.
+    """
+    if sizes.size == 1:
+        lo, hi = np.array([sizes[0] * 0.5]), np.array([sizes[0] * 2.0])
+    else:
+        mids = np.sqrt(sizes[:-1] * sizes[1:])
+        lo = np.concatenate(([sizes[0] ** 2 / mids[0]], mids))
+        hi = np.concatenate((mids, [sizes[-1] ** 2 / mids[-1]]))
+    contents = np.zeros(grid.n_cells)
+    for i in range(grid.n_cells):
+        a, b = grid.edges[i], grid.edges[i + 1]
+        overlap = np.maximum(np.minimum(hi, b) - np.maximum(lo, a), 0.0)
+        contents[i] = float(np.sum(densities * overlap))
+    return contents
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_state_matches_per_cell_loop(seed):
+    # tables that do not align with the grid: random sizes overhanging either
+    # end or lying inside it, one row to many rows per cell, some empty bins
+    rng = np.random.default_rng(seed)
+    grid = cb.build_grid(10 ** rng.uniform(-4, -1), 10 ** rng.uniform(0, 2), int(rng.integers(2, 200)))
+    rows = [1, 2, 3, 50, 400][seed % 5]
+    sizes = np.unique(10 ** rng.uniform(-5, 2.5, rows))
+    if seed % 4 == 3:  # all rows inside the grid
+        sizes = np.unique(np.geomspace(grid.x_min, grid.x_max, rows + 2)[1:-1] * rng.uniform(0.9, 1.1))
+    densities = rng.uniform(0.0, 1.0, sizes.size) * (rng.uniform(size=sizes.size) > 0.2)
+    densities[rng.integers(sizes.size)] = 1.0
+    want = _table_contents_loop(grid, sizes, densities)
+    if float(np.sum(grid.reps * want)) <= 0.0:
+        with pytest.raises(ConfigError):
+            cb.table_state(grid, sizes, densities)
+        return
+    got = cb.table_state(grid, sizes, densities).contents
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 def test_table_state_rejects_bad_input():
     grid = cb.build_grid(0.1, 10.0, 8)
     with pytest.raises(ConfigError):
         cb.table_state(grid, [1.0, 0.5], [1.0, 1.0])  # not increasing
     with pytest.raises(ConfigError):
         cb.table_state(grid, [1.0, 2.0], [1.0, -1.0])  # negative density
+    for sizes in ([0.0, 1.0], [1.0, 1e151], [1e-151, 1.0]):  # outside SIZE_RANGE
+        with pytest.raises(ConfigError) as info:
+            cb.table_state(grid, sizes, [1.0, 1.0])
+        assert info.value.key == "init.path"
     for mass in (None, 1.0):
         with pytest.raises(ConfigError) as info:
             cb.table_state(grid, [20.0, 40.0], [1.0, 1.0], mass=mass)  # all above x_max

@@ -14,8 +14,9 @@ from collbreak import (
     Tolerances,
     integrate,
 )
+from picard_oracle import oracle_picard
 from rk_oracle import oracle_simulate, oracle_step
-from test_acceptance import A1_CONFIG, A5_CONFIG
+from test_acceptance import A1_CONFIG, A5_CONFIG, A8_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,63 @@ def test_picard_refuses_bad_settings_before_any_rhs(truncated_problem, monkeypat
         cb.picard_solve(ws, s0, 0.01, **kwargs)
     assert info.value.param == param
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "solver, value, param",
+    [
+        ("simulate", math.nan, "snapshot_times"),
+        ("simulate", math.inf, "snapshot_times"),
+        ("picard", math.nan, "t_end"),
+        ("picard", math.inf, "t_end"),
+        ("step", math.nan, "dt_target"),
+        ("step", math.inf, "dt_target"),
+    ],
+)
+def test_non_finite_times_refused_before_any_rhs(truncated_problem, monkeypatch, solver, value, param):
+    ws, s0 = truncated_problem
+    calls = []
+    monkeypatch.setattr(integrate, "rhs_arrays", lambda *a: calls.append(a))
+    run = {
+        "simulate": lambda: cb.simulate(ws, s0, [0.0, value]),
+        "picard": lambda: cb.picard_solve(ws, s0, value),
+        "step": lambda: cb.step(ws, s0, value, Tolerances()),
+    }[solver]
+    with pytest.raises(cb.DomainError) as info:
+        run()
+    assert info.value.param == param
+    assert calls == []
+
+
+def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatch):
+    ws, s0 = truncated_problem
+    shapes = []
+    real = integrate.rhs_arrays
+
+    def counted(workspace, contents):
+        shapes.append(contents.shape)
+        return real(workspace, contents)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted)
+    result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
+    # one call per iteration plus one for the dust rates, each over all 65 nodes
+    assert len(shapes) == result.iterations + 1
+    assert set(shapes) == {(65, ws.grid.n_cells)}
+
+
+def test_picard_chain_bitwise_equals_per_node_oracle():
+    config = cb.parse_config_text(A8_CONFIG)
+    ws, state = cb.build_problem(config)
+    expect = state.copy()
+    for _ in range(10):
+        result = cb.picard_solve(ws, state, 0.1, max_iter=40, tol=1e-12)
+        ref, ref_diffs, ref_iterations = oracle_picard(ws, expect, 0.1, max_iter=40, tol=1e-12)
+        assert result.state.contents.tobytes() == ref.contents.tobytes()
+        assert result.state.dust_mass.hex() == ref.dust_mass.hex()
+        assert (result.state.time, result.state.clip_mass) == (ref.time, ref.clip_mass)
+        assert [d.hex() for d in result.diffs] == [d.hex() for d in ref_diffs]
+        assert result.iterations == ref_iterations
+        state, expect = result.state, ref
 
 
 def test_picard_zero_state_is_fixed_point(truncated_problem):

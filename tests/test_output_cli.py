@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,26 @@ def test_table_init_round_trips_moments(emitted_run, tmp_path):
         want = cb.moment(run.grid, run.states[-1], k)
         got = cb.moment(workspace.grid, state, k)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_wide_self_restart_builds_fast(tmp_path):
+    # table_state is O(cells + rows): a 1e4-cell run restarts from its own
+    # run directory, one table row per cell, in well under 0.1 s of set-up
+    text = BASE_CONFIG.replace("grid.n_cells = 48", "grid.n_cells = 10000")
+    text = text.replace("time.t_end = 0.2\ntime.snapshots = 3", "time.t_end = 0")
+    config = cb.parse_config_text(text)
+    run = cb.run(config)
+    cb.emit_outputs(run, tmp_path / "run")
+    restart = dataclasses.replace(config, init_kind="table", init_path=str(tmp_path / "run"))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        workspace, state = cb.build_problem(restart)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    original = run.states[-1].contents
+    assert np.max(np.abs(state.contents - original)) <= 1e-13 * np.max(original)
+    assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_horizon_emits_single_snapshot(tmp_path):
@@ -338,6 +359,27 @@ def test_load_run_refuses_other_formats(tmp_path, capsys):
         (out / "manifest.json").write_text(text)
         assert main(["verify", str(out)]) == 2
         assert "is not a format-2 run manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, code, key",
+    [
+        ("init.mass = 67.0", 0, None),  # the C1 envelope overflows: "inf", not a traceback
+        ("init.mean = 1e200", 2, "init.mean"),
+        ("init.mean = 5e-324", 2, "init.mean"),
+        ("init.mass = 1.7e308", 2, "init.mass"),  # M_0.5 overflows
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
+    text = BASE_CONFIG.replace("time.t_end = 0.2", "time.t_end = 1.0") + line + "\n"
+    assert main(["bounds", _write(tmp_path, text)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert payload["existence"]["c1_table"][-1]["C1"] == "inf"
+    else:
+        assert out == "" and f"configuration error: {key}: " in err
 
 
 def test_restart_refuses_tampered_run(tmp_path, capsys):

@@ -51,6 +51,37 @@ def test_factored_rhs_matches_dense_oracle(regime, n):
         assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(dc)))
 
 
+@pytest.mark.parametrize("n", [2, 37, 256])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_batched_rhs_rows_equal_single_calls(regime, n):
+    kernel, law = REGIMES[regime]
+    grid = cb.build_grid(1e-4, 10.0, n)
+    ws = cb.precompute(grid, kernel, law)
+    dense = DenseRhs(grid, kernel, law)
+    rng = np.random.default_rng(n + 1)
+    batch = rng.uniform(0.0, 2.0, size=(65, n))
+    batch[:, 1:] *= rng.uniform(size=(65, n - 1)) > 0.2  # empty cells, distinct rows
+    batch[7] = 0.0
+    assert len({row.tobytes() for row in batch}) == 65
+
+    dc, dd = cb.rhs_arrays(ws, batch)
+    assert dc.shape == (65, n) and dd.shape == (65,)
+    for contents, rates, dust in zip(batch, dc, dd):
+        single_dc, single_dd = cb.rhs_arrays(ws, contents)
+        assert type(single_dd) is float
+        assert rates.tobytes() == single_dc.tobytes()
+        assert float(dust).hex() == single_dd.hex()
+        ref_dc, ref_dd = dense(contents)
+        assert np.max(np.abs(rates - ref_dc)) <= 1e-12 * np.max(np.abs(ref_dc))
+        assert abs(dust - ref_dd) <= 1e-12 * abs(ref_dd)
+        budget = float(np.sum(grid.reps * rates)) + dust
+        assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(rates)))
+
+    # any number of leading axes: the rows of a (5, 13, n) batch are the same rows
+    dc3, dd3 = cb.rhs_arrays(ws, batch.reshape(5, 13, n))
+    assert dc3.tobytes() == dc.tobytes() and dd3.tobytes() == dd.tobytes()
+
+
 def test_precompute_is_linear_in_cells():
     n = 100_000
     grid = cb.build_grid(1e-8, 10.0, n)
