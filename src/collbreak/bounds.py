@@ -81,30 +81,32 @@ def hypothesis_checklist(kernel: KernelSpec, law: DaughterLaw) -> list[dict]:
     ]
 
 
+# The checklist hypotheses each theorem needs.  The three sets are pairwise
+# disjoint: the existence classes split at homogeneity 1, and non-existence
+# needs lambda1 < |nu|-1 < k0 (DaughterLaw keeps k0 > |nu|-1), incompatible
+# with the existence hypothesis k0 <= lambda1.
+_REQUIRED = {
+    Regime.GLOBAL_EXISTENCE: ("k0 <= lambda1", "lambda2 <= 1", "lambda >= 1", "lambda <= 2"),
+    Regime.LOCAL_EXISTENCE: ("k0 <= lambda1", "lambda2 <= 1", "lambda >= 2*k0", "lambda < 1"),
+    Regime.NON_EXISTENCE: ("nu in (-2, -1]", "lambda1 < |nu| - 1", "lambda2 <= 1", "lambda < 1"),
+}
+
+
 def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
-    """Which theorem, if any, covers this kernel/daughter pair.
+    """Which theorem, if any, covers this kernel/daughter pair."""
+    holding = {check["hypothesis"] for check in hypothesis_checklist(kernel, law) if check["holds"]}
+    return next((r for r, needs in _REQUIRED.items() if holding.issuperset(needs)), Regime.UNCOVERED)
 
-    The three positive classes are pairwise disjoint: the existence classes
-    split at homogeneity 1, and non-existence needs lambda1 < |nu|-1 < k0,
-    incompatible with the existence hypothesis k0 <= lambda1.
+
+def _exp(log_value: float) -> float:
+    """exp(log_value), or inf where it overflows a double.
+
+    Every constant is a product of powers of rho and the initial moments,
+    evaluated as exp of one sum of their logarithms, so a factor that would
+    overflow never meets one that would underflow (inf * 0 = nan).
     """
-    l1, l2 = kernel.lambda1, kernel.lambda2
-    lam = kernel.homogeneity
-    nu, k0 = law.nu, law.k0
-    admissible = k0 <= l1 and l2 <= 1.0
-    if admissible and 1.0 <= lam <= 2.0:
-        return Regime.GLOBAL_EXISTENCE
-    if admissible and 2.0 * k0 <= lam < 1.0:
-        return Regime.LOCAL_EXISTENCE
-    if -2.0 < nu <= -1.0 and l1 < abs(nu) - 1.0 and l2 <= 1.0 and lam < 1.0:
-        return Regime.NON_EXISTENCE
-    return Regime.UNCOVERED
-
-
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent, or inf where the power overflows a double."""
     try:
-        return base**exponent
+        return math.exp(log_value)
     except OverflowError:
         return math.inf
 
@@ -217,43 +219,36 @@ def existence_bounds(
     lam = kernel.homogeneity
     k0 = law.k0
     e1 = e_constant(law, 1.0)
-    c1 = max(
-        _power(rho, l1 / (1.0 - k0)),
-        _power(rho, (1.0 - l1) / k0) * _power(m_k0p1_in, (k0 + l1 - 1.0) / k0),
+    log_rho, log_ratio = math.log(rho), math.log(m_k0p1_in / rho)
+
+    def log_c(l: float) -> float:  # log c1 at l = lambda1, log c2 at l = lambda2
+        # rho^((1-l)/k0) M^((k0+l-1)/k0) as rho (M/rho)^((k0+l-1)/k0): no large powers
+        return max(l / (1.0 - k0) * log_rho, log_rho + (k0 + l - 1.0) / k0 * log_ratio)
+
+    log_c1, log_c2 = log_c(l1), log_c(l2)
+    log_c3 = max(
+        log_c1 + (l2 - k0) / (1.0 - k0) * log_rho,
+        log_c2 + (l1 - k0) / (1.0 - k0) * log_rho,
     )
-    c2 = max(
-        _power(rho, l2 / (1.0 - k0)),
-        _power(rho, (1.0 - l2) / k0) * _power(m_k0p1_in, (k0 + l2 - 1.0) / k0),
-    )
-    c3 = max(
-        c1 * _power(rho, (l2 - k0) / (1.0 - k0)),
-        c2 * _power(rho, (l1 - k0) / (1.0 - k0)),
-    )
-    report.e1, report.c1, report.c2, report.c3 = e1, c1, c2, c3
+    report.e1, report.c1, report.c2, report.c3 = e1, _exp(log_c1), _exp(log_c2), _exp(log_c3)
 
     if lam < 1.0:
-        t_k0 = (
-            (1.0 - k0)
-            / (2.0 * (1.0 - lam) * e1 * c3)
-            * _power(m_k0_in, -(1.0 - lam) / (1.0 - k0))
-        )
+        # with a = (1-lambda)/(1-k0):  C1(T)^(-a) = M_k0(0)^(-a) (1 - T/T_k0)
+        a = (1.0 - lam) / (1.0 - k0)
+        t_k0 = _exp(math.log((1.0 - k0) / (2.0 * (1.0 - lam) * e1)) - log_c3 - a * math.log(m_k0_in))
 
         def c1_of(t: float) -> float:
             if t >= t_k0:
                 raise DomainError(f"T={t} at or beyond the horizon T_k0={t_k0}")
-            base = _power(m_k0_in, -(1.0 - lam) / (1.0 - k0)) - 2.0 * (
-                1.0 - lam
-            ) * e1 * c3 * t / (1.0 - k0)
-            return _power(base, -(1.0 - k0) / (1.0 - lam))
+            return _exp(math.log(m_k0_in) - math.log1p(-t / t_k0) / a)
 
     else:
         t_k0 = math.inf
+        rate = _exp(math.log(2.0 * e1 / (1.0 - k0)) + log_c3)
 
         def c1_of(t: float) -> float:
-            try:
-                return (1.0 + m_k0_in) * math.exp(2.0 * e1 * c3 * t / (1.0 - k0))
-            except OverflowError:  # the envelope exceeds every double
-                return math.inf
+            # (1 + M_k0(0)) exp(rate T); at T = 0 even where the rate reads inf
+            return _exp(math.log1p(m_k0_in) + (rate * t if t else 0.0))
 
     report.t_k0 = t_k0
     report.c1_of = c1_of
@@ -292,22 +287,26 @@ def nonexistence_bound(
     l1, l2 = kernel.lambda1, kernel.lambda2
     nu, k0 = law.nu, law.k0
     lo = abs(nu) - 1.0
-    m_1pk0 = moment_fn(1.0 + k0)
+    log_rho, log_ratio = math.log(rho), math.log(moment_fn(1.0 + k0) / rho)
 
-    def ell1(k: float) -> float:
-        return l1 - k + max(k + l2 - 1.0, 0.0)
+    def ell1(k: float) -> float:  # l1 - k + max(k + l2 - 1, 0), without its cancellation
+        return max(kernel.homogeneity - 1.0, l1 - k)
+
+    def log_min(k: float) -> float:  # log of ell2's smaller factor, written as in log_c
+        return min(l2 / (1.0 - k) * log_rho, log_rho + (k + l2 - 1.0) / k0 * log_ratio)
 
     def ell2(k: float) -> float:
-        return _power(rho, (l1 - k) / (1.0 - k)) * min(
-            _power(rho, l2 / (1.0 - k)),
-            _power(rho, (1.0 + k0 - k - l2) / k0) * _power(m_1pk0, (k + l2 - 1.0) / k0),
-        )
+        return _exp((l1 - k) / (1.0 - k) * log_rho + log_min(k))
 
     def t1_of(k: float) -> float:
         if not lo < k < 1.0:
             raise DomainError(f"k={k} outside the admissible interval ({lo}, 1)")
         e1v = ell1(k)
-        return (k + nu + 1.0) / (abs(e1v) * ell2(k)) * _power(moment_fn(k), e1v / (1.0 - k))
+        # M_k^(ell1/(1-k)) / rho^((l1-k)/(1-k)) with M_k = rho (M_k/rho), so the
+        # power (l1-k)/(1-k) of rho, however large, cancels before rounding
+        log_moment = (e1v - (l1 - k)) / (1.0 - k) * log_rho
+        log_moment += e1v / (1.0 - k) * math.log(moment_fn(k) / rho)
+        return _exp(math.log((k + nu + 1.0) / abs(e1v)) - log_min(k) + log_moment)
 
     if k_grid is None:
         span = 1.0 - lo

@@ -94,8 +94,9 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     run_a = load_run(args.run_dir_a)
     run_b = load_run(args.run_dir_b)
-    if run_a.grid != run_b.grid:
-        raise InputError("runs live on different grids")
+    # the Gronwall envelope bounds two solutions of one equation on one grid
+    if (run_a.grid, run_a.kernel, run_a.law) != (run_b.grid, run_b.kernel, run_b.law):
+        raise InputError("runs differ in grid, kernel or daughter law")
     if not np.array_equal(run_a.times, run_b.times):
         raise InputError("runs have different snapshot meshes")
     k0 = run_a.law.k0

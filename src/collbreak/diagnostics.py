@@ -151,7 +151,7 @@ class ShatterStudy:
 def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     """Refinement sweep of the grid cutoff at otherwise fixed physics.
 
-    Runs the configuration once per ``x_min`` (cells per decade held
+    Runs the configuration once per distinct ``x_min`` (cells per decade held
     constant), records dust(t_end)/rho, and fits the power-law trend.  A
     dust fraction falling at least 2x per decade of x_min is the signature
     of an integrable cascade ("conservative"); failure to do so is the
@@ -160,12 +160,12 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     from . import config as config_mod
     from .integrate import run as run_config
 
-    x_mins = sorted(float(x) for x in x_mins)
+    x_mins = sorted({float(x) for x in x_mins}, reverse=True)
     if len(x_mins) < 3:
-        raise InputError("need at least 3 x_min values for a refinement trend")
+        raise InputError("need at least 3 distinct x_min values for a refinement trend")
     runner = runner or run_config
     rows = []
-    for x_min in sorted(x_mins, reverse=True):
+    for x_min in x_mins:
         out = runner(config_mod.with_x_min(config, x_min))
         frac = out.dust[-1] / out.rho
         rows.append((x_min, float(frac)))

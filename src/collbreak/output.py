@@ -31,13 +31,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _moment_columns(run: RunOutput):
-    if run.config is not None:
-        return list(run.config.moment_orders)
-    k0 = run.law.k0
-    return [k0, 1.0, 1.0 + k0]
-
-
 def _content_hash(manifest: dict) -> str:
     """SHA-256 over what ``load_run`` reads: the format, the config echo and the file digests."""
     covered = [manifest.get("format"), manifest.get("config"), manifest.get("files")]
@@ -53,11 +46,15 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     manifest dictionary (also written to disk), which echoes the resolved
     configuration, the regime classification with its constants, the
     SHA-256 of each file, and a content hash over the echo and the digests.
+    A run without a configuration (a bare ``simulate`` result) is refused
+    before any file is written: ``load_run`` could not read it back.
     """
+    if run.config is None:
+        raise InputError("the run carries no configuration, so load_run could not read it back")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    orders = _moment_columns(run)
+    orders = run.config.moment_orders
     header = ["t"] + [f"M_{_fmt(k)}" for k in orders] + ["dust_mass", "clip_mass"]
     lines = [",".join(header)]
     series = [run.moments(k) for k in orders]
@@ -81,7 +78,7 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
 
     manifest = {
         "format": FORMAT,
-        "config": run.config.resolved() if run.config is not None else None,
+        "config": run.config.resolved(),
         "rho": run.rho,
         "bounds": bounds_mod.initial_bounds(
             run.kernel, run.law, run.grid, run.states[0], run.times

@@ -1,11 +1,16 @@
 import json
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import collbreak as cb
 from collbreak import DaughterLaw, DomainError, InputError, KernelSpec, Regime
+from collbreak.cli import main
 
 
 def test_classify_regime_examples():
@@ -202,3 +207,179 @@ def test_bounds_beyond_double_range_read_inf():
     assert huge.c1 == math.inf
     json.dumps(huge.to_dict(), allow_nan=False)
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def _exact(kernel, law, moment_fn, times=(), ks=()):
+    """The report's constants from the same closed forms, in 50-digit arithmetic.
+
+    ``moment_fn`` gives the double moments the report was built from; keys
+    follow ``to_dict()``, with ("C1", i), ("ell2", i) and ("T1", i) for the
+    table rows.  Existence regimes are evaluated when ``ks`` is empty.
+    """
+    with mp.workdps(50):
+        l1, l2, nu, k0 = (mp.mpf(v) for v in (kernel.lambda1, kernel.lambda2, law.nu, law.k0))
+        lam = mp.mpf(kernel.homogeneity)  # the double sum decides the branch, as in the code
+        rho, m = mp.mpf(moment_fn(1.0)), mp.mpf(moment_fn(1.0 + law.k0))
+        out = {}
+        if not ks:
+            e1 = (nu + 2) / (k0 + nu + 1)
+            c1, c2 = (
+                max(rho ** (l / (1 - k0)), rho ** ((1 - l) / k0) * m ** ((k0 + l - 1) / k0))
+                for l in (l1, l2)
+            )
+            c3 = max(c1 * rho ** ((l2 - k0) / (1 - k0)), c2 * rho ** ((l1 - k0) / (1 - k0)))
+            m_k0 = mp.mpf(moment_fn(law.k0))
+            if lam < 1:
+                a = (1 - lam) / (1 - k0)
+                t_k0 = (1 - k0) / (2 * (1 - lam) * e1 * c3) * m_k0 ** (-a)
+                c1_of = lambda t: (m_k0 ** (-a) - 2 * (1 - lam) * e1 * c3 * t / (1 - k0)) ** (-1 / a)
+            else:
+                t_k0 = mp.inf
+                c1_of = lambda t: (1 + m_k0) * mp.exp(2 * e1 * c3 * t / (1 - k0))
+            out.update(e1=e1, c1=c1, c2=c2, c3=c3, t_k0=t_k0)
+            out.update({("C1", i): c1_of(mp.mpf(t)) for i, t in enumerate(times)})
+        for i, k in enumerate(mp.mpf(k) for k in ks):
+            ell1 = max(lam - 1, l1 - k)  # = l1 - k + max(k + l2 - 1, 0)
+            ell2 = rho ** ((l1 - k) / (1 - k)) * min(
+                rho ** (l2 / (1 - k)), rho ** ((1 + k0 - k - l2) / k0) * m ** ((k + l2 - 1) / k0)
+            )
+            out[("ell2", i)] = ell2
+            out[("T1", i)] = (k + nu + 1) / (abs(ell1) * ell2) * mp.mpf(moment_fn(float(k))) ** (
+                ell1 / (1 - k)
+            )
+        if ks:
+            out["t1_bound"] = min(out[("T1", i)] for i in range(len(ks)))
+        return out
+
+
+def _assert_matches_exact(payload, exact):
+    """Every constant in ``payload`` (a ``to_dict()``) is the exact value rounded to 1e-9.
+
+    A value beyond the double range must read "inf" (or a subnormal/zero
+    below it); no value may be NaN.
+    """
+    got = {name: payload[name] for name in ("e1", "c1", "c2", "c3", "t_k0", "t1_bound") if name in payload}
+    got.update({("C1", i): row["C1"] for i, row in enumerate(payload.get("c1_table", []))})
+    for i, row in enumerate(payload.get("t1_table", [])):
+        got[("ell2", i)], got[("T1", i)] = row["ell2"], row["T1"]
+    assert got.keys() == exact.keys()
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    for key, value in got.items():
+        value, x = float(value), exact[key]
+        assert not math.isnan(value), key
+        if tiny <= x <= huge:
+            assert value == pytest.approx(float(x), rel=1e-9), key
+        elif x > huge:
+            assert value >= huge * (1.0 - 1e-9), key
+        else:
+            assert 0.0 <= value <= tiny * (1.0 + 1e-9), key
+
+
+# Configs whose non-existence T1 rows, or existence constants, multiplied an
+# overflowing power by an underflowing one (inf * 0 = nan) before the
+# constants were evaluated in log space.
+REGRESSION_CONFIGS = {
+    "nonexistence-k0-0.75": (
+        "kernel.lambda1 = 0\nkernel.lambda2 = 0\ndaughter.nu = -1.5\ndaughter.k0 = 0.75\n"
+        "grid.x_min = 1\ngrid.x_max = 2\ngrid.n_cells = 16\ninit.mass = 2\n"
+    ),
+    "a5-mass-2": (
+        "kernel.lambda1 = 0\nkernel.lambda2 = 0\ndaughter.nu = -1.5\ndaughter.k0 = 0.6\n"
+        "grid.x_min = 1e-2\ngrid.x_max = 2\ngrid.n_cells = 56\n"
+        "init.kind = monodisperse\ninit.size = 1\ninit.mass = 2\n"
+        "time.t_end = 0.5\ntime.snapshots = 11\n"
+    ),
+    "existence-k0-0.02-mass-1e14": (
+        "kernel.lambda1 = 0.5\nkernel.lambda2 = 0.5\ndaughter.nu = -0.5\ndaughter.k0 = 0.02\n"
+        "grid.x_min = 1e-3\ngrid.x_max = 10\ngrid.n_cells = 32\n"
+        "init.kind = monodisperse\ninit.size = 1\ninit.mass = 1e14\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION_CONFIGS))
+def test_cli_bounds_regressions_match_mpmath(tmp_path, capsys, name):
+    text = REGRESSION_CONFIGS[name]
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    config = cb.parse_config_text(text)
+    workspace, state0 = cb.build_problem(config)
+    moment_fn = lambda k: cb.moment(workspace.grid, state0, k)
+    if name.startswith("existence"):
+        section = payload["existence"]
+        times = [row["T"] for row in section["c1_table"]]
+        _assert_matches_exact(section, _exact(config.kernel, config.law, moment_fn, times=times))
+    else:
+        section = payload["nonexistence"]
+        ks = [row["k"] for row in section["t1_table"]]
+        _assert_matches_exact(section, _exact(config.kernel, config.law, moment_fn, ks=ks))
+        # T1 vanishes toward |nu| - 1, so the infimum sits at the lowest grid order
+        assert section["t1_argmin"] == min(ks)
+
+
+@st.composite
+def _problems(draw):
+    """A kernel and daughter law inside one regime, with the moments of a two-point measure.
+
+    The domain keeps every exponent (1/k0, 1/(1-k0), 1/(1-k) on the T1 grid)
+    below about 1e5 and |log rho| below 33: a logarithm carries an absolute
+    error of about 1e-16 |log|, so a constant whose exponent times log
+    reaches 1e7 cannot be held to 1e-9 in double precision.
+    """
+    regime = draw(st.sampled_from(list(Regime)))
+    unit, below_one = st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True)
+    nu_lo, nu_hi = {Regime.NON_EXISTENCE: (-1.99, -1.0), Regime.LOCAL_EXISTENCE: (-1.49, 0.0)}.get(
+        regime, (-1.99, 0.0)
+    )
+    nu = draw(st.floats(nu_lo, nu_hi))
+    lo = max(0.0, abs(nu) - 1.0)
+    # local existence needs 2 k0 <= lambda < 1
+    hi = 0.5 if regime is Regime.LOCAL_EXISTENCE else 1.0
+    k0 = lo + (hi - lo) * draw(st.floats(1e-3, 1.0 - 1e-3))
+    if regime is Regime.GLOBAL_EXISTENCE:
+        l1 = k0 + (1.0 - k0) * draw(unit)
+        l2 = max(l1, 1.0 - l1) + (1.0 - max(l1, 1.0 - l1)) * draw(unit)
+    elif regime is Regime.LOCAL_EXISTENCE:
+        l1 = k0 + (0.5 - k0) * draw(below_one)
+        l2_lo = max(l1, 2.0 * k0 - l1)
+        l2 = l2_lo + (1.0 - l1 - l2_lo) * draw(below_one)
+    elif regime is Regime.NON_EXISTENCE:
+        # lambda1 <= lambda2 < 1 - lambda1 needs lambda1 < 1/2
+        l1 = -2.0 + (min(abs(nu) - 1.0, 0.5) + 2.0) * draw(below_one)
+        l2 = l1 + (min(1.0, 1.0 - l1) - l1) * draw(below_one)
+    else:
+        l1, l2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    rho = 10.0 ** draw(st.floats(-6.0, 14.0))
+    sizes = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2)]
+    weight = draw(unit)
+    moment_fn = lambda k: rho * (weight * sizes[0] ** (k - 1.0) + (1.0 - weight) * sizes[1] ** (k - 1.0))
+    kernel, law = KernelSpec(l1, l2), DaughterLaw(nu, k0)
+    # a draw rounded onto a regime boundary
+    assume(regime is Regime.UNCOVERED or cb.classify_regime(kernel, law) is regime)
+    return kernel, law, moment_fn
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(problem=_problems())
+def test_bounds_match_mpmath_in_every_regime(problem):
+    kernel, law, moment_fn = problem
+    rho = moment_fn(1.0)
+    args = (kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0))
+    # the C1 table at fractions of the horizon, where C1 is well conditioned
+    t_k0 = cb.existence_bounds(*args).t_k0
+    times = [0.0, 1.0, 10.0] if t_k0 is None or math.isinf(t_k0) else [0.0, 0.5 * t_k0, 0.9 * t_k0]
+    existence = cb.existence_bounds(*args, t_values=times).to_dict()
+    nonexistence = cb.nonexistence_bound(kernel, law, rho, moment_fn).to_dict()
+    json.dumps([existence, nonexistence], allow_nan=False)
+    if "c1" in existence:
+        times = [row["T"] for row in existence.get("c1_table", [])]
+        _assert_matches_exact(existence, _exact(kernel, law, moment_fn, times=times))
+    if "t1_table" in nonexistence:
+        ks = [row["k"] for row in nonexistence["t1_table"]]
+        _assert_matches_exact(nonexistence, _exact(kernel, law, moment_fn, ks=ks))

@@ -147,13 +147,14 @@ def test_shattering_study_requires_three_points():
         cb.shattering_study(config, [1e-2, 1e-3])
 
 
+class FakeRun:
+    def __init__(self, frac):
+        self.dust = np.array([frac])
+        self.rho = 1.0
+
+
 def test_shattering_study_verdicts_from_stub_runner():
     config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
-
-    class FakeRun:
-        def __init__(self, frac):
-            self.dust = np.array([frac])
-            self.rho = 1.0
 
     # integrable-style leakage: two decades per decade of x_min
     conservative = cb.shattering_study(
@@ -169,3 +170,20 @@ def test_shattering_study_verdicts_from_stub_runner():
     assert shattering.per_decade_factor == pytest.approx(1.0, rel=1e-6)
     # table is ordered coarse to fine
     assert [r[0] for r in shattering.rows] == [1e-2, 1e-3, 1e-4]
+
+
+def test_shattering_study_runs_each_distinct_x_min_once():
+    config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
+    runs = []
+
+    def runner(cfg):
+        runs.append(cfg.x_min)
+        return FakeRun(0.5)
+
+    # one grid repeated three times is a single point, not a trend
+    with pytest.raises(InputError):
+        cb.shattering_study(config, [1e-2, 1e-2, 1e-2], runner=runner)
+    assert runs == []
+    study = cb.shattering_study(config, [1e-2, 1e-2, 1e-3, 1e-4], runner=runner)
+    assert runs == [1e-2, 1e-3, 1e-4]
+    assert [r[0] for r in study.rows] == runs

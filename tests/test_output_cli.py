@@ -113,6 +113,14 @@ def test_wide_self_restart_builds_fast(tmp_path):
     assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_emit_refuses_run_without_config(emitted_run, tmp_path):
+    # load_run could not read back a run without its configuration echo
+    _, run, _, _ = emitted_run
+    with pytest.raises(cb.InputError):
+        cb.emit_outputs(dataclasses.replace(run, config=None), tmp_path / "bare")
+    assert not (tmp_path / "bare").exists()
+
+
 def test_zero_horizon_emits_single_snapshot(tmp_path):
     config = cb.parse_config_text("time.t_end = 0\ngrid.n_cells = 8\n")
     run = cb.run(config)
@@ -264,6 +272,21 @@ def test_cli_distance_same_run_is_zero(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["within_envelope"] is True
     assert all(row["distance"] == 0.0 for row in payload["rows"])
+
+
+def test_cli_distance_refuses_runs_of_different_physics(tmp_path, capsys):
+    # same grid and snapshot mesh, but another daughter exponent and kernel
+    other = BASE_CONFIG.replace("daughter.nu = -1.2", "daughter.nu = -1.3").replace(
+        "kernel.lambda2 = 0.6", "kernel.lambda2 = 0.7"
+    )
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["simulate", _write(tmp_path, BASE_CONFIG, "a.cfg"), "--out", a]) == 0
+    assert main(["simulate", _write(tmp_path, other, "b.cfg"), "--out", b]) == 0
+    capsys.readouterr()
+    assert main(["distance", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "runs differ in grid, kernel or daughter law" in captured.err
 
 
 def test_cli_stiffness_exit_code(tmp_path, capsys):
