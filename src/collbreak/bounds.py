@@ -92,9 +92,15 @@ _REQUIRED = {
 }
 
 
-def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
-    """Which theorem, if any, covers this kernel/daughter pair."""
-    holding = {check["hypothesis"] for check in hypothesis_checklist(kernel, law) if check["holds"]}
+def classify_regime(kernel: KernelSpec, law: DaughterLaw, checklist=None) -> Regime:
+    """Which theorem, if any, covers this kernel/daughter pair.
+
+    ``checklist`` is ``hypothesis_checklist(kernel, law)`` when the caller
+    has already built it; it is built here otherwise.
+    """
+    if checklist is None:
+        checklist = hypothesis_checklist(kernel, law)
+    holding = {check["hypothesis"] for check in checklist if check["holds"]}
     return next((r for r, needs in _REQUIRED.items() if holding.issuperset(needs)), Regime.UNCOVERED)
 
 
@@ -172,6 +178,13 @@ class BoundsReport:
         return out
 
 
+def _classified(kernel: KernelSpec, law: DaughterLaw, checklist) -> BoundsReport:
+    """A report holding only the regime and its checklist, built at most once."""
+    if checklist is None:
+        checklist = hypothesis_checklist(kernel, law)
+    return BoundsReport(regime=classify_regime(kernel, law, checklist), checklist=checklist)
+
+
 def initial_bounds(
     kernel: KernelSpec, law: DaughterLaw, grid: SizeGrid, state: State, times
 ) -> BoundsReport:
@@ -180,14 +193,21 @@ def initial_bounds(
     Non-existence regimes get ``nonexistence_bound``; every other regime
     gets ``existence_bounds`` with C1 tabulated over ``times``, which leaves
     an Uncovered report bare.  The initial data must carry positive mass
-    and moments.
+    and moments.  The hypothesis checklist is built once and shared.
     """
     moment_fn = lambda k: moment(grid, state, k)
     rho = moment_fn(1.0)
-    if classify_regime(kernel, law) is Regime.NON_EXISTENCE:
-        return nonexistence_bound(kernel, law, rho, moment_fn)
+    checklist = hypothesis_checklist(kernel, law)
+    if classify_regime(kernel, law, checklist) is Regime.NON_EXISTENCE:
+        return nonexistence_bound(kernel, law, rho, moment_fn, checklist=checklist)
     return existence_bounds(
-        kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
+        kernel,
+        law,
+        rho,
+        moment_fn(law.k0),
+        moment_fn(1.0 + law.k0),
+        t_values=times,
+        checklist=checklist,
     )
 
 
@@ -198,6 +218,8 @@ def existence_bounds(
     m_k0_in: float,
     m_k0p1_in: float,
     t_values=None,
+    *,
+    checklist=None,
 ) -> BoundsReport:
     """Constant chain of the small-size moment estimate.
 
@@ -206,13 +228,12 @@ def existence_bounds(
     and the envelope C1 as a callable plus a table over the ``t_values``
     before T_k0.
     Parameters outside the theorem's hypotheses yield an Uncovered report
-    with no constants.
+    with no constants.  ``checklist`` is as in ``classify_regime``.
     """
     if min(rho, m_k0_in, m_k0p1_in) <= 0.0:
         raise DomainError("rho and initial moments must be positive")
-    regime = classify_regime(kernel, law)
-    report = BoundsReport(regime=regime, checklist=hypothesis_checklist(kernel, law))
-    if regime not in (Regime.GLOBAL_EXISTENCE, Regime.LOCAL_EXISTENCE):
+    report = _classified(kernel, law, checklist)
+    if report.regime not in (Regime.GLOBAL_EXISTENCE, Regime.LOCAL_EXISTENCE):
         return report
 
     l1, l2 = kernel.lambda1, kernel.lambda2
@@ -265,6 +286,8 @@ def nonexistence_bound(
     rho: float,
     moment_fn,
     k_grid=None,
+    *,
+    checklist=None,
 ) -> BoundsReport:
     """Per-order upper bounds on the lifetime of a mass-conserving solution.
 
@@ -276,12 +299,12 @@ def nonexistence_bound(
     and T1 vanishes as k decreases to |nu|-1, which is the non-existence
     conclusion.  The default grid has 64 points log-concentrated at that
     endpoint so the vanishing is visible in the emitted table.
+    ``checklist`` is as in ``classify_regime``.
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
-    regime = classify_regime(kernel, law)
-    report = BoundsReport(regime=regime, checklist=hypothesis_checklist(kernel, law))
-    if regime is not Regime.NON_EXISTENCE:
+    report = _classified(kernel, law, checklist)
+    if report.regime is not Regime.NON_EXISTENCE:
         return report
 
     l1, l2 = kernel.lambda1, kernel.lambda2

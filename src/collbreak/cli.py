@@ -73,12 +73,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_regime(args) -> int:
     config = parse_config(args.config)
-    _emit_json(
-        {
-            "regime": bounds_mod.classify_regime(config.kernel, config.law).value,
-            "checklist": bounds_mod.hypothesis_checklist(config.kernel, config.law),
-        }
-    )
+    checklist = bounds_mod.hypothesis_checklist(config.kernel, config.law)
+    regime = bounds_mod.classify_regime(config.kernel, config.law, checklist)
+    _emit_json({"regime": regime.value, "checklist": checklist})
     return EXIT_OK
 
 

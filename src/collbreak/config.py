@@ -379,8 +379,11 @@ def build_problem(config: SimConfig):
     workspace = precompute(grid, config.kernel, config.law)
     state = initial_state(config, grid)
     # sum max(reps^k0, reps^(1+k0)) c bounds every moment of order k0..1+k0;
-    # a dot product, since only its finiteness matters
-    if not math.isfinite(workspace.error_weights @ state.contents):
+    # a dot product, since only its finiteness matters, and its overflow is
+    # the answer here, not a warning
+    with np.errstate(over="ignore"):
+        total = workspace.error_weights @ state.contents
+    if not math.isfinite(total):
         raise ConfigError("initial data overflows double precision", key="init.mass")
     return workspace, state
 

@@ -1,9 +1,10 @@
-"""Time integration: adaptive embedded RK(2,3) and a Picard fixed-point mode."""
+"""Time integration: adaptive embedded RK 5(4) and a Picard fixed-point mode."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -28,10 +29,39 @@ _NEG_FLOOR_FRACTION = 1e-14
 
 _PICARD_PANELS = 64
 
+# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) in exact
+# rationals: the stage rows a_ij, the nodes c_i, the fifth-order weights b
+# and the embedded fourth-order weights b_hat.  b is the seventh row of a,
+# so the last stage is f(y_new) and starts the next step (first same as last).
+DP_A = (
+    (),
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
+)
+DP_C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
+DP_B = DP_A[6] + (F(0),)
+DP_B_HAT = (
+    F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)
+)
+
+
+def _pairs(coefficients):
+    """(stage index, coefficient as a double) for the non-zero coefficients."""
+    return tuple((j, float(a)) for j, a in enumerate(coefficients) if a)
+
+
+_STAGES = tuple(_pairs(row) for row in DP_A[1:6])  # inputs of stages 2 to 6
+_WEIGHTS = _pairs(DP_B)  # y_new, the input of stage 7
+_ERROR = _pairs(b - b_hat for b, b_hat in zip(DP_B, DP_B_HAT))
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Step-control parameters of the embedded RK(2,3) integrator.
+    """Step-control parameters of the embedded Dormand-Prince 5(4) integrator.
 
     The error estimate is measured in the weighted norm
     sum max(reps^k0, reps^(1+k0)) |e_i|, the same topology in which
@@ -59,21 +89,26 @@ def step(
     tol: Tolerances,
     rates=None,
 ):
-    """One accepted Bogacki-Shampine RK(2,3) step, first same as last (FSAL).
+    """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
     ``rates`` is the right-hand side ``(d_contents, d_dust)`` at ``state``
     when the caller has it, normally the ``next_rates`` of the previous
     step; when None it is evaluated here, once, outside the rejection loop.
-    Halves the step until the embedded error estimate passes and no content
-    would land below -1e-14 times the state scale; accepted round-off
-    negatives are clipped to zero with the created mass tracked in
-    ``clip_mass``.  A rejection whose error estimate is NaN, or whose halved
-    step no longer moves the time, raises ``StiffnessError``.
+    The contents and the dust advance with the fifth-order weights b; the
+    error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
+    fourth-order weights b_hat, and sets the next step through the exponent
+    1/5.  Halves the step until that estimate passes and no content would
+    land below -1e-14 times the state scale; accepted round-off negatives
+    are clipped to zero with the created mass tracked in ``clip_mass``.  A
+    trial stage that overflows is a rejected attempt, and no floating-point
+    warning escapes; a rejection whose error estimate is NaN or infinite, or
+    whose halved step no longer moves the time, raises ``StiffnessError``.
 
     Returns (new_state, dt_used, dt_next, next_rates).  ``next_rates`` is the
-    last stage k4 = f(y3), which is the right-hand side at the new state, or
-    None when clipping changed y3.  Handed back in, it makes an accepted
-    step cost three right-hand sides and each rejected attempt three more.
+    seventh stage k7 = f(y_new), which is the right-hand side at the new
+    state, or None when clipping changed y_new.  Handed back in, it makes an
+    accepted step cost six right-hand sides and each rejected attempt six
+    more.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
@@ -85,53 +120,66 @@ def step(
     tol_value = tol.abs_tol + tol.rel_tol * float(weighted.sum())
 
     k1, d1 = rhs_arrays(workspace, c) if rates is None else rates
+    ks, ds = [k1], [d1]
+    trial, term = weighted, np.empty_like(c)  # weighted's last use was above
     dt = float(dt_target)
-    while True:
-        if tol.dt_floor > 0.0 and dt < tol.dt_floor:
-            raise StiffnessError(state.time, dt)
-        k2, d2 = rhs_arrays(workspace, c + (dt / 2.0) * k1)
-        k3, d3 = rhs_arrays(workspace, c + (3.0 * dt / 4.0) * k2)
-        y3 = c + dt * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-        k4, d4 = rhs_arrays(workspace, y3)
-        # weights * |y3 - y2| for the embedded second-order solution y2,
-        # y2 = c + dt*((7/24) k1 + (1/4) k2 + (1/3) k3 + (1/8) k4).
-        err = (7.0 / 24.0) * k1
-        err += (1.0 / 4.0) * k2
-        err += (1.0 / 3.0) * k3
-        err += (1.0 / 8.0) * k4
-        err *= dt
-        err += c
-        err -= y3
-        np.abs(err, out=err)
-        err *= weights
-        est = float(err.sum())
-        low = float(y3.min(initial=0.0))
-        if est <= tol_value and low >= -neg_floor:
-            break
-        dt /= 2.0
-        if math.isnan(est) or state.time + dt == state.time:
-            raise StiffnessError(state.time, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if tol.dt_floor > 0.0 and dt < tol.dt_floor:
+                raise StiffnessError(state.time, dt)
+            for row in _STAGES:
+                _increment(row, ks, dt, trial, term)
+                trial += c
+                k, d = rhs_arrays(workspace, trial)
+                ks.append(k)
+                ds.append(d)
+            y_new = _increment(_WEIGHTS, ks, dt, np.empty_like(c), term)
+            y_new += c
+            k7, d7 = rhs_arrays(workspace, y_new)
+            ks.append(k7)
+            # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
+            err = _increment(_ERROR, ks, dt, trial, term)
+            np.abs(err, out=err)
+            err *= weights
+            est = float(err.sum())
+            low = float(y_new.min(initial=0.0))
+            if est <= tol_value and low >= -neg_floor:
+                break
+            del ks[1:], ds[1:]
+            dt /= 2.0
+            if not math.isfinite(est) or state.time + dt == state.time:
+                raise StiffnessError(state.time, dt)
 
     if est > 0.0:
-        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 3.0)))
+        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
     else:
         factor = 5.0
     dt_next = dt * factor
 
     clipped = 0.0
-    next_rates = (k4, d4)
+    next_rates = (k7, d7)
     if low < 0.0:
-        negative = y3 < 0.0
-        clipped = float((workspace.grid.reps[negative] * -y3[negative]).sum())
-        y3[negative] = 0.0
+        negative = y_new < 0.0
+        clipped = float((workspace.grid.reps[negative] * -y_new[negative]).sum())
+        y_new[negative] = 0.0
         next_rates = None
     new_state = State(
-        contents=y3,
-        dust_mass=state.dust_mass + dt * ((2.0 / 9.0) * d1 + (1.0 / 3.0) * d2 + (4.0 / 9.0) * d3),
+        contents=y_new,
+        dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in _WEIGHTS),
         time=state.time + dt,
         clip_mass=state.clip_mass + clipped,
     )
     return new_state, dt, dt_next, next_rates
+
+
+def _increment(row, ks, dt, out, term):
+    """out = sum (dt a_j) k_j over the (j, a_j) pairs of ``row``, summed in order."""
+    (j, a), *rest = row
+    np.multiply(ks[j], dt * a, out=out)
+    for j, a in rest:
+        np.multiply(ks[j], dt * a, out=term)
+        out += term
+    return out
 
 
 @dataclass
@@ -173,10 +221,10 @@ def simulate(
     Snapshot times must be finite, strictly increasing and start at the
     initial state's time; non-finite times are refused with ``DomainError``
     before any right-hand side is evaluated.
-    Deterministic: the step sequence depends only on the inputs.  Each step
-    hands its ``next_rates`` to the next, so a run costs one right-hand side
-    to start, three per accepted step, three per rejected attempt and one
-    after each step that clipped.
+    Deterministic: the step sequence depends only on the inputs.  Each
+    Dormand-Prince step hands its ``next_rates`` to the next, so a run costs
+    one right-hand side to start, six per accepted step, six per rejected
+    attempt and one after each step that clipped.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -216,7 +264,11 @@ def simulate(
 
 
 def run(config) -> RunOutput:
-    """Build every component from a ``SimConfig`` and integrate it."""
+    """Build every component from a ``SimConfig`` and integrate it.
+
+    The run is ``simulate`` with the Dormand-Prince 5(4) step at the
+    config's ``rel_tol`` and ``abs_tol``.
+    """
     from . import config as config_mod
 
     workspace, state0 = config_mod.build_problem(config)

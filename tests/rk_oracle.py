@@ -1,12 +1,15 @@
-"""Slow reference for the FSAL integrator: the four-stage step it replaced.
+"""Slow reference for the FSAL integrator: the plain seven-stage Dormand-Prince step.
 
-Every attempt evaluates all four Bogacki-Shampine stages on the augmented
+Every attempt evaluates all seven Dormand-Prince 5(4) stages on the augmented
 vector [contents, dust], rebuilds the error weights and recomputes k1 after
-each rejection, the way the integrator was first written.  Its arithmetic on
+each rejection, with no stage carried over from the previous step.  The
+tableau is written out here again as Python divisions, which round each
+rational once, as ``integrate``'s exact fractions do.  Its arithmetic on
 every value that reaches a state or the error estimate is the same as
-``integrate.step``'s, so the two must agree bit for bit.  RHS calls go to
-``scheme.rhs_arrays`` directly, so a counter on ``integrate.rhs_arrays``
-does not see them.
+``integrate.step``'s: each combination sum_j (dt a_j) k_j is summed in stage
+order over the non-zero a_j before the base vector is added.  So the two
+must agree bit for bit.  RHS calls go to ``scheme.rhs_arrays`` directly, so
+a counter on ``integrate.rhs_arrays`` does not see them.
 """
 
 import numpy as np
@@ -16,6 +19,25 @@ from collbreak.grid import weight_vector
 from collbreak.scheme import rhs_arrays
 
 NEG_FLOOR_FRACTION = 1e-14
+
+# (stage index, a_j) of stages 2 to 6, of y_new (the b weights) and of the
+# error weights b - b_hat, zeros left out
+STAGES = (
+    ((0, 1 / 5),),
+    ((0, 3 / 40), (1, 9 / 40)),
+    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
+    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
+    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176), (4, -5103 / 18656)),
+)
+B = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
+E = (
+    (0, 71 / 57600),
+    (2, -71 / 16695),
+    (3, 71 / 1920),
+    (4, -17253 / 339200),
+    (5, 22 / 525),
+    (6, -1 / 40),
+)
 
 
 def _augment(state):
@@ -27,8 +49,16 @@ def _f(workspace, y):
     return np.concatenate([d_contents, [d_dust]])
 
 
+def _combine(row, ks, dt):
+    (j, a), *rest = row
+    total = (dt * a) * ks[j]
+    for j, a in rest:
+        total = total + (dt * a) * ks[j]
+    return total
+
+
 def oracle_step(workspace, state, dt_target, tol):
-    """One accepted four-stage step; returns (new_state, dt_used, dt_next)."""
+    """One accepted seven-stage step; returns (new_state, dt_used, dt_next)."""
     if dt_target <= 0.0:
         raise DomainError(f"dt_target must be positive, got {dt_target}")
     grid = workspace.grid
@@ -42,26 +72,23 @@ def oracle_step(workspace, state, dt_target, tol):
     while True:
         if tol.dt_floor > 0.0 and dt < tol.dt_floor:
             raise StiffnessError(state.time, dt)
-        k1 = _f(workspace, y)
-        k2 = _f(workspace, y + (dt / 2.0) * k1)
-        k3 = _f(workspace, y + (3.0 * dt / 4.0) * k2)
-        y3 = y + dt * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-        k4 = _f(workspace, y3)
-        y2 = y + dt * (
-            (7.0 / 24.0) * k1 + (1.0 / 4.0) * k2 + (1.0 / 3.0) * k3 + (1.0 / 8.0) * k4
-        )
-        est = float(np.sum(weights * np.abs(y3[:-1] - y2[:-1])))
-        if est <= tol_value and float(np.min(y3[:-1], initial=0.0)) >= -neg_floor:
+        ks = [_f(workspace, y)]
+        for row in STAGES:
+            ks.append(_f(workspace, _combine(row, ks, dt) + y))
+        y_new = _combine(B, ks, dt) + y
+        ks.append(_f(workspace, y_new))
+        est = float(np.sum(weights * np.abs(_combine(E, ks, dt)[:-1])))
+        if est <= tol_value and float(np.min(y_new[:-1], initial=0.0)) >= -neg_floor:
             break
         dt /= 2.0
 
     if est > 0.0:
-        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 3.0)))
+        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
     else:
         factor = 5.0
     dt_next = dt * factor
 
-    contents = y3[:-1]
+    contents = y_new[:-1]
     clipped = 0.0
     negative = contents < 0.0
     if np.any(negative):
@@ -70,7 +97,7 @@ def oracle_step(workspace, state, dt_target, tol):
         contents[negative] = 0.0
     new_state = State(
         contents=contents,
-        dust_mass=float(y3[-1]),
+        dust_mass=float(y_new[-1]),
         time=state.time + dt,
         clip_mass=state.clip_mass + clipped,
     )

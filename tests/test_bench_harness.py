@@ -46,9 +46,9 @@ def test_smoke_job_passes_its_checks(name, traced, tmp_path):
         assert layers["scheme.precompute_calls"] >= 1
         assert layers["scheme.rhs_calls"] == probe.rhs_calls
         assert layers["grid.cells"] > 0
-        # FSAL: three RHS per accepted step, plus one to start each run
+        # FSAL: six RHS per accepted step, plus one to start each run
         assert layers["integrate.steps_accepted"] > 0
-        assert 3.0 <= layers["integrate.rhs_per_step"] < 4.0
+        assert 6.0 <= layers["integrate.rhs_per_step"] < 7.0
         if name == "crossval":
             # Picard: one batched call per iteration plus one per window for the dust
             assert layers["integrate.picard_iterations"] > 0

@@ -67,6 +67,31 @@ def test_checklist_reports_each_hypothesis():
     assert by_name["k0 <= lambda1"] is False
 
 
+@pytest.mark.parametrize(
+    "kernel, law",
+    [
+        (KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5)),  # local existence
+        (KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6)),  # non-existence
+        (KernelSpec(2.0, 2.0), DaughterLaw(-1.2, 0.5)),  # uncovered
+    ],
+)
+def test_initial_bounds_builds_the_checklist_once(kernel, law, monkeypatch):
+    grid = cb.build_grid(1e-2, 2.0, 16)
+    state = cb.exponential_state(grid, 1.0, 1.0)
+    expect = cb.initial_bounds(kernel, law, grid, state, [0.0, 0.1]).entry()
+    built = []
+    real = cb.bounds.hypothesis_checklist
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cb.bounds, "hypothesis_checklist", counted)
+    report = cb.initial_bounds(kernel, law, grid, state, [0.0, 0.1])
+    assert len(built) == 1
+    assert json.dumps(report.entry()) == json.dumps(expect)
+
+
 def test_existence_bounds_unit_moments_local_case():
     # with unit initial mass and moments every c constant collapses to 1 and
     # E1 * T_k0 = (1-k0) / (2 (1-lambda))

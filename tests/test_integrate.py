@@ -1,7 +1,11 @@
+import functools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import collbreak as cb
 from collbreak import (
@@ -95,7 +99,118 @@ def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with pytest.raises(StiffnessError):
         cb.step(ws, bad, 0.1, Tolerances())
-    assert len(calls) == 4
+    assert len(calls) == 7
+
+
+def test_step_overflowing_stage_raises_without_warning(small_problem, monkeypatch):
+    # rates near 1e300 are finite, but a trial stage at dt = 1e-140 lands
+    # near 1e160 and its rates overflow; the attempt is rejected and its
+    # non-finite estimate ends the step
+    ws, s0 = small_problem
+    big = State(1e150 * s0.contents)
+    assert np.all(np.isfinite(cb.rhs_arrays(ws, big.contents)[0]))
+    calls = []
+    real = integrate.rhs_arrays
+
+    def counted(workspace, contents):
+        calls.append(1)
+        return real(workspace, contents)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError):
+            cb.step(ws, big, 1e-140, Tolerances())
+    assert len(calls) == 7
+
+
+@functools.cache
+def _trees(order):
+    """Rooted trees with ``order`` vertices, each the sorted tuple of its subtrees."""
+    return sorted(_forests(order - 1))
+
+
+def _forests(total):
+    """Sorted tuples of rooted trees whose orders add up to ``total``."""
+    if total == 0:
+        return {()}
+    return {
+        tuple(sorted((tree,) + rest))
+        for first in range(1, total + 1)
+        for tree in _trees(first)
+        for rest in _forests(total - first)
+    }
+
+
+def _order_and_density(tree):
+    order, density = 1, 1
+    for child in tree:
+        child_order, child_density = _order_and_density(child)
+        order += child_order
+        density *= child_density
+    return order, order * density
+
+
+def _stage_weights(a, tree):
+    """Elementary weights per stage: the product over subtrees of a times theirs."""
+    weights = [Fraction(1)] * len(a)
+    for child in tree:
+        below = _stage_weights(a, child)
+        for i, row in enumerate(a):
+            weights[i] *= sum((a_ij * below[j] for j, a_ij in enumerate(row)), Fraction(0))
+    return weights
+
+
+def test_dormand_prince_tableau_order_conditions():
+    a, c = integrate.DP_A, integrate.DP_C
+    assert all(isinstance(x, Fraction) for row in a for x in row)
+    assert [sum(row, Fraction(0)) for row in a] == list(c)
+    # first same as last: the seventh stage is evaluated at y_new
+    assert list(integrate.DP_B) == list(a[6]) + [0]
+    assert [len(_trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+    for weights, order in ((integrate.DP_B, 5), (integrate.DP_B_HAT, 4)):
+        for q in range(1, order + 1):
+            for tree in _trees(q):
+                phi = sum((b * g for b, g in zip(weights, _stage_weights(a, tree))), Fraction(0))
+                assert phi == Fraction(1, _order_and_density(tree)[1]), (order, tree)
+    # the embedded pair is of order exactly 4: it misses some fifth-order condition
+    assert any(
+        sum((b * g for b, g in zip(integrate.DP_B_HAT, _stage_weights(a, tree))), Fraction(0))
+        != Fraction(1, _order_and_density(tree)[1])
+        for tree in _trees(5)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, x_min, bound",
+    [(A5_CONFIG, 1e-3, 1e-6), (A1_CONFIG, None, 1e-8)],
+    ids=["A5-xmin1e-3", "A1-n128"],
+)
+def test_default_tolerance_error_against_dop853(text, x_min, bound):
+    # an independent reference: scipy's 8th-order Dormand-Prince at rtol 1e-13;
+    # the measure is the worst weighted snapshot error over the weighted
+    # norm of the final state
+    config = cb.parse_config_text(text)
+    if x_min is not None:
+        config = cb.with_x_min(config, x_min)
+    ws, s0 = cb.build_problem(config)
+    times = config.snapshot_times
+    out = cb.run(config)
+
+    def f(t, y):
+        d_contents, d_dust = cb.rhs_arrays(ws, y[:-1])
+        return np.append(d_contents, d_dust)
+
+    y0 = np.append(s0.contents, s0.dust_mass)
+    ref = solve_ivp(f, (times[0], times[-1]), y0, method="DOP853", rtol=1e-13, atol=1e-20, t_eval=times)
+    assert ref.success
+    weights = ws.error_weights
+    scale = float(np.sum(weights * np.abs(ref.y[:-1, -1])))
+    worst = max(
+        float(np.sum(weights * np.abs(state.contents - ref.y[:-1, i])))
+        for i, state in enumerate(out.states)
+    )
+    assert worst <= bound * scale
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +242,7 @@ def _same_states(a, b):
 @pytest.mark.parametrize(
     "text, x_min", [(A1_CONFIG, None), (A5_CONFIG, 1e-4)], ids=["A1-n128", "A5-xmin1e-4"]
 )
-def test_fsal_simulate_bitwise_equals_four_stage_oracle(text, x_min):
+def test_fsal_simulate_bitwise_equals_seven_stage_oracle(text, x_min):
     config = cb.parse_config_text(text)
     if x_min is not None:
         config = cb.with_x_min(config, x_min)
@@ -183,8 +298,8 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
     monkeypatch.setattr(integrate, "step", counted_step)
     cb.simulate(ws, s0, times, tol)
-    # one k1 to start, k2, k3, k4 per attempt, and a fresh k1 after a clip
-    expect = 3 * tally["accepted"] + 1 + tally["clips"] + 3 * tally["rejected"]
+    # one k1 to start, k2 to k7 per attempt, and a fresh k1 after a clip
+    expect = 6 * tally["accepted"] + 1 + tally["clips"] + 6 * tally["rejected"]
     assert tally["rhs"] == expect
     if problem == "clip":
         assert tally["clips"] > 0 and tally["rejected"] > 0

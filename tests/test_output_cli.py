@@ -393,7 +393,6 @@ def test_load_run_refuses_other_formats(tmp_path, capsys):
         ("init.mass = 1.7e308", 2, "init.mass"),  # M_0.5 overflows
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
     text = BASE_CONFIG.replace("time.t_end = 0.2", "time.t_end = 1.0") + line + "\n"
     assert main(["bounds", _write(tmp_path, text)]) == code
@@ -402,7 +401,9 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
         assert payload["existence"]["c1_table"][-1]["C1"] == "inf"
     else:
-        assert out == "" and f"configuration error: {key}: " in err
+        # the exit-2 message is all of stderr: no numpy warning before it
+        assert out == "" and err.startswith(f"configuration error: {key}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_restart_refuses_tampered_run(tmp_path, capsys):
