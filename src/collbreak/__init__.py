@@ -23,8 +23,11 @@ from .daughter import (
     DaughterLaw,
     beta_star,
     cell_mass_deposit,
+    check_moment_order,
     e_constant,
+    leak_ratio,
     partial_moment,
+    power_sum_change,
     upsilon_power,
 )
 from .diagnostics import (
@@ -52,6 +55,7 @@ from .grid import (
     State,
     build_grid,
     check_grid,
+    check_initial_data,
     exponential_state,
     moment,
     monodisperse_state,
@@ -74,7 +78,6 @@ from .output import emit_outputs, load_run
 from .scheme import (
     RhsWorkspace,
     precompute,
-    rhs,
     rhs_arrays,
     subgrid_moment_flux,
     weak_form_residual,

@@ -147,10 +147,10 @@ class BoundsReport:
     t1_argmin: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "regime": self.regime.value,
-            "checklist": self.checklist,
-        }
+        return {"regime": self.regime.value, "checklist": self.checklist, **self._constants()}
+
+    def _constants(self) -> dict:
+        out = {}
         for name in ("e1", "c1", "c2", "c3", "t_k0", "t1_bound", "t1_argmin"):
             value = getattr(self, name)
             if value is not None:
@@ -165,16 +165,16 @@ class BoundsReport:
         return out
 
     def entry(self) -> dict:
-        """Regime and checklist, plus ``to_dict()`` under the theorem it bounds.
+        """Regime and checklist, with the constants under the theorem they bound.
 
         The constants go under "existence" or "nonexistence"; an Uncovered
         report carries neither.
         """
         out = {"regime": self.regime.value, "checklist": self.checklist}
         if self.c1 is not None:
-            out["existence"] = self.to_dict()
+            out["existence"] = self._constants()
         if self.t1_bound is not None:
-            out["nonexistence"] = self.to_dict()
+            out["nonexistence"] = self._constants()
         return out
 
 
@@ -285,20 +285,19 @@ def nonexistence_bound(
     law: DaughterLaw,
     rho: float,
     moment_fn,
-    k_grid=None,
     *,
     checklist=None,
 ) -> BoundsReport:
     """Per-order upper bounds on the lifetime of a mass-conserving solution.
 
     ``moment_fn(k)`` must return the k-th moment of the initial data.  For
-    each k in the grid the bound is
+    each k in a grid of orders the bound is
 
         T1(k) = (k+nu+1) M_k(0)^(ell1/(1-k)) / (|ell1(k)| ell2(k)),
 
     and T1 vanishes as k decreases to |nu|-1, which is the non-existence
-    conclusion.  The default grid has 64 points log-concentrated at that
-    endpoint so the vanishing is visible in the emitted table.
+    conclusion.  The grid has 64 points log-concentrated at that endpoint
+    so the vanishing is visible in the emitted table.
     ``checklist`` is as in ``classify_regime``.
     """
     if rho <= 0.0:
@@ -331,13 +330,7 @@ def nonexistence_bound(
         log_moment += e1v / (1.0 - k) * math.log(moment_fn(k) / rho)
         return _exp(math.log((k + nu + 1.0) / abs(e1v)) - log_min(k) + log_moment)
 
-    if k_grid is None:
-        span = 1.0 - lo
-        k_grid = lo + span * np.geomspace(1e-3, 0.999, _T1_GRID_SIZE)
-    k_grid = np.asarray(k_grid, dtype=float)
-    if np.any(k_grid <= lo) or np.any(k_grid >= 1.0):
-        raise DomainError(f"k grid must lie inside ({lo}, 1)")
-
+    k_grid = lo + (1.0 - lo) * np.geomspace(1e-3, 0.999, _T1_GRID_SIZE)
     table = np.empty((k_grid.size, 4))
     for row, k in enumerate(k_grid):
         table[row] = (k, ell1(k), ell2(k), t1_of(k))

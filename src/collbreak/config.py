@@ -4,23 +4,29 @@ Grammar: one ``section.key = value`` per line, ``#`` starts a comment,
 blank lines ignored.  Every key has a documented default, so an empty file
 is a valid configuration.  Validation failures cite the offending key, the
 line number, and the hypothesis they violate.
+
+Ranges are checked by the owner of each parameter, which raises a
+``DomainError`` naming it; only this module knows the key names, and
+``_cited`` reports the error under the key, and line, that set it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .daughter import DaughterLaw
+from .daughter import DaughterLaw, check_moment_order
 from .errors import ConfigError, DomainError, InputError
 from .grid import (
     SizeGrid,
     build_grid,
     check_grid,
+    check_initial_data,
     exponential_state,
     monodisperse_state,
     table_state,
@@ -72,7 +78,22 @@ _PARAM_KEYS = {
     "abs_tol": "time.abs_tol",
     "max_iter": "picard.max_iter",
     "tol": "picard.tol",
+    "size": "init.size",
+    "mean": "init.mean",
+    "mass": "init.mass",
+    "path": "init.path",
+    "k": "output.moments",
 }
+
+
+@contextmanager
+def _cited(line_of=lambda key: None):
+    """Re-raise a DomainError from the block as a ConfigError under its key and line."""
+    try:
+        yield
+    except DomainError as exc:
+        key = _PARAM_KEYS[exc.param]
+        raise ConfigError(str(exc), key=key, line=line_of(key)) from None
 
 
 @dataclass(frozen=True)
@@ -224,7 +245,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
 
     x_min, x_max, n_cells = get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")
     rel_tol, abs_tol = get("time.rel_tol"), get("time.abs_tol")
-    try:
+    with _cited(line_of):
         law = DaughterLaw(get("daughter.nu"), get("daughter.k0"))
         kernel = KernelSpec(
             get("kernel.lambda1"), get("kernel.lambda2"), get("kernel.truncation_n")
@@ -232,9 +253,6 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         check_grid(x_min, x_max, n_cells)
         Tolerances(rel_tol, abs_tol)
         check_picard(get("picard.max_iter"), get("picard.tol"))
-    except DomainError as exc:
-        key = _PARAM_KEYS[exc.param]
-        raise ConfigError(str(exc), key=key, line=line_of(key)) from None
 
     kind = get("init.kind")
     if kind not in _INIT_KINDS:
@@ -243,21 +261,13 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
             key="init.kind",
             line=line_of("init.kind"),
         )
-    size = get("init.size")
-    if kind == "monodisperse" and not x_min <= size <= x_max:
-        raise ConfigError(
-            f"monodisperse size {size} outside the grid [{x_min}, {x_max}]",
-            key="init.size",
-            line=line_of("init.size"),
-        )
-    mean = get("init.mean")
-    if mean <= 0.0:
-        raise ConfigError("mean size must be positive", key="init.mean", line=line_of("init.mean"))
-    mass = get("init.mass")
+    size, mean, mass = get("init.size"), get("init.mean"), get("init.mass")
     if mass is None and kind != "table":
         mass = 1.0
-    if mass is not None and mass <= 0.0:
-        raise ConfigError("mass must be positive", key="init.mass", line=line_of("init.mass"))
+    with _cited(line_of):
+        check_initial_data(
+            x_min, x_max, mass, size=size if kind == "monodisperse" else None, mean=mean
+        )
     path = get("init.path")
     if kind == "table":
         if path is None:
@@ -284,15 +294,9 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
                 key="output.moments",
                 line=line_of("output.moments"),
             ) from None
-    threshold = abs(law.nu) - 1.0
-    for k in orders:
-        if k <= threshold:
-            raise ConfigError(
-                f"moment order k={k} violates k > |nu|-1 = {threshold} "
-                "(divergent sublinear fragment moment)",
-                key="output.moments",
-                line=line_of("output.moments"),
-            )
+    with _cited(line_of):
+        for k in orders:
+            check_moment_order(law, k)
 
     return SimConfig(
         kernel=kernel,
@@ -372,12 +376,13 @@ def initial_state(config: SimConfig, grid: SizeGrid):
 def build_problem(config: SimConfig):
     """Grid + workspace + initial state for a configuration.
 
-    Initial data whose moments overflow double precision is refused, key
-    ``init.mass``.
+    Refusals cite their key; initial data whose moments overflow double
+    precision is refused, key ``init.mass``.
     """
-    grid = build_grid(config.x_min, config.x_max, config.n_cells)
-    workspace = precompute(grid, config.kernel, config.law)
-    state = initial_state(config, grid)
+    with _cited():
+        grid = build_grid(config.x_min, config.x_max, config.n_cells)
+        workspace = precompute(grid, config.kernel, config.law)
+        state = initial_state(config, grid)
     # sum max(reps^k0, reps^(1+k0)) c bounds every moment of order k0..1+k0;
     # a dot product, since only its finiteness matters, and its overflow is
     # the answer here, not a warning
@@ -390,10 +395,8 @@ def build_problem(config: SimConfig):
 
 def with_x_min(config: SimConfig, x_min: float) -> SimConfig:
     """Same physics on a grid cut at ``x_min``, cells per decade preserved."""
-    try:
+    with _cited():
         check_grid(x_min, config.x_max, config.n_cells)
-    except DomainError as exc:
-        raise ConfigError(str(exc), key=_PARAM_KEYS[exc.param]) from None
     decades_old = math.log10(config.x_max / config.x_min)
     per_decade = config.n_cells / decades_old
     decades_new = math.log10(config.x_max / x_min)

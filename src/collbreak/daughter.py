@@ -4,6 +4,11 @@ The per-parent density is (nu+2) s^nu x^(-nu-1) on 0 < s < x, with
 nu in (-2, 0].  For nu <= -1 the fragment count per event diverges while
 mass and k0-weighted moments stay finite; every operation here raises
 ``DivergentMomentError`` when asked for a genuinely divergent quantity.
+
+The moment-order algebra is written here once: the order test
+k + nu + 1 > 0 (``check_moment_order``), the power-sum coefficient
+(1-k)/(k+nu+1) (``power_sum_change``) and the sub-x leak ratio
+(nu+2)/(k+nu+1) x^(k-1) (``leak_ratio``).
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ __all__ = [
     "partial_moment",
     "cell_mass_deposit",
     "e_constant",
+    "check_moment_order",
+    "power_sum_change",
+    "leak_ratio",
     "upsilon_power",
 ]
 
@@ -128,6 +136,29 @@ def e_constant(law: DaughterLaw, p: float) -> float:
     return (law.nu + 2.0) ** p / denom
 
 
+def check_moment_order(law: DaughterLaw, k: float) -> float:
+    """k + nu + 1, refused unless positive: the k-th fragment moment diverges otherwise.
+
+    Grouped as k + (nu + 1), exactly k - (|nu| - 1), so every k0 ``DaughterLaw`` admits passes.
+    """
+    q = k + (law.nu + 1.0)
+    if q <= 0.0:
+        raise DivergentMomentError(
+            f"moment order k={k} diverges: need k > |nu|-1 = {abs(law.nu) - 1.0}", param="k"
+        )
+    return q
+
+
+def power_sum_change(law: DaughterLaw, k: float) -> float:
+    """(1-k)/(k+nu+1): fragments' k-th powers, (nu+2)/(k+nu+1) x^k, less the parent's x^k."""
+    return (1.0 - k) / check_moment_order(law, k)
+
+
+def leak_ratio(law: DaughterLaw, k: float, x: float) -> float:
+    """(nu+2)/(k+nu+1) x^(k-1): k-th moment per unit of fragment mass below x, for any parent."""
+    return (law.nu + 2.0) / check_moment_order(law, k) * x ** (k - 1.0)
+
+
 def upsilon_power(law: DaughterLaw, k: float, x: float, y: float) -> float:
     """Net change of the k-th power sum per collision of sizes x and y.
 
@@ -137,10 +168,4 @@ def upsilon_power(law: DaughterLaw, k: float, x: float, y: float) -> float:
     """
     if x <= 0.0 or y <= 0.0:
         raise DomainError("collision partner sizes must be positive")
-    q = k + law.nu + 1.0
-    if q <= 0.0:
-        raise DivergentMomentError(
-            f"test-function order k={k} at or below divergence threshold "
-            f"|nu|-1 = {abs(law.nu) - 1.0}"
-        )
-    return (1.0 - k) / q * (x**k + y**k)
+    return power_sum_change(law, k) * (x**k + y**k)

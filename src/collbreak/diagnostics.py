@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from . import bounds as bounds_mod
-from .daughter import upsilon_power
+from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
 from .integrate import RunOutput
@@ -36,6 +36,13 @@ __all__ = [
 # decade, far above, while the shattering limit gives ~1.
 _DECADE_FACTOR = 2.0
 
+# M_1 + dust is kept by every RHS and step up to round-off and clipping.
+_MASS_DRIFT_TOL = 1e-6
+# Tails never grow in the continuum; allow the error of time.rel_tol = 1e-8.
+_TAIL_TOL = 1e-8
+# Trapezoid quadrature on the snapshot mesh is the growth check's only error.
+_GROWTH_TOL = 0.01
+
 
 def weighted_distance(state_a: State, state_b: State, grid: SizeGrid, k0: float) -> float:
     """Distance sum max(reps^k0, reps^(1+k0)) |a_i - b_i| between two states."""
@@ -48,16 +55,10 @@ def weighted_distance(state_a: State, state_b: State, grid: SizeGrid, k0: float)
 
 
 def _leak_rate(run: RunOutput, k: float) -> np.ndarray:
-    """k-th moment flux below the grid, reconstructed from the dust series.
-
-    For the power-law daughter the ratio of leaked k-moment to leaked mass
-    is (nu+2)/(k+nu+1) x_min^(k-1), independent of the parent size.
-    """
+    """k-th moment flux below the grid: the dust series' rate times ``leak_ratio``."""
     if run.times.size < 2:
         raise InputError("need at least two snapshots for time differencing")
-    nu = run.law.nu
-    dust_rate = np.gradient(run.dust, run.times)
-    return dust_rate * (nu + 2.0) / (k + nu + 1.0) * run.grid.x_min ** (k - 1.0)
+    return np.gradient(run.dust, run.times) * leak_ratio(run.law, k, run.grid.x_min)
 
 
 def moment_identity_residual(run: RunOutput, k: float) -> np.ndarray:
@@ -69,10 +70,8 @@ def moment_identity_residual(run: RunOutput, k: float) -> np.ndarray:
     continuum, so the residual measures discretisation error; it vanishes
     identically at k = 1 up to clipping.
     """
-    upsilon_power(run.law, k, 1.0, 1.0)  # validates k > |nu| - 1
+    coeff = power_sum_change(run.law, k)
     l1, l2 = run.kernel.lambda1, run.kernel.lambda2
-    nu = run.law.nu
-    coeff = (1.0 - k) / (k + nu + 1.0)
     dmdt = np.gradient(run.moments(k), run.times)
     production = coeff * (
         run.moments(k + l1) * run.moments(l2) + run.moments(k + l2) * run.moments(l1)
@@ -100,23 +99,22 @@ def c1_bound_check(run: RunOutput, report, t_horizon: float):
     return peak <= limit, limit - peak
 
 
-def nonexistence_growth_check(run: RunOutput, k: float, rel_tol: float = 0.01) -> bool:
+def nonexistence_growth_check(run: RunOutput, k: float) -> bool:
     """Integral growth inequality of the non-existence argument, on the run.
 
     Verifies   M_k(t) >= M_k(0) + (1-k)/(k+nu+1) int M_{k+l2} M_{l1} dtau
-    with the grid's sub-x_min moment flux added back on the left, up to
-    ``rel_tol`` of the running scale (trapezoid quadrature on the snapshot
-    mesh is the only error source).
+    with the grid's sub-x_min moment flux added back on the left, up to 1%
+    of the running scale.  Orders k <= |nu| - 1 raise
+    ``DivergentMomentError``.
     """
     regime = bounds_mod.classify_regime(run.kernel, run.law)
     if regime is not bounds_mod.Regime.NON_EXISTENCE:
         raise InputError(f"regime {regime.value} is outside the non-existence theorem")
-    nu = run.law.nu
     # k = 1 is allowed as the degenerate boundary case with zero production
-    if not abs(nu) - 1.0 < k <= 1.0:
-        raise InputError(f"k={k} outside ({abs(nu) - 1.0}, 1]")
+    if k > 1.0:
+        raise InputError(f"k={k} above 1, outside the non-existence theorem")
+    coeff = power_sum_change(run.law, k)
     l1, l2 = run.kernel.lambda1, run.kernel.lambda2
-    coeff = (1.0 - k) / (k + nu + 1.0)
     times = run.times
     m_k = run.moments(k)
     lhs = m_k + cumulative_trapezoid(_leak_rate(run, k), times, initial=0.0)
@@ -124,7 +122,7 @@ def nonexistence_growth_check(run: RunOutput, k: float, rel_tol: float = 0.01) -
         run.moments(k + l2) * run.moments(l1), times, initial=0.0
     )
     rhs = m_k[0] + coeff * production
-    tolerance = rel_tol * (abs(m_k[0]) + np.abs(coeff) * production + 1e-300)
+    tolerance = _GROWTH_TOL * (abs(m_k[0]) + np.abs(coeff) * production + 1e-300)
     return bool(np.all(lhs >= rhs - tolerance))
 
 
@@ -177,17 +175,17 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     return ShatterStudy(float(config.t_end), rows, slope, per_decade, verdict)
 
 
-def mass_budget_check(run: RunOutput, rel_tol: float = 1e-6):
-    """Max drift of M_1(grid) + dust from the initial mass, against rel_tol*rho."""
+def mass_budget_check(run: RunOutput):
+    """Max drift of M_1(grid) + dust from the initial mass, against 1e-6 rho."""
     total = run.moments(1.0) + run.dust
     drift = float(np.max(np.abs(total - run.rho)))
-    return drift <= rel_tol * run.rho, drift
+    return drift <= _MASS_DRIFT_TOL * run.rho, drift
 
 
-def tail_monotonicity_check(run: RunOutput, k: float, rel_tol: float = 1e-8):
+def tail_monotonicity_check(run: RunOutput, k: float):
     """Tails sum_{reps >= x} reps^k contents nonincreasing in t at every edge.
 
-    Tolerance scales as rel_tol * rho * x^(k-1) per edge.  Returns
+    Tolerance scales as 1e-8 rho x^(k-1) per edge.  Returns
     (passed, worst_violation) with the violation measured in units of the
     local tolerance.
     """
@@ -198,7 +196,7 @@ def tail_monotonicity_check(run: RunOutput, k: float, rel_tol: float = 1e-8):
         suffix = np.cumsum((reps_k * state.contents)[::-1])[::-1]
         tails[row, : grid.n_cells] = suffix
         tails[row, grid.n_cells] = 0.0
-    allowance = rel_tol * run.rho * grid.edges ** (k - 1.0)
+    allowance = _TAIL_TOL * run.rho * grid.edges ** (k - 1.0)
     excess = (tails - tails[0]) / allowance
     worst = float(np.max(excess))
     return worst <= 1.0, worst
@@ -209,33 +207,20 @@ def run_verification(run: RunOutput) -> list[dict]:
     k0 = run.law.k0
     results = []
 
+    def verdict(check: str, passed, detail: str) -> None:
+        results.append({"check": check, "passed": bool(passed), "detail": detail})
+
     ok, drift = mass_budget_check(run)
-    results.append(
-        {
-            "check": "mass-budget",
-            "passed": bool(ok),
-            "detail": f"max |M_1 + dust - rho| = {drift:.3e} (rho = {run.rho:.6g})",
-        }
-    )
+    verdict("mass-budget", ok, f"max |M_1 + dust - rho| = {drift:.3e} (rho = {run.rho:.6g})")
 
     for k in (1.0, 1.0 + k0):
         ok, worst = tail_monotonicity_check(run, k)
-        results.append(
-            {
-                "check": f"tail-monotone-k={k:g}",
-                "passed": bool(ok),
-                "detail": f"worst tail excess {worst:.3e} tolerance units",
-            }
-        )
+        verdict(f"tail-monotone-k={k:g}", ok, f"worst tail excess {worst:.3e} tolerance units")
 
     m_high = run.moments(1.0 + k0)
     growth = float(np.max(m_high - m_high[0]))
-    results.append(
-        {
-            "check": "superlinear-moment-monotone",
-            "passed": growth <= 1e-8 * run.rho,
-            "detail": f"max M_(1+k0) growth {growth:.3e}",
-        }
+    verdict(
+        "superlinear-moment-monotone", growth <= 1e-8 * run.rho, f"max M_(1+k0) growth {growth:.3e}"
     )
 
     if run.times.size >= 2:
@@ -243,13 +228,7 @@ def run_verification(run: RunOutput) -> list[dict]:
         min_dt = float(np.min(np.diff(run.times)))
         tol = 1e-6 * run.rho * max(1.0, 1.0 / min_dt)
         peak = float(np.max(np.abs(residual)))
-        results.append(
-            {
-                "check": "moment-identity-k=1",
-                "passed": peak <= tol,
-                "detail": f"max |residual| = {peak:.3e} (tol {tol:.3e})",
-            }
-        )
+        verdict("moment-identity-k=1", peak <= tol, f"max |residual| = {peak:.3e} (tol {tol:.3e})")
 
     report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.states[0], run.times)
     if report.c1 is not None:
@@ -257,20 +236,9 @@ def run_verification(run: RunOutput) -> list[dict]:
         if math.isfinite(report.t_k0):
             horizon = min(horizon, 0.9 * report.t_k0)
         ok, margin = c1_bound_check(run, report, horizon)
-        results.append(
-            {
-                "check": "small-size-envelope",
-                "passed": bool(ok),
-                "detail": f"M_k0 margin {margin:.4g} below C1(T) at T={horizon:.4g}",
-            }
-        )
+        detail = f"M_k0 margin {margin:.4g} below C1(T) at T={horizon:.4g}"
+        verdict("small-size-envelope", ok, detail)
     if report.regime is bounds_mod.Regime.NON_EXISTENCE:
         ok = nonexistence_growth_check(run, k0)
-        results.append(
-            {
-                "check": "nonexistence-growth",
-                "passed": bool(ok),
-                "detail": f"integral growth inequality at k = k0 = {k0:g}",
-            }
-        )
+        verdict("nonexistence-growth", ok, f"integral growth inequality at k = k0 = {k0:g}")
     return results

@@ -1,4 +1,9 @@
-"""Geometric size grid, discrete states, and initial-data ingestion."""
+"""Geometric size grid, discrete states, and initial-data ingestion.
+
+``check_grid`` and ``check_initial_data`` own the ranges of the grid and of
+the initial data; the builders and the config parser both call them.  Every
+refusal is a ``DomainError`` naming its parameter (``path`` for a table).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "MAX_CELLS",
@@ -14,6 +19,7 @@ __all__ = [
     "SizeGrid",
     "State",
     "check_grid",
+    "check_initial_data",
     "build_grid",
     "moment",
     "tail_moment",
@@ -50,13 +56,6 @@ class SizeGrid:
     # derived deterministically from the scalars, so excluded from equality
     edges: np.ndarray = field(repr=False, compare=False)
     reps: np.ndarray = field(repr=False, compare=False)
-
-    def locate(self, x: float) -> int:
-        """Index of the cell whose half-open interval [lo, hi) contains x."""
-        if not self.x_min <= x <= self.x_max:
-            raise DomainError(f"size {x} outside grid [{self.x_min}, {self.x_max}]")
-        i = int(np.searchsorted(self.edges, x, side="right") - 1)
-        return min(max(i, 0), self.n_cells - 1)
 
     def widths(self) -> np.ndarray:
         return self.edges[1:] - self.edges[:-1]
@@ -120,11 +119,26 @@ def weight_vector(grid: SizeGrid, k0: float) -> np.ndarray:
     return np.maximum(grid.reps**k0, grid.reps ** (1.0 + k0))
 
 
+def check_initial_data(x_min: float, x_max: float, mass, size, mean) -> None:
+    """Refuse initial data the state builders cannot use, without building a state.
+
+    The mass must be finite and positive (None keeps a table's own), a size
+    must lie on the grid and a mean within ``SIZE_RANGE``; a None size or
+    mean is not checked.
+    """
+    if size is not None and not x_min <= size <= x_max:
+        raise DomainError(f"size {size} outside the grid [{x_min}, {x_max}]", param="size")
+    lo, hi = SIZE_RANGE
+    if mean is not None and not lo <= mean <= hi:
+        raise DomainError(f"mean size must lie in [{lo}, {hi}], got {mean}", param="mean")
+    if mass is not None and not 0.0 < mass < np.inf:
+        raise DomainError(f"mass must be finite and positive, got {mass}", param="mass")
+
+
 def monodisperse_state(grid: SizeGrid, size: float, mass: float) -> State:
-    """All mass in the cell enclosing ``size``; count chosen so M_1 = mass."""
-    if mass < 0.0:
-        raise ConfigError(f"mass must be non-negative, got {mass}")
-    i = grid.locate(size)
+    """All mass in the cell [lo, hi) holding ``size`` (x_max in the last); M_1 = mass."""
+    check_initial_data(grid.x_min, grid.x_max, mass, size=size, mean=None)
+    i = min(int(np.searchsorted(grid.edges, size, side="right")) - 1, grid.n_cells - 1)
     contents = np.zeros(grid.n_cells)
     contents[i] = mass / grid.reps[i]
     return State(contents)
@@ -137,17 +151,13 @@ def exponential_state(grid: SizeGrid, mass: float, mean: float) -> State:
     it, written with ``expm1`` so that narrow cells lose no digits; the
     contents are then rescaled so the grid mass M_1 equals ``mass``.
     """
-    lo, hi = SIZE_RANGE
-    if not lo <= mean <= hi:
-        raise ConfigError(f"mean size must lie in [{lo}, {hi}], got {mean}", key="init.mean")
-    if mass <= 0.0:
-        raise ConfigError(f"mass must be positive, got {mass}")
+    check_initial_data(grid.x_min, grid.x_max, mass, size=None, mean=mean)
     scale = mass / mean**2
     lo = grid.edges[:-1]
     state = State(scale * mean * np.exp(-lo / mean) * -np.expm1(-grid.widths() / mean))
     raw = moment(grid, state, 1.0)
     if raw <= 0.0:
-        raise ConfigError("initial density carries no mass on the grid")
+        raise DomainError("initial density carries no mass on the grid", param="mean")
     state.contents *= mass / raw
     return state
 
@@ -161,21 +171,22 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     on any other grid the step density is integrated exactly, as the sum of
     density times overlap length over the bins each cell meets, in
     O(cells + rows).  A table that puts no mass on the grid is refused, with
-    or without ``mass``.
+    or without ``mass``.  Refusals of the table itself name ``path``.
     """
+    check_initial_data(grid.x_min, grid.x_max, mass, size=None, mean=None)
     sizes = np.asarray(sizes, dtype=float)
     densities = np.asarray(densities, dtype=float)
     if sizes.ndim != 1 or sizes.shape != densities.shape or sizes.size < 1:
-        raise ConfigError("table must be two equal-length columns (size, density)")
+        raise DomainError("table must be two equal-length columns (size, density)", param="path")
     if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(densities))):
-        raise ConfigError("table sizes and densities must be finite", key="init.path")
+        raise DomainError("table sizes and densities must be finite", param="path")
     lo, hi = SIZE_RANGE
     if np.any(sizes < lo) or np.any(sizes > hi):
-        raise ConfigError(f"table sizes must lie in [{lo}, {hi}]", key="init.path")
+        raise DomainError(f"table sizes must lie in [{lo}, {hi}]", param="path")
     if np.any(np.diff(sizes) <= 0.0):
-        raise ConfigError("table sizes must be strictly increasing")
+        raise DomainError("table sizes must be strictly increasing", param="path")
     if np.any(densities < 0.0):
-        raise ConfigError("table densities must be non-negative")
+        raise DomainError("table densities must be non-negative", param="path")
 
     # bin k is [bounds[k], bounds[k+1])
     if sizes.size == 1:
@@ -199,7 +210,7 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     state = State(contents)
     raw = moment(grid, state, 1.0)
     if raw <= 0.0:
-        raise ConfigError("table carries no mass on the grid", key="init.path")
+        raise DomainError("table carries no mass on the grid", param="path")
     if mass is not None:
         state.contents *= mass / raw
     return state

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daughter import DaughterLaw, partial_moment, upsilon_power
+from .daughter import DaughterLaw, leak_ratio, power_sum_change
 from .grid import SizeGrid, State, weight_vector
 from .kernel import KernelSpec, kernel_factors
 
 __all__ = [
     "RhsWorkspace",
     "precompute",
-    "rhs",
     "rhs_arrays",
     "weak_form_residual",
     "subgrid_moment_flux",
@@ -133,11 +132,6 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust
 
 
-def rhs(workspace: RhsWorkspace, state: State):
-    """Time derivative of a State; see ``rhs_arrays``."""
-    return rhs_arrays(workspace, state.contents)
-
-
 def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float:
     """Gap between the scheme's k-th moment production and the continuum form.
 
@@ -149,10 +143,10 @@ def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float
     minus the dust production exactly.  Requires k > |nu| - 1.
     """
     reps_k = workspace.grid.reps**k
-    d_contents, _ = rhs(workspace, state)
+    d_contents, _ = rhs_arrays(workspace, state.contents)
     produced = float(np.sum(reps_k * d_contents))
-    # (1/2) sum_{j,l} (r_j^k + r_l^k) R_{jl} = sum_j r_j^k w_j by symmetry.
-    coeff = upsilon_power(workspace.law, k, 1.0, 1.0) / 2.0
+    # (1/2) sum_{j,l} Upsilon_k(r_j, r_l) R_{jl} = coeff sum_j r_j^k w_j by symmetry.
+    coeff = power_sum_change(workspace.law, k)
     continuum = coeff * float(np.sum(reps_k * _event_mass(workspace, state.contents)))
     return produced - continuum
 
@@ -160,10 +154,9 @@ def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float
 def subgrid_moment_flux(workspace: RhsWorkspace, state: State, k: float) -> float:
     """Rate at which k-th moment is deposited below the smallest cell.
 
-    Exact per-event closed form summed over all collision pairs; finite
-    for k > |nu| - 1.
+    Whatever the parent, the fragments below x_min carry ``leak_ratio`` of
+    k-th moment per unit of their mass, so the flux is that ratio times the
+    dust rate.  Finite for k > |nu| - 1.
     """
-    grid, p = workspace.grid, workspace.parent_factor
-    # Per breakup, the k-th moment falling below e_0 scales with the parent as p_j.
-    first = partial_moment(workspace.law, k, grid.reps[0], 0.0, grid.edges[0])
-    return float(np.sum(first * p / p[0] * _event_mass(workspace, state.contents)))
+    _, d_dust = rhs_arrays(workspace, state.contents)
+    return leak_ratio(workspace.law, k, workspace.grid.x_min) * d_dust

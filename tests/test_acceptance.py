@@ -90,7 +90,7 @@ def test_a1_mass_budget(a1_run):
     workspace = cb.precompute(run.grid, run.kernel, run.law)
     worst_identity = 0.0
     for state in run.states:
-        dc, dd = cb.rhs(workspace, state)
+        dc, dd = cb.rhs_arrays(workspace, state.contents)
         scale = float(np.sum(run.grid.reps * np.abs(dc)))
         if scale > 0.0:
             gap = abs(float(np.sum(run.grid.reps * dc)) + dd) / scale
@@ -289,8 +289,8 @@ def test_a9_determinism(tmp_path, capsys):
     grid = cb.build_grid(1e-3, 10.0, 200)
     workspace = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
     state = cb.exponential_state(grid, 1.0, 1.0)
-    dc1, dd1 = cb.rhs(workspace, state)
-    dc2, dd2 = cb.rhs(workspace, state)
+    dc1, dd1 = cb.rhs_arrays(workspace, state.contents)
+    dc2, dd2 = cb.rhs_arrays(workspace, state.contents)
     repeated = bool(np.array_equal(dc1, dc2) and dd1 == dd2)
 
     exec(RHS_DIGEST, {})

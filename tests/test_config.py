@@ -87,6 +87,10 @@ def test_k0_violation_cites_hypothesis():
         ("picard.max_iter = 0\n", "picard.max_iter", 1),
         ("\npicard.tol = 0\n", "picard.tol", 2),
         ("picard.tol = -1e-10\n", "picard.tol", 1),
+        ("init.mass = -1\n", "init.mass", 1),
+        ("init.mean = 1e-151\n", "init.mean", 1),
+        ("init.kind = monodisperse\ninit.size = 50\n", "init.size", 2),
+        ("daughter.nu = -1.5\ndaughter.k0 = 0.6\noutput.moments = 0.4\n", "output.moments", 3),
     ],
 )
 def test_range_violation_cites_key_and_line(text, key, line):
@@ -113,6 +117,13 @@ def test_moment_orders_validated_against_divergence_threshold():
     with pytest.raises(ConfigError) as info:
         cb.parse_config_text("daughter.nu = -1.5\ndaughter.k0 = 0.6\noutput.moments = 0.4,1\n")
     assert "k > |nu|-1" in str(info.value)
+
+
+def test_smallest_admitted_k0_is_a_valid_moment_order():
+    # k0 one ulp above |nu| - 1, where (k0 + nu) + 1 rounds to 0 but
+    # k0 + (nu + 1) does not: DaughterLaw admits it, so the default orders must
+    config = cb.parse_config_text("daughter.nu = -1.4375\ndaughter.k0 = 0.43750000000000006\n")
+    assert config.moment_orders[0] == config.law.k0
 
 
 def test_snapshot_count_and_list_forms():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import collbreak as cb
-from collbreak import ConfigError
+from collbreak import DomainError
 
 
 def test_geometric_spacing_example():
@@ -136,8 +136,9 @@ def test_table_state_matches_per_cell_loop(seed):
     densities[rng.integers(sizes.size)] = 1.0
     want = _table_contents_loop(grid, sizes, densities)
     if float(np.sum(grid.reps * want)) <= 0.0:
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError) as info:
             cb.table_state(grid, sizes, densities)
+        assert info.value.param == "path"
         return
     got = cb.table_state(grid, sizes, densities).contents
     assert np.array_equal(got == 0.0, want == 0.0)
@@ -146,18 +147,35 @@ def test_table_state_matches_per_cell_loop(seed):
 
 def test_table_state_rejects_bad_input():
     grid = cb.build_grid(0.1, 10.0, 8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError) as info:
         cb.table_state(grid, [1.0, 0.5], [1.0, 1.0])  # not increasing
-    with pytest.raises(ConfigError):
+    assert info.value.param == "path"
+    with pytest.raises(DomainError) as info:
         cb.table_state(grid, [1.0, 2.0], [1.0, -1.0])  # negative density
+    assert info.value.param == "path"
     for sizes in ([0.0, 1.0], [1.0, 1e151], [1e-151, 1.0]):  # outside SIZE_RANGE
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(DomainError) as info:
             cb.table_state(grid, sizes, [1.0, 1.0])
-        assert info.value.key == "init.path"
+        assert info.value.param == "path"
     for mass in (None, 1.0):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(DomainError) as info:
             cb.table_state(grid, [20.0, 40.0], [1.0, 1.0], mass=mass)  # all above x_max
-        assert info.value.key == "init.path"
+        assert info.value.param == "path"
+
+
+def test_state_builders_refuse_non_positive_mass():
+    # one mass rule for every builder: a table's explicit mass included, and
+    # a monodisperse mass of 0
+    grid = cb.build_grid(0.1, 10.0, 8)
+    builds = (
+        lambda: cb.table_state(grid, [0.5, 1.0, 2.0], [1.0, 1.0, 1.0], mass=-1.0),
+        lambda: cb.monodisperse_state(grid, 1.0, 0.0),
+        lambda: cb.exponential_state(grid, 0.0, 1.0),
+    )
+    for build in builds:
+        with pytest.raises(DomainError) as info:
+            build()
+        assert info.value.param == "mass"
 
 
 def test_weight_vector_crossover():

@@ -326,6 +326,8 @@ def test_cli_shatter_study_output(tmp_path, capsys):
         pytest.param("1.0,nan\n2.0,1.0\n", "must be finite", id="nan-density"),
         pytest.param("inf,1.0\n", "must be finite", id="inf-size"),
         pytest.param("0.5,1.0\n1.0,-inf\n", "must be finite", id="minus-inf-density"),
+        pytest.param("1.0,1.0\n0.5,1.0\n", "strictly increasing", id="decreasing-size"),
+        pytest.param("0.5,1.0\n1.0,-2.0\n", "non-negative", id="negative-density"),
     ],
 )
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
@@ -401,8 +403,12 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
         assert payload["existence"]["c1_table"][-1]["C1"] == "inf"
     else:
-        # the exit-2 message is all of stderr: no numpy warning before it
-        assert out == "" and err.startswith(f"configuration error: {key}: ")
+        # the exit-2 message is all of stderr: no numpy warning before it;
+        # the mean is refused at parse time, under its line, and the
+        # overflowing moment once the state is built
+        last_line = text.count("\n")
+        cited = f"line {last_line}: {key}" if key == "init.mean" else key
+        assert out == "" and err.startswith(f"configuration error: {cited}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
 

@@ -89,7 +89,7 @@ def test_precompute_is_linear_in_cells():
     arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
     assert all(v.shape == (n,) for v in arrays)
     assert sum(v.nbytes for v in arrays) < 10e6
-    dc, dd = cb.rhs(ws, State(np.random.default_rng(5).uniform(size=n)))
+    dc, dd = cb.rhs_arrays(ws, np.random.default_rng(5).uniform(size=n))
     assert np.all(np.isfinite(dc)) and np.isfinite(dd) and dd > 0.0
     budget = float(np.sum(grid.reps * dc)) + dd
     assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(dc)))
@@ -120,7 +120,7 @@ def test_uniform_law_top_cell_dust_fraction():
 def test_rhs_zero_state():
     grid = cb.build_grid(0.1, 10.0, 12)
     ws = cb.precompute(grid, KernelSpec(0.5, 0.5), DaughterLaw(-1.0, 0.5))
-    dc, dd = cb.rhs(ws, State(np.zeros(12)))
+    dc, dd = cb.rhs_arrays(ws, np.zeros(12))
     assert np.all(dc == 0.0)
     assert dd == 0.0
 
@@ -132,7 +132,7 @@ def test_single_occupied_cell_hand_assembly():
     ws = cb.precompute(grid, kernel, law)
     c1 = 0.7
     state = State(np.array([0.0, c1]))
-    dc, dd = cb.rhs(ws, state)
+    dc, dd = cb.rhs_arrays(ws, state.contents)
 
     phi = cb.eval_kernel(kernel, grid.reps[1], grid.reps[1])
     rate = phi * c1 * c1  # R_{11}
@@ -150,7 +150,7 @@ def test_mass_budget_identity_random_states():
     rng = np.random.default_rng(17)
     for _ in range(30):
         state = State(rng.uniform(0.0, 2.0, size=80))
-        dc, dd = cb.rhs(ws, state)
+        dc, dd = cb.rhs_arrays(ws, state.contents)
         budget = float(np.sum(grid.reps * dc)) + dd
         assert abs(budget) <= 1e-12 * float(np.sum(grid.reps * np.abs(dc)))
         assert dd >= 0.0
@@ -164,7 +164,7 @@ def test_gain_only_at_vacuum():
         contents = rng.uniform(0.0, 1.0, size=40)
         contents[rng.integers(0, 40)] = 0.0
         state = State(contents)
-        dc, _ = cb.rhs(ws, state)
+        dc, _ = cb.rhs_arrays(ws, state.contents)
         assert np.all(dc[contents == 0.0] >= 0.0)
 
 
@@ -177,8 +177,8 @@ def test_repeated_calls_bitwise_identical():
     grid = cb.build_grid(1e-3, 10.0, 64)
     ws = cb.precompute(grid, KernelSpec(0.3, 0.8), DaughterLaw(-1.3, 0.7))
     state = State(np.random.default_rng(8).uniform(size=64))
-    dc1, dd1 = cb.rhs(ws, state)
-    dc2, dd2 = cb.rhs(ws, state)
+    dc1, dd1 = cb.rhs_arrays(ws, state.contents)
+    dc2, dd2 = cb.rhs_arrays(ws, state.contents)
     assert np.array_equal(dc1, dc2) and dd1 == dd2
 
 
@@ -186,7 +186,7 @@ def test_weak_form_residual_k1_is_minus_dust_production():
     grid = cb.build_grid(1e-3, 10.0, 64)
     ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
     state = cb.exponential_state(grid, 1.0, 1.0)
-    _, dd = cb.rhs(ws, state)
+    _, dd = cb.rhs_arrays(ws, state.contents)
     assert cb.weak_form_residual(ws, state, 1.0) == pytest.approx(-dd, rel=1e-12)
 
 
@@ -263,7 +263,7 @@ def test_dust_scaling_with_x_min():
         grid = cb.build_grid(x_min, 2.0, n)
         ws = cb.precompute(grid, kernel, law)
         state = cb.monodisperse_state(grid, 1.0, 1.0)
-        _, dd = cb.rhs(ws, state)
+        _, dd = cb.rhs_arrays(ws, state.contents)
         rates.append(dd)
         x_mins.append(x_min)
     observed = np.log(rates[0] / rates[1]) / np.log(x_mins[0] / x_mins[1])
