@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate a configuration and emit CSV/manifest")
+    p = sub.add_parser("simulate", help="integrate a configuration and emit a run directory")
     p.add_argument("config")
     p.add_argument("--out", help="output directory (overrides output.dir)")
     p.set_defaults(func=_cmd_simulate)

@@ -153,12 +153,8 @@ class SimConfig:
         return out
 
     def to_text(self) -> str:
-        lines = []
-        for key, value in self.resolved().items():
-            if isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
+        # str of a float is its shortest round-trip repr
+        return "".join(f"{key} = {value}\n" for key, value in self.resolved().items())
 
 
 def _finite_float(token: str) -> float:
@@ -225,11 +221,7 @@ def _snapshot_times(raw: str, t_end: float, line) -> tuple:
         times.insert(0, 0.0)
     if times[-1] < t_end:
         times.append(t_end)
-    deduped = [times[0]]
-    for t in times[1:]:
-        if t > deduped[-1]:
-            deduped.append(t)
-    return tuple(float(t) for t in deduped)
+    return tuple(sorted({float(t) for t in times}))
 
 
 def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = None) -> SimConfig:

@@ -191,11 +191,9 @@ def tail_monotonicity_check(run: RunOutput, k: float):
     """
     grid = run.grid
     reps_k = grid.reps**k
-    tails = np.empty((len(run.states), grid.n_cells + 1))
+    tails = np.zeros((len(run.states), grid.n_cells + 1))
     for row, state in enumerate(run.states):
-        suffix = np.cumsum((reps_k * state.contents)[::-1])[::-1]
-        tails[row, : grid.n_cells] = suffix
-        tails[row, grid.n_cells] = 0.0
+        tails[row, :-1] = np.cumsum((reps_k * state.contents)[::-1])[::-1]
     allowance = _TAIL_TOL * run.rho * grid.edges ** (k - 1.0)
     excess = (tails - tails[0]) / allowance
     worst = float(np.max(excess))

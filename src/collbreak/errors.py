@@ -41,16 +41,17 @@ class ConfigError(CollbreakError, ValueError):
 
 
 class StiffnessError(CollbreakError):
-    """Adaptive time step collapsed below its floor.
+    """Adaptive time step collapsed at ``time``: ``reason`` says why ``dt`` failed.
 
     Signals blow-up-like behaviour of the right-hand side; expected when a
     run is driven into the shattering regime.
     """
 
-    def __init__(self, time, dt):
-        super().__init__(f"time step underflow at t={time:.6g} (dt={dt:.3e})")
+    def __init__(self, time, dt, reason):
+        super().__init__(f"time step collapse at t={time:.6g} (dt={dt:.3e}): {reason}")
         self.time = time
         self.dt = dt
+        self.reason = reason
 
 
 class ContractionError(CollbreakError):

@@ -101,8 +101,8 @@ def step(
     land below -1e-14 times the state scale; accepted round-off negatives
     are clipped to zero with the created mass tracked in ``clip_mass``.  A
     trial stage that overflows is a rejected attempt, and no floating-point
-    warning escapes; a rejection whose error estimate is NaN or infinite, or
-    whose halved step no longer moves the time, raises ``StiffnessError``.
+    warning escapes; a rejected dt whose error estimate is NaN or infinite,
+    or whose half would not move the time, raises ``StiffnessError``.
 
     Returns (new_state, dt_used, dt_next, next_rates).  ``next_rates`` is the
     seventh stage k7 = f(y_new), which is the right-hand side at the new
@@ -126,7 +126,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if tol.dt_floor > 0.0 and dt < tol.dt_floor:
-                raise StiffnessError(state.time, dt)
+                raise StiffnessError(state.time, dt, f"dt below dt_floor={tol.dt_floor:.3e}")
             for row in _STAGES:
                 _increment(row, ks, dt, trial, term)
                 trial += c
@@ -146,9 +146,11 @@ def step(
             if est <= tol_value and low >= -neg_floor:
                 break
             del ks[1:], ds[1:]
+            if not math.isfinite(est):
+                raise StiffnessError(state.time, dt, "non-finite error estimate")
+            if state.time + dt / 2.0 == state.time:
+                raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
             dt /= 2.0
-            if not math.isfinite(est) or state.time + dt == state.time:
-                raise StiffnessError(state.time, dt)
 
     if est > 0.0:
         factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))

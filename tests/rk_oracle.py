@@ -71,7 +71,7 @@ def oracle_step(workspace, state, dt_target, tol):
     dt = float(dt_target)
     while True:
         if tol.dt_floor > 0.0 and dt < tol.dt_floor:
-            raise StiffnessError(state.time, dt)
+            raise StiffnessError(state.time, dt, "dt below dt_floor")
         ks = [_f(workspace, y)]
         for row in STAGES:
             ks.append(_f(workspace, _combine(row, ks, dt) + y))

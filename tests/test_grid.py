@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -87,6 +89,17 @@ def test_exponential_state_normalised():
     grid = cb.build_grid(1e-4, 10.0, 128)
     state = cb.exponential_state(grid, 1.0, 1.0)
     assert cb.moment(grid, state, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mean", [1.0, 0.5])
+def test_exponential_state_refuses_an_overflowing_mass_without_warning(mean):
+    # at mean 1 the M_1 sum overflows; at mean 0.5 already mass / mean^2
+    grid = cb.build_grid(1e-4, 10.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            cb.exponential_state(grid, 1.7976931348623157e308, mean)
+    assert info.value.param == "mass"
 
 
 def test_table_state_round_trips_grid_contents():

@@ -79,8 +79,11 @@ def test_tolerances_refuse_bad_values(fields, param):
 def test_stiffness_error_on_dt_floor(small_problem):
     ws, s0 = small_problem
     tol = Tolerances(rel_tol=1e-30, abs_tol=0.0, dt_floor=1e-3)
-    with pytest.raises(StiffnessError):
+    with pytest.raises(StiffnessError) as info:
         cb.step(ws, s0, 0.01, tol)
+    # 0.01, 0.005, 0.0025 and 0.00125 are rejected; 0.000625 is below the floor
+    assert info.value.dt == 0.000625
+    assert info.value.reason == "dt below dt_floor=1.000e-03"
 
 
 def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
@@ -97,9 +100,10 @@ def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
         return real(workspace, contents)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
-    with pytest.raises(StiffnessError):
+    with pytest.raises(StiffnessError) as info:
         cb.step(ws, bad, 0.1, Tolerances())
     assert len(calls) == 7
+    assert (info.value.dt, info.value.reason) == (0.1, "non-finite error estimate")
 
 
 def test_step_overflowing_stage_raises_without_warning(small_problem, monkeypatch):
@@ -119,9 +123,32 @@ def test_step_overflowing_stage_raises_without_warning(small_problem, monkeypatc
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StiffnessError):
+        with pytest.raises(StiffnessError) as info:
             cb.step(ws, big, 1e-140, Tolerances())
     assert len(calls) == 7
+    assert (info.value.dt, info.value.reason) == (1e-140, "non-finite error estimate")
+
+
+def test_a5_past_the_explicit_limit_reports_why_the_step_collapsed():
+    # at x_min = 1e-30 the first attempt, at the start-up dt of 1e-4 times
+    # the horizon, already has a non-finite error estimate; the error names
+    # that reason and the dt that was tried, not the halved one
+    config = cb.with_x_min(cb.parse_config_text(A5_CONFIG), 1e-30)
+    with pytest.raises(StiffnessError) as info:
+        cb.run(config)
+    assert (info.value.time, info.value.dt) == (0.0, 1e-4 * config.t_end)
+    assert info.value.reason == "non-finite error estimate"
+    assert str(info.value) == "time step collapse at t=0 (dt=5.000e-05): non-finite error estimate"
+
+
+def test_step_reports_the_dt_that_no_longer_moves_the_time(small_problem):
+    ws, s0 = small_problem
+    # at t = 1e20 no step below 8192 moves the time; the rejected attempt
+    # is reported, not its half
+    late = State(s0.contents, time=1e20)
+    with pytest.raises(StiffnessError) as info:
+        cb.step(ws, late, 1e-3, Tolerances(rel_tol=1e-30, abs_tol=0.0))
+    assert (info.value.dt, info.value.reason) == (1e-3, "halving dt no longer moves the time")
 
 
 @functools.cache

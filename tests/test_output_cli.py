@@ -3,6 +3,7 @@ import hashlib
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import collbreak as cb
 from collbreak.cli import main
 from collbreak.output import _content_hash
+import test_acceptance
+from conftest import run_in_fresh_process
 
 BASE_CONFIG = """
 kernel.lambda1 = 0.6
@@ -41,19 +44,24 @@ def emitted_run(tmp_path_factory):
 
 def test_emit_files_exist_with_headers(emitted_run):
     _, run, manifest, out_dir = emitted_run
-    assert sorted(p.name for p in out_dir.iterdir()) == ["contents.csv", "manifest.json", "moments.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["contents.npy", "manifest.json", "moments.csv"]
     moments = (out_dir / "moments.csv").read_text().splitlines()
     assert moments[0] == "t,M_0.5,M_1.0,M_1.5,dust_mass,clip_mass"
     assert len(moments) == 1 + len(run.times)
-    # one headerless row of contents per snapshot, in moments.csv row order
-    rows = (out_dir / "contents.csv").read_text().splitlines()
-    assert len(rows) == len(run.times)
-    for row, state in zip(rows, run.states):
-        assert row == ",".join(repr(c) for c in state.contents.tolist())
+    # one row of contents per snapshot, in moments.csv row order, under a
+    # version 1.0 header
+    raw = (out_dir / "contents.npy").read_bytes()
+    assert raw[:8] == b"\x93NUMPY\x01\x00"
+    contents = np.load(out_dir / "contents.npy")
+    assert contents.dtype == np.dtype("<f8") and contents.flags.c_contiguous
+    assert contents.shape == (len(run.times), run.grid.n_cells)
+    for row, state in zip(contents, run.states):
+        assert row.tobytes() == state.contents.tobytes()
+    assert raw.endswith(b"".join(state.contents.tobytes() for state in run.states))
     payload = json.loads((out_dir / "manifest.json").read_text())
     assert payload == manifest
-    assert payload["format"] == 2
-    assert sorted(payload["files"]) == ["contents.csv", "moments.csv"]
+    assert payload["format"] == 3
+    assert sorted(payload["files"]) == ["contents.npy", "moments.csv"]
     assert "snapshots" not in payload
     assert payload["bounds"]["regime"] == "GlobalExistence"
 
@@ -61,14 +69,28 @@ def test_emit_files_exist_with_headers(emitted_run):
 def test_emit_load_round_trip(emitted_run):
     _, run, _, out_dir = emitted_run
     loaded = cb.load_run(out_dir)
-    assert np.array_equal(loaded.times, run.times)
-    assert len(loaded.states) == len(run.states)
-    for a, b in zip(loaded.states, run.states):
-        assert np.array_equal(a.contents, b.contents)
-        assert (a.time, a.dust_mass, a.clip_mass) == (b.time, b.dust_mass, b.clip_mass)
+    _assert_same_snapshots(loaded, run)
     assert loaded.grid == run.grid
     assert loaded.kernel == run.kernel
     assert loaded.law == run.law
+
+
+def _assert_same_snapshots(loaded, run):
+    """Times, contents, dust and clipped mass equal bit for bit."""
+    assert loaded.times.tobytes() == run.times.tobytes()
+    assert len(loaded.states) == len(run.states)
+    for a, b in zip(loaded.states, run.states):
+        assert a.contents.tobytes() == b.contents.tobytes()
+        assert (a.time, a.dust_mass, a.clip_mass) == (b.time, b.dust_mass, b.clip_mass)
+
+
+@pytest.mark.parametrize("name", ["A1_CONFIG", "A5_CONFIG", "A8_CONFIG"])
+def test_acceptance_runs_load_back_bitwise(tmp_path, name):
+    run = cb.run(cb.parse_config_text(getattr(test_acceptance, name)))
+    cb.emit_outputs(run, tmp_path)
+    loaded = cb.load_run(tmp_path)
+    _assert_same_snapshots(loaded, run)
+    assert not loaded.states[-1].contents.flags.writeable  # a view of the file's bytes
 
 
 def test_identical_runs_identical_hashes(emitted_run, tmp_path):
@@ -94,14 +116,17 @@ def test_table_init_round_trips_moments(emitted_run, tmp_path):
 
 
 def test_wide_self_restart_builds_fast(tmp_path):
-    # table_state is O(cells + rows): a 1e4-cell run restarts from its own
-    # run directory, one table row per cell, in well under 0.1 s of set-up
+    # table_state is O(cells + rows) and load_run parses no snapshot: a
+    # 1e4-cell run of 41 snapshots restarts from its own run directory, one
+    # table row per cell, in well under 0.1 s of set-up
     text = BASE_CONFIG.replace("grid.n_cells = 48", "grid.n_cells = 10000")
-    text = text.replace("time.t_end = 0.2\ntime.snapshots = 3", "time.t_end = 0")
+    text = text.replace("time.t_end = 0.2\ntime.snapshots = 3", "time.t_end = 0.01\ntime.snapshots = 41")
     config = cb.parse_config_text(text)
     run = cb.run(config)
+    assert len(run.states) == 41
     cb.emit_outputs(run, tmp_path / "run")
-    restart = dataclasses.replace(config, init_kind="table", init_path=str(tmp_path / "run"))
+    # no init.mass: the restart keeps the mass the run left on the grid
+    restart = dataclasses.replace(config, init_kind="table", init_path=str(tmp_path / "run"), init_mass=None)
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -110,7 +135,7 @@ def test_wide_self_restart_builds_fast(tmp_path):
     assert min(times) < 0.1
     original = run.states[-1].contents
     assert np.max(np.abs(state.contents - original)) <= 1e-13 * np.max(original)
-    assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(cb.moment(run.grid, run.states[-1], 1.0), rel=1e-12)
 
 
 def test_emit_refuses_run_without_config(emitted_run, tmp_path):
@@ -126,7 +151,7 @@ def test_zero_horizon_emits_single_snapshot(tmp_path):
     run = cb.run(config)
     cb.emit_outputs(run, tmp_path)
     assert (tmp_path / "moments.csv").read_text().count("\n") == 2
-    assert (tmp_path / "contents.csv").read_text().count("\n") == 1
+    assert np.load(tmp_path / "contents.npy").shape == (1, 8)
     assert len(cb.load_run(tmp_path).states) == 1
 
 
@@ -171,21 +196,19 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     # inflate the final snapshot contents: mass budget must break
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    contents = tmp_path / "out" / "contents.csv"
-    rows = contents.read_text().splitlines()
-    rows[-1] = ",".join(repr(float(cell) * 3.0) for cell in rows[-1].split(","))
-    contents.write_text("\n".join(rows) + "\n")
+    contents = tmp_path / "out" / "contents.npy"
+    rows = np.load(contents)
+    rows[-1] *= 3.0
+    np.save(contents, rows)
     # re-sign the doctored file and the manifest so they pass the load-time
     # integrity checks and reach the verification battery
-    manifest["files"]["contents.csv"] = hashlib.sha256(contents.read_bytes()).hexdigest()
-    manifest["content_hash"] = _content_hash(manifest)
-    (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
+    _resign(tmp_path / "out", manifest)
     assert main(["verify", out_dir]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(not check["passed"] for check in payload["checks"])
 
 
-@pytest.mark.parametrize("name", ["moments.csv", "contents.csv"])
+@pytest.mark.parametrize("name", ["moments.csv", "contents.npy"])
 def test_cli_verify_rejects_truncated_file(tmp_path, capsys, name):
     cfg = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
@@ -376,14 +399,104 @@ def test_load_run_refuses_edited_config_echo(tmp_path, capsys, key, value):
         cb.load_run(out)
 
 
+@pytest.mark.parametrize("field, value", [("config", ["x"]), ("config", {}), ("files", ["x"]), ("files", None)])
+def test_load_run_refuses_a_signed_manifest_without_echo_or_digests(tmp_path, capsys, field, value):
+    # a manifest whose content_hash matches but whose echo or digests are
+    # not a mapping is refused, not a traceback
+    out, manifest = _simulated(tmp_path, capsys)
+    manifest[field] = value
+    manifest["content_hash"] = _content_hash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", str(out)]) == 2
+    assert "carries no configuration echo or no file digests" in capsys.readouterr().err
+
+
+def _format_2(out, manifest):
+    """Rewrite a run directory as format 2 wrote it: its contents as repr text rows."""
+    rows = np.load(out / "contents.npy")
+    (out / "contents.npy").unlink()
+    text = "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows).encode()
+    (out / "contents.csv").write_bytes(text)
+    files = {"moments.csv": manifest["files"]["moments.csv"], "contents.csv": hashlib.sha256(text).hexdigest()}
+    return dict(manifest, format=2, files=files)
+
+
 def test_load_run_refuses_other_formats(tmp_path, capsys):
     out, manifest = _simulated(tmp_path, capsys)
-    del manifest["format"]  # as in the per-snapshot layout, which had no field
+    unversioned = dict(manifest)
+    del unversioned["format"]  # as in the per-snapshot layout, which had no field
+    for old in (unversioned, _format_2(out, manifest)):
+        old["content_hash"] = _content_hash(old)
+        for text in (json.dumps(old), "[]"):
+            (out / "manifest.json").write_text(text)
+            assert main(["verify", str(out)]) == 2
+            assert "is not a format-3 run manifest; re-run simulate" in capsys.readouterr().err
+            with pytest.raises(cb.InputError):
+                cb.load_run(out)
+
+
+def _resign(out, manifest, name="contents.npy"):
+    """Sign the file ``name`` now in ``out`` in its manifest, as emit_outputs would."""
+    manifest["files"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     manifest["content_hash"] = _content_hash(manifest)
-    for text in (json.dumps(manifest), "[]"):
-        (out / "manifest.json").write_text(text)
-        assert main(["verify", str(out)]) == 2
-        assert "is not a format-2 run manifest" in capsys.readouterr().err
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "doctor",
+    [
+        pytest.param(lambda rows: rows.astype("<f4"), id="float32"),
+        pytest.param(lambda rows: rows.astype(">f8"), id="big-endian"),
+        pytest.param(lambda rows: rows.view("<i8"), id="int64"),
+        pytest.param(lambda rows: rows[:-1], id="row-missing"),
+        pytest.param(lambda rows: rows[:, :-1], id="cell-missing"),
+        pytest.param(lambda rows: rows.T, id="transposed"),
+        pytest.param(lambda rows: np.asfortranarray(rows), id="fortran-order"),
+        pytest.param(lambda rows: rows.ravel(), id="flat"),
+    ],
+)
+def test_load_run_refuses_resigned_contents_of_another_shape_or_dtype(tmp_path, capsys, doctor):
+    # a matching SHA-256 only says the file is the one signed; the header
+    # must still describe <f8 snapshots on the manifest's grid
+    out, manifest = _simulated(tmp_path, capsys)
+    np.save(out / "contents.npy", doctor(np.load(out / "contents.npy")))
+    _resign(out, manifest)
+    assert main(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "holds malformed run files: contents.npy header" in captured.err
+    with pytest.raises(cb.InputError):
+        cb.load_run(out)
+
+
+def test_load_run_refuses_resigned_moments_that_are_not_text(tmp_path, capsys):
+    out, manifest = _simulated(tmp_path, capsys)
+    (out / "moments.csv").write_bytes(b"\xff\xfe" + (out / "moments.csv").read_bytes())
+    _resign(out, manifest, "moments.csv")
+    assert main(["verify", str(out)]) == 2
+    assert "holds malformed run files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doctor",
+    [
+        pytest.param(lambda data: data + b"\0" * 8, id="trailing-row-bytes"),
+        pytest.param(lambda data: data[:-8], id="short-payload"),
+        pytest.param(lambda data: data[:-3], id="ragged-payload"),
+        pytest.param(lambda data: data[:20], id="cut-header"),
+        pytest.param(lambda data: b"\x93NUMPY\x02\x00" + data[8:], id="version-2"),
+        pytest.param(lambda data: b"not an npy file", id="no-magic"),
+    ],
+)
+def test_load_run_refuses_resigned_contents_of_another_length(tmp_path, capsys, doctor):
+    out, manifest = _simulated(tmp_path, capsys)
+    path = out / "contents.npy"
+    path.write_bytes(doctor(path.read_bytes()))
+    _resign(out, manifest)
+    assert main(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "holds malformed run files" in captured.err
+    with pytest.raises(cb.InputError):
+        cb.load_run(out)
 
 
 @pytest.mark.parametrize(
@@ -412,20 +525,35 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_cli_refuses_near_maximal_exponential_mass(tmp_path, capsys, command):
+    # the grid's M_1 sum overflows: refused under init.mass, no numpy warning
+    cfg = _write(tmp_path, "grid.n_cells = 16\ninit.kind = exponential\ninit.mass = 1.7976931348623157e308\n")
+    out = tmp_path / "out"
+    argv = [command, cfg, "--out", str(out)] if command == "simulate" else [command, cfg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "configuration error: init.mass: the grid mass M_1 overflows double precision\n")
+    assert not out.exists()
+
+
 def test_restart_refuses_tampered_run(tmp_path, capsys):
     out, _ = _simulated(tmp_path, capsys)
-    contents = out / "contents.csv"
-    contents.write_bytes(contents.read_bytes().replace(b"e-", b"e-1", 1))
+    contents = out / "contents.npy"
+    data = bytearray(contents.read_bytes())
+    data[-1] ^= 1  # one bit of the last cell of the last snapshot
+    contents.write_bytes(bytes(data))
     text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
     cfg = _write(tmp_path, text + f"init.path = {out}\n", name="restart.cfg")
     assert main(["bounds", cfg]) == 2
-    assert "init.path: contents.csv does not match its SHA-256" in capsys.readouterr().err
+    assert "init.path: contents.npy does not match its SHA-256" in capsys.readouterr().err
 
 
 # a run on a small grid whose snapshots after the first (the configured
 # initial data, which the manifest's bounds are computed from) are arbitrary
-# non-negative floats: the layout must carry each through repr and back,
-# subnormals included
+# non-negative floats: the layout must carry each through and back bit for
+# bit, subnormals included
 _cells = st.floats(min_value=0.0, max_value=1e6)
 
 
@@ -461,10 +589,21 @@ def test_emit_load_emit_is_byte_identical(run):
         manifest = cb.emit_outputs(run, first)
         loaded = cb.load_run(first)
         assert cb.emit_outputs(loaded, second) == manifest
-        for name in ("manifest.json", "moments.csv", "contents.csv"):
+        for name in ("manifest.json", "moments.csv", "contents.npy"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
-    assert np.array_equal(loaded.times, run.times)
-    assert len(loaded.states) == len(run.states)
-    for a, b in zip(loaded.states, run.states):
-        assert np.array_equal(a.contents, b.contents)
-        assert (a.time, a.dust_mass, a.clip_mass) == (b.time, b.dust_mass, b.clip_mass)
+    _assert_same_snapshots(loaded, run)
+
+
+
+def test_run_directory_is_byte_identical_in_a_fresh_process(emitted_run, tmp_path):
+    # a new interpreter, with other BLAS/OpenMP thread settings, writes the
+    # same three files byte for byte
+    _, _, _, out_dir = emitted_run
+    child = tmp_path / "child"
+    run_in_fresh_process(
+        "import collbreak as cb\n"
+        f"cb.emit_outputs(cb.run(cb.parse_config_text({BASE_CONFIG!r})), {str(child)!r})\n"
+    )
+    assert sorted(p.name for p in child.iterdir()) == ["contents.npy", "manifest.json", "moments.csv"]
+    for name in ("contents.npy", "manifest.json", "moments.csv"):
+        assert (child / name).read_bytes() == (out_dir / name).read_bytes()
