@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .daughter import DaughterLaw, e_constant
+from .daughter import DaughterLaw, check_moment_order, e_constant
 from .errors import DomainError, InputError
 from .grid import SizeGrid, State, moment
 from .kernel import KernelSpec
@@ -328,7 +328,7 @@ def nonexistence_bound(
         # power (l1-k)/(1-k) of rho, however large, cancels before rounding
         log_moment = (e1v - (l1 - k)) / (1.0 - k) * log_rho
         log_moment += e1v / (1.0 - k) * math.log(moment_fn(k) / rho)
-        return _exp(math.log((k + nu + 1.0) / abs(e1v)) - log_min(k) + log_moment)
+        return _exp(math.log(check_moment_order(law, k) / abs(e1v)) - log_min(k) + log_moment)
 
     k_grid = lo + (1.0 - lo) * np.geomspace(1e-3, 0.999, _T1_GRID_SIZE)
     table = np.empty((k_grid.size, 4))

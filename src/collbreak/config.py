@@ -369,7 +369,7 @@ def build_problem(config: SimConfig):
     """Grid + workspace + initial state for a configuration.
 
     Refusals cite their key; initial data whose moments overflow double
-    precision is refused, key ``init.mass``.
+    precision is refused, key ``init.mass`` (``init.path`` if that is unset).
     """
     with _cited():
         grid = build_grid(config.x_min, config.x_max, config.n_cells)
@@ -381,7 +381,8 @@ def build_problem(config: SimConfig):
     with np.errstate(over="ignore"):
         total = workspace.error_weights @ state.contents
     if not math.isfinite(total):
-        raise ConfigError("initial data overflows double precision", key="init.mass")
+        key = "init.path" if config.init_mass is None else "init.mass"
+        raise ConfigError("initial data overflows double precision", key=key)
     return workspace, state
 
 

@@ -124,11 +124,11 @@ def e_constant(law: DaughterLaw, p: float) -> float:
     """Sharp constant E in  integral s^k0 beta*^p ds = E x^(k0+1-p).
 
     Equals (nu+2)^p / (k0 + p nu + 1) and is finite exactly for
-    p < (k0+1)/|nu|.
+    p < (k0+1)/|nu|, with k0 + (p nu + 1) grouped as in ``check_moment_order``.
     """
     if p < 1.0:
         raise DomainError(f"p={p} below 1")
-    denom = law.k0 + p * law.nu + 1.0
+    denom = law.k0 + (p * law.nu + 1.0)
     if denom <= 0.0:
         raise DivergentMomentError(
             f"E constant diverges for p={p} >= (k0+1)/|nu| = {law.p_max}"

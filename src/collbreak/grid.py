@@ -173,8 +173,8 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     grid the table was emitted from this reproduces the original contents;
     on any other grid the step density is integrated exactly, as the sum of
     density times overlap length over the bins each cell meets, in
-    O(cells + rows).  A table that puts no mass on the grid is refused, with
-    or without ``mass``.  Refusals of the table itself name ``path``.
+    O(cells + rows).  A table with no mass on the grid or an overflowing M_1
+    is refused, with or without ``mass``; refusals of the table name ``path``.
     """
     check_initial_data(grid.x_min, grid.x_max, mass, size=None, mean=None)
     sizes = np.asarray(sizes, dtype=float)
@@ -209,9 +209,11 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     row = np.cumsum(~from_grid)[:-1] - 1
     inside = (cell >= 0) & (cell < grid.n_cells) & (row >= 0) & (row < sizes.size)
     overlap = np.diff(points[order])[inside]
-    contents = np.bincount(cell[inside], densities[row[inside]] * overlap, grid.n_cells)
-    state = State(contents)
-    raw = moment(grid, state, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = State(np.bincount(cell[inside], densities[row[inside]] * overlap, grid.n_cells))
+        raw = moment(grid, state, 1.0)
+    if not np.isfinite(raw):
+        raise DomainError("table contents overflow double precision", param="path")
     if raw <= 0.0:
         raise DomainError("table carries no mass on the grid", param="path")
     if mass is not None:

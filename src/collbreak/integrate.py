@@ -17,6 +17,7 @@ __all__ = [
     "RunOutput",
     "PicardResult",
     "step",
+    "interpolate",
     "simulate",
     "run",
     "check_picard",
@@ -47,6 +48,18 @@ DP_B = DP_A[6] + (F(0),)
 DP_B_HAT = (
     F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)
 )
+# The pair's free fourth-order continuous extension (Shampine, Math. Comp. 46, 1986;
+# Hairer, Norsett & Wanner, Solving ODEs I, II.6): y(t0 + theta dt) = y0 + dt sum_i
+# b_i(theta) k_i with b_i(theta) = sum_m DP_P[i][m] theta^(m+1), so b_i(1) = DP_B[i].
+DP_P = (
+    (F(1), F(-8048581381, 2820520608), F(8663915743, 2820520608), F(-12715105075, 11282082432)),
+    (F(0), F(0), F(0), F(0)),
+    (F(0), F(131558114200, 32700410799), F(-68118460800, 10900136933), F(87487479700, 32700410799)),
+    (F(0), F(-1754552775, 470086768), F(14199869525, 1410260304), F(-10690763975, 1880347072)),
+    (F(0), F(127303824393, 49829197408), F(-318862633887, 49829197408), F(701980252875, 199316789632)),
+    (F(0), F(-282668133, 205662961), F(2019193451, 616988883), F(-1453857185, 822651844)),
+    (F(0), F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)),
+)
 
 
 def _pairs(coefficients):
@@ -57,6 +70,7 @@ def _pairs(coefficients):
 _STAGES = tuple(_pairs(row) for row in DP_A[1:6])  # inputs of stages 2 to 6
 _WEIGHTS = _pairs(DP_B)  # y_new, the input of stage 7
 _ERROR = _pairs(b - b_hat for b, b_hat in zip(DP_B, DP_B_HAT))
+_DENSE = tuple((i, tuple(float(p) for p in row)) for i, row in enumerate(DP_P) if any(row))
 
 
 @dataclass(frozen=True)
@@ -104,11 +118,11 @@ def step(
     warning escapes; a rejected dt whose error estimate is NaN or infinite,
     or whose half would not move the time, raises ``StiffnessError``.
 
-    Returns (new_state, dt_used, dt_next, next_rates).  ``next_rates`` is the
-    seventh stage k7 = f(y_new), which is the right-hand side at the new
-    state, or None when clipping changed y_new.  Handed back in, it makes an
-    accepted step cost six right-hand sides and each rejected attempt six
-    more.
+    Returns (new_state, dt_used, dt_next, next_rates, stages).  ``next_rates``
+    is the seventh stage k7 = f(y_new), the right-hand side at the new state,
+    or None when clipping changed y_new; handed back in, it makes an accepted
+    step cost six right-hand sides and each rejected attempt six more.
+    ``stages`` is the accepted attempt's seven contents and dust rates.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
@@ -137,6 +151,7 @@ def step(
             y_new += c
             k7, d7 = rhs_arrays(workspace, y_new)
             ks.append(k7)
+            ds.append(d7)
             # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
             err = _increment(_ERROR, ks, dt, trial, term)
             np.abs(err, out=err)
@@ -158,20 +173,44 @@ def step(
         factor = 5.0
     dt_next = dt * factor
 
-    clipped = 0.0
-    next_rates = (k7, d7)
-    if low < 0.0:
-        negative = y_new < 0.0
-        clipped = float((workspace.grid.reps[negative] * -y_new[negative]).sum())
-        y_new[negative] = 0.0
-        next_rates = None
+    clipped = _clip(workspace.grid, y_new) if low < 0.0 else 0.0
     new_state = State(
         contents=y_new,
         dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in _WEIGHTS),
         time=state.time + dt,
         clip_mass=state.clip_mass + clipped,
     )
-    return new_state, dt, dt_next, next_rates
+    return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds)
+
+
+def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float) -> State:
+    """The state at ``time`` inside the step of length ``dt`` that ``step`` took from ``state``.
+
+    Contents and dust take the same weights dt b_i(theta), theta = (time -
+    state.time) / dt, over the step's seven ``stages``, so M_1 + dust holds
+    as per right-hand side.  Negative contents are clipped as in ``step``,
+    into this state's ``clip_mass`` only.  Costs no right-hand side.
+    """
+    ks, ds = stages
+    theta = (time - state.time) / dt
+    # a list: tuples built by tuple(generator) stay on the interpreter free list
+    row = [(i, theta * (a + theta * (b + theta * (c + theta * d)))) for i, (a, b, c, d) in _DENSE]
+    contents = _increment(row, ks, dt, np.empty_like(state.contents), np.empty_like(state.contents))
+    contents += state.contents
+    return State(
+        contents=contents,
+        dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in row),
+        time=time,
+        clip_mass=state.clip_mass + _clip(workspace.grid, contents),
+    )
+
+
+def _clip(grid, contents) -> float:
+    """Zero the negative ``contents`` in place; returns the mass sum reps |c| so created."""
+    negative = contents < 0.0
+    clipped = float((grid.reps[negative] * -contents[negative]).sum())
+    contents[negative] = 0.0
+    return clipped
 
 
 def _increment(row, ks, dt, out, term):
@@ -223,10 +262,13 @@ def simulate(
     Snapshot times must be finite, strictly increasing and start at the
     initial state's time; non-finite times are refused with ``DomainError``
     before any right-hand side is evaluated.
-    Deterministic: the step sequence depends only on the inputs.  Each
-    Dormand-Prince step hands its ``next_rates`` to the next, so a run costs
-    one right-hand side to start, six per accepted step, six per rejected
-    attempt and one after each step that clipped.
+    Deterministic: the step sequence depends only on the initial state, the
+    first and last times and the tolerances, as only the last time clamps a
+    step; each interior snapshot is ``interpolate`` inside the step that
+    crosses it, at no right-hand side.  Each step hands its ``next_rates``
+    to the next, so a run costs one right-hand side to start, six per
+    accepted step, six per rejected attempt and one after each step but the
+    last that clipped, whatever the snapshot mesh.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -247,15 +289,19 @@ def simulate(
     snapshots = [state.copy()]
     dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
     rates = None
-    for target in times[1:]:
-        while state.time < target:
-            remaining = float(target) - state.time
-            clamp = remaining <= dt_next
-            dt_target = remaining if clamp else dt_next
-            state, dt_used, dt_next, rates = step(workspace, state, dt_target, tol, rates)
-            if clamp and dt_used == dt_target:
-                state.time = float(target)
-        snapshots.append(state.copy())
+    while state.time < t_end:
+        remaining = t_end - state.time
+        clamp = remaining <= dt_next
+        dt_target = remaining if clamp else dt_next
+        start = state
+        state, dt_used, dt_next, rates, stages = step(workspace, start, dt_target, tol, rates)
+        if clamp and dt_used == dt_target:
+            state.time = t_end
+        while len(snapshots) < times.size and times[len(snapshots)] <= state.time:
+            t = float(times[len(snapshots)])
+            snap = interpolate(workspace, start, stages, dt_used, t) if t < state.time else state.copy()
+            snapshots.append(snap)
+        del stages  # seven stages of two arrays: free them before the next step
     return RunOutput(
         grid=workspace.grid,
         kernel=workspace.kernel,

@@ -105,7 +105,13 @@ def oracle_step(workspace, state, dt_target, tol):
 
 
 def oracle_simulate(workspace, state0, snapshot_times, tolerances=None):
-    """Snapshot states of ``integrate.simulate``'s loop driven by ``oracle_step``."""
+    """Snapshot states of a loop that ends an ``oracle_step`` at every snapshot.
+
+    ``integrate.simulate`` clamps only at the last time, so on a mesh
+    {t0, t_end} the two take the same steps and agree bit for bit; on a
+    finer mesh this gives clamped snapshots to compare its interpolated ones
+    against.
+    """
     times = np.asarray(snapshot_times, dtype=float)
     tol = tolerances or Tolerances()
     horizon = float(times[-1]) - float(times[0])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 import collbreak as cb
 from collbreak import (
@@ -36,7 +36,7 @@ def truncated_problem():
 def test_step_zero_state_accepts_target(small_problem):
     ws, _ = small_problem
     zero = State(np.zeros(ws.grid.n_cells))
-    out, dt_used, dt_next, _ = cb.step(ws, zero, 0.05, Tolerances())
+    out, dt_used, dt_next, _, _ = cb.step(ws, zero, 0.05, Tolerances())
     assert np.all(out.contents == 0.0)
     assert out.dust_mass == 0.0
     assert dt_used == 0.05
@@ -46,7 +46,7 @@ def test_step_zero_state_accepts_target(small_problem):
 def test_step_conserves_budget_and_advances_time(small_problem):
     ws, s0 = small_problem
     before = float(np.sum(ws.grid.reps * s0.contents)) + s0.dust_mass
-    out, dt_used, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
+    out, dt_used, _, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
     after = float(np.sum(ws.grid.reps * out.contents)) + out.dust_mass
     assert after == pytest.approx(before, abs=1e-13)
     assert out.time == pytest.approx(s0.time + dt_used)
@@ -266,36 +266,63 @@ def _same_states(a, b):
     )
 
 
-@pytest.mark.parametrize(
-    "text, x_min", [(A1_CONFIG, None), (A5_CONFIG, 1e-4)], ids=["A1-n128", "A5-xmin1e-4"]
+ORACLE_CONFIGS = pytest.mark.parametrize(
+    "text, x_min",
+    [(A1_CONFIG, None), (A5_CONFIG, 1e-4), (A8_CONFIG, None)],
+    ids=["A1-n128", "A5-xmin1e-4", "A8"],
 )
-def test_fsal_simulate_bitwise_equals_seven_stage_oracle(text, x_min):
+
+
+def _problem(text, x_min=None):
     config = cb.parse_config_text(text)
     if x_min is not None:
         config = cb.with_x_min(config, x_min)
     ws, s0 = cb.build_problem(config)
-    tol = Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
-    out = cb.simulate(ws, s0, config.snapshot_times, tol)
-    ref = oracle_simulate(ws, s0, config.snapshot_times, tol)
-    assert _same_states(out.states, ref)
+    return ws, s0, np.asarray(config.snapshot_times), Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+
+
+@ORACLE_CONFIGS
+def test_fsal_simulate_bitwise_equals_seven_stage_oracle(text, x_min):
+    # only t_end clamps a step, so on the mesh {t0, t_end} the oracle's
+    # loop, which ends a step at every snapshot, takes the same steps
+    ws, s0, times, tol = _problem(text, x_min)
+    ends = times[[0, -1]]
+    assert _same_states(cb.simulate(ws, s0, ends, tol).states, oracle_simulate(ws, s0, ends, tol))
+
+
+@ORACLE_CONFIGS
+def test_interpolated_snapshots_match_clamped_oracle(text, x_min):
+    # The oracle ends a step at every snapshot; simulate interpolates them.
+    # Both are within the tolerance-level local error of the exact flow, so
+    # they agree to 2e-8, twice the default rel_tol, in the weighted norm
+    # relative to the state and in dust relative to rho (measured: 7.5e-9
+    # and 9.6e-10 at worst, on A5).
+    ws, s0, times, tol = _problem(text, x_min)
+    out, ref = cb.simulate(ws, s0, times, tol), oracle_simulate(ws, s0, times, tol)
+    weights = ws.error_weights
+    assert [s.time for s in out.states] == [s.time for s in ref] == list(times)
+    for got, want in zip(out.states, ref):
+        gap = float(np.sum(weights * np.abs(got.contents - want.contents)))
+        assert gap <= 2e-8 * float(np.sum(weights * np.abs(want.contents)))
+        assert abs(got.dust_mass - want.dust_mass) <= 2e-8 * out.rho
 
 
 def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
     ws, s0 = clip_problem
-    out, dt_used, dt_next, next_rates = cb.step(ws, s0, 0.1, Tolerances())
+    out, dt_used, dt_next, next_rates, _ = cb.step(ws, s0, 0.1, Tolerances())
     ref, ref_dt, ref_next = oracle_step(ws, s0, 0.1, Tolerances())
     assert out.clip_mass > 0.0
     assert next_rates is None
     assert _same_states([out], [ref])
     assert (dt_used, dt_next) == (ref_dt, ref_next)
-    times, loose = np.linspace(0.0, 10.0, 3), Tolerances(rel_tol=1e-4)
+    times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     run = cb.simulate(ws, s0, times, loose)
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
 
 
 def test_step_returns_rates_at_new_state(small_problem):
     ws, s0 = small_problem
-    out, _, _, (d_contents, d_dust) = cb.step(ws, s0, 1e-3, Tolerances())
+    out, _, _, (d_contents, d_dust), _ = cb.step(ws, s0, 1e-3, Tolerances())
     expect = cb.rhs_arrays(ws, out.contents)
     assert np.array_equal(d_contents, expect[0])
     assert d_dust == expect[1]
@@ -308,7 +335,7 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         (ws, s0), times, tol = cb.build_problem(config), config.snapshot_times, None
     else:
         (ws, s0), times, tol = clip_problem, np.linspace(0.0, 10.0, 3), Tolerances(rel_tol=1e-4)
-    tally = {"rhs": 0, "accepted": 0, "rejected": 0, "clips": 0}
+    tally = {"rhs": 0, "accepted": 0, "rejected": 0, "clips": 0, "last_clipped": False}
     real_rhs, real_step = integrate.rhs_arrays, integrate.step
 
     def counted_rhs(workspace, contents):
@@ -320,16 +347,92 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         tally["accepted"] += 1
         tally["rejected"] += round(math.log2(dt_target / result[1]))
         tally["clips"] += result[3] is None
+        tally["last_clipped"] = result[3] is None
         return result
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
     monkeypatch.setattr(integrate, "step", counted_step)
     cb.simulate(ws, s0, times, tol)
-    # one k1 to start, k2 to k7 per attempt, and a fresh k1 after a clip
-    expect = 6 * tally["accepted"] + 1 + tally["clips"] + 6 * tally["rejected"]
+    # one k1 to start, k2 to k7 per attempt, and a fresh k1 after a clip,
+    # unless the clip was on the last step, which no step follows
+    fresh = tally["clips"] - tally["last_clipped"]
+    expect = 6 * tally["accepted"] + 1 + fresh + 6 * tally["rejected"]
     assert tally["rhs"] == expect
     if problem == "clip":
         assert tally["clips"] > 0 and tally["rejected"] > 0
+
+
+def test_dense_output_coefficients():
+    p = integrate.DP_P
+    assert all(isinstance(x, Fraction) for row in p for x in row)
+    assert [len(row) for row in p] == [4] * 7
+    # b_i(theta) = sum_m P[i][m] theta^(m+1): b_i(1) = b_i, and
+    # sum_i b_i(theta) = theta, so constants are interpolated exactly
+    assert [sum(row, Fraction(0)) for row in p] == list(integrate.DP_B)
+    assert [sum(column, Fraction(0)) for column in zip(*p)] == [1, 0, 0, 0]
+    # scipy's RK45 continuous extension, written there as Python divisions
+    assert np.array_equal(np.array(p, dtype=float), RK45.P)
+
+
+def _counted_simulate(monkeypatch, ws, s0, times, tol):
+    calls = [0]
+    real_rhs = integrate.rhs_arrays
+
+    def counted_rhs(workspace, contents):
+        calls[0] += 1
+        return real_rhs(workspace, contents)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
+    out = cb.simulate(ws, s0, times, tol)
+    monkeypatch.setattr(integrate, "rhs_arrays", real_rhs)
+    return out, calls[0]
+
+
+@pytest.mark.parametrize(
+    "text, x_min",
+    [(A1_CONFIG, None), (A5_CONFIG, 1e-2), (A5_CONFIG, 1e-4), (A8_CONFIG, None)],
+    ids=["A1-n128", "A5-xmin1e-2", "A5-xmin1e-4", "A8"],
+)
+def test_fine_snapshot_mesh_adds_no_rhs_calls(text, x_min, monkeypatch):
+    ws, s0, times, tol = _problem(text, x_min)
+    ends = times[[0, -1]]
+    fine = np.linspace(ends[0], ends[1], 5001)
+    coarse, coarse_calls = _counted_simulate(monkeypatch, ws, s0, ends, tol)
+    out, calls = _counted_simulate(monkeypatch, ws, s0, fine, tol)
+    assert calls == coarse_calls
+    assert [s.time for s in out.states] == list(fine)
+    assert _same_states(out.states[-1:], coarse.states[-1:])
+    # M_1 + dust - clip_mass, a linear invariant of every stage, holds at
+    # the interpolated snapshots to round-off
+    reps, rho = ws.grid.reps, coarse.rho
+    drift = [abs(float(np.sum(reps * s.contents)) + s.dust_mass - s.clip_mass - rho) for s in out.states]
+    assert max(drift) <= 1e-13 * rho
+
+
+def test_interpolated_negatives_are_clipped_into_the_snapshot(clip_problem):
+    # Where the fast top cell empties, the interpolant overshoots below zero
+    # inside steps that ended non-negative.  Each such snapshot is clipped
+    # as step clips: contents set to zero, and the mass so created added to
+    # that snapshot's clip_mass only, so M_1 + dust - clip_mass is kept.
+    ws, s0 = clip_problem
+    tol = Tolerances(rel_tol=1e-4, dt_floor=1e-11)
+    state, dt, rates, clipped = s0, 0.1, None, 0
+    reps, rho = ws.grid.reps, float(np.sum(ws.grid.reps * s0.contents))
+    for _ in range(40):
+        new, dt_used, dt, rates, stages = cb.step(ws, state, dt, tol, rates)
+        for theta in np.linspace(0.05, 0.95, 19):
+            time = state.time + theta * dt_used
+            snap = integrate.interpolate(ws, state, stages, dt_used, time)
+            weights = [float(sum(c * Fraction(theta) ** (m + 1) for m, c in enumerate(row))) for row in integrate.DP_P]
+            raw = state.contents + sum((dt_used * w) * k for w, k in zip(weights, stages[0]))
+            created = float(np.sum(reps * np.maximum(-raw, 0.0)))
+            assert snap.time == time and np.all(snap.contents >= 0.0)
+            assert snap.clip_mass - state.clip_mass == pytest.approx(created, rel=1e-6, abs=1e-300)
+            drift = float(np.sum(reps * snap.contents)) + snap.dust_mass - snap.clip_mass - rho
+            assert abs(drift) <= 1e-13 * rho
+            clipped += created > 0.0
+        state = new
+    assert clipped > 0
 
 
 def test_simulate_deterministic(small_problem):

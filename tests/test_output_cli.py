@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -365,6 +368,27 @@ def test_cli_refuses_malformed_or_non_finite_table(tmp_path, capsys, command, ta
     captured = capsys.readouterr()
     assert "init.path: " in captured.err and message in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_cli_refuses_overflowing_table_naming_its_path(tmp_path, command):
+    # densities of 1e308 over bins about 3 wide overflow the cell contents;
+    # the table is at fault, not init.mass, which the config never sets
+    table = tmp_path / "huge.csv"
+    table.write_text("5.0,1e308\n8.0,1e308\n")
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    text = text.replace("init.mass = 1.0", f"init.path = {table}").replace("n_cells = 48", "n_cells = 16")
+    cfg, out = _write(tmp_path, text), tmp_path / "out"
+    argv = [command, cfg, "--out", str(out)] if command == "simulate" else [command, cfg]
+    src = str(Path(cb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "collbreak.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stderr == "configuration error: init.path: table contents overflow double precision\n"
+    assert done.stdout == ""
     assert not out.exists()
 
 
