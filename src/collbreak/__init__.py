@@ -18,7 +18,7 @@ from .bounds import (
     initial_bounds,
     nonexistence_bound,
 )
-from .config import SimConfig, build_problem, parse_config, parse_config_text, with_x_min
+from .config import SimConfig, build_problem, parse_config, parse_config_text, run, with_x_min
 from .daughter import (
     DaughterLaw,
     beta_star,
@@ -69,7 +69,6 @@ from .integrate import (
     Tolerances,
     check_picard,
     picard_solve,
-    run,
     simulate,
     step,
 )

@@ -18,7 +18,7 @@ inequality with a growing exponential envelope when lambda >= 1.
 it takes the initial moments of a state on its grid and returns the regime,
 the hypothesis checklist and the applicable existence or non-existence
 constants.  ``collbreak bounds``, the run manifest and ``collbreak verify``
-all go through it.
+all go through it, and ``BoundsReport.entry`` is the report's one JSON form.
 """
 
 from __future__ import annotations
@@ -92,16 +92,9 @@ _REQUIRED = {
 }
 
 
-def classify_regime(kernel: KernelSpec, law: DaughterLaw, checklist=None) -> Regime:
-    """Which theorem, if any, covers this kernel/daughter pair.
-
-    ``checklist`` is ``hypothesis_checklist(kernel, law)`` when the caller
-    has already built it; it is built here otherwise.
-    """
-    if checklist is None:
-        checklist = hypothesis_checklist(kernel, law)
-    holding = {check["hypothesis"] for check in checklist if check["holds"]}
-    return next((r for r, needs in _REQUIRED.items() if holding.issuperset(needs)), Regime.UNCOVERED)
+def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
+    """Which theorem, if any, covers this kernel/daughter pair."""
+    return _classified(kernel, law).regime
 
 
 def _exp(log_value: float) -> float:
@@ -146,9 +139,6 @@ class BoundsReport:
     t1_bound: float | None = None
     t1_argmin: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"regime": self.regime.value, "checklist": self.checklist, **self._constants()}
-
     def _constants(self) -> dict:
         out = {}
         for name in ("e1", "c1", "c2", "c3", "t_k0", "t1_bound", "t1_argmin"):
@@ -178,11 +168,12 @@ class BoundsReport:
         return out
 
 
-def _classified(kernel: KernelSpec, law: DaughterLaw, checklist) -> BoundsReport:
-    """A report holding only the regime and its checklist, built at most once."""
-    if checklist is None:
-        checklist = hypothesis_checklist(kernel, law)
-    return BoundsReport(regime=classify_regime(kernel, law, checklist), checklist=checklist)
+def _classified(kernel: KernelSpec, law: DaughterLaw) -> BoundsReport:
+    """A report holding only the checklist and the regime read from it."""
+    checklist = hypothesis_checklist(kernel, law)
+    holding = {check["hypothesis"] for check in checklist if check["holds"]}
+    regime = next((r for r, needs in _REQUIRED.items() if holding.issuperset(needs)), Regime.UNCOVERED)
+    return BoundsReport(regime=regime, checklist=checklist)
 
 
 def initial_bounds(
@@ -193,21 +184,14 @@ def initial_bounds(
     Non-existence regimes get ``nonexistence_bound``; every other regime
     gets ``existence_bounds`` with C1 tabulated over ``times``, which leaves
     an Uncovered report bare.  The initial data must carry positive mass
-    and moments.  The hypothesis checklist is built once and shared.
+    and moments.
     """
     moment_fn = lambda k: moment(grid, state, k)
     rho = moment_fn(1.0)
-    checklist = hypothesis_checklist(kernel, law)
-    if classify_regime(kernel, law, checklist) is Regime.NON_EXISTENCE:
-        return nonexistence_bound(kernel, law, rho, moment_fn, checklist=checklist)
+    if classify_regime(kernel, law) is Regime.NON_EXISTENCE:
+        return nonexistence_bound(kernel, law, rho, moment_fn)
     return existence_bounds(
-        kernel,
-        law,
-        rho,
-        moment_fn(law.k0),
-        moment_fn(1.0 + law.k0),
-        t_values=times,
-        checklist=checklist,
+        kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
     )
 
 
@@ -218,8 +202,6 @@ def existence_bounds(
     m_k0_in: float,
     m_k0p1_in: float,
     t_values=None,
-    *,
-    checklist=None,
 ) -> BoundsReport:
     """Constant chain of the small-size moment estimate.
 
@@ -228,11 +210,11 @@ def existence_bounds(
     and the envelope C1 as a callable plus a table over the ``t_values``
     before T_k0.
     Parameters outside the theorem's hypotheses yield an Uncovered report
-    with no constants.  ``checklist`` is as in ``classify_regime``.
+    with no constants.
     """
     if min(rho, m_k0_in, m_k0p1_in) <= 0.0:
         raise DomainError("rho and initial moments must be positive")
-    report = _classified(kernel, law, checklist)
+    report = _classified(kernel, law)
     if report.regime not in (Regime.GLOBAL_EXISTENCE, Regime.LOCAL_EXISTENCE):
         return report
 
@@ -280,14 +262,7 @@ def existence_bounds(
     return report
 
 
-def nonexistence_bound(
-    kernel: KernelSpec,
-    law: DaughterLaw,
-    rho: float,
-    moment_fn,
-    *,
-    checklist=None,
-) -> BoundsReport:
+def nonexistence_bound(kernel: KernelSpec, law: DaughterLaw, rho: float, moment_fn) -> BoundsReport:
     """Per-order upper bounds on the lifetime of a mass-conserving solution.
 
     ``moment_fn(k)`` must return the k-th moment of the initial data.  For
@@ -298,11 +273,10 @@ def nonexistence_bound(
     and T1 vanishes as k decreases to |nu|-1, which is the non-existence
     conclusion.  The grid has 64 points log-concentrated at that endpoint
     so the vanishing is visible in the emitted table.
-    ``checklist`` is as in ``classify_regime``.
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
-    report = _classified(kernel, law, checklist)
+    report = _classified(kernel, law)
     if report.regime is not Regime.NON_EXISTENCE:
         return report
 

@@ -14,10 +14,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics
-from .config import build_problem, parse_config
+from .config import build_problem, parse_config, run as run_config
 from .errors import CollbreakError, ConfigError, ContractionError, InputError, StiffnessError
 from .grid import moment
-from .integrate import run as run_config
 from .output import emit_outputs, load_run
 
 EXIT_OK = 0
@@ -73,8 +72,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_regime(args) -> int:
     config = parse_config(args.config)
+    regime = bounds_mod.classify_regime(config.kernel, config.law)
     checklist = bounds_mod.hypothesis_checklist(config.kernel, config.law)
-    regime = bounds_mod.classify_regime(config.kernel, config.law, checklist)
     _emit_json({"regime": regime.value, "checklist": checklist})
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Flat key-value configuration: parsing, validation, and problem assembly.
+"""Flat key-value configuration: parsing, validation, problem assembly and runs.
 
 Grammar: one ``section.key = value`` per line, ``#`` starts a comment,
 blank lines ignored.  Every key has a documented default, so an empty file
@@ -31,11 +31,11 @@ from .grid import (
     monodisperse_state,
     table_state,
 )
-from .integrate import Tolerances, check_picard
+from .integrate import RunOutput, Tolerances, check_picard, simulate
 from .kernel import KernelSpec
 from .scheme import precompute
 
-__all__ = ["SimConfig", "parse_config", "parse_config_text", "build_problem", "with_x_min"]
+__all__ = ["SimConfig", "parse_config", "parse_config_text", "build_problem", "run", "with_x_min"]
 
 _INIT_KINDS = ("monodisperse", "exponential", "table")
 
@@ -384,6 +384,19 @@ def build_problem(config: SimConfig):
         key = "init.path" if config.init_mass is None else "init.mass"
         raise ConfigError("initial data overflows double precision", key=key)
     return workspace, state
+
+
+def run(config: SimConfig) -> RunOutput:
+    """Build every component from a ``SimConfig`` and integrate it.
+
+    The run is ``simulate`` with the Dormand-Prince 5(4) step at the
+    config's ``rel_tol`` and ``abs_tol``.
+    """
+    workspace, state0 = build_problem(config)
+    tol = Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+    out = simulate(workspace, state0, config.snapshot_times, tol)
+    out.config = config
+    return out
 
 
 def with_x_min(config: SimConfig, x_min: float) -> SimConfig:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from . import bounds as bounds_mod
+from .config import run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
@@ -153,22 +154,22 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     constant), records dust(t_end)/rho, and fits the power-law trend.  A
     dust fraction falling at least 2x per decade of x_min is the signature
     of an integrable cascade ("conservative"); failure to do so is the
-    shattering signature.
+    shattering signature.  A run that ends with no dust, which has no trend
+    to fit, is refused with ``InputError``.
     """
-    from . import config as config_mod
-    from .integrate import run as run_config
-
     x_mins = sorted({float(x) for x in x_mins}, reverse=True)
     if len(x_mins) < 3:
         raise InputError("need at least 3 distinct x_min values for a refinement trend")
     runner = runner or run_config
     rows = []
     for x_min in x_mins:
-        out = runner(config_mod.with_x_min(config, x_min))
-        frac = out.dust[-1] / out.rho
-        rows.append((x_min, float(frac)))
+        out = runner(with_x_min(config, x_min))
+        frac = float(out.dust[-1] / out.rho)
+        if not frac > 0.0:
+            raise InputError(f"dust fraction {frac:g} at x_min={x_min:g} leaves no trend to fit")
+        rows.append((x_min, frac))
     xs = np.log([r[0] for r in rows])
-    fs = np.log([max(r[1], 1e-300) for r in rows])
+    fs = np.log([r[1] for r in rows])
     slope = float(np.polyfit(xs, fs, 1)[0])
     per_decade = 10.0**slope
     verdict = "conservative" if per_decade >= _DECADE_FACTOR else "shattering"
@@ -201,7 +202,10 @@ def tail_monotonicity_check(run: RunOutput, k: float):
 
 
 def run_verification(run: RunOutput) -> list[dict]:
-    """Battery of applicable checks for a finished run; one verdict each."""
+    """Battery of applicable checks for a finished run; one verdict each.
+
+    The checks that difference in time run only on two or more snapshots.
+    """
     k0 = run.law.k0
     results = []
 
@@ -236,7 +240,7 @@ def run_verification(run: RunOutput) -> list[dict]:
         ok, margin = c1_bound_check(run, report, horizon)
         detail = f"M_k0 margin {margin:.4g} below C1(T) at T={horizon:.4g}"
         verdict("small-size-envelope", ok, detail)
-    if report.regime is bounds_mod.Regime.NON_EXISTENCE:
+    if report.regime is bounds_mod.Regime.NON_EXISTENCE and run.times.size >= 2:
         ok = nonexistence_growth_check(run, k0)
         verdict("nonexistence-growth", ok, f"integral growth inequality at k = k0 = {k0:g}")
     return results

@@ -19,7 +19,6 @@ __all__ = [
     "step",
     "interpolate",
     "simulate",
-    "run",
     "check_picard",
     "picard_solve",
 ]
@@ -311,21 +310,6 @@ def simulate(
     )
 
 
-def run(config) -> RunOutput:
-    """Build every component from a ``SimConfig`` and integrate it.
-
-    The run is ``simulate`` with the Dormand-Prince 5(4) step at the
-    config's ``rel_tol`` and ``abs_tol``.
-    """
-    from . import config as config_mod
-
-    workspace, state0 = config_mod.build_problem(config)
-    tol = Tolerances(rel_tol=config.rel_tol, abs_tol=config.abs_tol)
-    out = simulate(workspace, state0, config.snapshot_times, tol)
-    out.config = config
-    return out
-
-
 @dataclass
 class PicardResult:
     """Fixed point returned by ``picard_solve`` plus its convergence history."""
@@ -359,11 +343,12 @@ def picard_solve(
     into chained calls.
 
     Each iteration evaluates the whole 65-node trajectory in one batched
-    ``rhs_arrays`` call, and one more batched call at the converged
-    trajectory gives the dust rates, so a solve costs ``iterations + 1``
-    calls.  The rows are bitwise those of per-node calls.  A ``t_end`` that
-    is negative or not finite is refused with ``DomainError`` before any
-    call.
+    ``rhs_arrays`` call, so a solve costs ``iterations`` calls.  The rows
+    are bitwise those of per-node calls.  The dust integrates the last
+    call's dust rates with the trapezoid weights that build the contents
+    from its contents rates, so M_1 + dust holds as per right-hand side.
+    A ``t_end`` that is negative or not finite is refused with
+    ``DomainError`` before any call.
     """
     if workspace.kernel.truncation is None:
         raise ConfigError("picard mode requires a kernel with a truncation index")
@@ -382,7 +367,7 @@ def picard_solve(
     traj = np.tile(c0, (mesh.size, 1))
     diffs = []
     for iteration in range(1, max_iter + 1):
-        rates, _ = rhs_arrays(workspace, traj)
+        rates, dust_rates = rhs_arrays(workspace, traj)
         # new[k] = c0 + the trapezoid panels (h/2) (f_{i-1} + f_i) summed over i <= k,
         # built in place so that no more than three trajectories are alive
         new = np.empty_like(traj)
@@ -403,7 +388,6 @@ def picard_solve(
         if not np.isfinite(diff):
             raise ContractionError(diff, iteration)
         if diff <= tol:
-            _, dust_rates = rhs_arrays(workspace, traj)
             dust = state0.dust_mass + float(
                 np.sum((h / 2.0) * (dust_rates[:-1] + dust_rates[1:]))
             )

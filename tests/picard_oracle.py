@@ -1,11 +1,12 @@
 """Slow reference for the batched Picard solver: the per-node loop it replaced.
 
 Evaluates the right-hand side one trapezoid node at a time, 65 calls per
-iteration, builds each new trajectory from fresh temporaries and, after
-convergence, makes a second 65-call pass for the dust rates, the way the
-solver was first written.  Its arithmetic on every value that reaches the
-result is the same as ``integrate.picard_solve``'s, so the two must agree
-bit for bit.  RHS calls go to ``scheme.rhs_arrays`` directly, so a counter
+iteration, and builds each new trajectory from fresh temporaries, the way
+the solver was first written.  The dust integrates the dust rates of the
+converging iteration's calls, the calls whose contents rates build the
+returned contents.  Its arithmetic on every value that reaches the result
+is the same as ``integrate.picard_solve``'s, so the two must agree bit for
+bit.  RHS calls go to ``scheme.rhs_arrays`` directly, so a counter
 on ``integrate.rhs_arrays`` does not see them.
 """
 
@@ -30,8 +31,9 @@ def oracle_picard(workspace, state0, t_end, max_iter=40, tol=1e-10):
     diffs = []
     for iteration in range(1, max_iter + 1):
         derivs = np.empty_like(traj)
+        dust_rates = np.empty(m)
         for node in range(m):
-            derivs[node], _ = rhs_arrays(workspace, traj[node])
+            derivs[node], dust_rates[node] = rhs_arrays(workspace, traj[node])
         new_traj = np.empty_like(traj)
         new_traj[0] = c0
         new_traj[1:] = c0 + np.cumsum((h / 2.0) * (derivs[:-1] + derivs[1:]), axis=0)
@@ -41,9 +43,6 @@ def oracle_picard(workspace, state0, t_end, max_iter=40, tol=1e-10):
         if not np.isfinite(diff):
             raise ContractionError(diff, iteration)
         if diff <= tol:
-            dust_rates = np.empty(m)
-            for node in range(m):
-                _, dust_rates[node] = rhs_arrays(workspace, traj[node])
             dust = state0.dust_mass + float(np.sum((h / 2.0) * (dust_rates[:-1] + dust_rates[1:])))
             final = State(traj[-1].copy(), dust, state0.time + t_end, state0.clip_mass)
             return final, diffs, iteration

@@ -68,28 +68,27 @@ def test_checklist_reports_each_hypothesis():
 
 
 @pytest.mark.parametrize(
-    "kernel, law",
+    "kernel, law, own",
     [
-        (KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5)),  # local existence
-        (KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6)),  # non-existence
-        (KernelSpec(2.0, 2.0), DaughterLaw(-1.2, 0.5)),  # uncovered
+        (KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5), "existence"),  # local existence
+        (KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), "nonexistence"),
+        (KernelSpec(2.0, 2.0), DaughterLaw(-1.2, 0.5), "existence"),  # uncovered: a bare report
     ],
 )
-def test_initial_bounds_builds_the_checklist_once(kernel, law, monkeypatch):
+def test_initial_bounds_is_the_report_of_its_regimes_function(kernel, law, own):
     grid = cb.build_grid(1e-2, 2.0, 16)
     state = cb.exponential_state(grid, 1.0, 1.0)
-    expect = cb.initial_bounds(kernel, law, grid, state, [0.0, 0.1]).entry()
-    built = []
-    real = cb.bounds.hypothesis_checklist
-
-    def counted(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cb.bounds, "hypothesis_checklist", counted)
-    report = cb.initial_bounds(kernel, law, grid, state, [0.0, 0.1])
-    assert len(built) == 1
-    assert json.dumps(report.entry()) == json.dumps(expect)
+    times = [0.0, 0.1]
+    moment_fn = lambda k: cb.moment(grid, state, k)
+    rho = moment_fn(1.0)
+    if own == "existence":
+        expect = cb.existence_bounds(
+            kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
+        )
+    else:
+        expect = cb.nonexistence_bound(kernel, law, rho, moment_fn)
+    report = cb.initial_bounds(kernel, law, grid, state, times)
+    assert json.dumps(report.entry()) == json.dumps(expect.entry())
 
 
 def test_existence_bounds_unit_moments_local_case():
@@ -210,14 +209,14 @@ def test_bounds_report_serialises():
     report = cb.existence_bounds(
         KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), 1.0, 1.0, 1.0, t_values=[0.01, 1.0]
     )
-    payload = report.to_dict()
+    payload = report.entry()
     assert payload["regime"] == "LocalExistence"
     # T = 1 lies past the horizon T_k0 = 1/9 and is left out of the table
-    assert [row["T"] for row in payload["c1_table"]] == [0.01]
+    assert [row["T"] for row in payload["existence"]["c1_table"]] == [0.01]
     nonex = cb.nonexistence_bound(
         KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), 1.0, lambda k: 1.0
     )
-    payload = nonex.to_dict()
+    payload = nonex.entry()["nonexistence"]
     assert len(payload["t1_table"]) == 64
 
 
@@ -227,18 +226,18 @@ def test_bounds_beyond_double_range_read_inf():
     kernel, law = KernelSpec(0.5, 0.5), DaughterLaw(-1.2, 0.5)
     report = cb.existence_bounds(kernel, law, 67.0, 67.0, 67.0, t_values=[0.01, 1.0])
     assert math.isfinite(report.c1_of(0.01)) and report.c1_of(1.0) == math.inf
-    assert [row["C1"] for row in report.to_dict()["c1_table"]][1] == "inf"
+    assert [row["C1"] for row in report.entry()["existence"]["c1_table"]][1] == "inf"
     huge = cb.existence_bounds(KernelSpec(1.0, 1.0), DaughterLaw(-1.2, 0.5), 1e200, 1e200, 1e200)
     assert huge.c1 == math.inf
-    json.dumps(huge.to_dict(), allow_nan=False)
-    json.dumps(report.to_dict(), allow_nan=False)
+    json.dumps(huge.entry(), allow_nan=False)
+    json.dumps(report.entry(), allow_nan=False)
 
 
 def _exact(kernel, law, moment_fn, times=(), ks=()):
     """The report's constants from the same closed forms, in 50-digit arithmetic.
 
     ``moment_fn`` gives the double moments the report was built from; keys
-    follow ``to_dict()``, with ("C1", i), ("ell2", i) and ("T1", i) for the
+    follow a section of ``entry()``, with ("C1", i), ("ell2", i) and ("T1", i) for the
     table rows.  Existence regimes are evaluated when ``ks`` is empty.
     """
     with mp.workdps(50):
@@ -278,7 +277,7 @@ def _exact(kernel, law, moment_fn, times=(), ks=()):
 
 
 def _assert_matches_exact(payload, exact):
-    """Every constant in ``payload`` (a ``to_dict()``) is the exact value rounded to 1e-9.
+    """Every constant in ``payload`` (a section of ``entry()``) is the exact value rounded to 1e-9.
 
     A value beyond the double range must read "inf" (or a subnormal/zero
     below it); no value may be NaN.
@@ -417,12 +416,14 @@ def _check_against_mpmath(kernel, law, moment_fn):
     # the C1 table at fractions of the horizon, where C1 is well conditioned
     t_k0 = cb.existence_bounds(*args).t_k0
     times = [0.0, 1.0, 10.0] if t_k0 is None or math.isinf(t_k0) else [0.0, 0.5 * t_k0, 0.9 * t_k0]
-    existence = cb.existence_bounds(*args, t_values=times).to_dict()
-    nonexistence = cb.nonexistence_bound(kernel, law, rho, moment_fn).to_dict()
+    existence = cb.existence_bounds(*args, t_values=times).entry()
+    nonexistence = cb.nonexistence_bound(kernel, law, rho, moment_fn).entry()
     json.dumps([existence, nonexistence], allow_nan=False)
-    if "c1" in existence:
-        times = [row["T"] for row in existence.get("c1_table", [])]
-        _assert_matches_exact(existence, _exact(kernel, law, moment_fn, times=times))
-    if "t1_table" in nonexistence:
-        ks = [row["k"] for row in nonexistence["t1_table"]]
-        _assert_matches_exact(nonexistence, _exact(kernel, law, moment_fn, ks=ks))
+    if "existence" in existence:
+        payload = existence["existence"]
+        times = [row["T"] for row in payload.get("c1_table", [])]
+        _assert_matches_exact(payload, _exact(kernel, law, moment_fn, times=times))
+    if "nonexistence" in nonexistence:
+        payload = nonexistence["nonexistence"]
+        ks = [row["k"] for row in payload["t1_table"]]
+        _assert_matches_exact(payload, _exact(kernel, law, moment_fn, ks=ks))

@@ -549,8 +549,8 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
-    # one call per iteration plus one for the dust rates, each over all 65 nodes
-    assert len(shapes) == result.iterations + 1
+    # one call per iteration, over all 65 nodes; the dust comes from the same calls
+    assert len(shapes) == result.iterations
     assert set(shapes) == {(65, ws.grid.n_cells)}
 
 
@@ -567,6 +567,16 @@ def test_picard_chain_bitwise_equals_per_node_oracle():
         assert [d.hex() for d in result.diffs] == [d.hex() for d in ref_diffs]
         assert result.iterations == ref_iterations
         state, expect = result.state, ref
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_picard_keeps_mass_plus_dust_at_any_tolerance(tol):
+    # contents and dust integrate the same calls' rates, so M_1 + dust is
+    # kept to round-off however early the iteration stops
+    ws, state0 = cb.build_problem(cb.parse_config_text(A8_CONFIG))
+    rho = cb.moment(ws.grid, state0, 1.0)
+    state = cb.picard_solve(ws, state0, 0.1, max_iter=40, tol=tol).state
+    assert abs(cb.moment(ws.grid, state, 1.0) + state.dust_mass - rho) <= 1e-14 * rho
 
 
 def test_picard_zero_state_is_fixed_point(truncated_problem):

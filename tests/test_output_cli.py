@@ -164,6 +164,29 @@ def _write(tmp_path, text, name="case.cfg"):
     return str(path)
 
 
+def _cli_in_fresh_process(*argv):
+    """The finished ``python -m collbreak.cli`` process run on ``argv``."""
+    src = str(Path(cb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "collbreak.cli", *argv], env=env, capture_output=True, text=True)
+
+
+# A5 physics on 16 cells at t_end = 0: one snapshot and no dust
+ZERO_HORIZON_A5 = test_acceptance.A5_CONFIG.replace("grid.n_cells = 56", "grid.n_cells = 16").replace(
+    "time.t_end = 0.5", "time.t_end = 0"
+)
+
+
+def test_cli_verifies_a_one_snapshot_run_in_a_fresh_process(tmp_path):
+    cfg, out_dir = _write(tmp_path, ZERO_HORIZON_A5), str(tmp_path / "out")
+    simulated = _cli_in_fresh_process("simulate", cfg, "--out", out_dir)
+    assert simulated.returncode == 0 and json.loads(simulated.stdout)["snapshots"] == 1
+    verified = _cli_in_fresh_process("verify", out_dir)
+    assert (verified.returncode, verified.stderr) == (0, "")
+    checks = json.loads(verified.stdout)["checks"]
+    assert checks and all(check["passed"] for check in checks)
+
+
 def test_cli_simulate_verify_ok(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_CONFIG)
     out_dir = str(tmp_path / "out")
@@ -344,6 +367,14 @@ def test_cli_shatter_study_output(tmp_path, capsys):
     assert len(payload["rows"]) == 3
 
 
+def test_cli_shatter_study_refuses_runs_without_dust(tmp_path, capsys):
+    cfg = _write(tmp_path, ZERO_HORIZON_A5)
+    assert main(["shatter-study", cfg, "--xmins", "1e-2,1e-3,1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dust fraction 0 at x_min=0.01" in captured.err
+
+
 @pytest.mark.parametrize(
     "table, message",
     [
@@ -381,11 +412,7 @@ def test_cli_refuses_overflowing_table_naming_its_path(tmp_path, command):
     text = text.replace("init.mass = 1.0", f"init.path = {table}").replace("n_cells = 48", "n_cells = 16")
     cfg, out = _write(tmp_path, text), tmp_path / "out"
     argv = [command, cfg, "--out", str(out)] if command == "simulate" else [command, cfg]
-    src = str(Path(cb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "collbreak.cli", *argv], env=env, capture_output=True, text=True
-    )
+    done = _cli_in_fresh_process(*argv)
     assert done.returncode == 2
     assert done.stderr == "configuration error: init.path: table contents overflow double precision\n"
     assert done.stdout == ""
