@@ -39,7 +39,7 @@ def _cmd_simulate(args) -> int:
     _emit_json(
         {
             "out_dir": str(out_dir),
-            "snapshots": len(run.states),
+            "snapshots": run.times.size,
             "final_time": float(run.times[-1]),
             "mass_on_grid": float(run.moments(1.0)[-1]),
             "dust_mass": float(run.dust[-1]),
@@ -96,28 +96,16 @@ def _cmd_distance(args) -> int:
     if not np.array_equal(run_a.times, run_b.times):
         raise InputError("runs have different snapshot meshes")
     k0 = run_a.law.k0
-    distances = [
-        diagnostics.weighted_distance(sa, sb, run_a.grid, k0)
-        for sa, sb in zip(run_a.states, run_b.states)
-    ]
+    distances = diagnostics.weighted_distance(run_a, run_b, run_a.grid, k0)
     m_k0 = run_a.moments(k0) + run_b.moments(k0)
     k_high = 1.0 + k0 + run_a.kernel.lambda2
     m_high = run_a.moments(k_high) + run_b.moments(k_high)
-    envelope = bounds_mod.gronwall_envelope(
-        run_a.law, run_a.times, m_k0, m_high, distances[0]
-    )
+    envelope = bounds_mod.gronwall_envelope(run_a.law, run_a.times, m_k0, m_high, distances[0])
     rows = [
         {"t": float(t), "distance": float(d), "envelope": float(e)}
         for t, d, e in zip(run_a.times, distances, envelope)
     ]
-    _emit_json(
-        {
-            "rows": rows,
-            "within_envelope": bool(
-                all(r["distance"] <= r["envelope"] * (1.0 + 1e-12) for r in rows)
-            ),
-        }
-    )
+    _emit_json({"rows": rows, "within_envelope": bool(np.all(distances <= envelope * (1.0 + 1e-12)))})
     return EXIT_OK
 
 

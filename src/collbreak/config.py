@@ -361,7 +361,7 @@ def initial_state(config: SimConfig, grid: SizeGrid):
     except InputError as exc:
         raise ConfigError(str(exc), key="init.path") from None
     # restart from the run's last snapshot, a step density on its own grid
-    densities = run.states[-1].contents / run.grid.widths()
+    densities = run.contents[-1] / run.grid.widths()
     return table_state(grid, run.grid.reps, densities, mass=config.init_mass)
 
 

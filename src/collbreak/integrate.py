@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 import numpy as np
 
 from .errors import ConfigError, ContractionError, DomainError, StiffnessError
-from .grid import State, moment
+from .grid import State
 from .scheme import RhsWorkspace, rhs_arrays
 
 __all__ = [
@@ -112,10 +112,12 @@ def step(
     fourth-order weights b_hat, and sets the next step through the exponent
     1/5.  Halves the step until that estimate passes and no content would
     land below -1e-14 times the state scale; accepted round-off negatives
-    are clipped to zero with the created mass tracked in ``clip_mass``.  A
-    trial stage that overflows is a rejected attempt, and no floating-point
-    warning escapes; a rejected dt whose error estimate is NaN or infinite,
-    or whose half would not move the time, raises ``StiffnessError``.
+    are clipped to zero with the created mass tracked in ``clip_mass``.
+    After an attempt that the negative-content guard alone refused, the
+    next step grows no further than this one.  A trial stage that overflows
+    is a rejected attempt, and no floating-point warning escapes; a rejected
+    dt whose error estimate is NaN or infinite, or whose half would not move
+    the time, raises ``StiffnessError``.
 
     Returns (new_state, dt_used, dt_next, next_rates, stages).  ``next_rates``
     is the seventh stage k7 = f(y_new), the right-hand side at the new state,
@@ -136,6 +138,7 @@ def step(
     ks, ds = [k1], [d1]
     trial, term = weighted, np.empty_like(c)  # weighted's last use was above
     dt = float(dt_target)
+    growth = 5.0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if tol.dt_floor > 0.0 and dt < tol.dt_floor:
@@ -160,16 +163,15 @@ def step(
             if est <= tol_value and low >= -neg_floor:
                 break
             del ks[1:], ds[1:]
+            # the guard alone refused: growing dt again would only see it halved again
+            growth = 1.0 if est <= tol_value else growth
             if not math.isfinite(est):
                 raise StiffnessError(state.time, dt, "non-finite error estimate")
             if state.time + dt / 2.0 == state.time:
                 raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
             dt /= 2.0
 
-    if est > 0.0:
-        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
-    else:
-        factor = 5.0
+    factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
     dt_next = dt * factor
 
     clipped = _clip(workspace.grid, y_new) if low < 0.0 else 0.0
@@ -182,19 +184,20 @@ def step(
     return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds)
 
 
-def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float) -> State:
+def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
     """The state at ``time`` inside the step of length ``dt`` that ``step`` took from ``state``.
 
     Contents and dust take the same weights dt b_i(theta), theta = (time -
     state.time) / dt, over the step's seven ``stages``, so M_1 + dust holds
-    as per right-hand side.  Negative contents are clipped as in ``step``,
-    into this state's ``clip_mass`` only.  Costs no right-hand side.
+    as per right-hand side.  The contents are written into ``out``.
+    Negative contents are clipped as in ``step``, into this state's
+    ``clip_mass`` only.  Costs no right-hand side.
     """
     ks, ds = stages
     theta = (time - state.time) / dt
     # a list: tuples built by tuple(generator) stay on the interpreter free list
     row = [(i, theta * (a + theta * (b + theta * (c + theta * d)))) for i, (a, b, c, d) in _DENSE]
-    contents = _increment(row, ks, dt, np.empty_like(state.contents), np.empty_like(state.contents))
+    contents = _increment(row, ks, dt, out, np.empty_like(out))
     contents += state.contents
     return State(
         contents=contents,
@@ -224,30 +227,39 @@ def _increment(row, ks, dt, out, term):
 
 @dataclass
 class RunOutput:
-    """Snapshots of one integration plus everything needed to audit it."""
+    """Snapshots of one integration plus everything needed to audit it.
+
+    ``contents[i]`` is snapshot i, at ``times[i]`` with ``dust[i]`` and
+    ``clip[i]``: a row of one C-order (snapshots, n_cells) matrix, which
+    ``simulate`` and ``load_run`` return read-only.  ``states`` are the
+    snapshots as ``State``s over row views of it.
+    """
 
     grid: object
     kernel: object
     law: object
     times: np.ndarray
-    states: list
+    contents: np.ndarray
+    dust: np.ndarray
+    clip: np.ndarray
     config: object = None
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def dust(self) -> np.ndarray:
-        return np.array([s.dust_mass for s in self.states])
-
-    @property
-    def clip(self) -> np.ndarray:
-        return np.array([s.clip_mass for s in self.states])
+    def states(self) -> list:
+        return list(map(State, self.contents, self.dust, self.times, self.clip))
 
     @property
     def rho(self) -> float:
-        return moment(self.grid, self.states[0], 1.0) + self.states[0].dust_mass
+        return float(self.moments(1.0)[0] + self.dust[0])
 
     def moments(self, k: float) -> np.ndarray:
-        reps_k = self.grid.reps**k
-        return np.array([float(np.sum(reps_k * s.contents)) for s in self.states])
+        """M_k per snapshot: one row-by-row reduction per order, kept read-only."""
+        if k not in self._moments:
+            # reps**k on the contiguous reps: numpy's power can round a strided view differently
+            self._moments[k] = np.multiply(self.contents, self.grid.reps**k).sum(axis=1)
+            self._moments[k].flags.writeable = False
+        return self._moments[k]
 
 
 def simulate(
@@ -260,7 +272,9 @@ def simulate(
 
     Snapshot times must be finite, strictly increasing and start at the
     initial state's time; non-finite times are refused with ``DomainError``
-    before any right-hand side is evaluated.
+    before any right-hand side is evaluated.  Snapshot i is row i of the
+    run's ``contents``, written in place by ``interpolate`` or copied from
+    the step that ends there.
     Deterministic: the step sequence depends only on the initial state, the
     first and last times and the tolerances, as only the last time clamps a
     step; each interior snapshot is ``interpolate`` inside the step that
@@ -284,8 +298,10 @@ def simulate(
     if tol.dt_floor == 0.0 and horizon > 0.0:
         tol = Tolerances(tol.rel_tol, tol.abs_tol, 1e-12 * horizon)
 
-    state = state0.copy()
-    snapshots = [state.copy()]
+    contents = np.empty((times.size, state0.contents.size))
+    dust, clip = np.empty(times.size), np.empty(times.size)
+    contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
+    filled, state = 1, state0
     dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
     rates = None
     while state.time < t_end:
@@ -296,18 +312,17 @@ def simulate(
         state, dt_used, dt_next, rates, stages = step(workspace, start, dt_target, tol, rates)
         if clamp and dt_used == dt_target:
             state.time = t_end
-        while len(snapshots) < times.size and times[len(snapshots)] <= state.time:
-            t = float(times[len(snapshots)])
-            snap = interpolate(workspace, start, stages, dt_used, t) if t < state.time else state.copy()
-            snapshots.append(snap)
+        while filled < times.size and times[filled] <= state.time:
+            t = float(times[filled])
+            if t < state.time:
+                snap = interpolate(workspace, start, stages, dt_used, t, contents[filled])
+            else:
+                snap, contents[filled] = state, state.contents
+            dust[filled], clip[filled] = snap.dust_mass, snap.clip_mass
+            filled += 1
         del stages  # seven stages of two arrays: free them before the next step
-    return RunOutput(
-        grid=workspace.grid,
-        kernel=workspace.kernel,
-        law=workspace.law,
-        times=times.copy(),
-        states=snapshots,
-    )
+    contents.flags.writeable = False
+    return RunOutput(workspace.grid, workspace.kernel, workspace.law, times.copy(), contents, dust, clip)
 
 
 @dataclass

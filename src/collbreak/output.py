@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .config import parse_config_text
 from .errors import InputError
-from .grid import State, build_grid
+from .grid import build_grid
 from .integrate import RunOutput
 
 __all__ = ["emit_outputs", "load_run"]
@@ -43,7 +43,7 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
 
     ``moments.csv`` has one row per snapshot: its time, the moments, the
     dust and the clipped mass.  ``contents.npy``, a C-order ``<f8`` array of
-    shape (snapshots, n_cells), has their cell contents.  Returns the
+    shape (snapshots, n_cells), is the run's ``contents`` matrix.  Returns the
     manifest dictionary (also written to disk), which echoes the resolved
     configuration, the regime classification with its constants, the
     SHA-256 of each file, and a content hash over the echo and the digests.
@@ -64,17 +64,15 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     (out / "moments.csv").write_bytes(moments)
     files = {"moments.csv": hashlib.sha256(moments).hexdigest()}
 
-    # header version 1.0 whatever numpy would pick; rows streamed, never stacked
+    # header version 1.0 whatever numpy would pick, then the matrix's raw bytes
     head = io.BytesIO()
-    shape = (len(run.states), run.grid.n_cells)
-    np.lib.format.write_array_header_1_0(head, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    matrix = np.ascontiguousarray(run.contents, dtype="<f8")
+    np.lib.format.write_array_header_1_0(head, {"descr": "<f8", "fortran_order": False, "shape": matrix.shape})
     digest = hashlib.sha256(head.getvalue())
+    digest.update(matrix)
     with open(out / "contents.npy", "wb") as handle:
         handle.write(head.getvalue())
-        for state in run.states:
-            row = np.ascontiguousarray(state.contents, dtype="<f8")
-            handle.write(row)
-            digest.update(row)
+        handle.write(matrix)
     files["contents.npy"] = digest.hexdigest()
 
     manifest = {
@@ -108,8 +106,9 @@ def load_run(run_dir) -> RunOutput:
     The manifest is checked against its content hash and every file against
     its SHA-256 before anything is parsed, so a truncated or edited run, or
     one written in another format, is refused with ``InputError``.  Times,
-    contents, dust and clipped mass come back bitwise as they were emitted,
-    the contents as read-only rows of one view of the file's bytes.
+    contents, dust and clipped mass come back bitwise as they were emitted;
+    ``contents`` is the file's read-only matrix, a view of its bytes that
+    nothing copies.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -142,8 +141,5 @@ def load_run(run_dir) -> RunOutput:
         contents = np.frombuffer(data, dtype="<f8", offset=stream.tell()).reshape(shape)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{run_dir} holds malformed run files: {exc}") from None
-    states = [
-        State(row, float(dust), float(t), float(clip))
-        for t, dust, clip, row in zip(times, moments["dust_mass"], moments["clip_mass"], contents)
-    ]
-    return RunOutput(grid, config.kernel, config.law, times, states, config)
+    dust, clip = moments["dust_mass"], moments["clip_mass"]
+    return RunOutput(grid, config.kernel, config.law, times, contents, dust, clip, config)

@@ -69,6 +69,7 @@ def oracle_step(workspace, state, dt_target, tol):
     tol_value = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
 
     dt = float(dt_target)
+    growth = 5.0  # 1 once the negative-content guard alone has refused an attempt
     while True:
         if tol.dt_floor > 0.0 and dt < tol.dt_floor:
             raise StiffnessError(state.time, dt, "dt below dt_floor")
@@ -80,12 +81,14 @@ def oracle_step(workspace, state, dt_target, tol):
         est = float(np.sum(weights * np.abs(_combine(E, ks, dt)[:-1])))
         if est <= tol_value and float(np.min(y_new[:-1], initial=0.0)) >= -neg_floor:
             break
+        if est <= tol_value:
+            growth = 1.0
         dt /= 2.0
 
     if est > 0.0:
-        factor = min(5.0, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
+        factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
     else:
-        factor = 5.0
+        factor = growth
     dt_next = dt * factor
 
     contents = y_new[:-1]

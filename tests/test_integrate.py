@@ -320,6 +320,27 @@ def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
 
 
+def test_guard_only_rejections_cap_step_growth(clip_problem, monkeypatch):
+    # On the clip problem almost every rejected attempt passes the error
+    # test and fails only the negative-content guard.  Growing dt 5x after
+    # such a step only to halve it again threw away most RHS calls (6888 in
+    # 335 accepted steps); capping dt_next at dt_used makes 4145 in 333.
+    ws, s0 = clip_problem
+    times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
+    steps, real_step = [], integrate.step
+
+    def recorded(workspace, state, dt_target, tol, rates=None):
+        result = real_step(workspace, state, dt_target, tol, rates)
+        steps.append((dt_target, result[1], result[2]))
+        return result
+
+    monkeypatch.setattr(integrate, "step", recorded)
+    run, calls = _counted_simulate(monkeypatch, ws, s0, times, loose)
+    assert calls <= 4200
+    assert any(used < target and following == used for target, used, following in steps)
+    assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
+
+
 def test_step_returns_rates_at_new_state(small_problem):
     ws, s0 = small_problem
     out, _, _, (d_contents, d_dust), _ = cb.step(ws, s0, 1e-3, Tolerances())
@@ -422,7 +443,7 @@ def test_interpolated_negatives_are_clipped_into_the_snapshot(clip_problem):
         new, dt_used, dt, rates, stages = cb.step(ws, state, dt, tol, rates)
         for theta in np.linspace(0.05, 0.95, 19):
             time = state.time + theta * dt_used
-            snap = integrate.interpolate(ws, state, stages, dt_used, time)
+            snap = integrate.interpolate(ws, state, stages, dt_used, time, np.empty_like(state.contents))
             weights = [float(sum(c * Fraction(theta) ** (m + 1) for m, c in enumerate(row))) for row in integrate.DP_P]
             raw = state.contents + sum((dt_used * w) * k for w, k in zip(weights, stages[0]))
             created = float(np.sum(reps * np.maximum(-raw, 0.0)))

@@ -619,17 +619,11 @@ def _runs(draw):
     )
     workspace, state0 = cb.build_problem(config)
     times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True)))
-    states = [state0] + [
-        cb.State(
-            np.array(draw(st.lists(_cells, min_size=n_cells, max_size=n_cells))),
-            dust_mass=draw(_cells),
-            time=t,
-            clip_mass=draw(_cells),
-        )
-        for t in times[1:]
-    ]
-    state0.time = times[0]
-    return cb.RunOutput(workspace.grid, config.kernel, config.law, np.array(times), states, config)
+    rows = draw(st.lists(_cells, min_size=n_cells * (len(times) - 1), max_size=n_cells * (len(times) - 1)))
+    contents = np.vstack([state0.contents, np.reshape(rows, (-1, n_cells))])
+    dust = np.array([state0.dust_mass] + [draw(_cells) for _ in times[1:]])
+    clip = np.array([state0.clip_mass] + [draw(_cells) for _ in times[1:]])
+    return cb.RunOutput(workspace.grid, config.kernel, config.law, np.array(times), contents, dust, clip, config)
 
 
 @settings(max_examples=30, deadline=None, database=None)
