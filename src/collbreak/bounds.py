@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .daughter import DaughterLaw, check_moment_order, e_constant
 from .errors import DomainError, InputError
@@ -318,6 +317,16 @@ def nonexistence_bound(kernel: KernelSpec, law: DaughterLaw, rho: float, moment_
     return report
 
 
+def running_trapezoid(y, x):
+    """Trapezoid integral of ``y`` over the mesh ``x`` from x[0] to each x[i].
+
+    The same expression, in the same order, as
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``, so the two
+    agree bit for bit; a series of one point integrates to [0.0].
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def gronwall_envelope(law: DaughterLaw, times, m_k0_sum, m_high_sum, d0: float):
     """Upper envelope of the weighted distance between two solutions.
 
@@ -330,6 +339,8 @@ def gronwall_envelope(law: DaughterLaw, times, m_k0_sum, m_high_sum, d0: float):
     b = np.asarray(m_high_sum, dtype=float)
     if not times.shape == a.shape == b.shape:
         raise InputError("moment series must share the time mesh")
+    if times.ndim != 1 or times.size == 0:
+        raise InputError(f"moment series must be non-empty and 1-D, got shape {times.shape}")
     e1 = e_constant(law, 1.0)
-    integral = cumulative_trapezoid(a + b, times, initial=0.0)
+    integral = running_trapezoid(a + b, times)
     return d0 * np.exp(12.0 * e1 * integral)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,13 +30,28 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=float))
 
 
+def _check_out_dir(out_dir) -> None:
+    """Refuse, before the run, a run directory that a file on its path blocks."""
+    path = Path(out_dir)
+    try:
+        existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    except OSError as exc:
+        raise InputError(f"cannot write run directory {out_dir}: {exc.strerror}") from None
+    if not existing.is_dir():
+        raise InputError(f"cannot write run directory {out_dir}: {existing} is not a directory")
+
+
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     out_dir = args.out or config.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir or pass --out")
+    _check_out_dir(out_dir)
     run = run_config(config)
-    manifest = emit_outputs(run, out_dir)
+    try:
+        manifest = emit_outputs(run, out_dir)
+    except OSError as exc:  # what the check cannot see: permissions, a full disk
+        raise InputError(f"cannot write run directory {out_dir}: {exc}") from None
     _emit_json(
         {
             "out_dir": str(out_dir),

@@ -39,6 +39,11 @@ __all__ = ["SimConfig", "parse_config", "parse_config_text", "build_problem", "r
 
 _INIT_KINDS = ("monodisperse", "exponential", "table")
 
+# Largest snapshot mesh, 0 and t_end included, and largest run record
+# (snapshots x n_cells doubles) a configuration may ask for.
+MAX_SNAPSHOTS = 10**5
+MAX_RECORD = 10**8
+
 # key -> (parser, default); None defaults are resolved contextually.
 _KEYS = {
     "kernel.lambda1": (float, 0.5),
@@ -192,25 +197,39 @@ def _parse_lines(text: str, name: str) -> dict:
     return values
 
 
-def _snapshot_times(raw: str, t_end: float, line) -> tuple:
+def _check_mesh(size: int, n_cells: int, line) -> None:
+    """Refuse a snapshot mesh of more than MAX_SNAPSHOTS times, or one whose
+    record of ``size`` rows of ``n_cells`` contents exceeds MAX_RECORD doubles."""
+    if size > MAX_SNAPSHOTS:
+        message = f"{size} snapshot times exceed the limit of {MAX_SNAPSHOTS}"
+    elif size * n_cells > MAX_RECORD:
+        message = (
+            f"{size} snapshots of {n_cells} cells are a record of {size * n_cells} doubles, "
+            f"above the limit of {MAX_RECORD}"
+        )
+    else:
+        return
+    raise ConfigError(message, key="time.snapshots", line=line)
+
+
+def _snapshot_times(raw: str, t_end: float, n_cells: int, line) -> tuple:
     raw = raw.strip()
     try:
-        if raw.isdigit():
-            count = int(raw)
-            if count < 1:
-                raise ValueError
-            if t_end == 0.0:
-                times = [0.0]
-            else:
-                times = list(np.linspace(0.0, t_end, max(count, 2)))
-        else:  # a comma list of times, possibly of one
+        count = int(raw) if raw.isdigit() else None
+        if count is None:  # a comma list of times, possibly of one
             times = sorted(_finite_float(tok) for tok in raw.split(",") if tok.strip())
+        elif count < 1:
+            raise ValueError
     except ValueError:
         raise ConfigError(
             f"expected a count or comma list of times, got {raw!r}",
             key="time.snapshots",
             line=line,
         ) from None
+    if count is not None:
+        size = 1 if t_end == 0.0 else max(count, 2)
+        _check_mesh(size, n_cells, line)  # before the mesh is built
+        times = np.linspace(0.0, t_end, size).tolist()
     if any(t < 0.0 or t > t_end * (1.0 + 1e-12) for t in times):
         raise ConfigError(
             f"snapshot times must lie within [0, t_end={t_end}]",
@@ -221,7 +240,9 @@ def _snapshot_times(raw: str, t_end: float, line) -> tuple:
         times.insert(0, 0.0)
     if times[-1] < t_end:
         times.append(t_end)
-    return tuple(sorted({float(t) for t in times}))
+    mesh = tuple(sorted({float(t) for t in times}))
+    _check_mesh(len(mesh), n_cells, line)  # a list's mesh is known once built
+    return mesh
 
 
 def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = None) -> SimConfig:
@@ -272,7 +293,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
     t_end = get("time.t_end")
     if t_end < 0.0:
         raise ConfigError("t_end must be non-negative", key="time.t_end", line=line_of("time.t_end"))
-    snapshots = _snapshot_times(get("time.snapshots"), t_end, line_of("time.snapshots"))
+    snapshots = _snapshot_times(get("time.snapshots"), t_end, n_cells, line_of("time.snapshots"))
 
     raw_orders = get("output.moments")
     if raw_orders is None:
@@ -407,4 +428,5 @@ def with_x_min(config: SimConfig, x_min: float) -> SimConfig:
     per_decade = config.n_cells / decades_old
     decades_new = math.log10(config.x_max / x_min)
     n_cells = max(8, round(per_decade * decades_new))
+    _check_mesh(len(config.snapshot_times), n_cells, None)
     return dataclasses.replace(config, x_min=float(x_min), n_cells=int(n_cells))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import bounds as bounds_mod
 from .config import run as run_config, with_x_min
@@ -120,10 +119,8 @@ def nonexistence_growth_check(run: RunOutput, k: float) -> bool:
     l1, l2 = run.kernel.lambda1, run.kernel.lambda2
     times = run.times
     m_k = run.moments(k)
-    lhs = m_k + cumulative_trapezoid(_leak_rate(run, k), times, initial=0.0)
-    production = cumulative_trapezoid(
-        run.moments(k + l2) * run.moments(l1), times, initial=0.0
-    )
+    lhs = m_k + bounds_mod.running_trapezoid(_leak_rate(run, k), times)
+    production = bounds_mod.running_trapezoid(run.moments(k + l2) * run.moments(l1), times)
     rhs = m_k[0] + coeff * production
     tolerance = _GROWTH_TOL * (abs(m_k[0]) + np.abs(coeff) * production + 1e-300)
     return bool(np.all(lhs >= rhs - tolerance))

@@ -123,8 +123,9 @@ def load_run(run_dir) -> RunOutput:
     echo, files = manifest.get("config"), manifest.get("files")
     if not (echo and isinstance(echo, dict) and isinstance(files, dict)):
         raise InputError(f"{manifest_path} carries no configuration echo or no file digests")
+    # the echo holds init.path as it was resolved when the run was configured
     text = "\n".join(f"{k} = {v}" for k, v in echo.items())
-    config = parse_config_text(text, name=str(manifest_path), base_dir=str(run_dir))
+    config = parse_config_text(text, name=str(manifest_path))
     grid = build_grid(config.x_min, config.x_max, config.n_cells)
 
     series = io.BytesIO(_verified(run_dir, "moments.csv", files))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import collbreak as cb
 from collbreak import DaughterLaw, DomainError, InputError, KernelSpec, Regime
+from collbreak.bounds import running_trapezoid
 from collbreak.cli import main
 
 
@@ -203,6 +205,25 @@ def test_gronwall_envelope_mesh_mismatch():
     law = DaughterLaw(-1.5, 0.6)
     with pytest.raises(InputError):
         cb.gronwall_envelope(law, [0.0, 0.1], [1.0, 1.0, 1.0], [1.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 41, 1000])
+def test_running_trapezoid_bitwise_equals_scipy(size):
+    # scipy's cumulative_trapezoid is the oracle: the same expression in the
+    # same order, so every partial sum agrees bit for bit
+    rng = np.random.default_rng(size)
+    x = np.cumsum(rng.exponential(size=size)) - 0.5  # non-uniform, of both signs
+    y = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+    got = running_trapezoid(y, x)
+    want = cumulative_trapezoid(y, x, initial=0.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("times", [[], [[0.0, 0.1]]])
+def test_gronwall_envelope_refuses_empty_or_non_series(times):
+    law = DaughterLaw(-1.5, 0.6)
+    with pytest.raises(InputError):
+        cb.gronwall_envelope(law, times, times, times, 1.0)
 
 
 def test_bounds_report_serialises():

@@ -133,6 +133,51 @@ def test_snapshot_count_and_list_forms():
     assert config.snapshot_times == (0.0, 0.25, 0.5, 1.0)
 
 
+_TIMES_0_01_TO_0_99 = ",".join(str(i / 100) for i in range(1, 100))  # with 0 and t_end, 101 times
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time.snapshots = 100001\n", "100001 snapshot times exceed the limit of 100000"),
+        ("time.snapshots = " + "9" * 30 + "\n", "snapshot times exceed the limit of 100000"),
+        ("grid.n_cells = 1001\ntime.snapshots = 100000\n", "a record of 100100000 doubles"),
+        (f"grid.n_cells = 1000000\ntime.snapshots = {_TIMES_0_01_TO_0_99}\n", "a record of 101000000 doubles"),
+    ],
+)
+def test_snapshot_mesh_bounded_before_it_is_built(text, message):
+    # the count, or the listed mesh, is refused under its key and line
+    # without building the mesh or the record it would ask for
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            cb.parse_config_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.key, info.value.line) == ("time.snapshots", text.count("\n"))
+    assert message in str(info.value)
+    assert peak < 1e6
+
+
+def test_largest_snapshot_mesh_and_record_parse():
+    config = cb.parse_config_text(f"grid.n_cells = 16\ntime.snapshots = {cb.config.MAX_SNAPSHOTS}\n")
+    assert len(config.snapshot_times) == cb.config.MAX_SNAPSHOTS
+    config = cb.parse_config_text("grid.n_cells = 1000\ntime.snapshots = 100000\n")
+    assert len(config.snapshot_times) * config.n_cells == cb.config.MAX_RECORD
+    # the resolved echo lists every time, 0 and t_end included, and parses back
+    assert cb.parse_config_text(config.to_text()) == config
+
+
+def test_with_x_min_bounds_the_record_it_widens():
+    config = cb.parse_config_text("grid.x_min = 1e-2\ngrid.x_max = 10\ngrid.n_cells = 600\ntime.snapshots = 100000\n")
+    assert cb.with_x_min(config, 1e-4).n_cells == 1000  # a record of exactly MAX_RECORD
+    with pytest.raises(ConfigError) as info:
+        cb.with_x_min(config, 1e-5)  # 1200 cells
+    assert info.value.key == "time.snapshots"
+    assert "a record of 120000000 doubles" in str(info.value)
+
+
 def test_snapshots_outside_horizon_rejected():
     with pytest.raises(ConfigError):
         cb.parse_config_text("time.t_end = 1.0\ntime.snapshots = 0.5,2.0\n")

@@ -141,6 +141,25 @@ def test_wide_self_restart_builds_fast(tmp_path):
     assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(cb.moment(run.grid, run.states[-1], 1.0), rel=1e-12)
 
 
+def test_table_run_emits_load_emits_the_same_manifest(tmp_path, monkeypatch):
+    # init.path = t.csv beside cfgdir/a.cfg, simulated from its parent: the
+    # echo holds cfgdir/t.csv, and load_run must not resolve it again
+    # against the run directory
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "cfgdir" / "t.csv").write_text("size,density\n0.5,1.0\n1.0,2.0\n2.0,0.5\n")
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    (tmp_path / "cfgdir" / "a.cfg").write_text(text.replace("init.mass = 1.0", "init.path = t.csv"))
+    monkeypatch.chdir(tmp_path)
+    config = cb.parse_config("cfgdir/a.cfg")
+    assert config.init_path == str(Path("cfgdir") / "t.csv")
+    first = cb.emit_outputs(cb.run(config), "run1")
+    loaded = cb.load_run("run1")
+    assert loaded.config == config
+    assert cb.emit_outputs(loaded, "run2") == first
+    for name in ("manifest.json", "moments.csv", "contents.npy"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+
 def test_emit_refuses_run_without_config(emitted_run, tmp_path):
     # load_run could not read back a run without its configuration echo
     _, run, _, _ = emitted_run
@@ -185,6 +204,26 @@ def test_cli_verifies_a_one_snapshot_run_in_a_fresh_process(tmp_path):
     assert (verified.returncode, verified.stderr) == (0, "")
     checks = json.loads(verified.stdout)["checks"]
     assert checks and all(check["passed"] for check in checks)
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    loaded = run_in_fresh_process(
+        "import sys\nimport collbreak.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert loaded == "[]\n"
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_refuses_a_run_directory_blocked_by_a_file(tmp_path, out):
+    # a regular file on the path is named in one line, with exit 2
+    cfg = _write(tmp_path, BASE_CONFIG)
+    (tmp_path / "afile").write_text("not a directory\n")
+    done = _cli_in_fresh_process("simulate", cfg, "--out", str(tmp_path / out))
+    assert (done.returncode, done.stdout) == (2, "")
+    blocker = tmp_path / "afile"
+    assert done.stderr == f"error: cannot write run directory {tmp_path / out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_cli_simulate_verify_ok(tmp_path, capsys):
