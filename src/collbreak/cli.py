@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,14 @@ EXIT_VERIFICATION = 4
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True, default=float), flush=True)
+    except BrokenPipeError:
+        # the reader closed early (`| head`): drop the rest, here and at exit,
+        # and let the command keep its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _check_out_dir(out_dir) -> None:

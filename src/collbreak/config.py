@@ -256,6 +256,12 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
     def line_of(key):
         return values[key][1] if key in values else None
 
+    def located(path):
+        """A relative ``path`` taken from the configuration file's directory."""
+        if path is None or base_dir is None or Path(path).is_absolute():
+            return path
+        return str(Path(base_dir) / path)
+
     x_min, x_max, n_cells = get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")
     rel_tol, abs_tol = get("time.rel_tol"), get("time.abs_tol")
     with _cited(line_of):
@@ -287,8 +293,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
             raise ConfigError(
                 "table initial data needs init.path", key="init.path", line=None
             )
-        if base_dir is not None and not Path(path).is_absolute():
-            path = str(Path(base_dir) / path)
+        path = located(path)
 
     t_end = get("time.t_end")
     if t_end < 0.0:
@@ -329,12 +334,16 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         picard_max_iter=int(get("picard.max_iter")),
         picard_tol=float(get("picard.tol")),
         moment_orders=tuple(float(k) for k in orders),
-        out_dir=get("output.dir"),
+        out_dir=located(get("output.dir")),
     )
 
 
 def parse_config(path) -> SimConfig:
-    """Parse and validate a configuration file."""
+    """Parse and validate a configuration file.
+
+    A relative ``init.path`` or ``output.dir`` is taken from the file's
+    directory, so the file means the same from any working directory.
+    """
     path = Path(path)
     try:
         text = path.read_text()

@@ -43,8 +43,11 @@ class ConfigError(CollbreakError, ValueError):
 class StiffnessError(CollbreakError):
     """Adaptive time step collapsed at ``time``: ``reason`` says why ``dt`` failed.
 
-    Signals blow-up-like behaviour of the right-hand side; expected when a
-    run is driven into the shattering regime.
+    One of three reasons: the rates are not finite ("non-finite error
+    estimate"), halving ``dt`` no longer moves the time, or the run used up
+    ``integrate.MAX_STEPS`` accepted steps before its last time.  Signals
+    blow-up-like behaviour of the right-hand side; expected when a run is
+    driven past what explicit steps in double precision can resolve.
     """
 
     def __init__(self, time, dt, reason):

@@ -27,6 +27,11 @@ __all__ = [
 # rejection; anything shallower is round-off and gets clipped to zero.
 _NEG_FLOOR_FRACTION = 1e-14
 
+# Accepted steps after which ``simulate`` gives up on reaching t_end.  The
+# largest run on record needs about 1e5, so this bounds the work of any input
+# with 10x headroom and fails it the same way on every machine.
+MAX_STEPS = 10**6
+
 _PICARD_PANELS = 64
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) in exact
@@ -78,16 +83,16 @@ class Tolerances:
 
     The error estimate is measured in the weighted norm
     sum max(reps^k0, reps^(1+k0)) |e_i|, the same topology in which
-    solutions of the continuous problem are separated.  Every field must be
-    finite and non-negative, and the two tolerances must not both be zero.
+    solutions of the continuous problem are separated.  Both tolerances must
+    be finite and non-negative, and not both zero.  No tolerance bounds dt
+    from below: a run ends only as ``step`` and ``simulate`` say.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    dt_floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "dt_floor"):
+        for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise DomainError(f"{name}={value} must be finite and non-negative", param=name)
@@ -114,10 +119,12 @@ def step(
     land below -1e-14 times the state scale; accepted round-off negatives
     are clipped to zero with the created mass tracked in ``clip_mass``.
     After an attempt that the negative-content guard alone refused, the
-    next step grows no further than this one.  A trial stage that overflows
-    is a rejected attempt, and no floating-point warning escapes; a rejected
-    dt whose error estimate is NaN or infinite, or whose half would not move
-    the time, raises ``StiffnessError``.
+    next step grows no further than this one.  An attempt whose error
+    estimate is NaN or infinite, as when a trial stage overflows, is
+    rejected like any other, and no floating-point warning escapes.
+    ``StiffnessError`` is raised only when the rates at ``state`` are not
+    finite ("non-finite error estimate", after the first attempt) or when
+    half the rejected dt would no longer move the time.  No floor bounds dt.
 
     Returns (new_state, dt_used, dt_next, next_rates, stages).  ``next_rates``
     is the seventh stage k7 = f(y_new), the right-hand side at the new state,
@@ -141,8 +148,6 @@ def step(
     growth = 5.0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if tol.dt_floor > 0.0 and dt < tol.dt_floor:
-                raise StiffnessError(state.time, dt, f"dt below dt_floor={tol.dt_floor:.3e}")
             for row in _STAGES:
                 _increment(row, ks, dt, trial, term)
                 trial += c
@@ -165,7 +170,8 @@ def step(
             del ks[1:], ds[1:]
             # the guard alone refused: growing dt again would only see it halved again
             growth = 1.0 if est <= tol_value else growth
-            if not math.isfinite(est):
+            # an overflowing stage is a rejected attempt; non-finite start rates are not
+            if not math.isfinite(est) and not (math.isfinite(d1) and np.isfinite(k1).all()):
                 raise StiffnessError(state.time, dt, "non-finite error estimate")
             if state.time + dt / 2.0 == state.time:
                 raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
@@ -282,6 +288,8 @@ def simulate(
     to the next, so a run costs one right-hand side to start, six per
     accepted step, six per rejected attempt and one after each step but the
     last that clipped, whatever the snapshot mesh.
+    A run that ``step`` cannot advance, or that is still short of the last
+    time after ``MAX_STEPS`` accepted steps, raises ``StiffnessError``.
     """
     times = np.asarray(snapshot_times, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -295,16 +303,17 @@ def simulate(
     tol = tolerances or Tolerances()
     t_end = float(times[-1])
     horizon = t_end - float(times[0])
-    if tol.dt_floor == 0.0 and horizon > 0.0:
-        tol = Tolerances(tol.rel_tol, tol.abs_tol, 1e-12 * horizon)
 
     contents = np.empty((times.size, state0.contents.size))
     dust, clip = np.empty(times.size), np.empty(times.size)
     contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
     filled, state = 1, state0
     dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
-    rates = None
+    rates, steps = None, 0
     while state.time < t_end:
+        if steps == MAX_STEPS:
+            raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")
+        steps += 1
         remaining = t_end - state.time
         clamp = remaining <= dt_next
         dt_target = remaining if clamp else dt_next

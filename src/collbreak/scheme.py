@@ -137,10 +137,10 @@ def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float
 
     Compares sum reps^k d_contents against the closed power test-function
     rate (1/2) sum Upsilon_k(reps_j, reps_l) R[j,l], R[j,l] = Phi c_j c_l.
-    The gap is the cell discretisation error plus the k-th moment flux below
-    x_min (the latter is ``subgrid_moment_flux``; subtracting it isolates the
-    part that vanishes under grid refinement).  At k = 1 the residual equals
-    minus the dust production exactly.  Requires k > |nu| - 1.
+    The gap is the cell discretisation error less the k-th moment flux below
+    x_min (the latter is ``subgrid_moment_flux``; adding it to the gap
+    isolates the part that vanishes under grid refinement).  At k = 1 the
+    residual equals minus the dust production exactly.  Requires k > |nu| - 1.
     """
     reps_k = workspace.grid.reps**k
     d_contents, _ = rhs_arrays(workspace, state.contents)

@@ -20,7 +20,7 @@ from collbreak import (
 )
 from picard_oracle import oracle_picard
 from rk_oracle import oracle_simulate, oracle_step
-from test_acceptance import A1_CONFIG, A5_CONFIG, A8_CONFIG
+from test_acceptance import A1_CONFIG, A5_CONFIG, A5_CONTROL_CONFIG, A8_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +65,8 @@ def test_step_rejects_bad_dt(small_problem):
         ({"rel_tol": math.nan}, "rel_tol"),
         ({"abs_tol": -1e-12}, "abs_tol"),
         ({"rel_tol": math.inf}, "rel_tol"),
-        ({"dt_floor": math.nan}, "dt_floor"),
-        ({"dt_floor": -1.0}, "dt_floor"),
+        ({"abs_tol": math.inf}, "abs_tol"),
+        ({"rel_tol": -1e-8}, "rel_tol"),
         ({"rel_tol": 0.0, "abs_tol": 0.0}, "rel_tol"),
     ],
 )
@@ -74,16 +74,6 @@ def test_tolerances_refuse_bad_values(fields, param):
     with pytest.raises(cb.DomainError) as info:
         Tolerances(**fields)
     assert info.value.param == param
-
-
-def test_stiffness_error_on_dt_floor(small_problem):
-    ws, s0 = small_problem
-    tol = Tolerances(rel_tol=1e-30, abs_tol=0.0, dt_floor=1e-3)
-    with pytest.raises(StiffnessError) as info:
-        cb.step(ws, s0, 0.01, tol)
-    # 0.01, 0.005, 0.0025 and 0.00125 are rejected; 0.000625 is below the floor
-    assert info.value.dt == 0.000625
-    assert info.value.reason == "dt below dt_floor=1.000e-03"
 
 
 def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
@@ -106,10 +96,10 @@ def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
     assert (info.value.dt, info.value.reason) == (0.1, "non-finite error estimate")
 
 
-def test_step_overflowing_stage_raises_without_warning(small_problem, monkeypatch):
+def test_step_halves_past_an_overflowing_stage_without_warning(small_problem, monkeypatch):
     # rates near 1e300 are finite, but a trial stage at dt = 1e-140 lands
-    # near 1e160 and its rates overflow; the attempt is rejected and its
-    # non-finite estimate ends the step
+    # near 1e160 and its rates overflow; each such attempt is rejected and
+    # dt halves, until the 40th attempt stays finite and is accepted
     ws, s0 = small_problem
     big = State(1e150 * s0.contents)
     assert np.all(np.isfinite(cb.rhs_arrays(ws, big.contents)[0]))
@@ -123,22 +113,49 @@ def test_step_overflowing_stage_raises_without_warning(small_problem, monkeypatc
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StiffnessError) as info:
-            cb.step(ws, big, 1e-140, Tolerances())
-    assert len(calls) == 7
-    assert (info.value.dt, info.value.reason) == (1e-140, "non-finite error estimate")
+        out, dt_used, _, _, _ = cb.step(ws, big, 1e-140, Tolerances())
+    assert len(calls) == 1 + 6 * 40 == 241
+    assert dt_used == 1e-140 / 2**39
+    assert np.all(np.isfinite(out.contents)) and math.isfinite(out.dust_mass)
+
+
+@pytest.mark.parametrize("x_min", [1e-13, 1e-16, 1e-20, 1e-30])
+def test_a5_and_its_control_reach_t_end_at_tiny_x_min(x_min):
+    # A5's dust takes all the mass; the control's stays at round-off
+    a5, control = (
+        cb.run(cb.with_x_min(cb.parse_config_text(text), x_min)) for text in (A5_CONFIG, A5_CONTROL_CONFIG)
+    )
+    assert a5.times[-1] == control.times[-1] == 0.5
+    assert a5.dust[-1] / a5.rho >= 0.999
+    assert control.dust[-1] / control.rho <= 1e-15
 
 
 def test_a5_past_the_explicit_limit_reports_why_the_step_collapsed():
-    # at x_min = 1e-30 the first attempt, at the start-up dt of 1e-4 times
-    # the horizon, already has a non-finite error estimate; the error names
-    # that reason and the dt that was tried, not the halved one
-    config = cb.with_x_min(cb.parse_config_text(A5_CONFIG), 1e-30)
+    # at x_min = 1e-50 A5's dt falls below the spacing of doubles near t,
+    # a limit of explicit steps in double-precision time
+    config = cb.with_x_min(cb.parse_config_text(A5_CONFIG), 1e-50)
     with pytest.raises(StiffnessError) as info:
         cb.run(config)
-    assert (info.value.time, info.value.dt) == (0.0, 1e-4 * config.t_end)
-    assert info.value.reason == "non-finite error estimate"
-    assert str(info.value) == "time step collapse at t=0 (dt=5.000e-05): non-finite error estimate"
+    assert 0.0 < info.value.time < config.t_end
+    assert info.value.time + info.value.dt / 2.0 == info.value.time
+    assert info.value.reason == "halving dt no longer moves the time"
+
+
+def test_step_budget_ends_a_run_that_would_take_hours(monkeypatch):
+    # lambda1 = -1 < k0: at x_min = 1e-6 dt falls to about 1e-10 and stays
+    # there, so the run would take hours; the step budget ends it
+    config = cb.parse_config_text(
+        "kernel.lambda1 = -1\nkernel.lambda2 = 1\n"
+        "daughter.nu = -0.5\ndaughter.k0 = 0.5\n"
+        "grid.x_min = 1e-6\ngrid.x_max = 10\ngrid.n_cells = 80\n"
+        "init.kind = monodisperse\ninit.size = 1\ninit.mass = 1\n"
+        "time.t_end = 1\ntime.snapshots = 2\n"
+    )
+    monkeypatch.setattr(integrate, "MAX_STEPS", 2000)
+    with pytest.raises(StiffnessError) as info:
+        cb.run(config)
+    assert 0.0 < info.value.time < config.t_end
+    assert info.value.reason == "used up the step budget MAX_STEPS=2000"
 
 
 def test_step_reports_the_dt_that_no_longer_moves_the_time(small_problem):
@@ -436,7 +453,7 @@ def test_interpolated_negatives_are_clipped_into_the_snapshot(clip_problem):
     # as step clips: contents set to zero, and the mass so created added to
     # that snapshot's clip_mass only, so M_1 + dust - clip_mass is kept.
     ws, s0 = clip_problem
-    tol = Tolerances(rel_tol=1e-4, dt_floor=1e-11)
+    tol = Tolerances(rel_tol=1e-4)
     state, dt, rates, clipped = s0, 0.1, None, 0
     reps, rho = ws.grid.reps, float(np.sum(ws.grid.reps * s0.contents))
     for _ in range(40):

@@ -183,11 +183,28 @@ def _write(tmp_path, text, name="case.cfg"):
     return str(path)
 
 
+def _cli_env():
+    src = str(Path(cb.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _cli_in_fresh_process(*argv):
     """The finished ``python -m collbreak.cli`` process run on ``argv``."""
-    src = str(Path(cb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "collbreak.cli", *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "collbreak.cli", *argv], env=_cli_env(), capture_output=True, text=True)
+
+
+def _cli_read_by_nobody(*argv):
+    """(exit code, stderr) of a fresh CLI process whose stdout reader closes before it writes."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "collbreak.cli", *argv],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as child:
+        child.stdout.close()
+        stderr = child.stderr.read()
+    return child.returncode, stderr
 
 
 # A5 physics on 16 cells at t_end = 0: one snapshot and no dust
@@ -254,23 +271,49 @@ def test_cli_regime_and_bounds(tmp_path, capsys):
     assert "initial_moments" in payload
 
 
+def _break_mass_budget(out):
+    """Inflate the final snapshot of run ``out`` and re-sign it, so it loads but fails verify."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = np.load(out / "contents.npy")
+    rows[-1] *= 3.0
+    np.save(out / "contents.npy", rows)
+    # re-sign the doctored file and the manifest so they pass the load-time
+    # integrity checks and reach the verification battery
+    _resign(out, manifest)
+
+
 def test_cli_verify_detects_tampering(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_CONFIG)
     out_dir = str(tmp_path / "out")
     main(["simulate", cfg, "--out", out_dir])
     capsys.readouterr()
-    # inflate the final snapshot contents: mass budget must break
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    contents = tmp_path / "out" / "contents.npy"
-    rows = np.load(contents)
-    rows[-1] *= 3.0
-    np.save(contents, rows)
-    # re-sign the doctored file and the manifest so they pass the load-time
-    # integrity checks and reach the verification battery
-    _resign(tmp_path / "out", manifest)
+    _break_mass_budget(tmp_path / "out")
     assert main(["verify", out_dir]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(not check["passed"] for check in payload["checks"])
+
+
+def test_cli_keeps_its_exit_code_when_the_reader_closes_early(tmp_path):
+    # as in `collbreak simulate a.cfg | head -2`: nothing more is printed,
+    # stderr stays empty and each command's own exit code stands
+    cfg, out = _write(tmp_path, BASE_CONFIG), tmp_path / "out"
+    assert _cli_read_by_nobody("simulate", cfg, "--out", str(out)) == (0, "")
+    _break_mass_budget(out)
+    assert _cli_read_by_nobody("verify", str(out)) == (4, "")
+
+
+def test_output_dir_is_taken_from_the_config_files_directory(tmp_path, monkeypatch, capsys):
+    # as init.path is; --out stays relative to the working directory
+    (tmp_path / "cfgdir").mkdir()
+    _write(tmp_path / "cfgdir", BASE_CONFIG + "output.dir = myrun\n", "a.cfg")
+    monkeypatch.chdir(tmp_path)
+    assert cb.parse_config("cfgdir/a.cfg").out_dir == str(Path("cfgdir") / "myrun")
+    assert main(["simulate", "cfgdir/a.cfg"]) == 0
+    assert (tmp_path / "cfgdir" / "myrun" / "manifest.json").exists()
+    assert not (tmp_path / "myrun").exists()
+    assert main(["simulate", "cfgdir/a.cfg", "--out", "other"]) == 0
+    assert (tmp_path / "other" / "manifest.json").exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["moments.csv", "contents.npy"])
@@ -378,17 +421,15 @@ def test_cli_distance_refuses_runs_of_different_physics(tmp_path, capsys):
 
 
 def test_cli_stiffness_exit_code(tmp_path, capsys):
-    # enormous rates force the step controller below its floor
-    cfg = _write(
-        tmp_path,
-        "kernel.lambda1 = 2\nkernel.lambda2 = 2\n"
-        "daughter.nu = -1.2\ndaughter.k0 = 0.5\n"
-        "grid.x_min = 0.1\ngrid.x_max = 20\ngrid.n_cells = 16\n"
-        "init.kind = monodisperse\ninit.size = 10\ninit.mass = 1e9\n"
-        "time.t_end = 1.0\ntime.snapshots = 2\n",
-    )
-    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    # A5 cut at x_min = 1e-50: dt falls below the spacing of doubles near t
+    cfg = _write(tmp_path, test_acceptance.A5_CONFIG.replace("grid.x_min = 1e-2", "grid.x_min = 1e-50"))
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: time step collapse at t=")
+    assert captured.err.endswith("): halving dt no longer moves the time\n")
+    assert not out.exists()
 
 
 def test_cli_shatter_study_output(tmp_path, capsys):
