@@ -17,7 +17,7 @@ from .config import run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
-from .integrate import RunOutput
+from .integrate import RunOutput, row_blocks
 
 __all__ = [
     "weighted_distance",
@@ -47,13 +47,24 @@ _GROWTH_TOL = 0.01
 def weighted_distance(state_a: State, state_b: State, grid: SizeGrid, k0: float):
     """Distance sum max(reps^k0, reps^(1+k0)) |a_i - b_i| between two states.
 
-    Given two runs on one snapshot mesh, one distance per snapshot, in one
-    reduction over the rows of their ``contents``.
+    Given two states, one float64; given two runs on one snapshot mesh, one
+    distance per snapshot, an array.  The rows of the ``contents`` go through
+    ``row_blocks``: difference, magnitude and weight in the block's scratch,
+    then one row-by-row reduction, so the pass holds O(n_cells + block)
+    beyond its inputs and each distance is bitwise that of its row alone.
     """
     a, b = state_a.contents, state_b.contents
     if a.shape[-1:] != (grid.n_cells,) or b.shape != a.shape:
         raise InputError("states do not live on the given grid")
-    return np.sum(weight_vector(grid, k0) * np.abs(a - b), axis=-1)
+    weights = weight_vector(grid, k0)
+    a, b = a.reshape(-1, grid.n_cells), b.reshape(-1, grid.n_cells)
+    distances = np.empty(a.shape[0])
+    for rows, block in row_blocks(*a.shape):
+        np.subtract(a[rows], b[rows], out=block)
+        np.abs(block, out=block)
+        np.multiply(weights, block, out=block)
+        np.add.reduce(block, axis=1, out=distances[rows])
+    return distances.reshape(state_a.contents.shape[:-1])[()]
 
 
 def _leak_rate(run: RunOutput, k: float) -> np.ndarray:
@@ -187,14 +198,26 @@ def tail_monotonicity_check(run: RunOutput, k: float):
 
     Tolerance scales as 1e-8 rho x^(k-1) per edge.  Returns
     (passed, worst_violation) with the violation measured in units of the
-    local tolerance.
+    local tolerance.  Each ``row_blocks`` block of snapshots gets its tails
+    by one reversed cumsum per row in the block's scratch, less a saved copy
+    of snapshot 0's tails, so the check holds O(n_cells + block) beyond the
+    record; the verdict is bitwise that of the whole tail table.
     """
     grid = run.grid
-    tails = np.zeros((run.times.size, grid.n_cells + 1))
-    np.cumsum(np.multiply(run.contents, grid.reps**k)[:, ::-1], axis=1, out=tails[:, -2::-1])
-    tails -= tails[0]  # numpy reads row 0 as it was before the subtraction
-    tails /= _TAIL_TOL * run.rho * grid.edges ** (k - 1.0)
-    worst = float(np.max(tails))
+    reps_k = grid.reps**k
+    allowance = _TAIL_TOL * run.rho * grid.edges ** (k - 1.0)
+    worst = -math.inf
+    for rows, tails in row_blocks(run.times.size, grid.n_cells + 1):
+        tails[:, -1] = 0.0  # the tail above x_max
+        np.multiply(run.contents[rows], reps_k, out=tails[:, :-1])
+        np.cumsum(tails[:, -2::-1], axis=1, out=tails[:, -2::-1])
+        if rows.start == 0:
+            first = tails[0].copy()
+        tails -= first
+        tails /= allowance
+        # np.maximum keeps a NaN, as the maximum of the whole table does
+        worst = np.maximum(worst, np.max(tails))
+    worst = float(worst)
     return worst <= 1.0, worst
 
 
@@ -229,7 +252,7 @@ def run_verification(run: RunOutput) -> list[dict]:
         peak = float(np.max(np.abs(residual)))
         verdict("moment-identity-k=1", peak <= tol, f"max |residual| = {peak:.3e} (tol {tol:.3e})")
 
-    report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.states[0], run.times)
+    report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0), run.times)
     if report.c1 is not None:
         horizon = float(run.times[-1])
         if math.isfinite(report.t_k0):

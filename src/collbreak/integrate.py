@@ -15,6 +15,7 @@ from .scheme import RhsWorkspace, rhs_arrays
 __all__ = [
     "Tolerances",
     "RunOutput",
+    "row_blocks",
     "PicardResult",
     "step",
     "interpolate",
@@ -33,6 +34,10 @@ _NEG_FLOOR_FRACTION = 1e-14
 MAX_STEPS = 10**6
 
 _PICARD_PANELS = 64
+
+# Doubles of scratch in one row block of a pass over a run's contents matrix
+# (64 KiB), so a pass holds its record plus O(n_cells + block), not a copy.
+BLOCK_DOUBLES = 8192
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) in exact
 # rationals: the stage rows a_ij, the nodes c_i, the fifth-order weights b
@@ -231,6 +236,21 @@ def _increment(row, ks, dt, out, term):
     return out
 
 
+def row_blocks(rows: int, cols: int):
+    """Cover the rows of a (rows, cols) matrix in order, one block at a time.
+
+    Yields (row slice, scratch) pairs: each block has at most
+    ``BLOCK_DOUBLES`` doubles, or one row when a row is wider, and
+    ``scratch`` is an uninitialised (block rows, cols) C-order view of one
+    buffer that every block reuses.
+    """
+    step = max(1, BLOCK_DOUBLES // cols)
+    buffer = np.empty((min(step, rows), cols))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield slice(start, stop), buffer[: stop - start]
+
+
 @dataclass
 class RunOutput:
     """Snapshots of one integration plus everything needed to audit it.
@@ -255,16 +275,32 @@ class RunOutput:
     def states(self) -> list:
         return list(map(State, self.contents, self.dust, self.times, self.clip))
 
+    def state(self, i: int) -> State:
+        """Snapshot i alone, as ``states[i]`` without building the others."""
+        return State(self.contents[i], self.dust[i], self.times[i], self.clip[i])
+
     @property
     def rho(self) -> float:
         return float(self.moments(1.0)[0] + self.dust[0])
 
     def moments(self, k: float) -> np.ndarray:
-        """M_k per snapshot: one row-by-row reduction per order, kept read-only."""
+        """M_k per snapshot, computed once per order and kept read-only.
+
+        Each ``row_blocks`` block of ``contents`` is multiplied by reps^k
+        into the scratch and reduced row by row into the series, so the
+        pass holds O(n_cells + block) beyond the record.  numpy reduces each
+        contiguous row as it reduces that row alone, so M_k[i] is bitwise
+        ``grid.moment`` of snapshot i.
+        """
         if k not in self._moments:
             # reps**k on the contiguous reps: numpy's power can round a strided view differently
-            self._moments[k] = np.multiply(self.contents, self.grid.reps**k).sum(axis=1)
-            self._moments[k].flags.writeable = False
+            reps_k = self.grid.reps**k
+            series = np.empty(self.times.size)
+            for rows, block in row_blocks(*self.contents.shape):
+                np.multiply(self.contents[rows], reps_k, out=block)
+                np.add.reduce(block, axis=1, out=series[rows])
+            series.flags.writeable = False
+            self._moments[k] = series
         return self._moments[k]
 
 

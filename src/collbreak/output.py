@@ -43,10 +43,14 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
 
     ``moments.csv`` has one row per snapshot: its time, the moments, the
     dust and the clipped mass.  ``contents.npy``, a C-order ``<f8`` array of
-    shape (snapshots, n_cells), is the run's ``contents`` matrix.  Returns the
+    shape (snapshots, n_cells), is the run's ``contents`` matrix, written and
+    hashed from its own buffer; with the series from ``RunOutput.moments``,
+    emitting holds the run plus O(n_cells + block) scratch.  Returns the
     manifest dictionary (also written to disk), which echoes the resolved
-    configuration, the regime classification with its constants, the
-    SHA-256 of each file, and a content hash over the echo and the digests.
+    configuration less ``output.dir`` (where the run was written, so the
+    same run hashes the same wherever it goes), the regime classification
+    with its constants, the SHA-256 of each file, and a content hash over
+    the echo and the digests.
     A run without a configuration (a bare ``simulate`` result) is refused
     before any file is written: ``load_run`` could not read it back.
     """
@@ -75,12 +79,14 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
         handle.write(matrix)
     files["contents.npy"] = digest.hexdigest()
 
+    echo = run.config.resolved()
+    echo.pop("output.dir", None)
     manifest = {
         "format": FORMAT,
-        "config": run.config.resolved(),
+        "config": echo,
         "rho": run.rho,
         "bounds": bounds_mod.initial_bounds(
-            run.kernel, run.law, run.grid, run.states[0], run.times
+            run.kernel, run.law, run.grid, run.state(0), run.times
         ).entry(),
         "files": files,
     }

@@ -1,12 +1,15 @@
 """Slow reference for the run record: the per-snapshot loops it replaced.
 
-``RunOutput`` builds each per-snapshot series with one numpy call over its
-(snapshots, n_cells) contents matrix, and ``emit_outputs`` writes that
-matrix in one call.  Here every series is built one snapshot at a time, as
-the record was first written: a moment by ``grid.moment`` per state, a tail
-table by one cumsum per row, and ``contents.npy`` streamed row by row.
-numpy reduces a contiguous last axis row by row exactly as it reduces one
-row alone, so the two must agree bit for bit.
+``RunOutput.moments``, ``tail_monotonicity_check`` and ``weighted_distance``
+pass over the (snapshots, n_cells) contents matrix in row blocks of at most
+``integrate.BLOCK_DOUBLES`` doubles, and ``emit_outputs`` writes that matrix
+in one call.  Here every series is built one snapshot at a time, as the
+record was first written: a moment by ``grid.moment`` per state, the whole
+tail table by one cumsum per row, and ``contents.npy`` streamed row by row;
+the distance is the one expression over whole arrays that the blocks
+replaced.  numpy reduces and accumulates a contiguous last axis row by row
+exactly as it does one row alone, so whatever the blocking, the two must
+agree bit for bit.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import io
 import numpy as np
 
 from collbreak.diagnostics import _TAIL_TOL
-from collbreak.grid import moment
+from collbreak.grid import moment, weight_vector
 
 
 def moments(run, k):
@@ -38,6 +41,11 @@ def tail_check(run, k):
     allowance = _TAIL_TOL * rho(run) * grid.edges ** (k - 1.0)
     worst = float(np.max((tails - tails[0]) / allowance))
     return worst <= 1.0, worst
+
+
+def weighted_distance(a, b, grid, k0):
+    """``diagnostics.weighted_distance`` as one expression over whole arrays."""
+    return np.sum(weight_vector(grid, k0) * np.abs(a.contents - b.contents), axis=-1)
 
 
 def moments_csv(run) -> bytes:

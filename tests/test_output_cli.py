@@ -316,6 +316,32 @@ def test_output_dir_is_taken_from_the_config_files_directory(tmp_path, monkeypat
     capsys.readouterr()
 
 
+def test_content_hash_does_not_depend_on_where_the_run_is_written(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cfgdir").mkdir()
+    _write(tmp_path / "cfgdir", BASE_CONFIG + "output.dir = myrun\n", "a.cfg")
+    _write(tmp_path, BASE_CONFIG, "plain.cfg")
+
+    def content_hash(*argv):
+        capsys.readouterr()
+        assert main(["simulate", *argv]) == 0
+        return json.loads(capsys.readouterr().out)["content_hash"]
+
+    monkeypatch.chdir(tmp_path)
+    hashes = {
+        content_hash("cfgdir/a.cfg"),
+        content_hash("cfgdir/a.cfg", "--out", "other"),
+        content_hash("plain.cfg", "--out", "plain"),  # no output.dir at all
+    }
+    monkeypatch.chdir(tmp_path / "cfgdir")
+    hashes.add(content_hash("a.cfg"))
+    assert len(hashes) == 1
+    assert "output.dir" not in json.loads((tmp_path / "other" / "manifest.json").read_text())["config"]
+    # the configuration itself still carries and round-trips it
+    config = cb.parse_config("a.cfg")
+    assert "output.dir = myrun\n" in config.to_text()
+    assert cb.parse_config_text(config.to_text()) == config
+
+
 @pytest.mark.parametrize("name", ["moments.csv", "contents.npy"])
 def test_cli_verify_rejects_truncated_file(tmp_path, capsys, name):
     cfg = _write(tmp_path, BASE_CONFIG)

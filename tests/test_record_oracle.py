@@ -1,8 +1,10 @@
 """The run record's matrix reductions against the per-snapshot oracle, bit for bit."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +12,23 @@ import pytest
 import collbreak as cb
 import record_oracle
 from collbreak.cli import main
+from collbreak.integrate import BLOCK_DOUBLES, row_blocks
 from collbreak.output import FORMAT, _content_hash
 from test_acceptance import A1_CONFIG, A5_CONFIG, A8_CONFIG
 
+
+def _a1(cells, snapshots):
+    text = A1_CONFIG.replace("grid.n_cells = 128", f"grid.n_cells = {cells}")
+    return text.replace("time.snapshots = 21", f"time.snapshots = {snapshots}")
+
+
+# The first three records fit in one row block of BLOCK_DOUBLES = 8192; A1 on
+# 200 snapshots of 128 cells takes three blocks of 64 rows and a last of 8,
+# and on 9000 cells each row is wider than a block, so each block is one row.
 RUNS = pytest.mark.parametrize(
     "text, x_min",
-    [(A1_CONFIG, None), (A5_CONFIG, 1e-4), (A8_CONFIG, None)],
-    ids=["A1-n128", "A5-xmin1e-4", "A8"],
+    [(A1_CONFIG, None), (A5_CONFIG, 1e-4), (A8_CONFIG, None), (_a1(128, 200), None), (_a1(9000, 3), None)],
+    ids=["A1-n128", "A5-xmin1e-4", "A8", "A1-n128-s200-blocks", "A1-n9000-wide-rows"],
 )
 
 
@@ -25,6 +37,14 @@ def _run(text, x_min):
     if x_min is not None:
         config = cb.with_x_min(config, x_min)
     return cb.run(config)
+
+
+def test_block_cases_cover_what_they_claim():
+    assert BLOCK_DOUBLES == 8192
+    assert [(r.start, r.stop) for r, _ in row_blocks(200, 128)] == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    blocks = list(row_blocks(3, 9000))
+    assert [(r.start, r.stop) for r, _ in blocks] == [(0, 1), (1, 2), (2, 3)]
+    assert all(scratch.shape == (1, 9000) for _, scratch in blocks)
 
 
 def _orders(run):
@@ -72,9 +92,57 @@ def test_load_run_round_trip_bitwise_equal_oracle(tmp_path, text, x_min):
     assert not loaded.contents.flags.writeable
     assert all(np.shares_memory(state.contents, loaded.contents) for state in loaded.states)
     assert record_oracle.contents_npy(loaded) == (tmp_path / "contents.npy").read_bytes()
+    first, want = loaded.state(0), loaded.states[0]
+    assert first.contents.tobytes() == want.contents.tobytes()
+    assert (first.dust_mass, first.time, first.clip_mass) == (want.dust_mass, want.time, want.clip_mass)
     _assert_matches_oracle(loaded)
     for k in _orders(run):
         assert loaded.moments(k).tobytes() == run.moments(k).tobytes()
+
+
+@RUNS
+def test_weighted_distance_bitwise_equal_whole_array_formula(text, x_min):
+    run = _run(text, x_min)
+    other = cb.State(np.ascontiguousarray(run.contents[::-1]))  # the snapshots reversed
+    grid, k0 = run.grid, run.law.k0
+    got = cb.weighted_distance(run, other, grid, k0)
+    want = record_oracle.weighted_distance(run, other, grid, k0)
+    assert got.shape == (run.times.size,) and got.tobytes() == want.tobytes()
+    assert got[0] > 0.0
+    for state, row in zip(run.states, other.contents):
+        one = cb.State(row)
+        got = cb.weighted_distance(state, one, grid, k0)
+        want = record_oracle.weighted_distance(state, one, grid, k0)
+        assert type(got) is type(want) is np.float64 and got == want
+
+
+def test_record_passes_hold_a_fraction_of_the_record_beyond_their_inputs(tmp_path):
+    # each pass may hold its output and O(n_cells + block) scratch, not a
+    # temporary the size of the record.  Rows of 4096 cells keep what scales
+    # with the snapshots alone apart from the record: the manifest's C1 table
+    # costs emit_outputs about 1 KB a snapshot in the JSON encoder.
+    run = _run(_a1(4096, 257), None)
+    record = run.contents.nbytes
+    assert record >= 8e6
+    reversed_run = cb.State(np.ascontiguousarray(run.contents[::-1]))
+
+    def extra_peak(call):
+        fresh = dataclasses.replace(run)  # no moments computed yet
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(fresh)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    passes = {
+        "run_verification": cb.run_verification,
+        "emit_outputs": lambda fresh: cb.emit_outputs(fresh, tmp_path / "run"),
+        "weighted_distance": lambda fresh: cb.weighted_distance(fresh, reversed_run, run.grid, run.law.k0),
+    }
+    for name, call in passes.items():
+        assert extra_peak(call) < record / 8, name
 
 
 def test_cli_distance_equals_per_snapshot_weighted_distance(tmp_path):
