@@ -61,8 +61,8 @@ _KEYS = {
     "init.path": (str, None),
     "time.t_end": (float, 1.0),
     "time.snapshots": (str, "11"),
-    "time.rel_tol": (float, 1e-8),
-    "time.abs_tol": (float, 1e-12),
+    "time.rel_tol": (float, Tolerances.rel_tol),
+    "time.abs_tol": (float, Tolerances.abs_tol),
     "picard.max_iter": (int, 40),
     "picard.tol": (float, 1e-10),
     "output.dir": (str, None),

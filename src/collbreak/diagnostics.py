@@ -38,7 +38,8 @@ _DECADE_FACTOR = 2.0
 
 # M_1 + dust is kept by every RHS and step up to round-off and clipping.
 _MASS_DRIFT_TOL = 1e-6
-# Tails never grow in the continuum; allow the error of time.rel_tol = 1e-8.
+# Tails never grow in the continuum, nor in a run beyond round-off: this
+# allowance, 1e-8 rho x^(k-1) per edge, is fixed and not tied to time.rel_tol.
 _TAIL_TOL = 1e-8
 # Trapezoid quadrature on the snapshot mesh is the growth check's only error.
 _GROWTH_TOL = 0.01

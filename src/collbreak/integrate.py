@@ -91,9 +91,16 @@ class Tolerances:
     solutions of the continuous problem are separated.  Both tolerances must
     be finite and non-negative, and not both zero.  No tolerance bounds dt
     from below: a run ends only as ``step`` and ``simulate`` say.
+
+    The default ``rel_tol = 1e-6`` balances the time error against the
+    grid's: on the A1 acceptance problem the time error of M_0.5(T) stays
+    below 1% of the space error from 128 to 1024 cells, and 1e-8 costs
+    twice the right-hand sides for a time error the grid cannot show.  The
+    config keys ``time.rel_tol`` and ``time.abs_tol`` default to these
+    fields.
     """
 
-    rel_tol: float = 1e-8
+    rel_tol: float = 1e-6
     abs_tol: float = 1e-12
 
     def __post_init__(self):
@@ -323,7 +330,8 @@ def simulate(
     crosses it, at no right-hand side.  Each step hands its ``next_rates``
     to the next, so a run costs one right-hand side to start, six per
     accepted step, six per rejected attempt and one after each step but the
-    last that clipped, whatever the snapshot mesh.
+    last that clipped, whatever the snapshot mesh.  ``tolerances`` defaults
+    to ``Tolerances()``, rel_tol 1e-6 and abs_tol 1e-12.
     A run that ``step`` cannot advance, or that is still short of the last
     time after ``MAX_STEPS`` accepted steps, raises ``StiffnessError``.
     """
@@ -404,7 +412,9 @@ def picard_solve(
 
     Each iteration evaluates the whole 65-node trajectory in one batched
     ``rhs_arrays`` call, so a solve costs ``iterations`` calls.  The rows
-    are bitwise those of per-node calls.  The dust integrates the last
+    are bitwise those of per-node calls; the first iterate holds the
+    initial state at every node, so its call takes that one state and its
+    rates are broadcast over the mesh.  The dust integrates the last
     call's dust rates with the trapezoid weights that build the contents
     from its contents rates, so M_1 + dust holds as per right-hand side.
     A ``t_end`` that is negative or not finite is refused with
@@ -424,13 +434,16 @@ def picard_solve(
     h = mesh[1] - mesh[0]
     c0 = state0.contents
 
-    traj = np.tile(c0, (mesh.size, 1))
+    traj = c0  # the first iterate holds c0 at every node
     diffs = []
     for iteration in range(1, max_iter + 1):
         rates, dust_rates = rhs_arrays(workspace, traj)
+        if traj.ndim == 1:  # one state's rates stand for the 65 identical rows, bitwise
+            rates = np.broadcast_to(rates, (mesh.size, c0.size)).copy()
+            dust_rates = np.full(mesh.size, dust_rates)
         # new[k] = c0 + the trapezoid panels (h/2) (f_{i-1} + f_i) summed over i <= k,
         # built in place so that no more than three trajectories are alive
-        new = np.empty_like(traj)
+        new = np.empty_like(rates)
         new[0] = c0
         panels = new[1:]
         np.add(rates[:-1], rates[1:], panels)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -113,7 +114,7 @@ def test_step_halves_past_an_overflowing_stage_without_warning(small_problem, mo
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, dt_used, _, _, _ = cb.step(ws, big, 1e-140, Tolerances())
+        out, dt_used, _, _, _ = cb.step(ws, big, 1e-140, Tolerances(rel_tol=1e-8))
     assert len(calls) == 1 + 6 * 40 == 241
     assert dt_used == 1e-140 / 2**39
     assert np.all(np.isfinite(out.contents)) and math.isfinite(out.dust_mass)
@@ -225,21 +226,16 @@ def test_dormand_prince_tableau_order_conditions():
     )
 
 
-@pytest.mark.parametrize(
-    "text, x_min, bound",
-    [(A5_CONFIG, 1e-3, 1e-6), (A1_CONFIG, None, 1e-8)],
-    ids=["A5-xmin1e-3", "A1-n128"],
-)
-def test_default_tolerance_error_against_dop853(text, x_min, bound):
-    # an independent reference: scipy's 8th-order Dormand-Prince at rtol 1e-13;
-    # the measure is the worst weighted snapshot error over the weighted
-    # norm of the final state
+def _dop853_error(text, x_min, tol):
+    """Worst weighted snapshot error of ``simulate`` at ``tol`` against an
+    independent reference, scipy's 8th-order Dormand-Prince at rtol 1e-13,
+    over the weighted norm of the reference's final state."""
     config = cb.parse_config_text(text)
     if x_min is not None:
         config = cb.with_x_min(config, x_min)
     ws, s0 = cb.build_problem(config)
     times = config.snapshot_times
-    out = cb.run(config)
+    out = cb.simulate(ws, s0, times, tol)
 
     def f(t, y):
         d_contents, d_dust = cb.rhs_arrays(ws, y[:-1])
@@ -254,7 +250,57 @@ def test_default_tolerance_error_against_dop853(text, x_min, bound):
         float(np.sum(weights * np.abs(state.contents - ref.y[:-1, i])))
         for i, state in enumerate(out.states)
     )
-    assert worst <= bound * scale
+    return worst / scale
+
+
+@pytest.mark.parametrize(
+    "text, x_min, bound",
+    [(A5_CONFIG, 1e-3, 1e-6), (A1_CONFIG, None, 1e-8)],
+    ids=["A5-xmin1e-3", "A1-n128"],
+)
+def test_rel_tol_1e8_error_against_dop853(text, x_min, bound):
+    assert _dop853_error(text, x_min, Tolerances(rel_tol=1e-8)) <= bound
+
+
+def test_default_rel_tol_error_against_dop853():
+    # measured 2.0e-7 at the default rel_tol = 1e-6 (1.7e-9 at 1e-8)
+    assert _dop853_error(A1_CONFIG, None, Tolerances()) <= 1e-6
+
+
+def _a1_final_moment(n_cells, tol):
+    """M_0.5(T) of A1 on ``n_cells`` cells with two snapshots, at ``tol``."""
+    text = A1_CONFIG.replace("grid.n_cells = 128", f"grid.n_cells = {n_cells}")
+    config = cb.parse_config_text(text.replace("time.snapshots = 21", "time.snapshots = 2"))
+    ws, s0 = cb.build_problem(config)
+    return float(cb.simulate(ws, s0, config.snapshot_times, tol).moments(0.5)[-1])
+
+
+def test_default_time_error_is_far_below_the_space_error():
+    # The grid, not the step control, sets a run's accuracy.  Against 8192
+    # cells at rel_tol = 1e-12, the default's time error of M_0.5(T) (its
+    # gap to the same grid at 1e-12) is at most 1% of the space error
+    # (measured 0.009%, 0.14% and 0.57% at 128, 512 and 1024 cells).
+    exact = Tolerances(rel_tol=1e-12)
+    reference = _a1_final_moment(8192, exact)
+    for n_cells in (128, 512, 1024):
+        converged = _a1_final_moment(n_cells, exact)
+        space = abs(converged - reference)
+        time_error = abs(_a1_final_moment(n_cells, Tolerances()) - converged)
+        assert time_error <= 0.01 * space, n_cells
+
+
+def test_shatter_study_verdicts_and_dust_hold_at_the_default_rel_tol():
+    # A5 and its control keep their verdicts, and their dust fractions agree
+    # with rel_tol = 1e-8 to 1e-6 relative (measured 7.7e-8 at worst)
+    x_mins = [1e-2, 1e-3, 1e-4, 1e-5]
+    for text, verdict in ((A5_CONFIG, "shattering"), (A5_CONTROL_CONFIG, "conservative")):
+        config = cb.parse_config_text(text)
+        study = cb.shattering_study(config, x_mins)
+        tight = cb.shattering_study(dataclasses.replace(config, rel_tol=1e-8), x_mins)
+        assert study.verdict == tight.verdict == verdict
+        for (x_min, frac), (tight_x_min, tight_frac) in zip(study.rows, tight.rows):
+            assert x_min == tight_x_min
+            assert abs(frac - tight_frac) <= 1e-6 * tight_frac
 
 
 @pytest.fixture(scope="module")
@@ -311,10 +357,11 @@ def test_fsal_simulate_bitwise_equals_seven_stage_oracle(text, x_min):
 def test_interpolated_snapshots_match_clamped_oracle(text, x_min):
     # The oracle ends a step at every snapshot; simulate interpolates them.
     # Both are within the tolerance-level local error of the exact flow, so
-    # they agree to 2e-8, twice the default rel_tol, in the weighted norm
-    # relative to the state and in dust relative to rho (measured: 7.5e-9
-    # and 9.6e-10 at worst, on A5).
-    ws, s0, times, tol = _problem(text, x_min)
+    # at rel_tol = 1e-8 they agree to 2e-8, twice rel_tol, in the weighted
+    # norm relative to the state and in dust relative to rho (measured:
+    # 7.5e-9 and 9.6e-10 at worst, on A5).
+    ws, s0, times, _ = _problem(text, x_min)
+    tol = Tolerances(rel_tol=1e-8)
     out, ref = cb.simulate(ws, s0, times, tol), oracle_simulate(ws, s0, times, tol)
     weights = ws.error_weights
     assert [s.time for s in out.states] == [s.time for s in ref] == list(times)
@@ -587,9 +634,11 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
-    # one call per iteration, over all 65 nodes; the dust comes from the same calls
-    assert len(shapes) == result.iterations
-    assert set(shapes) == {(65, ws.grid.n_cells)}
+    # one call per iteration, over all 65 nodes but the first; the dust comes
+    # from the same calls, and the first iterate is the initial state at
+    # every node, so its call takes that one state
+    n = ws.grid.n_cells
+    assert shapes == [(n,)] + [(65, n)] * (result.iterations - 1)
 
 
 def test_picard_chain_bitwise_equals_per_node_oracle():
