@@ -122,17 +122,19 @@ def step(
     """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
     ``rates`` is the right-hand side ``(d_contents, d_dust)`` at ``state``
-    when the caller has it, normally the ``next_rates`` of the previous
-    step; when None it is evaluated here, once, outside the rejection loop.
+    when the caller has it: the ``next_rates`` of the previous step, or for
+    a run's first step the rates that chose its dt; when None it is
+    evaluated here, once, outside the rejection loop.
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
     1/5.  Halves the step until that estimate passes and no content would
     land below -1e-14 times the state scale; accepted round-off negatives
     are clipped to zero with the created mass tracked in ``clip_mass``.
-    After an attempt that the negative-content guard alone refused, the
-    next step grows no further than this one.  An attempt whose error
-    estimate is NaN or infinite, as when a trial stage overflows, is
+    After an attempt that the negative-content guard alone refused, and
+    after an accepted step that clipped, the next step grows no further
+    than this one: either stands at the positivity limit.  An attempt whose
+    error estimate is NaN or infinite, as when a trial stage overflows, is
     rejected like any other, and no floating-point warning escapes.
     ``StiffnessError`` is raised only when the rates at ``state`` are not
     finite ("non-finite error estimate", after the first attempt) or when
@@ -189,6 +191,8 @@ def step(
                 raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
             dt /= 2.0
 
+    # a step that had to clip stands at the positivity limit: growing dt would see it refused
+    growth = 1.0 if low < 0.0 else growth
     factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
     dt_next = dt * factor
 
@@ -200,6 +204,43 @@ def step(
         clip_mass=state.clip_mass + clipped,
     )
     return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds)
+
+
+def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):
+    """The first step of a run (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+
+    Returns (dt, rates), the rates f0 = f(c0) at ``state`` to start the
+    first step.  Norms are ``step``'s error norm over its tolerance at
+    ``state``, ||x|| = sum w |x| / (abs_tol + rel_tol sum w |c0|).  With
+    d0 = ||c0|| and d1 = ||f0||, an explicit Euler probe of length
+    h0 = 0.01 d0 / d1 (1e-6 when d0 or d1 is below 1e-5) estimates the
+    second derivative d2 = ||f(c0 + h0 f0) - f0|| / h0.  The step is
+    min(100 h0, h1, horizon), with h1 = (0.01 / max(d1, d2))^(1/5), or
+    max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.  Costs two right-hand
+    sides, and no floating-point warning escapes.  Rates f0 that are not
+    finite raise ``StiffnessError`` ("non-finite error estimate", with dt
+    NaN: no step was chosen).  Where the arithmetic gives no positive step,
+    as from a probe whose rates overflow, the run starts from the horizon
+    and ``step`` halves from there.
+    """
+    weights, c0 = workspace.error_weights, state.contents
+
+    def weighted(x):  # a numpy scalar: a zero scale divides to inf or NaN, and raises nothing
+        return (weights * np.abs(x)).sum()
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rates = k0, dust_rate = rhs_arrays(workspace, c0)
+        if not (math.isfinite(dust_rate) and np.isfinite(k0).all()):
+            raise StiffnessError(state.time, math.nan, "non-finite error estimate")
+        n0 = weighted(c0)
+        scale = tol.abs_tol + tol.rel_tol * n0
+        d0, d1 = n0 / scale, weighted(k0) / scale
+        h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+        d2 = weighted(rhs_arrays(workspace, c0 + h0 * k0)[0] - k0) / scale / h0
+        d_max = max(d1, d2)
+        h1 = (0.01 / d_max) ** (1.0 / 5.0) if d_max > 1e-15 else max(1e-6, 1e-3 * h0)
+        dt = float(min(100.0 * h0, h1, horizon))
+    return (dt if dt > 0.0 else horizon), rates
 
 
 def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
@@ -327,10 +368,13 @@ def simulate(
     Deterministic: the step sequence depends only on the initial state, the
     first and last times and the tolerances, as only the last time clamps a
     step; each interior snapshot is ``interpolate`` inside the step that
-    crosses it, at no right-hand side.  Each step hands its ``next_rates``
-    to the next, so a run costs one right-hand side to start, six per
-    accepted step, six per rejected attempt and one after each step but the
-    last that clipped, whatever the snapshot mesh.  ``tolerances`` defaults
+    crosses it, at no right-hand side.  The first dt comes from the initial
+    rates and one explicit Euler probe (``_first_dt``, Hairer, Norsett &
+    Wanner's starting step), and those rates start the first step.  Each
+    step hands its ``next_rates`` to the next, so a run costs two
+    right-hand sides to start, six per accepted step, six per rejected
+    attempt and one after each step but the last that clipped, whatever the
+    snapshot mesh; a one-snapshot run costs none.  ``tolerances`` defaults
     to ``Tolerances()``, rel_tol 1e-6 and abs_tol 1e-12.
     A run that ``step`` cannot advance, or that is still short of the last
     time after ``MAX_STEPS`` accepted steps, raises ``StiffnessError``.
@@ -352,8 +396,8 @@ def simulate(
     dust, clip = np.empty(times.size), np.empty(times.size)
     contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
     filled, state = 1, state0
-    dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
-    rates, steps = None, 0
+    dt_next, rates = _first_dt(workspace, state0, horizon, tol) if horizon > 0.0 else (0.0, None)
+    steps = 0
     while state.time < t_end:
         if steps == MAX_STEPS:
             raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")

@@ -8,8 +8,10 @@ rational once, as ``integrate``'s exact fractions do.  Its arithmetic on
 every value that reaches a state or the error estimate is the same as
 ``integrate.step``'s: each combination sum_j (dt a_j) k_j is summed in stage
 order over the non-zero a_j before the base vector is added.  So the two
-must agree bit for bit.  RHS calls go to ``scheme.rhs_arrays`` directly, so
-a counter on ``integrate.rhs_arrays`` does not see them.
+must agree bit for bit.  The run's first dt is Hairer, Norsett & Wanner's
+starting step, written out here again from its formulas.  RHS calls go to
+``scheme.rhs_arrays`` directly, so a counter on ``integrate.rhs_arrays`` does
+not see them.
 """
 
 import numpy as np
@@ -69,7 +71,7 @@ def oracle_step(workspace, state, dt_target, tol):
     tol_value = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
 
     dt = float(dt_target)
-    growth = 5.0  # 1 once the negative-content guard alone has refused an attempt
+    growth = 5.0  # 1 once the negative-content guard alone has refused an attempt, or on a clip
     while True:
         ks = [_f(workspace, y)]
         for row in STAGES:
@@ -83,6 +85,8 @@ def oracle_step(workspace, state, dt_target, tol):
             growth = 1.0
         dt /= 2.0
 
+    if float(np.min(y_new[:-1], initial=0.0)) < 0.0:
+        growth = 1.0  # the step clips below: it stands at the positivity limit
     if est > 0.0:
         factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
     else:
@@ -105,6 +109,33 @@ def oracle_step(workspace, state, dt_target, tol):
     return new_state, dt, dt_next
 
 
+def oracle_first_dt(workspace, state, horizon, tol):
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4).
+
+    The norm is the error norm over the tolerance at ``state``:
+    ||x|| = sum w |x| / (abs_tol + rel_tol sum w |c0|), contents only.
+    """
+    weights = weight_vector(workspace.grid, workspace.law.k0)
+    y = _augment(state)
+    f0 = _f(workspace, y)
+    scale = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
+
+    def norm(x):
+        return float(np.sum(weights * np.abs(x[:-1]))) / scale
+
+    d0, d1 = norm(y), norm(f0)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    d2 = norm(_f(workspace, y + h0 * f0) - f0) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, horizon)
+
+
 def oracle_simulate(workspace, state0, snapshot_times, tolerances=None):
     """Snapshot states of a loop that ends an ``oracle_step`` at every snapshot.
 
@@ -118,7 +149,7 @@ def oracle_simulate(workspace, state0, snapshot_times, tolerances=None):
     horizon = float(times[-1]) - float(times[0])
     state = state0.copy()
     snapshots = [state.copy()]
-    dt_next = 1e-4 * horizon if horizon > 0.0 else 0.0
+    dt_next = oracle_first_dt(workspace, state, horizon, tol) if horizon > 0.0 else 0.0
     for target in times[1:]:
         while state.time < target:
             remaining = float(target) - state.time

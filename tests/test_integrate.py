@@ -388,7 +388,8 @@ def test_guard_only_rejections_cap_step_growth(clip_problem, monkeypatch):
     # On the clip problem almost every rejected attempt passes the error
     # test and fails only the negative-content guard.  Growing dt 5x after
     # such a step only to halve it again threw away most RHS calls (6888 in
-    # 335 accepted steps); capping dt_next at dt_used makes 4145 in 333.
+    # 335 accepted steps); capping dt_next at dt_used makes 4145 in 333, and
+    # with no growth after a clipped step either, 2935 in 416.
     ws, s0 = clip_problem
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     steps, real_step = [], integrate.step
@@ -403,6 +404,39 @@ def test_guard_only_rejections_cap_step_growth(clip_problem, monkeypatch):
     assert calls <= 4200
     assert any(used < target and following == used for target, used, following in steps)
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
+
+
+def test_growth_stops_after_a_clip_and_resumes_after_a_step_that_did_not_clip(clip_problem, monkeypatch):
+    # a step that had to clip stands at the positivity limit: the next one
+    # grows no larger; after a step that did not clip, dt grows again
+    ws, s0 = clip_problem
+    _, _, steps = _recorded_simulate(monkeypatch, ws, s0, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4))
+    clipped = [step for step in steps if step[3]]
+    assert clipped and all(following <= used for _, used, following, _ in clipped)
+    assert any(
+        before[3] and not after[3] and after[2] > after[1] for before, after in zip(steps, steps[1:])
+    )
+
+
+# F2 of the ROADMAP: partial shattering, where dust takes most of the mass
+# but not all of it and the small cells stay populated
+F2_CONFIG = (
+    A5_CONFIG.replace("kernel.lambda1 = 0", "kernel.lambda1 = 0.4")
+    .replace("kernel.lambda2 = 0", "kernel.lambda2 = 0.4")
+    .replace("daughter.k0 = 0.6", "daughter.k0 = 0.9")
+)
+
+
+def test_partial_shattering_at_the_positivity_limit_passes_verification(monkeypatch):
+    # Growing dt after each clipped step only to halve it again took 16,811
+    # RHS calls here and clipped 4.1e-6 rho of mass into existence, beyond
+    # the mass budget; with no growth after a clip it takes 8,749 and 6.1e-8
+    ws, s0, times, tol = _problem(F2_CONFIG, 1e-8)
+    run, calls = _counted_simulate(monkeypatch, ws, s0, times, tol)
+    assert calls <= 10_000
+    assert float(np.max(run.clip)) <= 1e-6 * run.rho
+    failed = [v for v in cb.run_verification(run) if not v["passed"]]
+    assert failed == []
 
 
 def test_step_returns_rates_at_new_state(small_problem):
@@ -438,13 +472,121 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
     monkeypatch.setattr(integrate, "step", counted_step)
     cb.simulate(ws, s0, times, tol)
-    # one k1 to start, k2 to k7 per attempt, and a fresh k1 after a clip,
-    # unless the clip was on the last step, which no step follows
+    # one k1 to start and one Euler probe that picks the first dt (the probe
+    # is the +1 of Hairer, Norsett & Wanner's starting step), k2 to k7 per
+    # attempt, and a fresh k1 after a clip, unless the clip was on the last
+    # step, which no step follows
     fresh = tally["clips"] - tally["last_clipped"]
-    expect = 6 * tally["accepted"] + 1 + fresh + 6 * tally["rejected"]
+    expect = 6 * tally["accepted"] + 1 + 1 + fresh + 6 * tally["rejected"]
     assert tally["rhs"] == expect
     if problem == "clip":
         assert tally["clips"] > 0 and tally["rejected"] > 0
+
+
+def _recorded_simulate(monkeypatch, ws, s0, times, tol):
+    """simulate's output, its RHS calls and (dt_target, dt_used, dt_next, clipped) per step."""
+    steps, real_step = [], integrate.step
+
+    def recorded(workspace, state, dt_target, tol, rates=None):
+        result = real_step(workspace, state, dt_target, tol, rates)
+        steps.append((dt_target, result[1], result[2], result[3] is None))
+        return result
+
+    monkeypatch.setattr(integrate, "step", recorded)
+    out, calls = _counted_simulate(monkeypatch, ws, s0, times, tol)
+    monkeypatch.setattr(integrate, "step", real_step)
+    return out, calls, steps
+
+
+def _hnw_first_dt(ws, c0, horizon, tol):
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4), with
+    exactly rounded sums, in the error norm over the tolerance at c0."""
+    weights = ws.error_weights
+    scale = tol.abs_tol + tol.rel_tol * math.fsum(weights * np.abs(c0))
+
+    def norm(x):
+        return math.fsum(weights * np.abs(x)) / scale
+
+    f0 = cb.rhs_arrays(ws, c0)[0]
+    d0, d1 = norm(c0), norm(f0)
+    h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
+    d2 = norm(cb.rhs_arrays(ws, c0 + h0 * f0)[0] - f0) / h0
+    h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0)
+    return min(100.0 * h0, h1, horizon)
+
+
+def test_first_dt_is_the_hnw_starting_step_on_a1(monkeypatch):
+    ws, s0, times, tol = _problem(A1_CONFIG)
+    _, calls, steps = _recorded_simulate(monkeypatch, ws, s0, times, tol)
+    expect = _hnw_first_dt(ws, s0.contents, times[-1] - times[0], tol)
+    assert steps[0][0] == pytest.approx(expect, rel=1e-12)
+    # far above 1e-4 of the horizon, a fixed start that needs steps of 5x growth to get here
+    assert steps[0][0] > 100 * 1e-4 * (times[-1] - times[0])
+    assert calls == 2 + 6 * len(steps)  # no step rejected, none clipped
+
+
+def test_first_dt_of_a_zero_state_takes_the_fallback(small_problem, monkeypatch):
+    # d0 = d1 = d2 = 0: h0 = 1e-6 and h1 = max(1e-6, 1e-3 h0) = 1e-6
+    ws, _ = small_problem
+    zero = State(np.zeros(ws.grid.n_cells))
+    out, calls, steps = _recorded_simulate(monkeypatch, ws, zero, np.array([0.0, 0.5]), Tolerances())
+    assert steps[0][0] == 1e-6
+    assert np.all(out.contents == 0.0) and out.dust[-1] == 0.0
+    assert calls == 2 + 6 * len(steps)
+
+
+def test_first_dt_stays_within_a_tiny_horizon(small_problem, monkeypatch):
+    ws, s0 = small_problem
+    horizon = 1e-9
+    assert _hnw_first_dt(ws, s0.contents, math.inf, Tolerances()) > horizon
+    out, calls, steps = _recorded_simulate(monkeypatch, ws, s0, np.array([0.0, horizon]), Tolerances())
+    assert [target for target, *_ in steps] == [horizon]
+    assert calls == 2 + 6
+    assert out.times[-1] == out.state(1).time == horizon
+
+
+def test_first_dt_falls_back_to_the_horizon_where_the_rule_gives_no_step(small_problem):
+    # rel_tol = 0 and abs_tol = 1e-300: the norms of a large state overflow,
+    # so h0 is NaN; the run starts from the horizon, not from dt NaN
+    ws, s0 = small_problem
+    tol = Tolerances(rel_tol=0.0, abs_tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dt, _ = integrate._first_dt(ws, State(1e100 * s0.contents), 0.5, tol)
+    assert dt == 0.5
+
+
+def test_one_snapshot_run_costs_no_rhs(small_problem, monkeypatch):
+    ws, s0 = small_problem
+    out, calls = _counted_simulate(monkeypatch, ws, s0, np.array([0.0]), Tolerances())
+    assert calls == 0
+    assert np.array_equal(out.contents[0], s0.contents)
+
+
+@pytest.mark.parametrize("kind", ["nan", "overflow"])
+def test_non_finite_initial_rates_raise_before_the_probe(small_problem, monkeypatch, kind):
+    # a NaN content, or contents near 1e200 whose quadratic rates overflow:
+    # no first dt can be chosen, so the run stops after the one call at c0
+    ws, s0 = small_problem
+    bad = State(1e200 * s0.contents)
+    if kind == "nan":
+        bad = s0.copy()
+        bad.contents[3] = np.nan
+    calls = []
+    real = integrate.rhs_arrays
+
+    def counted(workspace, contents):
+        calls.append(1)
+        return real(workspace, contents)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError) as info:
+            cb.simulate(ws, bad, np.array([0.0, 0.5]))
+    assert info.value.reason == "non-finite error estimate"
+    assert info.value.time == 0.0
+    assert len(calls) == 1
 
 
 def test_dense_output_coefficients():
