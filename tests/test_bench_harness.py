@@ -5,7 +5,7 @@ every job at smoke size inside a ``Probe``, plain and traced.  A renamed
 function the probes wrap, or a workspace field they read, fails here instead
 of in a benchmark run; so does a solver that bypasses ``integrate.step`` or
 hides right-hand-side calls from the probe, or a Picard solve that goes back
-to one call per trapezoid node.  No timing is asserted.
+to one call per node.  No timing is asserted.
 """
 
 import importlib.util

@@ -727,6 +727,9 @@ def test_picard_requires_truncation(small_problem):
         ({"tol": 0.0}, "tol"),
         ({"tol": -1e-10}, "tol"),
         ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": math.nan}, "max_iter"),
+        ({"max_iter": math.inf}, "max_iter"),
     ],
 )
 def test_picard_refuses_bad_settings_before_any_rhs(truncated_problem, monkeypatch, kwargs, param):
@@ -765,6 +768,22 @@ def test_non_finite_times_refused_before_any_rhs(truncated_problem, monkeypatch,
     assert calls == []
 
 
+def test_picard_integration_matrix():
+    w = integrate._PICARD_W
+    assert np.all(w[0] == 0.0)
+    # exact on polynomials of degree <= 8 at every node theta_i = (1 - cos(pi i / 8)) / 2,
+    # taken as sin^2(pi i / 16) to avoid the cancellation near 0
+    theta = np.sin(np.pi * np.arange(9) / 16.0) ** 2
+    for m in range(9):
+        assert np.max(np.abs(w @ theta**m - theta ** (m + 1) / (m + 1))) <= 1e-15, m
+    # the last row is the Clenshaw-Curtis rule, with end weights 1 / (2 (8^2 - 1)) on [0, 1]
+    last = w[-1]
+    assert np.all(last > 0.0)
+    assert np.array_equal(last, last[::-1])
+    assert abs(last.sum() - 1.0) <= 1e-15
+    assert last[0] == pytest.approx(1.0 / 126.0, rel=1e-15)
+
+
 def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatch):
     ws, s0 = truncated_problem
     shapes = []
@@ -776,11 +795,11 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
-    # one call per iteration, over all 65 nodes but the first; the dust comes
+    # one call per iteration, over all nine nodes but the first; the dust comes
     # from the same calls, and the first iterate is the initial state at
     # every node, so its call takes that one state
     n = ws.grid.n_cells
-    assert shapes == [(n,)] + [(65, n)] * (result.iterations - 1)
+    assert shapes == [(n,)] + [(9, n)] * (result.iterations - 1)
 
 
 def test_picard_chain_bitwise_equals_per_node_oracle():
@@ -823,8 +842,8 @@ def test_picard_matches_rk_integrator(truncated_problem):
     ).states[-1]
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
     dist = cb.weighted_distance(result.state, ref, ws.grid, ws.law.k0)
-    assert dist <= 1e-6
-    assert result.state.dust_mass == pytest.approx(ref.dust_mass, rel=1e-5)
+    assert dist <= 1e-10
+    assert result.state.dust_mass == pytest.approx(ref.dust_mass, rel=1e-10)
 
 
 def test_picard_contraction_monotone_after_first_iteration(truncated_problem):
