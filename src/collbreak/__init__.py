@@ -17,19 +17,10 @@ from .bounds import (
     hypothesis_checklist,
     initial_bounds,
     nonexistence_bound,
+    regime_report,
 )
 from .config import SimConfig, build_problem, parse_config, parse_config_text, run, with_x_min
-from .daughter import (
-    DaughterLaw,
-    beta_star,
-    cell_mass_deposit,
-    check_moment_order,
-    e_constant,
-    leak_ratio,
-    partial_moment,
-    power_sum_change,
-    upsilon_power,
-)
+from .daughter import DaughterLaw, check_moment_order, e_constant, leak_ratio, power_sum_change
 from .diagnostics import (
     ShatterStudy,
     c1_bound_check,
@@ -60,7 +51,6 @@ from .grid import (
     moment,
     monodisperse_state,
     table_state,
-    tail_moment,
     weight_vector,
 )
 from .integrate import (
@@ -72,14 +62,8 @@ from .integrate import (
     simulate,
     step,
 )
-from .kernel import KernelSpec, eval_kernel
+from .kernel import KernelSpec
 from .output import emit_outputs, load_run
-from .scheme import (
-    RhsWorkspace,
-    precompute,
-    rhs_arrays,
-    subgrid_moment_flux,
-    weak_form_residual,
-)
+from .scheme import RhsWorkspace, precompute, rhs_arrays
 
 __version__ = "0.1.0"

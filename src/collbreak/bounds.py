@@ -38,6 +38,7 @@ __all__ = [
     "Regime",
     "BoundsReport",
     "classify_regime",
+    "regime_report",
     "hypothesis_checklist",
     "initial_bounds",
     "existence_bounds",
@@ -93,7 +94,7 @@ _REQUIRED = {
 
 def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
     """Which theorem, if any, covers this kernel/daughter pair."""
-    return _classified(kernel, law).regime
+    return regime_report(kernel, law).regime
 
 
 def _exp(log_value: float) -> float:
@@ -167,8 +168,12 @@ class BoundsReport:
         return out
 
 
-def _classified(kernel: KernelSpec, law: DaughterLaw) -> BoundsReport:
-    """A report holding only the checklist and the regime read from it."""
+def regime_report(kernel: KernelSpec, law: DaughterLaw) -> BoundsReport:
+    """A report holding only the checklist and the regime read from it.
+
+    Its ``entry()`` is exactly {"regime", "checklist"}: what ``collbreak
+    regime`` prints.
+    """
     checklist = hypothesis_checklist(kernel, law)
     holding = {check["hypothesis"] for check in checklist if check["holds"]}
     regime = next((r for r, needs in _REQUIRED.items() if holding.issuperset(needs)), Regime.UNCOVERED)
@@ -213,14 +218,14 @@ def existence_bounds(
     """
     if min(rho, m_k0_in, m_k0p1_in) <= 0.0:
         raise DomainError("rho and initial moments must be positive")
-    report = _classified(kernel, law)
+    report = regime_report(kernel, law)
     if report.regime not in (Regime.GLOBAL_EXISTENCE, Regime.LOCAL_EXISTENCE):
         return report
 
     l1, l2 = kernel.lambda1, kernel.lambda2
     lam = kernel.homogeneity
     k0 = law.k0
-    e1 = e_constant(law, 1.0)
+    e1 = e_constant(law)
     log_rho, log_ratio = math.log(rho), math.log(m_k0p1_in / rho)
 
     def log_c(l: float) -> float:  # log c1 at l = lambda1, log c2 at l = lambda2
@@ -275,7 +280,7 @@ def nonexistence_bound(kernel: KernelSpec, law: DaughterLaw, rho: float, moment_
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
-    report = _classified(kernel, law)
+    report = regime_report(kernel, law)
     if report.regime is not Regime.NON_EXISTENCE:
         return report
 
@@ -341,6 +346,6 @@ def gronwall_envelope(law: DaughterLaw, times, m_k0_sum, m_high_sum, d0: float):
         raise InputError("moment series must share the time mesh")
     if times.ndim != 1 or times.size == 0:
         raise InputError(f"moment series must be non-empty and 1-D, got shape {times.shape}")
-    e1 = e_constant(law, 1.0)
+    e1 = e_constant(law)
     integral = running_trapezoid(a + b, times)
     return d0 * np.exp(12.0 * e1 * integral)

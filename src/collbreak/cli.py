@@ -1,7 +1,7 @@
 """Command-line interface: simulate, bounds, regime, verify, distance, shatter-study.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(step-size collapse or fixed-point divergence), 4 failed verification.
+(step-size collapse), 4 failed verification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import diagnostics
 from .config import build_problem, parse_config, run as run_config
-from .errors import CollbreakError, ConfigError, ContractionError, InputError, StiffnessError
+from .errors import CollbreakError, ConfigError, InputError, StiffnessError
 from .grid import moment
 from .output import emit_outputs, load_run
 
@@ -96,9 +96,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_regime(args) -> int:
     config = parse_config(args.config)
-    regime = bounds_mod.classify_regime(config.kernel, config.law)
-    checklist = bounds_mod.hypothesis_checklist(config.kernel, config.law)
-    _emit_json({"regime": regime.value, "checklist": checklist})
+    _emit_json(bounds_mod.regime_report(config.kernel, config.law).entry())
     return EXIT_OK
 
 
@@ -189,7 +187,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StiffnessError, ContractionError) as exc:
+    except StiffnessError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (InputError, CollbreakError) as exc:

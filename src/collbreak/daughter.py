@@ -1,33 +1,30 @@
-"""Power-law fragment daughter distribution with closed-form partial moments.
+"""Power-law fragment daughter law and the closed forms of its moments.
 
 The per-parent density is (nu+2) s^nu x^(-nu-1) on 0 < s < x, with
 nu in (-2, 0].  For nu <= -1 the fragment count per event diverges while
-mass and k0-weighted moments stay finite; every operation here raises
-``DivergentMomentError`` when asked for a genuinely divergent quantity.
+mass and k0-weighted moments stay finite; every closed form here raises
+``DivergentMomentError`` when asked for a genuinely divergent moment.
 
-The moment-order algebra is written here once: the order test
-k + nu + 1 > 0 (``check_moment_order``), the power-sum coefficient
+The module holds ``DaughterLaw`` and the moment-order algebra, written
+once: the order test k + nu + 1 > 0 (``check_moment_order``), the sharp
+constant E = (nu+2)/(k0+nu+1) (``e_constant``), the power-sum coefficient
 (1-k)/(k+nu+1) (``power_sum_change``) and the sub-x leak ratio
-(nu+2)/(k+nu+1) x^(k-1) (``leak_ratio``).
+(nu+2)/(k+nu+1) x^(k-1) (``leak_ratio``).  The scheme's deposits are
+factored from the same density in ``scheme.precompute``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DivergentMomentError, DomainError
 
 __all__ = [
     "DaughterLaw",
-    "beta_star",
-    "partial_moment",
-    "cell_mass_deposit",
     "e_constant",
     "check_moment_order",
     "power_sum_change",
     "leak_ratio",
-    "upsilon_power",
 ]
 
 
@@ -57,84 +54,6 @@ class DaughterLaw:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "k0", k0)
 
-    @property
-    def p_max(self) -> float:
-        """Supremum of exponents p with a finite k0-weighted p-th power integral."""
-        if self.nu == 0.0:
-            return math.inf
-        return (self.k0 + 1.0) / abs(self.nu)
-
-    @property
-    def e_k0(self) -> float:
-        """e_constant(law, 1) + 1; bounds the power test-function functional."""
-        return e_constant(self, 1.0) + 1.0
-
-
-def beta_star(law: DaughterLaw, s: float, x: float):
-    """Daughter density at fragment size s for a parent of size x."""
-    if x <= 0.0:
-        raise DomainError("parent size must be positive")
-    if not 0.0 < s < x:
-        return 0.0
-    return (law.nu + 2.0) * s**law.nu * x ** (-law.nu - 1.0)
-
-
-def _check_interval(x, a, b):
-    if x <= 0.0:
-        raise DomainError("parent size must be positive")
-    if not 0.0 <= a <= b:
-        raise DomainError(f"need 0 <= a <= b, got a={a}, b={b}")
-    if b > x * (1.0 + 1e-12):
-        raise DomainError(f"upper bound b={b} exceeds parent size x={x}")
-
-
-def partial_moment(law: DaughterLaw, k: float, x: float, a: float, b: float) -> float:
-    """Integral of s^k times the daughter density over (a, b), 0 <= a <= b <= x.
-
-    Closed form (nu+2) x^(-nu-1) (b^(k+nu+1) - a^(k+nu+1)) / (k+nu+1).
-    With a = 0 this requires k + nu + 1 > 0; otherwise the integral
-    diverges at the origin and a ``DivergentMomentError`` is raised.
-    """
-    _check_interval(x, a, b)
-    nu = law.nu
-    q = k + nu + 1.0
-    if a == 0.0 and q <= 0.0:
-        raise DivergentMomentError(
-            f"moment of order k={k} diverges at the origin for nu={nu} "
-            f"(need k > |nu|-1)"
-        )
-    prefactor = (nu + 2.0) * x ** (-nu - 1.0)
-    if q == 0.0:
-        return prefactor * math.log(b / a)
-    return prefactor * (b**q - a**q) / q
-
-
-def cell_mass_deposit(law: DaughterLaw, x: float, a: float, b: float) -> float:
-    """Fragment mass a parent of size x deposits into (a, b).
-
-    Equals x^(-nu-1) (b^(nu+2) - a^(nu+2)); finite for every admissible nu,
-    including a = 0, and sums to exactly x over a partition of (0, x).
-    """
-    _check_interval(x, a, b)
-    nu = law.nu
-    return x ** (-nu - 1.0) * (b ** (nu + 2.0) - a ** (nu + 2.0))
-
-
-def e_constant(law: DaughterLaw, p: float) -> float:
-    """Sharp constant E in  integral s^k0 beta*^p ds = E x^(k0+1-p).
-
-    Equals (nu+2)^p / (k0 + p nu + 1) and is finite exactly for
-    p < (k0+1)/|nu|, with k0 + (p nu + 1) grouped as in ``check_moment_order``.
-    """
-    if p < 1.0:
-        raise DomainError(f"p={p} below 1")
-    denom = law.k0 + (p * law.nu + 1.0)
-    if denom <= 0.0:
-        raise DivergentMomentError(
-            f"E constant diverges for p={p} >= (k0+1)/|nu| = {law.p_max}"
-        )
-    return (law.nu + 2.0) ** p / denom
-
 
 def check_moment_order(law: DaughterLaw, k: float) -> float:
     """k + nu + 1, refused unless positive: the k-th fragment moment diverges otherwise.
@@ -149,6 +68,11 @@ def check_moment_order(law: DaughterLaw, k: float) -> float:
     return q
 
 
+def e_constant(law: DaughterLaw) -> float:
+    """Sharp constant E in  integral s^k0 beta*(s, x) ds = E x^k0:  (nu+2)/(k0+nu+1)."""
+    return (law.nu + 2.0) / check_moment_order(law, law.k0)
+
+
 def power_sum_change(law: DaughterLaw, k: float) -> float:
     """(1-k)/(k+nu+1): fragments' k-th powers, (nu+2)/(k+nu+1) x^k, less the parent's x^k."""
     return (1.0 - k) / check_moment_order(law, k)
@@ -157,15 +81,3 @@ def power_sum_change(law: DaughterLaw, k: float) -> float:
 def leak_ratio(law: DaughterLaw, k: float, x: float) -> float:
     """(nu+2)/(k+nu+1) x^(k-1): k-th moment per unit of fragment mass below x, for any parent."""
     return (law.nu + 2.0) / check_moment_order(law, k) * x ** (k - 1.0)
-
-
-def upsilon_power(law: DaughterLaw, k: float, x: float, y: float) -> float:
-    """Net change of the k-th power sum per collision of sizes x and y.
-
-    Returns (1-k)/(k+nu+1) (x^k + y^k): the fragment k-th moments of both
-    parents minus the parents' own contributions.  Positive for k < 1,
-    zero at k = 1 (mass conservation), negative for k > 1.
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("collision partner sizes must be positive")
-    return power_sum_change(law, k) * (x**k + y**k)

@@ -22,7 +22,6 @@ __all__ = [
     "check_initial_data",
     "build_grid",
     "moment",
-    "tail_moment",
     "weight_vector",
     "monodisperse_state",
     "exponential_state",
@@ -105,12 +104,6 @@ class State:
 def moment(grid: SizeGrid, state: State, k: float) -> float:
     """k-th moment of the discrete solution: sum of reps^k * contents."""
     return float(np.sum(grid.reps**k * state.contents))
-
-
-def tail_moment(grid: SizeGrid, state: State, k: float, x: float) -> float:
-    """k-th moment restricted to cells with representative size >= x."""
-    mask = grid.reps >= x
-    return float(np.sum(grid.reps[mask] ** k * state.contents[mask]))
 
 
 def weight_vector(grid: SizeGrid, k0: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["KernelSpec", "eval_kernel", "kernel_factors"]
+__all__ = ["KernelSpec", "kernel_factors"]
 
 _EXPONENT_RANGE = (-2.0, 2.0)
 
@@ -77,17 +77,3 @@ def kernel_factors(spec: KernelSpec, sizes):
         raise DomainError("kernel arguments must be positive sizes")
     mask = _inside_cutoff(spec, x)
     return mask * power(x, spec.lambda1), mask * power(x, spec.lambda2)
-
-
-def eval_kernel(spec: KernelSpec, x, y):
-    """Collision rate between sizes x and y (scalars or broadcastable arrays).
-
-    Returns x^l1 y^l2 + x^l2 y^l1, multiplied by the open-interval indicator
-    product when a truncation index is set.  Non-positive sizes are rejected.
-    """
-    x1, x2 = kernel_factors(spec, x)
-    y1, y2 = kernel_factors(spec, y)
-    value = x1 * y2 + x2 * y1
-    if value.ndim == 0:
-        return float(value)
-    return value

@@ -37,17 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daughter import DaughterLaw, leak_ratio, power_sum_change
-from .grid import SizeGrid, State, weight_vector
+from .daughter import DaughterLaw
+from .grid import SizeGrid, weight_vector
 from .kernel import KernelSpec, kernel_factors
 
-__all__ = [
-    "RhsWorkspace",
-    "precompute",
-    "rhs_arrays",
-    "weak_form_residual",
-    "subgrid_moment_flux",
-]
+__all__ = ["RhsWorkspace", "precompute", "rhs_arrays"]
 
 
 @dataclass(frozen=True)
@@ -130,33 +124,3 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     d_contents *= workspace.own_change
     d_contents[..., :-1] += workspace.lower_counts[:-1] * tail[..., ::-1]
     return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust
-
-
-def weak_form_residual(workspace: RhsWorkspace, state: State, k: float) -> float:
-    """Gap between the scheme's k-th moment production and the continuum form.
-
-    Compares sum reps^k d_contents against the closed power test-function
-    rate (1/2) sum Upsilon_k(reps_j, reps_l) R[j,l], R[j,l] = Phi c_j c_l.
-    The gap is the cell discretisation error less the k-th moment flux below
-    x_min (the latter is ``subgrid_moment_flux``; adding it to the gap
-    isolates the part that vanishes under grid refinement).  At k = 1 the
-    residual equals minus the dust production exactly.  Requires k > |nu| - 1.
-    """
-    reps_k = workspace.grid.reps**k
-    d_contents, _ = rhs_arrays(workspace, state.contents)
-    produced = float(np.sum(reps_k * d_contents))
-    # (1/2) sum_{j,l} Upsilon_k(r_j, r_l) R_{jl} = coeff sum_j r_j^k w_j by symmetry.
-    coeff = power_sum_change(workspace.law, k)
-    continuum = coeff * float(np.sum(reps_k * _event_mass(workspace, state.contents)))
-    return produced - continuum
-
-
-def subgrid_moment_flux(workspace: RhsWorkspace, state: State, k: float) -> float:
-    """Rate at which k-th moment is deposited below the smallest cell.
-
-    Whatever the parent, the fragments below x_min carry ``leak_ratio`` of
-    k-th moment per unit of their mass, so the flux is that ratio times the
-    dust rate.  Finite for k > |nu| - 1.
-    """
-    _, d_dust = rhs_arrays(workspace, state.contents)
-    return leak_ratio(workspace.law, k, workspace.grid.x_min) * d_dust

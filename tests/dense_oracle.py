@@ -9,7 +9,6 @@ it on small grids only.
 import numpy as np
 
 from collbreak import DomainError
-from collbreak.daughter import cell_mass_deposit
 
 
 def kernel_matrix(spec, sizes):
@@ -35,17 +34,24 @@ def deposit_counts(grid, law):
 
     Counts are the fragment mass a parent of size reps[j] deposits into cell
     i <= j, over reps[i]; ``dust[j]`` is the mass it sends below the grid.
+    A parent x deposits x^(-nu-1) (b^(nu+2) - a^(nu+2)) of mass into (a, b),
+    the integral of s (nu+2) s^nu x^(-nu-1).
     """
     n = grid.n_cells
     reps, edges = grid.reps, grid.edges
+    nu = law.nu
+
+    def mass(x, a, b):
+        return x ** (-nu - 1.0) * (b ** (nu + 2.0) - a ** (nu + 2.0))
+
     counts = np.zeros((n, n))
     dust = np.empty(n)
     for j in range(n):
         parent = reps[j]
-        dust[j] = cell_mass_deposit(law, parent, 0.0, edges[0])
+        dust[j] = mass(parent, 0.0, edges[0])
         for i in range(j + 1):
             hi = min(edges[i + 1], parent)
-            counts[i, j] = cell_mass_deposit(law, parent, edges[i], hi) / reps[i]
+            counts[i, j] = mass(parent, edges[i], hi) / reps[i]
     return counts, dust
 
 

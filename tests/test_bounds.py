@@ -118,7 +118,7 @@ def test_existence_bounds_unit_moments_global_case():
     assert report.regime is Regime.GLOBAL_EXISTENCE
     assert math.isinf(report.t_k0)
     assert report.c3 == pytest.approx(1.0, rel=1e-12)
-    e1 = cb.e_constant(law, 1.0)
+    e1 = cb.e_constant(law)
     for t in (0.1, 1.0, 3.0):
         assert report.c1_of(t) == pytest.approx(
             2.0 * math.exp(2.0 * e1 * t / 0.5), rel=1e-12

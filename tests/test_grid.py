@@ -58,13 +58,6 @@ def test_moment_linear_in_contents():
         )
 
 
-def test_tail_moment_limits():
-    grid = cb.build_grid(0.1, 10.0, 16)
-    state = cb.State(np.random.default_rng(3).uniform(size=16))
-    assert cb.tail_moment(grid, state, 1.3, 20.0) == 0.0
-    assert cb.tail_moment(grid, state, 1.3, grid.x_min) == cb.moment(grid, state, 1.3)
-
-
 def test_monodisperse_mass_exact():
     grid = cb.build_grid(1e-2, 2.0, 55)
     state = cb.monodisperse_state(grid, 1.0, 1.0)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from collbreak import DomainError, KernelSpec, eval_kernel
+from collbreak import DomainError, KernelSpec
+from collbreak.kernel import kernel_factors
 from dense_oracle import kernel_matrix
+
+
+def phi(spec: KernelSpec, x: float, y: float) -> float:
+    """Phi(x, y) = a1(x) a2(y) + a2(x) a1(y) from the scheme's rank-2 factors."""
+    (x1, x2), (y1, y2) = kernel_factors(spec, x), kernel_factors(spec, y)
+    return float(x1 * y2 + x2 * y1)
 
 
 def kernel_bound_check(spec: KernelSpec, k0: float, x: float, y: float) -> bool:
@@ -10,31 +17,31 @@ def kernel_bound_check(spec: KernelSpec, k0: float, x: float, y: float) -> bool:
 
     Valid on the admissible range k0 <= lambda1 <= lambda2 <= 1.
     """
-    lhs = eval_kernel(KernelSpec(spec.lambda1, spec.lambda2), x, y)
+    lhs = phi(KernelSpec(spec.lambda1, spec.lambda2), x, y)
     rhs = 2.0 * (x**k0 + x) * (y**k0 + y)
     return bool(lhs <= rhs)
 
 
 def test_constant_kernel_is_two_everywhere():
     spec = KernelSpec(0.0, 0.0)
-    assert eval_kernel(spec, 7.3, 0.2) == 2.0
+    assert phi(spec, 7.3, 0.2) == 2.0
 
 
 def test_mixed_exponents_example():
     spec = KernelSpec(0.5, 1.0)
-    assert eval_kernel(spec, 4.0, 1.0) == pytest.approx(6.0, rel=1e-12)
+    assert phi(spec, 4.0, 1.0) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_truncation_kills_large_partner():
     spec = KernelSpec(0.5, 1.0, truncation=2)
-    assert eval_kernel(spec, 3.0, 1.0) == 0.0
+    assert phi(spec, 3.0, 1.0) == 0.0
 
 
 def test_truncation_open_interval_boundaries():
     spec = KernelSpec(0.5, 1.0, truncation=2)
-    assert eval_kernel(spec, 2.0, 1.0) == 0.0
-    assert eval_kernel(spec, 0.5, 1.0) == 0.0
-    assert eval_kernel(spec, 1.9, 1.0) > 0.0
+    assert phi(spec, 2.0, 1.0) == 0.0
+    assert phi(spec, 0.5, 1.0) == 0.0
+    assert phi(spec, 1.9, 1.0) > 0.0
 
 
 def test_exponents_swapped_to_canonical_order():
@@ -55,9 +62,9 @@ def test_exponent_range_enforced():
 def test_nonpositive_sizes_rejected():
     spec = KernelSpec(0.5, 1.0)
     with pytest.raises(DomainError):
-        eval_kernel(spec, 0.0, 1.0)
+        kernel_factors(spec, [1.0, 0.0])
     with pytest.raises(DomainError):
-        eval_kernel(spec, 1.0, -2.0)
+        kernel_factors(spec, -2.0)
 
 
 def test_symmetry_is_exact():
@@ -66,7 +73,7 @@ def test_symmetry_is_exact():
         l1, l2 = rng.uniform(-2, 2, size=2)
         x, y = rng.uniform(1e-3, 1e3, size=2)
         spec = KernelSpec(l1, l2)
-        assert eval_kernel(spec, x, y) == eval_kernel(spec, y, x)
+        assert phi(spec, x, y) == phi(spec, y, x)
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
@@ -77,8 +84,8 @@ def test_homogeneity_scaling(s):
         x, y = rng.uniform(0.01, 10.0, size=2)
         spec = KernelSpec(l1, l2)
         lam = spec.homogeneity
-        scaled = eval_kernel(spec, s * x, s * y)
-        assert scaled == pytest.approx(s**lam * eval_kernel(spec, x, y), rel=1e-12)
+        scaled = phi(spec, s * x, s * y)
+        assert scaled == pytest.approx(s**lam * phi(spec, x, y), rel=1e-12)
 
 
 def test_truncation_sandwich():
@@ -87,11 +94,11 @@ def test_truncation_sandwich():
     cut = KernelSpec(0.3, 0.9, truncation=5)
     for _ in range(500):
         x, y = rng.uniform(1e-2, 1e2, size=2)
-        phi = eval_kernel(full, x, y)
-        phi_n = eval_kernel(cut, x, y)
-        assert 0.0 <= phi_n <= phi
+        rate = phi(full, x, y)
+        rate_n = phi(cut, x, y)
+        assert 0.0 <= rate_n <= rate
         if 0.2 < x < 5.0 and 0.2 < y < 5.0:
-            assert phi_n == phi
+            assert rate_n == rate
 
 
 def test_young_bound_spec_instances():
@@ -118,5 +125,5 @@ def test_kernel_matrix_matches_pointwise_and_is_symmetric():
     for i in (0, 7, 19):
         for j in (2, 7, 13):
             assert mat[i, j] == pytest.approx(
-                eval_kernel(spec, sizes[i], sizes[j]), rel=1e-14, abs=0.0
+                phi(spec, sizes[i], sizes[j]), rel=1e-14, abs=0.0
             )

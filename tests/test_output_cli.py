@@ -271,6 +271,36 @@ def test_cli_regime_and_bounds(tmp_path, capsys):
     assert "initial_moments" in payload
 
 
+# A4's physics (tests/test_acceptance.py) on A1's grid and data: LocalExistence
+A4_CONFIG = (
+    test_acceptance.A1_CONFIG.replace("lambda1 = 0.6", "lambda1 = 0.3")
+    .replace("lambda2 = 0.6", "lambda2 = 0.3")
+    .replace("nu = -1.2", "nu = -1.1")
+    .replace("k0 = 0.5", "k0 = 0.2")
+)
+
+
+@pytest.mark.parametrize(
+    "text, regime",
+    [
+        (test_acceptance.A1_CONFIG, "GlobalExistence"),
+        (A4_CONFIG, "LocalExistence"),
+        (test_acceptance.A5_CONFIG, "NonExistence"),
+    ],
+    ids=["A1", "A4", "A5"],
+)
+def test_cli_regime_prints_the_regime_and_its_checklist(tmp_path, capsys, text, regime):
+    # the bytes of classify_regime's value beside hypothesis_checklist, as JSON
+    config = cb.parse_config_text(text)
+    expected = {
+        "regime": cb.classify_regime(config.kernel, config.law).value,
+        "checklist": cb.hypothesis_checklist(config.kernel, config.law),
+    }
+    assert expected["regime"] == regime
+    assert main(["regime", _write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def _break_mass_budget(out):
     """Inflate the final snapshot of run ``out`` and re-sign it, so it loads but fails verify."""
     manifest = json.loads((out / "manifest.json").read_text())

@@ -4,7 +4,22 @@ import pytest
 import collbreak as cb
 from collbreak import DaughterLaw, KernelSpec, State
 from conftest import RHS_DIGEST, quad_oracle, run_in_fresh_process
-from dense_oracle import DenseRhs, deposit_counts, expanded_counts
+from dense_oracle import DenseRhs, deposit_counts, expanded_counts, kernel_matrix
+
+
+def weak_form_gap(ws, contents, k):
+    """The scheme's k-th moment production less the paper's power test-function rate.
+
+    The rate is (1/2) sum_{j,l} Upsilon_k(r_j, r_l) R_jl with R = c_j Phi_jl c_l,
+    which by symmetry is power_sum_change(k) sum_j r_j^k w_j, w = c * (Phi c);
+    Phi is the dense kernel matrix.
+    """
+    reps_k = ws.grid.reps**k
+    d_contents, _ = cb.rhs_arrays(ws, contents)
+    w = contents * (kernel_matrix(ws.kernel, ws.grid.reps) @ contents)
+    return float(np.sum(reps_k * d_contents)) - cb.power_sum_change(ws.law, k) * float(
+        np.sum(reps_k * w)
+    )
 
 
 def test_deposit_columns_telescope_to_parent_mass():
@@ -134,8 +149,7 @@ def test_single_occupied_cell_hand_assembly():
     state = State(np.array([0.0, c1]))
     dc, dd = cb.rhs_arrays(ws, state.contents)
 
-    phi = cb.eval_kernel(kernel, grid.reps[1], grid.reps[1])
-    rate = phi * c1 * c1  # R_{11}
+    rate = 2.0 * grid.reps[1] ** 1.2 * c1 * c1  # R_{11} = Phi(r_1, r_1) c_1^2
     counts, dust = deposit_counts(grid, law)
     assert dc[0] == pytest.approx(rate * counts[0, 1], rel=1e-13)
     assert dc[1] == pytest.approx(rate * counts[1, 1] - rate, rel=1e-13)
@@ -187,7 +201,7 @@ def test_weak_form_residual_k1_is_minus_dust_production():
     ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
     state = cb.exponential_state(grid, 1.0, 1.0)
     _, dd = cb.rhs_arrays(ws, state.contents)
-    assert cb.weak_form_residual(ws, state, 1.0) == pytest.approx(-dd, rel=1e-12)
+    assert weak_form_gap(ws, state.contents, 1.0) == pytest.approx(-dd, rel=1e-12)
 
 
 def test_weak_form_residual_single_cell_two_term_expression():
@@ -198,15 +212,14 @@ def test_weak_form_residual_single_cell_two_term_expression():
     c1 = 1.3
     state = State(np.array([0.0, c1]))
     k = 0.5
-    phi = cb.eval_kernel(kernel, grid.reps[1], grid.reps[1])
-    rate = phi * c1 * c1
+    x = grid.reps[1]
+    rate = 2.0 * x**1.2 * c1 * c1  # R_{11} = Phi(x, x) c_1^2
     counts, _ = deposit_counts(grid, law)
-    produced = rate * (
-        grid.reps[0] ** k * counts[0, 1] + grid.reps[1] ** k * counts[1, 1] - grid.reps[1] ** k
-    )
-    continuum = 0.5 * rate * cb.upsilon_power(law, k, grid.reps[1], grid.reps[1])
-    assert cb.weak_form_residual(ws, state, k) == pytest.approx(
-        produced - continuum, rel=1e-12
+    produced = rate * (grid.reps[0] ** k * counts[0, 1] + x**k * counts[1, 1] - x**k)
+    # Upsilon_k(x, x): the fragments' k-th moments, 2 (nu+2)/(k+nu+1) x^k, less 2 x^k
+    upsilon = 2.0 * (law.nu + 2.0) / (k + law.nu + 1.0) * x**k - 2.0 * x**k
+    assert weak_form_gap(ws, state.contents, k) == pytest.approx(
+        produced - 0.5 * rate * upsilon, rel=1e-12
     )
 
 
@@ -218,9 +231,9 @@ def test_weak_form_residual_refines_at_first_order():
         grid = cb.build_grid(1e-4, 10.0, n)
         ws = cb.precompute(grid, kernel, law)
         state = cb.exponential_state(grid, 1.0, 1.0)
-        gap = cb.weak_form_residual(ws, state, 0.5) + cb.subgrid_moment_flux(
-            ws, state, 0.5
-        )
+        # add back the 0.5-th moment flux below x_min, which does not refine away
+        _, dd = cb.rhs_arrays(ws, state.contents)
+        gap = weak_form_gap(ws, state.contents, 0.5) + cb.leak_ratio(law, 0.5, grid.x_min) * dd
         values.append(abs(gap))
     order = -np.polyfit(np.log([64, 128, 256]), np.log(values), 1)[0]
     assert order >= 0.9
@@ -233,13 +246,14 @@ def test_subgrid_moment_flux_matches_per_parent_sum(regime):
     ws = cb.precompute(grid, kernel, law)
     contents = np.random.default_rng(3).uniform(size=40)
     w = contents * (DenseRhs(grid, kernel, law).kernel_mat @ contents)
-    k = law.k0
+    k, nu, x_min = law.k0, law.nu, grid.x_min
+    # a parent x sends (nu+2) x^(-nu-1) x_min^(k+nu+1) / (k+nu+1) of k-th moment below x_min
     expected = sum(
-        cb.partial_moment(law, k, parent, 0.0, grid.edges[0]) * w_j
+        (nu + 2.0) * parent ** (-nu - 1.0) * x_min ** (k + nu + 1.0) / (k + nu + 1.0) * w_j
         for parent, w_j in zip(grid.reps, w)
     )
-    got = cb.subgrid_moment_flux(ws, State(contents), k)
-    assert got == pytest.approx(expected, rel=1e-13)
+    _, dd = cb.rhs_arrays(ws, contents)
+    assert cb.leak_ratio(law, k, x_min) * dd == pytest.approx(expected, rel=1e-13)
 
 
 def test_weak_form_residual_divergent_order_rejected():
@@ -247,7 +261,7 @@ def test_weak_form_residual_divergent_order_rejected():
     ws = cb.precompute(grid, KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6))
     state = State(np.ones(16))
     with pytest.raises(cb.DivergentMomentError):
-        cb.weak_form_residual(ws, state, 0.4)
+        weak_form_gap(ws, state.contents, 0.4)
 
 
 def test_dust_scaling_with_x_min():
