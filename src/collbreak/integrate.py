@@ -475,10 +475,10 @@ class PicardResult:
 def check_picard(max_iter: int, tol: float) -> None:
     """Refuse Picard settings ``picard_solve`` cannot use.
 
-    ``max_iter`` must be an integer >= 1 (2.5, NaN and inf are refused) and
-    ``tol`` finite and positive.
+    ``max_iter`` must be an integer >= 1 (2.5, NaN, inf and the bools are
+    refused) and ``tol`` finite and positive.
     """
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError(f"max_iter={max_iter} must be an integer >= 1", param="max_iter")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol={tol} must be finite and positive", param="tol")
@@ -497,18 +497,30 @@ def picard_solve(
     t_i = t_end (1 - cos(pi i / 8)) / 2, and the integral to each node is
     the spectral collocation rule t_end sum_j W[i, j] f_j, W = ``_PICARD_W``
     (Clenshaw & Norton, Comput. J. 6, 1963), exact on polynomials of degree
-    8; its last row holds the Clenshaw-Curtis weights.  Iteration stops
-    when successive trajectories differ by at most ``tol`` in the norm
-    ||.||_k0 + ||.||_1 at every node.  The horizon must be short enough for
-    contraction; callers split longer intervals into chained calls.  On the
-    A8 acceptance problem a 0.1-wide window lands within 1e-12 of a tight
-    RK run, in the weighted distance.
+    8; its last row holds the Clenshaw-Curtis weights.  The horizon must be
+    short enough for contraction; callers split longer intervals into
+    chained calls.  On the A8 acceptance problem a 0.1-wide window lands
+    within 1e-12 of a tight RK run, in the weighted distance.
+
+    Iteration k measures diff_k, the largest distance between successive
+    trajectories at a node in the norm ||.||_k0 + ||.||_1, and stops once
+    the distance left to the fixed point is at most ``tol``: when
+    diff_k <= tol, or when the ratio q = diff_k / diff_(k-1) is below 1 and
+    diff_k q / (1 - q) <= tol, the geometric bound on the remaining
+    corrections (Hairer & Wanner, *Solving ODEs II*, IV.8, eqs. 8.10-8.11).
+    Picard's successive ratios fall, its error going like (LT)^k / k!, so
+    the bound over-counts what is left.  At k = 1, and while q >= 1, only
+    diff_k <= tol stops; a run that does not contract within ``max_iter``
+    raises ``ContractionError``.
 
     Each iteration evaluates the nine nodes in one batched ``rhs_arrays``
     call, so a solve costs ``iterations`` calls; the first iterate holds
-    the initial state at every node, so its call takes that one state and
-    its rates stand for every node.  Each new node is summed over the
-    nodes' rates in node order through one scratch trajectory.  The dust
+    the initial state at every node, so its call takes that one state, and
+    its rates are tiled into a contiguous (9, N) copy.  Each new node is
+    the contraction ``np.einsum("ij,jn->in", weights, rates)`` plus the
+    initial state: unoptimized, so never BLAS, it adds the nodes' rates in
+    node order with each product rounded on its own, on a contiguous
+    operand (a stride-0 one makes einsum reorder the sum).  The dust
     integrates the last call's dust rates with the row t_end W[-1] that
     builds the final contents, so M_1 + dust holds as per right-hand side.
     A ``t_end`` that is negative or not finite is refused with
@@ -527,22 +539,19 @@ def picard_solve(
     weights = t_end * _PICARD_W
     c0 = state0.contents
     nodes = weights.shape[0]
-    scratch = np.empty((nodes, c0.size))
 
     traj = c0  # the first iterate holds c0 at every node
     diffs = []
     for iteration in range(1, max_iter + 1):
         rates, dust_rates = rhs_arrays(workspace, traj)
-        if traj.ndim == 1:  # one state's rates stand for the nine identical rows, bitwise
-            rates = np.broadcast_to(rates, (nodes, c0.size))
+        if traj.ndim == 1:  # one state's rates stand for the nine identical rows, copied:
+            # einsum sums a stride-0 view in another order
+            rates = np.tile(rates, (nodes, 1))
             dust_rates = np.full(nodes, dust_rates)
-        # new[i] = c0 + sum_j weights[i, j] f_j, summed over j in node order
-        new = np.multiply(weights[:, :1], rates[0])
-        for j in range(1, nodes):
-            new += np.multiply(weights[:, j : j + 1], rates[j], out=scratch)
+        new = np.einsum("ij,jn->in", weights, rates)
         new += c0
         del rates  # free the batch before the next call
-        gap = np.subtract(new, traj, out=scratch)
+        gap = np.subtract(new, traj)
         np.abs(gap, out=gap)
         gap *= norm_weights
         diff = float(np.max(np.sum(gap, axis=1)))
@@ -550,7 +559,8 @@ def picard_solve(
         diffs.append(diff)
         if not np.isfinite(diff):
             raise ContractionError(diff, iteration)
-        if diff <= tol:
+        ratio = diff / diffs[-2] if iteration > 1 else math.inf
+        if diff <= tol or (ratio < 1.0 and diff * ratio / (1.0 - ratio) <= tol):
             dust = state0.dust_mass + sum(float(w) * float(d) for w, d in zip(weights[-1], dust_rates))
             final = State(
                 contents=traj[-1].copy(),

@@ -6,8 +6,11 @@ polynomials by discrete orthogonality, each polynomial integrated by the
 antiderivative recurrence), not imported from ``integrate``.  Evaluates the
 right-hand side one node at a time, nine calls per iteration on a tiled
 initial state, and builds each new node from fresh temporaries, summed over
-the nodes' rates in node order.  The dust integrates the dust rates of the
-converging iteration's calls with the weights of the last node.  Its
+the nodes' rates in node order.  It stops when successive trajectories
+differ by at most ``tol``, or when the ratio q of the last two differences
+is below 1 and the geometric bound diff q / (1 - q) on the distance left is
+at most ``tol``.  The dust integrates the dust rates of the converging
+iteration's calls with the weights of the last node.  Its
 arithmetic on every value that reaches the result is the same as
 ``integrate.picard_solve``'s, so the two must agree bit for bit.  RHS calls
 go to ``scheme.rhs_arrays`` directly, so a counter on
@@ -85,7 +88,13 @@ def oracle_picard(workspace, state0, t_end, max_iter=40, tol=1e-10):
         traj = new_traj
         if not np.isfinite(diff):
             raise ContractionError(diff, iteration)
-        if diff <= tol:
+        # stop on the geometric bound of the distance left to the fixed
+        # point: diff q / (1 - q) with q the ratio of the last two diffs
+        converged = diff <= tol
+        if len(diffs) > 1:
+            q = diff / diffs[-2]
+            converged = converged or (q < 1.0 and diff * q / (1.0 - q) <= tol)
+        if converged:
             dust_step = 0.0
             for w, d in zip(weights[-1], dust_rates):
                 dust_step += w * float(d)

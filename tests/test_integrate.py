@@ -730,6 +730,8 @@ def test_picard_requires_truncation(small_problem):
         ({"max_iter": 2.5}, "max_iter"),
         ({"max_iter": math.nan}, "max_iter"),
         ({"max_iter": math.inf}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+        ({"max_iter": False}, "max_iter"),
     ],
 )
 def test_picard_refuses_bad_settings_before_any_rhs(truncated_problem, monkeypatch, kwargs, param):
@@ -784,6 +786,55 @@ def test_picard_integration_matrix():
     assert last[0] == pytest.approx(1.0 / 126.0, rel=1e-15)
 
 
+def _fma_chain(weights, rates):
+    """The node sum with each multiply and add fused into one rounding."""
+    out = np.empty((weights.shape[0], rates.shape[1]))
+    for i in range(out.shape[0]):
+        for n in range(out.shape[1]):
+            total = 0.0
+            for j in range(rates.shape[0]):
+                total = float(Fraction(weights[i, j]) * Fraction(rates[j, n]) + Fraction(total))
+            out[i, n] = total
+    return out
+
+
+@pytest.mark.parametrize("layout", ["rows", "one row, tiled"])
+def test_picard_node_sum_is_the_in_order_chain(layout):
+    # picard_solve's node sum np.einsum("ij,jn->in", W, R) must add the nodes in
+    # order j = 0 .. 8, each product rounded on its own, into a zeroed output:
+    # the arithmetic of the per-node oracle.  The products alternate in sign and
+    # nearly cancel, so a fused multiply-add or another summation order changes
+    # most entries.
+    rng = np.random.default_rng(3)
+    weights = rng.uniform(0.5, 1.5, (9, 9))
+    weights[:, 1::2] *= -1.0
+    row = rng.uniform(1.0, 2.0, 32)
+    if layout == "rows":
+        rates = row * (1.0 + 1e-3 * rng.standard_normal((9, 32)))
+    else:
+        # the first Picard iterate: one state's rates stand for every node.  As a
+        # stride-0 np.broadcast_to view they make einsum reorder the sum (276 of
+        # these 288 entries differ on numpy 2.4.6, x86-64), so picard_solve tiles them
+        rates = np.tile(row, (9, 1))
+
+    def node_sum(order):
+        total = np.zeros((9, 32))
+        for j in order:
+            total += weights[:, j : j + 1] * rates[j]
+        return total
+
+    chain = node_sum(range(9))
+    # the inputs can tell these apart
+    assert np.count_nonzero(_fma_chain(weights, rates) != chain) > chain.size // 4
+    assert np.count_nonzero(node_sum(reversed(range(9))) != chain) > chain.size // 4
+    got = np.einsum("ij,jn->in", weights, rates)
+    assert got.tobytes() == chain.tobytes(), (
+        "np.einsum no longer sums the nodes in order with separately rounded products; "
+        "likely a numpy build whose einsum fuses multiply and add (as on aarch64 NEON), "
+        "so picard_solve's bits differ from the per-node oracle"
+    )
+
+
 def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatch):
     ws, s0 = truncated_problem
     shapes = []
@@ -815,6 +866,37 @@ def test_picard_chain_bitwise_equals_per_node_oracle():
         assert [d.hex() for d in result.diffs] == [d.hex() for d in ref_diffs]
         assert result.iterations == ref_iterations
         state, expect = result.state, ref
+
+
+@pytest.fixture(scope="module")
+def a8_tight_windows():
+    """Ten chained A8 windows: (workspace, [(start state, result at tol 1e-15)])."""
+    ws, state = cb.build_problem(cb.parse_config_text(A8_CONFIG))
+    windows = []
+    for _ in range(10):
+        tight = cb.picard_solve(ws, state, 0.1, max_iter=40, tol=1e-15)
+        windows.append((state, tight))
+        state = tight.state
+    return ws, windows
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_picard_stops_within_tol_of_the_fixed_point(a8_tight_windows, tol):
+    # the stop on diff q / (1 - q) lands within tol of the fixed point, in the
+    # node norm, never later than the stop on diff <= tol, and earlier somewhere
+    ws, windows = a8_tight_windows
+    node_norm = ws.grid.reps**ws.law.k0 + ws.grid.reps
+    saved = 0
+    for start, tight in windows:
+        result = cb.picard_solve(ws, start, 0.1, max_iter=40, tol=tol)
+        distance = float(np.sum(node_norm * np.abs(result.state.contents - tight.state.contents)))
+        assert distance <= tol
+        # the iterates do not depend on tol, so the tight run's diffs hold the old rule's stop
+        assert [d.hex() for d in result.diffs] == [d.hex() for d in tight.diffs[: result.iterations]]
+        old_rule = next(k for k, diff in enumerate(tight.diffs, 1) if diff <= tol)
+        assert result.iterations <= old_rule
+        saved += old_rule - result.iterations
+    assert saved > 0
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
