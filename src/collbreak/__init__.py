@@ -11,7 +11,6 @@ and theorem-level diagnostics over emitted runs.
 from .bounds import (
     BoundsReport,
     Regime,
-    classify_regime,
     existence_bounds,
     gronwall_envelope,
     hypothesis_checklist,

@@ -37,7 +37,6 @@ from .kernel import KernelSpec
 __all__ = [
     "Regime",
     "BoundsReport",
-    "classify_regime",
     "regime_report",
     "hypothesis_checklist",
     "initial_bounds",
@@ -92,11 +91,6 @@ _REQUIRED = {
 }
 
 
-def classify_regime(kernel: KernelSpec, law: DaughterLaw) -> Regime:
-    """Which theorem, if any, covers this kernel/daughter pair."""
-    return regime_report(kernel, law).regime
-
-
 def _exp(log_value: float) -> float:
     """exp(log_value), or inf where it overflows a double.
 
@@ -131,7 +125,6 @@ class BoundsReport:
     c3: float | None = None
     t_k0: float | None = None  # blow-up horizon of the sublinear envelope
     c1_of: object = None  # callable T -> C1(T)
-    c1_table: list = field(default_factory=list)
     ell1: object = None  # callable k -> ell1(k)
     ell2: object = None  # callable k -> ell2(k)
     t1_of: object = None  # callable k -> per-order non-existence bound
@@ -145,8 +138,6 @@ class BoundsReport:
             value = getattr(self, name)
             if value is not None:
                 out[name] = _json_number(value)
-        if self.c1_table:
-            out["c1_table"] = [{"T": t, "C1": _json_number(v)} for t, v in self.c1_table]
         if self.t1_table is not None:
             out["t1_table"] = [
                 {"k": row[0], "ell1": row[1], "ell2": _json_number(row[2]), "T1": _json_number(row[3])}
@@ -180,39 +171,29 @@ def regime_report(kernel: KernelSpec, law: DaughterLaw) -> BoundsReport:
     return BoundsReport(regime=regime, checklist=checklist)
 
 
-def initial_bounds(
-    kernel: KernelSpec, law: DaughterLaw, grid: SizeGrid, state: State, times
-) -> BoundsReport:
+def initial_bounds(kernel: KernelSpec, law: DaughterLaw, grid: SizeGrid, state: State) -> BoundsReport:
     """The bounds report of the problem started from ``state`` on ``grid``.
 
     Non-existence regimes get ``nonexistence_bound``; every other regime
-    gets ``existence_bounds`` with C1 tabulated over ``times``, which leaves
-    an Uncovered report bare.  The initial data must carry positive mass
-    and moments.
+    gets ``existence_bounds``, which leaves an Uncovered report bare.  The
+    initial data must carry positive mass and moments.
     """
     moment_fn = lambda k: moment(grid, state, k)
     rho = moment_fn(1.0)
-    if classify_regime(kernel, law) is Regime.NON_EXISTENCE:
+    if regime_report(kernel, law).regime is Regime.NON_EXISTENCE:
         return nonexistence_bound(kernel, law, rho, moment_fn)
-    return existence_bounds(
-        kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
-    )
+    return existence_bounds(kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0))
 
 
 def existence_bounds(
-    kernel: KernelSpec,
-    law: DaughterLaw,
-    rho: float,
-    m_k0_in: float,
-    m_k0p1_in: float,
-    t_values=None,
+    kernel: KernelSpec, law: DaughterLaw, rho: float, m_k0_in: float, m_k0p1_in: float
 ) -> BoundsReport:
     """Constant chain of the small-size moment estimate.
 
     Given the initial mass rho and the initial k0 and (k0+1) moments,
     returns c1, c2, c3, the horizon T_k0 (infinite for homogeneity >= 1),
-    and the envelope C1 as a callable plus a table over the ``t_values``
-    before T_k0.
+    and the envelope C1 as the callable ``c1_of``, a closed form in those
+    constants and E1.
     Parameters outside the theorem's hypotheses yield an Uncovered report
     with no constants.
     """
@@ -259,10 +240,6 @@ def existence_bounds(
 
     report.t_k0 = t_k0
     report.c1_of = c1_of
-    if t_values is not None:
-        report.c1_table = [
-            (float(t), c1_of(float(t))) for t in np.atleast_1d(t_values) if t < t_k0
-        ]
     return report
 
 

@@ -76,10 +76,7 @@ def _cmd_simulate(args) -> int:
 def _initial_report(config):
     workspace, state0 = build_problem(config)
     grid, k0 = workspace.grid, config.law.k0
-    report = bounds_mod.initial_bounds(
-        config.kernel, config.law, grid, state0, config.snapshot_times
-    )
-    payload = report.entry()
+    payload = bounds_mod.initial_bounds(config.kernel, config.law, grid, state0).entry()
     payload["initial_moments"] = {
         "rho": moment(grid, state0, 1.0),
         "M_k0": moment(grid, state0, k0),

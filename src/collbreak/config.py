@@ -125,7 +125,18 @@ class SimConfig:
     out_dir: str | None
 
     def resolved(self) -> dict:
-        """Flat key -> value echo of every setting, defaults included."""
+        """Flat key -> value echo of every setting, defaults included.
+
+        The snapshot mesh is echoed as its count when a count gives it bit
+        for bit, so the echo does not grow with the mesh; otherwise as the
+        list of its times.
+        """
+        times = self.snapshot_times
+        uniform = np.linspace(0.0, self.t_end, len(times))
+        if np.array(times).tobytes() == uniform.tobytes():
+            snapshots = str(len(times))
+        else:
+            snapshots = ",".join(repr(t) for t in times)
         out = {
             "kernel.lambda1": self.kernel.lambda1,
             "kernel.lambda2": self.kernel.lambda2,
@@ -136,7 +147,7 @@ class SimConfig:
             "grid.n_cells": self.n_cells,
             "init.kind": self.init_kind,
             "time.t_end": self.t_end,
-            "time.snapshots": ",".join(repr(t) for t in self.snapshot_times),
+            "time.snapshots": snapshots,
             "time.rel_tol": self.rel_tol,
             "time.abs_tol": self.abs_tol,
             "picard.max_iter": self.picard_max_iter,

@@ -121,7 +121,7 @@ def nonexistence_growth_check(run: RunOutput, k: float) -> bool:
     of the running scale.  Orders k <= |nu| - 1 raise
     ``DivergentMomentError``.
     """
-    regime = bounds_mod.classify_regime(run.kernel, run.law)
+    regime = bounds_mod.regime_report(run.kernel, run.law).regime
     if regime is not bounds_mod.Regime.NON_EXISTENCE:
         raise InputError(f"regime {regime.value} is outside the non-existence theorem")
     # k = 1 is allowed as the degenerate boundary case with zero production
@@ -253,7 +253,7 @@ def run_verification(run: RunOutput) -> list[dict]:
         peak = float(np.max(np.abs(residual)))
         verdict("moment-identity-k=1", peak <= tol, f"max |residual| = {peak:.3e} (tol {tol:.3e})")
 
-    report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0), run.times)
+    report = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0))
     if report.c1 is not None:
         horizon = float(run.times[-1])
         if math.isfinite(report.t_k0):

@@ -85,9 +85,7 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
         "format": FORMAT,
         "config": echo,
         "rho": run.rho,
-        "bounds": bounds_mod.initial_bounds(
-            run.kernel, run.law, run.grid, run.state(0), run.times
-        ).entry(),
+        "bounds": bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0)).entry(),
         "files": files,
     }
     manifest["content_hash"] = _content_hash(manifest)

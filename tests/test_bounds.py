@@ -16,21 +16,21 @@ from collbreak.cli import main
 
 
 def test_classify_regime_examples():
-    assert cb.classify_regime(KernelSpec(1.0, 1.0), DaughterLaw(-1.2, 0.5)) is (
+    assert cb.regime_report(KernelSpec(1.0, 1.0), DaughterLaw(-1.2, 0.5)).regime is (
         Regime.GLOBAL_EXISTENCE
     )
-    assert cb.classify_regime(KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6)) is (
+    assert cb.regime_report(KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6)).regime is (
         Regime.NON_EXISTENCE
     )
-    assert cb.classify_regime(KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2)) is (
+    assert cb.regime_report(KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2)).regime is (
         Regime.LOCAL_EXISTENCE
     )
     # lambda1 in [|nu|-1, k0): neither existence nor non-existence applies
-    assert cb.classify_regime(KernelSpec(0.55, 0.55), DaughterLaw(-1.5, 0.6)) is (
+    assert cb.regime_report(KernelSpec(0.55, 0.55), DaughterLaw(-1.5, 0.6)).regime is (
         Regime.UNCOVERED
     )
     # homogeneity below 2*k0
-    assert cb.classify_regime(KernelSpec(0.35, 0.35), DaughterLaw(-1.0, 0.4)) is (
+    assert cb.regime_report(KernelSpec(0.35, 0.35), DaughterLaw(-1.0, 0.4)).regime is (
         Regime.UNCOVERED
     )
 
@@ -48,7 +48,7 @@ def test_positive_classes_disjoint_over_random_parameters():
         in_local = k0 <= l1 and l2 <= 1.0 and 2.0 * k0 <= lam < 1.0
         in_none = -2.0 < nu <= -1.0 and l1 < abs(nu) - 1.0 and l2 <= 1.0 and lam < 1.0
         assert in_global + in_local + in_none <= 1
-        got = cb.classify_regime(kernel, law)
+        got = cb.regime_report(kernel, law).regime
         expected = (
             Regime.GLOBAL_EXISTENCE
             if in_global
@@ -80,16 +80,13 @@ def test_checklist_reports_each_hypothesis():
 def test_initial_bounds_is_the_report_of_its_regimes_function(kernel, law, own):
     grid = cb.build_grid(1e-2, 2.0, 16)
     state = cb.exponential_state(grid, 1.0, 1.0)
-    times = [0.0, 0.1]
     moment_fn = lambda k: cb.moment(grid, state, k)
     rho = moment_fn(1.0)
     if own == "existence":
-        expect = cb.existence_bounds(
-            kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0), t_values=times
-        )
+        expect = cb.existence_bounds(kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0))
     else:
         expect = cb.nonexistence_bound(kernel, law, rho, moment_fn)
-    report = cb.initial_bounds(kernel, law, grid, state, times)
+    report = cb.initial_bounds(kernel, law, grid, state)
     assert json.dumps(report.entry()) == json.dumps(expect.entry())
 
 
@@ -227,13 +224,15 @@ def test_gronwall_envelope_refuses_empty_or_non_series(times):
 
 
 def test_bounds_report_serialises():
-    report = cb.existence_bounds(
-        KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), 1.0, 1.0, 1.0, t_values=[0.01, 1.0]
-    )
+    report = cb.existence_bounds(KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), 1.0, 1.0, 1.0)
     payload = report.entry()
     assert payload["regime"] == "LocalExistence"
-    # T = 1 lies past the horizon T_k0 = 1/9 and is left out of the table
-    assert [row["T"] for row in payload["existence"]["c1_table"]] == [0.01]
+    # C1(T) is the closed form c1_of, not a table: finite at T = 0.01 and
+    # refused at T = 1, past the horizon T_k0 = 1/9
+    assert sorted(payload["existence"]) == ["c1", "c2", "c3", "e1", "t_k0"]
+    assert math.isfinite(report.c1_of(0.01))
+    with pytest.raises(DomainError):
+        report.c1_of(1.0)
     nonex = cb.nonexistence_bound(
         KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), 1.0, lambda k: 1.0
     )
@@ -245,9 +244,8 @@ def test_bounds_beyond_double_range_read_inf():
     # rho = 67 makes the lambda >= 1 envelope exp(2 E1 c3 T / (1 - k0))
     # overflow by T = 1; powers of a huge rho overflow in the constants
     kernel, law = KernelSpec(0.5, 0.5), DaughterLaw(-1.2, 0.5)
-    report = cb.existence_bounds(kernel, law, 67.0, 67.0, 67.0, t_values=[0.01, 1.0])
+    report = cb.existence_bounds(kernel, law, 67.0, 67.0, 67.0)
     assert math.isfinite(report.c1_of(0.01)) and report.c1_of(1.0) == math.inf
-    assert [row["C1"] for row in report.entry()["existence"]["c1_table"]][1] == "inf"
     huge = cb.existence_bounds(KernelSpec(1.0, 1.0), DaughterLaw(-1.2, 0.5), 1e200, 1e200, 1e200)
     assert huge.c1 == math.inf
     json.dumps(huge.entry(), allow_nan=False)
@@ -297,14 +295,17 @@ def _exact(kernel, law, moment_fn, times=(), ks=()):
         return out
 
 
-def _assert_matches_exact(payload, exact):
-    """Every constant in ``payload`` (a section of ``entry()``) is the exact value rounded to 1e-9.
+def _assert_matches_exact(payload, exact, c1_values=()):
+    """Every constant in ``payload`` (a section of ``entry()``), and each of
+    ``c1_values`` (C1 at ``_exact``'s times), is the exact value rounded to 1e-9.
 
-    A value beyond the double range must read "inf" (or a subnormal/zero
-    below it); no value may be NaN.
+    An existence section must come with at least one C1 value.  A value
+    beyond the double range must read "inf" (or a subnormal/zero below it);
+    no value may be NaN.
     """
     got = {name: payload[name] for name in ("e1", "c1", "c2", "c3", "t_k0", "t1_bound") if name in payload}
-    got.update({("C1", i): row["C1"] for i, row in enumerate(payload.get("c1_table", []))})
+    assert "c1" not in payload or c1_values, "no C1 value compared"
+    got.update({("C1", i): value for i, value in enumerate(c1_values)})
     for i, row in enumerate(payload.get("t1_table", [])):
         got[("ell2", i)], got[("T1", i)] = row["ell2"], row["T1"]
     assert got.keys() == exact.keys()
@@ -358,8 +359,13 @@ def test_cli_bounds_regressions_match_mpmath(tmp_path, capsys, name):
     moment_fn = lambda k: cb.moment(workspace.grid, state0, k)
     if name.startswith("existence"):
         section = payload["existence"]
-        times = [row["T"] for row in section["c1_table"]]
-        _assert_matches_exact(section, _exact(config.kernel, config.law, moment_fn, times=times))
+        # C1 at the snapshot times before the horizon, from the report the CLI printed
+        report = cb.initial_bounds(config.kernel, config.law, workspace.grid, state0)
+        assert report.entry()["existence"] == section
+        times = [t for t in config.snapshot_times if t < report.t_k0]
+        c1_values = [report.c1_of(t) for t in times]
+        exact = _exact(config.kernel, config.law, moment_fn, times=times)
+        _assert_matches_exact(section, exact, c1_values)
     else:
         section = payload["nonexistence"]
         ks = [row["k"] for row in section["t1_table"]]
@@ -406,7 +412,7 @@ def _problems(draw):
     moment_fn = lambda k: rho * (weight * sizes[0] ** (k - 1.0) + (1.0 - weight) * sizes[1] ** (k - 1.0))
     kernel, law = KernelSpec(l1, l2), DaughterLaw(nu, k0)
     # a draw rounded onto a regime boundary
-    assume(regime is Regime.UNCOVERED or cb.classify_regime(kernel, law) is regime)
+    assume(regime is Regime.UNCOVERED or cb.regime_report(kernel, law).regime is regime)
     return kernel, law, moment_fn
 
 
@@ -434,16 +440,17 @@ def test_bounds_without_cancellation_match_mpmath(name):
 def _check_against_mpmath(kernel, law, moment_fn):
     rho = moment_fn(1.0)
     args = (kernel, law, rho, moment_fn(law.k0), moment_fn(1.0 + law.k0))
-    # the C1 table at fractions of the horizon, where C1 is well conditioned
-    t_k0 = cb.existence_bounds(*args).t_k0
-    times = [0.0, 1.0, 10.0] if t_k0 is None or math.isinf(t_k0) else [0.0, 0.5 * t_k0, 0.9 * t_k0]
-    existence = cb.existence_bounds(*args, t_values=times).entry()
+    report = cb.existence_bounds(*args)
+    existence = report.entry()
     nonexistence = cb.nonexistence_bound(kernel, law, rho, moment_fn).entry()
     json.dumps([existence, nonexistence], allow_nan=False)
     if "existence" in existence:
-        payload = existence["existence"]
-        times = [row["T"] for row in payload.get("c1_table", [])]
-        _assert_matches_exact(payload, _exact(kernel, law, moment_fn, times=times))
+        # C1 at fractions of the horizon, where C1 is well conditioned
+        t_k0 = report.t_k0
+        times = [0.0, 1.0, 10.0] if math.isinf(t_k0) else [0.0, 0.5 * t_k0, 0.9 * t_k0]
+        times = [t for t in times if t < t_k0]
+        c1_values = [report.c1_of(t) for t in times]
+        _assert_matches_exact(existence["existence"], _exact(kernel, law, moment_fn, times=times), c1_values)
     if "nonexistence" in nonexistence:
         payload = nonexistence["nonexistence"]
         ks = [row["k"] for row in payload["t1_table"]]

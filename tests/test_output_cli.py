@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,63 @@ def test_zero_horizon_emits_single_snapshot(tmp_path):
     assert len(cb.load_run(tmp_path).states) == 1
 
 
+def _a1_16(snapshots, t_end="1.0"):
+    """A1's physics on 16 cells, with ``time.snapshots`` and ``time.t_end`` as given."""
+    return (
+        test_acceptance.A1_CONFIG.replace("grid.n_cells = 128", "grid.n_cells = 16")
+        .replace("time.snapshots = 21", f"time.snapshots = {snapshots}")
+        .replace("time.t_end = 1.0", f"time.t_end = {t_end}")
+    )
+
+
+def test_manifest_size_does_not_depend_on_the_snapshot_count(tmp_path):
+    sizes = {}
+    for count in (11, 10000):
+        cb.emit_outputs(cb.run(cb.parse_config_text(_a1_16(count))), tmp_path / str(count))
+        manifest = (tmp_path / str(count) / "manifest.json").read_bytes()
+        assert json.loads(manifest)["config"]["time.snapshots"] == str(count)
+        sizes[count] = len(manifest)
+    # the two differ by the digits of the echoed count and nothing else
+    assert sizes[10000] - sizes[11] == len("10000") - len("11")
+    assert sizes[10000] < 4096
+
+
+_UNIFORM_11 = ",".join(map(repr, np.linspace(0.0, 1.0, 11)[1:-1].tolist()))
+# not the mesh of a count of 11: 0.3 is not 0.30000000000000004
+_TENTHS = ",".join(f"0.{i}" for i in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "snapshots, t_end, echo",
+    [
+        ("5", "1.0", "5"),
+        ("0.1,0.35,0.7", "1.0", "0.0,0.1,0.35,0.7,1.0"),
+        (_UNIFORM_11, "1.0", "11"),
+        (_TENTHS, "1.0", f"0.0,{_TENTHS},1.0"),
+        ("7", "0", "1"),
+    ],
+    ids=["count", "list", "list-of-a-count", "tenths", "zero-horizon"],
+)
+def test_snapshot_echo_loads_back_bitwise(tmp_path, snapshots, t_end, echo):
+    # a mesh that a count gives bit for bit is echoed as the count, any other
+    # as its list; either way load_run rebuilds the same times and a rerun
+    # writes the same bytes
+    text = _a1_16(snapshots, t_end)
+    run = cb.run(cb.parse_config_text(text))
+    manifest = cb.emit_outputs(run, tmp_path / "first")
+    assert manifest["config"]["time.snapshots"] == echo
+    loaded = cb.load_run(tmp_path / "first")
+    assert loaded.times.tobytes() == run.times.tobytes()
+    assert loaded.config == run.config
+    cb.emit_outputs(cb.run(cb.parse_config_text(text)), tmp_path / "rerun")
+    for name in ("manifest.json", "moments.csv", "contents.npy"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes()
+    # a manifest that echoes the mesh as its full list still loads
+    manifest["config"]["time.snapshots"] = ",".join(map(repr, run.times.tolist()))
+    _resign(tmp_path / "first", manifest)
+    assert cb.load_run(tmp_path / "first").times.tobytes() == run.times.tobytes()
+
+
 def _write(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -290,10 +348,10 @@ A4_CONFIG = (
     ids=["A1", "A4", "A5"],
 )
 def test_cli_regime_prints_the_regime_and_its_checklist(tmp_path, capsys, text, regime):
-    # the bytes of classify_regime's value beside hypothesis_checklist, as JSON
+    # the bytes of regime_report's regime beside hypothesis_checklist, as JSON
     config = cb.parse_config_text(text)
     expected = {
-        "regime": cb.classify_regime(config.kernel, config.law).value,
+        "regime": cb.regime_report(config.kernel, config.law).regime.value,
         "checklist": cb.hypothesis_checklist(config.kernel, config.law),
     }
     assert expected["regime"] == regime
@@ -701,7 +759,12 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
     out, err = capsys.readouterr()
     if code == 0:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
-        assert payload["existence"]["c1_table"][-1]["C1"] == "inf"
+        # the printed report's C1 envelope at the last snapshot time
+        config = cb.parse_config_text(text)
+        workspace, state0 = cb.build_problem(config)
+        report = cb.initial_bounds(config.kernel, config.law, workspace.grid, state0)
+        assert report.entry()["existence"] == payload["existence"]
+        assert report.c1_of(config.snapshot_times[-1]) == math.inf
     else:
         # the exit-2 message is all of stderr: no numpy warning before it;
         # the mean is refused at parse time, under its line, and the
