@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -139,7 +140,14 @@ def _cmd_shatter_study(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by every later one.
+
+    It names no command function: ``main`` looks ``_cmd_<command>`` up in
+    this module's globals when it runs, so a rebound ``_cmd_*`` is the one
+    that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="collbreak",
         description="Sectional solver and theorem-level diagnostics for "
@@ -150,37 +158,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a configuration and emit a run directory")
     p.add_argument("config")
     p.add_argument("--out", help="output directory (overrides output.dir)")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bounds", help="constants and horizons for a configuration")
     p.add_argument("config")
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("regime", help="theorem coverage of a configuration")
     p.add_argument("config")
-    p.set_defaults(func=_cmd_regime)
 
     p = sub.add_parser("verify", help="run the check battery on an emitted run")
     p.add_argument("run_dir")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("distance", help="weighted distance between two runs")
     p.add_argument("run_dir_a")
     p.add_argument("run_dir_b")
-    p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("shatter-study", help="dust fraction under x_min refinement")
     p.add_argument("config")
     p.add_argument("--xmins", required=True, help="comma list of grid cutoffs")
-    p.set_defaults(func=_cmd_shatter_study)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

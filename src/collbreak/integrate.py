@@ -257,11 +257,12 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
     row = [(i, theta * (a + theta * (b + theta * (c + theta * d)))) for i, (a, b, c, d) in _DENSE]
     contents = _increment(row, ks, dt, out, np.empty_like(out))
     contents += state.contents
+    clipped = _clip(workspace.grid, contents) if contents.min(initial=0.0) < 0.0 else 0.0
     return State(
         contents=contents,
         dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in row),
         time=time,
-        clip_mass=state.clip_mass + _clip(workspace.grid, contents),
+        clip_mass=state.clip_mass + clipped,
     )
 
 

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .config import parse_config_text
 from .errors import InputError
 from .grid import build_grid
-from .integrate import RunOutput
+from .integrate import RunOutput, row_blocks
 
 __all__ = ["emit_outputs", "load_run"]
 
@@ -38,19 +38,45 @@ def _content_hash(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(covered, sort_keys=True).encode()).hexdigest()
 
 
+def _csv_blocks(header, columns):
+    """The lines of ``moments.csv`` as encoded chunks: the header, then one per row block.
+
+    Each ``row_blocks`` block gathers its rows of the columns into the
+    block's scratch and formats them, so no more than one block of text is
+    held at a time.
+    """
+    yield (",".join(header) + "\n").encode()
+    for rows, block in row_blocks(columns[0].size, len(columns)):
+        for j, column in enumerate(columns):
+            block[:, j] = column[rows]
+        # tolist gives Python floats, whose repr is _fmt's
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+def _write_hashed(path: Path, chunks) -> str:
+    """Write ``chunks``, bytes-like and in order, to ``path``; the SHA-256 of what was written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def emit_outputs(run: RunOutput, out_dir) -> dict:
     """Write moments.csv, contents.npy and manifest.json.
 
     ``moments.csv`` has one row per snapshot: its time, the moments, the
-    dust and the clipped mass.  ``contents.npy``, a C-order ``<f8`` array of
-    shape (snapshots, n_cells), is the run's ``contents`` matrix, written and
-    hashed from its own buffer; with the series from ``RunOutput.moments``,
-    emitting holds the run plus O(n_cells + block) scratch.  Returns the
-    manifest dictionary (also written to disk), which echoes the resolved
-    configuration less ``output.dir`` (where the run was written, so the
-    same run hashes the same wherever it goes), the regime classification
-    with its constants, the SHA-256 of each file, and a content hash over
-    the echo and the digests.
+    dust and the clipped mass; it is formatted, written and hashed one
+    ``row_blocks`` block at a time.  ``contents.npy``, a C-order ``<f8``
+    array of shape (snapshots, n_cells), is the run's ``contents`` matrix,
+    written and hashed from its own buffer; with the series from
+    ``RunOutput.moments``, emitting holds the run plus O(n_cells + block)
+    scratch.  Returns the manifest dictionary (also written to disk), which
+    echoes the resolved configuration less ``output.dir`` (where the run was
+    written, so the same run hashes the same wherever it goes), the regime
+    classification with its constants, the SHA-256 of each file, and a
+    content hash over the echo and the digests.
     A run without a configuration (a bare ``simulate`` result) is refused
     before any file is written: ``load_run`` could not read it back.
     """
@@ -61,23 +87,14 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
 
     orders = run.config.moment_orders
     header = ["t"] + [f"M_{_fmt(k)}" for k in orders] + ["dust_mass", "clip_mass"]
-    lines = [",".join(header)]
     columns = [run.times, *(run.moments(k) for k in orders), run.dust, run.clip]
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    moments = ("\n".join(lines) + "\n").encode()
-    (out / "moments.csv").write_bytes(moments)
-    files = {"moments.csv": hashlib.sha256(moments).hexdigest()}
+    files = {"moments.csv": _write_hashed(out / "moments.csv", _csv_blocks(header, columns))}
 
     # header version 1.0 whatever numpy would pick, then the matrix's raw bytes
     head = io.BytesIO()
     matrix = np.ascontiguousarray(run.contents, dtype="<f8")
     np.lib.format.write_array_header_1_0(head, {"descr": "<f8", "fortran_order": False, "shape": matrix.shape})
-    digest = hashlib.sha256(head.getvalue())
-    digest.update(matrix)
-    with open(out / "contents.npy", "wb") as handle:
-        handle.write(head.getvalue())
-        handle.write(matrix)
-    files["contents.npy"] = digest.hexdigest()
+    files["contents.npy"] = _write_hashed(out / "contents.npy", (head.getvalue(), matrix))
 
     echo = run.config.resolved()
     echo.pop("output.dir", None)

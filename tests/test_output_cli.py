@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collbreak as cb
+from collbreak import cli
 from collbreak.cli import main
 from collbreak.output import _content_hash
 import test_acceptance
@@ -199,6 +202,35 @@ def test_manifest_size_does_not_depend_on_the_snapshot_count(tmp_path):
     assert sizes[10000] < 4096
 
 
+def test_moments_csv_is_streamed_in_row_blocks(tmp_path):
+    # 1e5 snapshots of full-precision values: an 11.5 MB moments.csv over many row
+    # blocks; the one-string build (the list of lines, their join and its bytes,
+    # held together) peaked at three and a half times the file
+    config = cb.parse_config_text(_a1_16(100_000))
+    rng = np.random.default_rng(7)
+    times = np.array(config.snapshot_times)
+    contents = rng.random((times.size, config.n_cells))
+    dust, clip = rng.random(times.size), rng.random(times.size) * 1e-20
+    grid = cb.build_grid(config.x_min, config.x_max, config.n_cells)
+    run = cb.RunOutput(grid, config.kernel, config.law, times, contents, dust, clip, config)
+    columns = [times, *(run.moments(k) for k in config.moment_orders), dust, clip]
+    tracemalloc.start()
+    try:
+        manifest = cb.emit_outputs(run, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "moments.csv").read_bytes()
+    header = "t," + ",".join(f"M_{float(k)!r}" for k in config.moment_orders) + ",dust_mass,clip_mass"
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    assert written == ("\n".join(lines) + "\n").encode()
+    assert manifest["files"]["moments.csv"] == hashlib.sha256(written).hexdigest()
+    assert len(written) > 11e6
+    # a bound far below the one-string build's 40.3 MB; the peak, 2.4 MB, is the
+    # snapshot echo's mesh check in SimConfig.resolved, and a row block's text 0.8 MB
+    assert peak < 4e6, f"emit_outputs peaked at {peak / 1e6:.2f} MB"
+
+
 _UNIFORM_11 = ",".join(map(repr, np.linspace(0.0, 1.0, 11)[1:-1].tolist()))
 # not the mesh of a count of 11: 0.3 is not 0.30000000000000004
 _TENTHS = ",".join(f"0.{i}" for i in range(1, 10))
@@ -309,6 +341,82 @@ def test_cli_simulate_verify_ok(tmp_path, capsys):
     assert main(["verify", out_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(check["passed"] for check in payload["checks"])
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # one ArgumentParser for collbreak and one per command, on the first call only
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    cfg = _write(tmp_path, BASE_CONFIG)
+    assert main(["regime", cfg]) == 0
+    assert main(["regime", cfg]) == 0
+    assert len(built) == 7 and built[0] == "collbreak"
+    out = capsys.readouterr().out
+    assert out[: len(out) // 2] * 2 == out
+
+
+def test_cli_runs_the_command_rebound_after_the_parser_is_built(tmp_path, capsys, monkeypatch):
+    assert main(["regime", _write(tmp_path, BASE_CONFIG)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.run_dir) or 4)
+    assert main(["verify", "some-run"]) == 4
+    assert seen == ["some-run"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["nosuch"],
+            "collbreak: error: argument command: invalid choice: 'nosuch' (choose from "
+            "'simulate', 'bounds', 'regime', 'verify', 'distance', 'shatter-study')",
+        ),
+        (
+            ["shatter-study", "case.cfg"],
+            "collbreak shatter-study: error: the following arguments are required: --xmins",
+        ),
+    ],
+    ids=["unknown-command", "no-xmins"],
+)
+def test_cli_usage_error_exits_2_and_the_next_command_runs(tmp_path, capsys, argv, message):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: collbreak")
+    assert captured.err.endswith(message + "\n")
+    assert main(["regime", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "GlobalExistence"
+
+
+@pytest.mark.parametrize(
+    "command", [None, "simulate", "bounds", "regime", "verify", "distance", "shatter-study"]
+)
+def test_cli_help_of_the_reused_parser_is_that_of_a_fresh_one(tmp_path, capsys, monkeypatch, command):
+    # help after the process's parser has parsed a command and refused a
+    # usage error, byte for byte as a newly built parser prints it
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ([command] if command else []) + ["--help"]
+    assert main(["regime", _write(tmp_path, BASE_CONFIG)]) == 0
+    with pytest.raises(SystemExit):
+        main(["nosuch"])
+    capsys.readouterr()
+    printed = []
+    for parse in (main, cli._parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].err == "" and printed[0].out.startswith("usage: collbreak")
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
