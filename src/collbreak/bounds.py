@@ -125,8 +125,6 @@ class BoundsReport:
     c3: float | None = None
     t_k0: float | None = None  # blow-up horizon of the sublinear envelope
     c1_of: object = None  # callable T -> C1(T)
-    ell1: object = None  # callable k -> ell1(k)
-    ell2: object = None  # callable k -> ell2(k)
     t1_of: object = None  # callable k -> per-order non-existence bound
     t1_table: np.ndarray | None = None  # columns: k, ell1, ell2, T1
     t1_bound: float | None = None
@@ -290,8 +288,6 @@ def nonexistence_bound(kernel: KernelSpec, law: DaughterLaw, rho: float, moment_
     for row, k in enumerate(k_grid):
         table[row] = (k, ell1(k), ell2(k), t1_of(k))
     idx = int(np.argmin(table[:, 3]))
-    report.ell1 = ell1
-    report.ell2 = ell2
     report.t1_of = t1_of
     report.t1_table = table
     report.t1_bound = float(table[idx, 3])

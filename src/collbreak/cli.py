@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     except StiffnessError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, CollbreakError) as exc:
+    except CollbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

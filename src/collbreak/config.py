@@ -16,6 +16,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,29 +45,30 @@ _INIT_KINDS = ("monodisperse", "exponential", "table")
 MAX_SNAPSHOTS = 10**5
 MAX_RECORD = 10**8
 
-# key -> (parser, default); None defaults are resolved contextually.
+# key -> (parser, default, SimConfig attribute it is echoed from); None
+# defaults are resolved contextually.
 _KEYS = {
-    "kernel.lambda1": (float, 0.5),
-    "kernel.lambda2": (float, 0.5),
-    "kernel.truncation_n": (int, None),
-    "daughter.nu": (float, -1.2),
-    "daughter.k0": (float, 0.5),
-    "grid.x_min": (float, 1e-3),
-    "grid.x_max": (float, 10.0),
-    "grid.n_cells": (int, 64),
-    "init.kind": (str, "exponential"),
-    "init.size": (float, 1.0),
-    "init.mass": (float, None),
-    "init.mean": (float, 1.0),
-    "init.path": (str, None),
-    "time.t_end": (float, 1.0),
-    "time.snapshots": (str, "11"),
-    "time.rel_tol": (float, Tolerances.rel_tol),
-    "time.abs_tol": (float, Tolerances.abs_tol),
-    "picard.max_iter": (int, 40),
-    "picard.tol": (float, 1e-10),
-    "output.dir": (str, None),
-    "output.moments": (str, None),
+    "kernel.lambda1": (float, 0.5, "kernel.lambda1"),
+    "kernel.lambda2": (float, 0.5, "kernel.lambda2"),
+    "kernel.truncation_n": (int, None, "kernel.truncation"),
+    "daughter.nu": (float, -1.2, "law.nu"),
+    "daughter.k0": (float, 0.5, "law.k0"),
+    "grid.x_min": (float, 1e-3, "x_min"),
+    "grid.x_max": (float, 10.0, "x_max"),
+    "grid.n_cells": (int, 64, "n_cells"),
+    "init.kind": (str, "exponential", "init_kind"),
+    "init.size": (float, 1.0, "init_size"),
+    "init.mass": (float, None, "init_mass"),
+    "init.mean": (float, 1.0, "init_mean"),
+    "init.path": (str, None, "init_path"),
+    "time.t_end": (float, 1.0, "t_end"),
+    "time.snapshots": (str, "11", "snapshot_times"),
+    "time.rel_tol": (float, Tolerances.rel_tol, "rel_tol"),
+    "time.abs_tol": (float, Tolerances.abs_tol, "abs_tol"),
+    "picard.max_iter": (int, 40, "picard_max_iter"),
+    "picard.tol": (float, 1e-10, "picard_tol"),
+    "output.dir": (str, None, "out_dir"),
+    "output.moments": (str, None, "moment_orders"),
 }
 
 # DomainError.param of the owning types' checks -> the key that sets it.
@@ -103,7 +105,10 @@ def _cited(line_of=lambda key: None):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fully validated simulation configuration."""
+    """Fully validated simulation configuration.
+
+    ``init_size``, ``init_mean`` and ``init_path`` are None unless ``init_kind`` reads them.
+    """
 
     kernel: KernelSpec
     law: DaughterLaw
@@ -111,9 +116,9 @@ class SimConfig:
     x_max: float
     n_cells: int
     init_kind: str
-    init_size: float
+    init_size: float | None
     init_mass: float | None
-    init_mean: float
+    init_mean: float | None
     init_path: str | None
     t_end: float
     snapshot_times: tuple
@@ -125,52 +130,24 @@ class SimConfig:
     out_dir: str | None
 
     def resolved(self) -> dict:
-        """Flat key -> value echo of every setting, defaults included.
+        """Flat key -> value echo of every setting that is not None, defaults included.
 
         The snapshot mesh is echoed as its count when a count gives it bit
         for bit, so the echo does not grow with the mesh; otherwise as the
         list of its times.
         """
-        times = self.snapshot_times
-        uniform = np.linspace(0.0, self.t_end, len(times))
-        if np.array(times).tobytes() == uniform.tobytes():
-            snapshots = str(len(times))
+        out = {}
+        for key, (_, _, name) in _KEYS.items():
+            if (value := attrgetter(name)(self)) is not None:
+                out[key] = value
+        times = np.array(self.snapshot_times)
+        uniform = np.linspace(0.0, self.t_end, times.size)
+        if np.array_equal(times.view(np.int64), uniform.view(np.int64)):
+            out["time.snapshots"] = str(times.size)
         else:
-            snapshots = ",".join(repr(t) for t in times)
-        out = {
-            "kernel.lambda1": self.kernel.lambda1,
-            "kernel.lambda2": self.kernel.lambda2,
-            "daughter.nu": self.law.nu,
-            "daughter.k0": self.law.k0,
-            "grid.x_min": self.x_min,
-            "grid.x_max": self.x_max,
-            "grid.n_cells": self.n_cells,
-            "init.kind": self.init_kind,
-            "time.t_end": self.t_end,
-            "time.snapshots": snapshots,
-            "time.rel_tol": self.rel_tol,
-            "time.abs_tol": self.abs_tol,
-            "picard.max_iter": self.picard_max_iter,
-            "picard.tol": self.picard_tol,
-            "output.moments": ",".join(repr(k) for k in self.moment_orders),
-        }
-        if self.kernel.truncation is not None:
-            out["kernel.truncation_n"] = self.kernel.truncation
-        if self.init_kind == "monodisperse":
-            out["init.size"] = self.init_size
-        if self.init_kind == "exponential":
-            out["init.mean"] = self.init_mean
-        if self.init_kind == "table":
-            out["init.path"] = self.init_path
-        if self.init_mass is not None:
-            out["init.mass"] = self.init_mass
-        if self.out_dir is not None:
-            out["output.dir"] = self.out_dir
+            out["time.snapshots"] = ",".join(repr(t) for t in self.snapshot_times)
+        out["output.moments"] = ",".join(repr(k) for k in self.moment_orders)
         return out
-
-    def to_text(self) -> str:
-        # str of a float is its shortest round-trip repr
-        return "".join(f"{key} = {value}\n" for key, value in self.resolved().items())
 
 
 def _finite_float(token: str) -> float:
@@ -194,7 +171,7 @@ def _parse_lines(text: str, name: str) -> dict:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"unknown key in {name}", key=key, line=lineno)
-        parser, _ = _KEYS[key]
+        parser = _KEYS[key][0]
         if parser is str:
             parsed = value
         else:
@@ -291,15 +268,15 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
             key="init.kind",
             line=line_of("init.kind"),
         )
-    size, mean, mass = get("init.size"), get("init.mean"), get("init.mass")
+    size = float(get("init.size")) if kind == "monodisperse" else None
+    mean, mass = get("init.mean"), get("init.mass")
     if mass is None and kind != "table":
         mass = 1.0
     with _cited(line_of):
-        check_initial_data(
-            x_min, x_max, mass, size=size if kind == "monodisperse" else None, mean=mean
-        )
-    path = get("init.path")
+        check_initial_data(x_min, x_max, mass, size=size, mean=mean)
+    path = None
     if kind == "table":
+        path = get("init.path")
         if path is None:
             raise ConfigError(
                 "table initial data needs init.path", key="init.path", line=None
@@ -334,9 +311,9 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         x_max=float(x_max),
         n_cells=int(n_cells),
         init_kind=kind,
-        init_size=float(size),
+        init_size=size,
         init_mass=None if mass is None else float(mass),
-        init_mean=float(mean),
+        init_mean=float(mean) if kind == "exponential" else None,
         init_path=path,
         t_end=float(t_end),
         snapshot_times=snapshots,

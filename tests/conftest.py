@@ -46,6 +46,15 @@ def quad_oracle(f, a, b, dps=30):
         return float(estimate if estimate is not None else total)
 
 
+def config_text(config):
+    """Configuration text of ``config``'s resolved echo, one ``key = value`` a line.
+
+    str of a float is its shortest round-trip repr, so the text parses back
+    to ``config``.
+    """
+    return "".join(f"{key} = {value}\n" for key, value in config.resolved().items())
+
+
 # Prints a digest of one right-hand-side evaluation; run it here and in a
 # fresh process to compare the two bit for bit.
 RHS_DIGEST = """

@@ -149,8 +149,11 @@ def test_nonexistence_bound_symbolic_chain():
     law = DaughterLaw(-1.5, 0.6)
     report = cb.nonexistence_bound(kernel, law, 1.0, lambda k: 1.0)
     assert report.regime is Regime.NON_EXISTENCE
-    assert report.ell1(0.55) == pytest.approx(-0.55, rel=1e-12)
-    assert report.ell2(0.55) == pytest.approx(1.0, rel=1e-12)
+    # ell1(k) = -k and ell2(k) = 1 at every tabulated order
+    k, ell1, ell2, _ = report.t1_table.T
+    assert k.size == 64
+    np.testing.assert_allclose(ell1, -k, rtol=1e-12)
+    np.testing.assert_allclose(ell2, 1.0, rtol=1e-12)
     assert report.t1_of(0.55) == pytest.approx(0.05 / 0.55, rel=1e-12)
     assert report.t1_of(0.51) == pytest.approx(0.01 / 0.51, rel=1e-12)
     assert report.t1_of(0.51) < report.t1_of(0.55)

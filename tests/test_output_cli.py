@@ -22,7 +22,7 @@ from collbreak import cli
 from collbreak.cli import main
 from collbreak.output import _content_hash
 import test_acceptance
-from conftest import run_in_fresh_process
+from conftest import config_text, run_in_fresh_process
 
 BASE_CONFIG = """
 kernel.lambda1 = 0.6
@@ -143,6 +143,16 @@ def test_wide_self_restart_builds_fast(tmp_path):
     original = run.states[-1].contents
     assert np.max(np.abs(state.contents - original)) <= 1e-13 * np.max(original)
     assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(cb.moment(run.grid, run.states[-1], 1.0), rel=1e-12)
+
+
+def test_keys_the_kind_ignores_load_back_and_change_no_manifest_byte(tmp_path):
+    # an exponential start reads neither init.size nor init.path
+    stray = BASE_CONFIG + "init.size = 5\ninit.path = nowhere.csv\n"
+    run = cb.run(cb.parse_config_text(stray))
+    cb.emit_outputs(run, tmp_path / "stray")
+    cb.emit_outputs(cb.run(cb.parse_config_text(BASE_CONFIG)), tmp_path / "plain")
+    assert cb.load_run(tmp_path / "stray").config == run.config
+    assert (tmp_path / "stray" / "manifest.json").read_bytes() == (tmp_path / "plain" / "manifest.json").read_bytes()
 
 
 def test_table_run_emits_load_emits_the_same_manifest(tmp_path, monkeypatch):
@@ -534,8 +544,8 @@ def test_content_hash_does_not_depend_on_where_the_run_is_written(tmp_path, monk
     assert "output.dir" not in json.loads((tmp_path / "other" / "manifest.json").read_text())["config"]
     # the configuration itself still carries and round-trips it
     config = cb.parse_config("a.cfg")
-    assert "output.dir = myrun\n" in config.to_text()
-    assert cb.parse_config_text(config.to_text()) == config
+    assert "output.dir = myrun\n" in config_text(config)
+    assert cb.parse_config_text(config_text(config)) == config
 
 
 @pytest.mark.parametrize("name", ["moments.csv", "contents.npy"])
