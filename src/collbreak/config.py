@@ -5,9 +5,13 @@ blank lines ignored.  Every key has a documented default, so an empty file
 is a valid configuration.  Validation failures cite the offending key, the
 line number, and the hypothesis they violate.
 
-Ranges are checked by the owner of each parameter, which raises a
-``DomainError`` naming it; only this module knows the key names, and
-``_cited`` reports the error under the key, and line, that set it.
+Every refusal of a setting is a ``DomainError`` naming its parameter:
+ranges are checked by the owner of each parameter, and this module's own
+rules (the init kind, a table's path, the horizon, the snapshot mesh, the
+moment list) raise one too.  Only this module knows the key names, and
+``_cited`` reports each refusal under the key, and line, that set it.
+``with_x_min`` holds the grid it makes to the same checks, ``MAX_CELLS``
+and ``MAX_RECORD`` included.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .scheme import precompute
 
 __all__ = ["SimConfig", "parse_config", "parse_config_text", "build_problem", "run", "with_x_min"]
 
-_INIT_KINDS = ("monodisperse", "exponential", "table")
+# init.kind -> the one SimConfig field of init.size, init.mean and init.path it reads
+_INIT_FIELDS = {"monodisperse": "init_size", "exponential": "init_mean", "table": "init_path"}
 
 # Largest snapshot mesh, 0 and t_end included, and largest run record
 # (snapshots x n_cells doubles) a configuration may ask for.
@@ -71,24 +76,10 @@ _KEYS = {
     "output.moments": (str, None, "moment_orders"),
 }
 
-# DomainError.param of the owning types' checks -> the key that sets it.
-_PARAM_KEYS = {
-    "nu": "daughter.nu",
-    "k0": "daughter.k0",
-    "lambda1": "kernel.lambda1",
-    "lambda2": "kernel.lambda2",
+# DomainError.param -> the key that sets it: the key whose last segment is
+# the param, or one of the two owners that name their parameter otherwise.
+_PARAM_KEYS = {key.rpartition(".")[2]: key for key in _KEYS} | {
     "truncation": "kernel.truncation_n",
-    "x_min": "grid.x_min",
-    "x_max": "grid.x_max",
-    "n_cells": "grid.n_cells",
-    "rel_tol": "time.rel_tol",
-    "abs_tol": "time.abs_tol",
-    "max_iter": "picard.max_iter",
-    "tol": "picard.tol",
-    "size": "init.size",
-    "mean": "init.mean",
-    "mass": "init.mass",
-    "path": "init.path",
     "k": "output.moments",
 }
 
@@ -107,7 +98,8 @@ def _cited(line_of=lambda key: None):
 class SimConfig:
     """Fully validated simulation configuration.
 
-    ``init_size``, ``init_mean`` and ``init_path`` are None unless ``init_kind`` reads them.
+    ``init_size``, ``init_mean`` and ``init_path`` are None unless ``init_kind``
+    reads them, however the config is made (``dataclasses.replace`` included).
     """
 
     kernel: KernelSpec
@@ -128,6 +120,12 @@ class SimConfig:
     picard_tol: float
     moment_orders: tuple
     out_dir: str | None
+
+    def __post_init__(self):
+        read = _INIT_FIELDS[self.init_kind]
+        for name in _INIT_FIELDS.values():
+            if name != read:
+                object.__setattr__(self, name, None)
 
     def resolved(self) -> dict:
         """Flat key -> value echo of every setting that is not None, defaults included.
@@ -185,22 +183,20 @@ def _parse_lines(text: str, name: str) -> dict:
     return values
 
 
-def _check_mesh(size: int, n_cells: int, line) -> None:
+def _check_mesh(size: int, n_cells: int) -> None:
     """Refuse a snapshot mesh of more than MAX_SNAPSHOTS times, or one whose
     record of ``size`` rows of ``n_cells`` contents exceeds MAX_RECORD doubles."""
     if size > MAX_SNAPSHOTS:
-        message = f"{size} snapshot times exceed the limit of {MAX_SNAPSHOTS}"
-    elif size * n_cells > MAX_RECORD:
-        message = (
+        raise DomainError(f"{size} snapshot times exceed the limit of {MAX_SNAPSHOTS}", param="snapshots")
+    if size * n_cells > MAX_RECORD:
+        raise DomainError(
             f"{size} snapshots of {n_cells} cells are a record of {size * n_cells} doubles, "
-            f"above the limit of {MAX_RECORD}"
+            f"above the limit of {MAX_RECORD}",
+            param="snapshots",
         )
-    else:
-        return
-    raise ConfigError(message, key="time.snapshots", line=line)
 
 
-def _snapshot_times(raw: str, t_end: float, n_cells: int, line) -> tuple:
+def _snapshot_times(raw: str, t_end: float, n_cells: int) -> tuple:
     raw = raw.strip()
     try:
         count = int(raw) if raw.isdigit() else None
@@ -209,27 +205,19 @@ def _snapshot_times(raw: str, t_end: float, n_cells: int, line) -> tuple:
         elif count < 1:
             raise ValueError
     except ValueError:
-        raise ConfigError(
-            f"expected a count or comma list of times, got {raw!r}",
-            key="time.snapshots",
-            line=line,
-        ) from None
+        raise DomainError(f"expected a count or comma list of times, got {raw!r}", param="snapshots") from None
     if count is not None:
         size = 1 if t_end == 0.0 else max(count, 2)
-        _check_mesh(size, n_cells, line)  # before the mesh is built
+        _check_mesh(size, n_cells)  # before the mesh is built
         times = np.linspace(0.0, t_end, size).tolist()
     if any(t < 0.0 or t > t_end * (1.0 + 1e-12) for t in times):
-        raise ConfigError(
-            f"snapshot times must lie within [0, t_end={t_end}]",
-            key="time.snapshots",
-            line=line,
-        )
+        raise DomainError(f"snapshot times must lie within [0, t_end={t_end}]", param="snapshots")
     if not times or times[0] > 0.0:
         times.insert(0, 0.0)
     if times[-1] < t_end:
         times.append(t_end)
     mesh = tuple(sorted({float(t) for t in times}))
-    _check_mesh(len(mesh), n_cells, line)  # a list's mesh is known once built
+    _check_mesh(len(mesh), n_cells)  # a list's mesh is known once built
     return mesh
 
 
@@ -251,77 +239,53 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         return str(Path(base_dir) / path)
 
     x_min, x_max, n_cells = get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")
-    rel_tol, abs_tol = get("time.rel_tol"), get("time.abs_tol")
-    with _cited(line_of):
+    kind, mass = get("init.kind"), get("init.mass")
+    with _cited(line_of):  # the checks in order: the first failing one is reported
         law = DaughterLaw(get("daughter.nu"), get("daughter.k0"))
-        kernel = KernelSpec(
-            get("kernel.lambda1"), get("kernel.lambda2"), get("kernel.truncation_n")
-        )
+        kernel = KernelSpec(get("kernel.lambda1"), get("kernel.lambda2"), get("kernel.truncation_n"))
         check_grid(x_min, x_max, n_cells)
-        Tolerances(rel_tol, abs_tol)
+        Tolerances(get("time.rel_tol"), get("time.abs_tol"))
         check_picard(get("picard.max_iter"), get("picard.tol"))
-
-    kind = get("init.kind")
-    if kind not in _INIT_KINDS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; expected one of {_INIT_KINDS}",
-            key="init.kind",
-            line=line_of("init.kind"),
-        )
-    size = float(get("init.size")) if kind == "monodisperse" else None
-    mean, mass = get("init.mean"), get("init.mass")
-    if mass is None and kind != "table":
-        mass = 1.0
-    with _cited(line_of):
-        check_initial_data(x_min, x_max, mass, size=size, mean=mean)
-    path = None
-    if kind == "table":
-        path = get("init.path")
-        if path is None:
-            raise ConfigError(
-                "table initial data needs init.path", key="init.path", line=None
-            )
-        path = located(path)
-
-    t_end = get("time.t_end")
-    if t_end < 0.0:
-        raise ConfigError("t_end must be non-negative", key="time.t_end", line=line_of("time.t_end"))
-    snapshots = _snapshot_times(get("time.snapshots"), t_end, n_cells, line_of("time.snapshots"))
-
-    raw_orders = get("output.moments")
-    if raw_orders is None:
-        orders = (law.k0, 1.0, 1.0 + law.k0)
-    else:
-        try:
-            orders = tuple(_finite_float(tok) for tok in raw_orders.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(
-                f"expected comma list of floats, got {raw_orders!r}",
-                key="output.moments",
-                line=line_of("output.moments"),
-            ) from None
-    with _cited(line_of):
+        if kind not in _INIT_FIELDS:
+            raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(_INIT_FIELDS)}", param="kind")
+        if mass is None and kind != "table":
+            mass = 1.0
+        size = get("init.size") if kind == "monodisperse" else None
+        check_initial_data(x_min, x_max, mass, size=size, mean=get("init.mean"))
+        if kind == "table" and get("init.path") is None:
+            raise DomainError("table initial data needs init.path", param="path")
+        t_end = get("time.t_end")
+        if t_end < 0.0:
+            raise DomainError("t_end must be non-negative", param="t_end")
+        snapshots = _snapshot_times(get("time.snapshots"), t_end, n_cells)
+        if (raw_orders := get("output.moments")) is None:
+            orders = (law.k0, 1.0, 1.0 + law.k0)
+        else:
+            try:
+                orders = tuple(_finite_float(tok) for tok in raw_orders.split(",") if tok.strip())
+            except ValueError:
+                raise DomainError(f"expected comma list of floats, got {raw_orders!r}", param="moments") from None
         for k in orders:
             check_moment_order(law, k)
 
     return SimConfig(
         kernel=kernel,
         law=law,
-        x_min=float(x_min),
-        x_max=float(x_max),
-        n_cells=int(n_cells),
+        x_min=x_min,
+        x_max=x_max,
+        n_cells=n_cells,
         init_kind=kind,
-        init_size=size,
-        init_mass=None if mass is None else float(mass),
-        init_mean=float(mean) if kind == "exponential" else None,
-        init_path=path,
-        t_end=float(t_end),
+        init_size=get("init.size"),
+        init_mass=mass,
+        init_mean=get("init.mean"),
+        init_path=located(get("init.path")),
+        t_end=t_end,
         snapshot_times=snapshots,
-        rel_tol=float(rel_tol),
-        abs_tol=float(abs_tol),
-        picard_max_iter=int(get("picard.max_iter")),
-        picard_tol=float(get("picard.tol")),
-        moment_orders=tuple(float(k) for k in orders),
+        rel_tol=get("time.rel_tol"),
+        abs_tol=get("time.abs_tol"),
+        picard_max_iter=get("picard.max_iter"),
+        picard_tol=get("picard.tol"),
+        moment_orders=orders,
         out_dir=located(get("output.dir")),
     )
 
@@ -418,12 +382,17 @@ def run(config: SimConfig) -> RunOutput:
 
 
 def with_x_min(config: SimConfig, x_min: float) -> SimConfig:
-    """Same physics on a grid cut at ``x_min``, cells per decade preserved."""
+    """Same physics on a grid cut at ``x_min``, cells per decade preserved.
+
+    The grid it makes is held to ``check_grid``'s limits, ``MAX_CELLS``
+    among them, and its run record to ``MAX_RECORD``.
+    """
     with _cited():
         check_grid(x_min, config.x_max, config.n_cells)
-    decades_old = math.log10(config.x_max / config.x_min)
-    per_decade = config.n_cells / decades_old
-    decades_new = math.log10(config.x_max / x_min)
-    n_cells = max(8, round(per_decade * decades_new))
-    _check_mesh(len(config.snapshot_times), n_cells, None)
-    return dataclasses.replace(config, x_min=float(x_min), n_cells=int(n_cells))
+        decades_old = math.log10(config.x_max / config.x_min)
+        per_decade = config.n_cells / decades_old
+        decades_new = math.log10(config.x_max / x_min)
+        n_cells = max(8, round(per_decade * decades_new))
+        check_grid(x_min, config.x_max, n_cells)
+        _check_mesh(len(config.snapshot_times), n_cells)
+    return dataclasses.replace(config, x_min=float(x_min), n_cells=n_cells)

@@ -165,16 +165,18 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     constant), records dust(t_end)/rho, and fits the power-law trend.  A
     dust fraction falling at least 2x per decade of x_min is the signature
     of an integrable cascade ("conservative"); failure to do so is the
-    shattering signature.  A run that ends with no dust, which has no trend
-    to fit, is refused with ``InputError``.
+    shattering signature.  Every cut's config is made, and so checked by
+    ``with_x_min``, before the first run.  A run that ends with no dust,
+    which has no trend to fit, is refused with ``InputError``.
     """
     x_mins = sorted({float(x) for x in x_mins}, reverse=True)
     if len(x_mins) < 3:
         raise InputError("need at least 3 distinct x_min values for a refinement trend")
+    cuts = [with_x_min(config, x_min) for x_min in x_mins]
     runner = runner or run_config
     rows = []
-    for x_min in x_mins:
-        out = runner(with_x_min(config, x_min))
+    for x_min, cut in zip(x_mins, cuts):
+        out = runner(cut)
         frac = float(out.dust[-1] / out.rho)
         if not frac > 0.0:
             raise InputError(f"dust fraction {frac:g} at x_min={x_min:g} leaves no trend to fit")

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from .errors import ConfigError, ContractionError, DomainError, StiffnessError
+from .errors import ContractionError, DomainError, StiffnessError
 from .grid import State
 from .scheme import RhsWorkspace, rhs_arrays
 
@@ -361,8 +361,8 @@ def simulate(
     """Integrate from the first snapshot time to the last, recording snapshots.
 
     Snapshot times must be finite, strictly increasing and start at the
-    initial state's time; non-finite times are refused with ``DomainError``
-    before any right-hand side is evaluated.  Snapshot i is row i of the
+    initial state's time; other times are refused with ``DomainError``
+    (param ``snapshot_times``) before any right-hand side is evaluated.  Snapshot i is row i of the
     run's ``contents``, written in place by ``interpolate`` or copied from
     the step that ends there.
     Deterministic: the step sequence depends only on the initial state, the
@@ -383,10 +383,11 @@ def simulate(
     if not np.all(np.isfinite(times)):
         raise DomainError(f"snapshot times must be finite, got {times}", param="snapshot_times")
     if times.size < 1 or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("snapshot times must be strictly increasing")
+        raise DomainError("snapshot times must be strictly increasing", param="snapshot_times")
     if times[0] != state0.time:
-        raise ConfigError(
-            f"first snapshot time {times[0]} differs from state time {state0.time}"
+        raise DomainError(
+            f"first snapshot time {times[0]} differs from state time {state0.time}",
+            param="snapshot_times",
         )
     tol = tolerances or Tolerances()
     t_end = float(times[-1])
@@ -524,11 +525,11 @@ def picard_solve(
     operand (a stride-0 one makes einsum reorder the sum).  The dust
     integrates the last call's dust rates with the row t_end W[-1] that
     builds the final contents, so M_1 + dust holds as per right-hand side.
-    A ``t_end`` that is negative or not finite is refused with
-    ``DomainError`` before any call.
+    An untruncated kernel, or a ``t_end`` that is negative or not finite,
+    is refused with ``DomainError`` before any call.
     """
     if workspace.kernel.truncation is None:
-        raise ConfigError("picard mode requires a kernel with a truncation index")
+        raise DomainError("picard mode requires a kernel with a truncation index", param="truncation")
     if not 0.0 <= t_end < math.inf:
         raise DomainError(f"t_end={t_end} must be finite and non-negative", param="t_end")
     check_picard(max_iter, tol)

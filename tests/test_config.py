@@ -1,5 +1,6 @@
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import collbreak as cb
 from collbreak import ConfigError
 from collbreak.cli import main
-from collbreak.config import _KEYS
+from collbreak.config import _KEYS, _PARAM_KEYS
 from conftest import config_text
 
 
@@ -177,6 +178,46 @@ def test_with_x_min_bounds_the_record_it_widens():
         cb.with_x_min(config, 1e-5)  # 1200 cells
     assert info.value.key == "time.snapshots"
     assert "a record of 120000000 doubles" in str(info.value)
+
+
+def test_param_keys_derive_from_the_key_table():
+    # the explicit table the derivation replaced, and the params of config's own refusals
+    explicit = {
+        "nu": "daughter.nu",
+        "k0": "daughter.k0",
+        "lambda1": "kernel.lambda1",
+        "lambda2": "kernel.lambda2",
+        "truncation": "kernel.truncation_n",
+        "x_min": "grid.x_min",
+        "x_max": "grid.x_max",
+        "n_cells": "grid.n_cells",
+        "rel_tol": "time.rel_tol",
+        "abs_tol": "time.abs_tol",
+        "max_iter": "picard.max_iter",
+        "tol": "picard.tol",
+        "size": "init.size",
+        "mean": "init.mean",
+        "mass": "init.mass",
+        "path": "init.path",
+        "k": "output.moments",
+        "kind": "init.kind",
+        "t_end": "time.t_end",
+        "snapshots": "time.snapshots",
+        "moments": "output.moments",
+    }
+    assert {param: _PARAM_KEYS[param] for param in explicit} == explicit
+    # the rest are the keys no check names: a param for every key, a key for every param
+    assert set(_PARAM_KEYS) - set(explicit) == {"truncation_n", "dir"}
+    assert set(_PARAM_KEYS.values()) == set(_KEYS)
+
+
+def test_replacing_the_init_kind_drops_the_fields_the_new_kind_ignores():
+    exponential = cb.parse_config_text("init.mean = 2.0\n")
+    table = cb.parse_config_text("init.kind = table\ninit.path = run\n")
+    replaced = dataclasses.replace(exponential, init_kind="table", init_path="run", init_mass=None)
+    assert replaced.init_mean is None
+    assert replaced == table
+    assert replaced.resolved() == table.resolved()
 
 
 def test_snapshots_outside_horizon_rejected():

@@ -187,3 +187,18 @@ def test_shattering_study_runs_each_distinct_x_min_once():
     study = cb.shattering_study(config, [1e-2, 1e-2, 1e-3, 1e-4], runner=runner)
     assert runs == [1e-2, 1e-3, 1e-4]
     assert [r[0] for r in study.rows] == runs
+
+
+def test_shattering_study_refuses_a_too_fine_cut_before_any_run():
+    # 5e4 cells per decade: the 1e-20 cut widens the grid past MAX_CELLS
+    config = cb.parse_config_text("grid.x_min = 1e-3\ngrid.x_max = 10\ngrid.n_cells = 200000\n")
+    runs = []
+
+    def runner(cfg):
+        runs.append(cfg.x_min)
+        return FakeRun(0.5)
+
+    with pytest.raises(cb.ConfigError) as info:
+        cb.shattering_study(config, [1e-3, 1e-8, 1e-20], runner=runner)
+    assert str(info.value) == f"grid.n_cells: need n_cells <= {cb.grid.MAX_CELLS}, got 1050000"
+    assert runs == []

@@ -10,7 +10,6 @@ from scipy.integrate import RK45, solve_ivp
 
 import collbreak as cb
 from collbreak import (
-    ConfigError,
     ContractionError,
     DaughterLaw,
     KernelSpec,
@@ -715,8 +714,9 @@ def test_run_with_zero_horizon():
 
 def test_picard_requires_truncation(small_problem):
     ws, s0 = small_problem
-    with pytest.raises(ConfigError):
+    with pytest.raises(cb.DomainError) as info:
         cb.picard_solve(ws, s0, 0.01)
+    assert info.value.param == "truncation"
 
 
 @pytest.mark.parametrize(
@@ -767,6 +767,21 @@ def test_non_finite_times_refused_before_any_rhs(truncated_problem, monkeypatch,
     with pytest.raises(cb.DomainError) as info:
         run()
     assert info.value.param == param
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[], [0.0, 0.0], [0.0, 0.5, 0.25], [0.5, 1.0]],
+    ids=["empty", "repeated", "decreasing", "first-time-not-state-time"],
+)
+def test_simulate_refuses_bad_snapshot_meshes_before_any_rhs(truncated_problem, monkeypatch, times):
+    ws, s0 = truncated_problem
+    calls = []
+    monkeypatch.setattr(integrate, "rhs_arrays", lambda *a: calls.append(a))
+    with pytest.raises(cb.DomainError) as info:
+        cb.simulate(ws, s0, times)
+    assert info.value.param == "snapshot_times"
     assert calls == []
 
 
