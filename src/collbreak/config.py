@@ -45,6 +45,14 @@ __all__ = ["SimConfig", "parse_config", "parse_config_text", "build_problem", "r
 # init.kind -> the one SimConfig field of init.size, init.mean and init.path it reads
 _INIT_FIELDS = {"monodisperse": "init_size", "exponential": "init_mean", "table": "init_path"}
 
+
+def _init_field(kind: str) -> str:
+    """The field of ``_INIT_FIELDS`` that ``kind`` reads; any other kind is refused."""
+    if kind not in _INIT_FIELDS:
+        raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(_INIT_FIELDS)}", param="kind")
+    return _INIT_FIELDS[kind]
+
+
 # Largest snapshot mesh, 0 and t_end included, and largest run record
 # (snapshots x n_cells doubles) a configuration may ask for.
 MAX_SNAPSHOTS = 10**5
@@ -122,7 +130,7 @@ class SimConfig:
     out_dir: str | None
 
     def __post_init__(self):
-        read = _INIT_FIELDS[self.init_kind]
+        read = _init_field(self.init_kind)
         for name in _INIT_FIELDS.values():
             if name != read:
                 object.__setattr__(self, name, None)
@@ -246,8 +254,7 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         check_grid(x_min, x_max, n_cells)
         Tolerances(get("time.rel_tol"), get("time.abs_tol"))
         check_picard(get("picard.max_iter"), get("picard.tol"))
-        if kind not in _INIT_FIELDS:
-            raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(_INIT_FIELDS)}", param="kind")
+        _init_field(kind)
         if mass is None and kind != "table":
             mass = 1.0
         size = get("init.size") if kind == "monodisperse" else None
@@ -309,7 +316,7 @@ def _read_table(path: str):
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read init.path {path}: {exc}", key="init.path") from None
+        raise DomainError(f"cannot read init.path {path}: {exc}", param="path") from None
     sizes, densities = [], []
     for lineno, line in enumerate(lines, start=1):
         cells = line.split("#", 1)[0].split(",")
@@ -320,10 +327,8 @@ def _read_table(path: str):
         except ValueError:
             if lineno == 1:
                 continue  # a header
-            raise ConfigError(
-                f"{path} line {lineno}: expected a size and a density, got {line!r}",
-                key="init.path",
-            ) from None
+            message = f"{path} line {lineno}: expected a size and a density, got {line!r}"
+            raise DomainError(message, param="path") from None
         sizes.append(size)
         densities.append(density)
     return sizes, densities
@@ -341,7 +346,7 @@ def initial_state(config: SimConfig, grid: SizeGrid):
     try:
         run = load_run(config.init_path)
     except InputError as exc:
-        raise ConfigError(str(exc), key="init.path") from None
+        raise DomainError(str(exc), param="path") from None
     # restart from the run's last snapshot, a step density on its own grid
     densities = run.contents[-1] / run.grid.widths()
     return table_state(grid, run.grid.reps, densities, mass=config.init_mass)
@@ -357,14 +362,14 @@ def build_problem(config: SimConfig):
         grid = build_grid(config.x_min, config.x_max, config.n_cells)
         workspace = precompute(grid, config.kernel, config.law)
         state = initial_state(config, grid)
-    # sum max(reps^k0, reps^(1+k0)) c bounds every moment of order k0..1+k0;
-    # a dot product, since only its finiteness matters, and its overflow is
-    # the answer here, not a warning
-    with np.errstate(over="ignore"):
-        total = workspace.error_weights @ state.contents
-    if not math.isfinite(total):
-        key = "init.path" if config.init_mass is None else "init.mass"
-        raise ConfigError("initial data overflows double precision", key=key)
+        # sum max(reps^k0, reps^(1+k0)) c bounds every moment of order k0..1+k0;
+        # a dot product, since only its finiteness matters, and its overflow is
+        # the answer here, not a warning
+        with np.errstate(over="ignore"):
+            total = workspace.error_weights @ state.contents
+        if not math.isfinite(total):
+            param = "path" if config.init_mass is None else "mass"
+            raise DomainError("initial data overflows double precision", param=param)
     return workspace, state
 
 

@@ -128,8 +128,8 @@ def step(
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
     1/5.  Halves the step until that estimate passes and no content would
-    land below -1e-14 times the state scale; accepted round-off negatives
-    are clipped to zero with the created mass tracked in ``clip_mass``.
+    land below -1e-14 times the state scale; ``_finish`` clips accepted
+    round-off negatives to zero, the created mass tracked in ``clip_mass``.
     After an attempt that the negative-content guard alone refused, and
     after an accepted step that clipped, the next step grows no further
     than this one: either stands at the positivity limit.  An attempt whose
@@ -195,13 +195,7 @@ def step(
     factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
     dt_next = dt * factor
 
-    clipped = _clip(workspace.grid, y_new) if low < 0.0 else 0.0
-    new_state = State(
-        contents=y_new,
-        dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in _WEIGHTS),
-        time=state.time + dt,
-        clip_mass=state.clip_mass + clipped,
-    )
+    new_state = _finish(workspace.grid, state, y_new, _WEIGHTS, dt, ds, state.time + dt)
     return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds)
 
 
@@ -247,9 +241,9 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
 
     Contents and dust take the same weights dt b_i(theta), theta = (time -
     state.time) / dt, over the step's seven ``stages``, so M_1 + dust holds
-    as per right-hand side.  The contents are written into ``out``.
-    Negative contents are clipped as in ``step``, into this state's
-    ``clip_mass`` only.  Costs no right-hand side.
+    as per right-hand side.  The contents are written into ``out`` and
+    finished by ``_finish``, as ``step``'s are: a clip goes into this
+    state's ``clip_mass`` only.  Costs no right-hand side.
     """
     ks, ds = stages
     theta = (time - state.time) / dt
@@ -257,21 +251,24 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
     row = [(i, theta * (a + theta * (b + theta * (c + theta * d)))) for i, (a, b, c, d) in _DENSE]
     contents = _increment(row, ks, dt, out, np.empty_like(out))
     contents += state.contents
-    clipped = _clip(workspace.grid, contents) if contents.min(initial=0.0) < 0.0 else 0.0
+    return _finish(workspace.grid, state, contents, row, dt, ds, time)
+
+
+def _finish(grid, start: State, contents, row, dt, ds, time) -> State:
+    """The ``State`` at ``time``, ``dt`` after ``start``: ``contents`` with any negatives zeroed in
+    place and their mass sum reps |c| added to ``clip_mass``, and the dust plus sum (dt a_j) ds_j
+    over the (j, a_j) pairs of ``row``."""
+    clipped = 0.0
+    if contents.min(initial=0.0) < 0.0:
+        negative = contents < 0.0
+        clipped = float((grid.reps[negative] * -contents[negative]).sum())
+        contents[negative] = 0.0
     return State(
         contents=contents,
-        dust_mass=state.dust_mass + sum((dt * b) * ds[j] for j, b in row),
+        dust_mass=start.dust_mass + sum((dt * a) * ds[j] for j, a in row),
         time=time,
-        clip_mass=state.clip_mass + clipped,
+        clip_mass=start.clip_mass + clipped,
     )
-
-
-def _clip(grid, contents) -> float:
-    """Zero the negative ``contents`` in place; returns the mass sum reps |c| so created."""
-    negative = contents < 0.0
-    clipped = float((grid.reps[negative] * -contents[negative]).sum())
-    contents[negative] = 0.0
-    return clipped
 
 
 def _increment(row, ks, dt, out, term):
@@ -516,9 +513,8 @@ def picard_solve(
     raises ``ContractionError``.
 
     Each iteration evaluates the nine nodes in one batched ``rhs_arrays``
-    call, so a solve costs ``iterations`` calls; the first iterate holds
-    the initial state at every node, so its call takes that one state, and
-    its rates are tiled into a contiguous (9, N) copy.  Each new node is
+    call, so a solve costs ``iterations`` calls; the first iterate is the
+    initial state tiled into a contiguous (9, N) batch.  Each new node is
     the contraction ``np.einsum("ij,jn->in", weights, rates)`` plus the
     initial state: unoptimized, so never BLAS, it adds the nodes' rates in
     node order with each product rounded on its own, on a contiguous
@@ -540,26 +536,21 @@ def picard_solve(
     norm_weights = grid.reps**workspace.law.k0 + grid.reps
     weights = t_end * _PICARD_W
     c0 = state0.contents
-    nodes = weights.shape[0]
 
-    traj = c0  # the first iterate holds c0 at every node
+    traj = np.tile(c0, (len(weights), 1))  # c0 at every node, C-order: no stride-0 operand
     diffs = []
     for iteration in range(1, max_iter + 1):
         rates, dust_rates = rhs_arrays(workspace, traj)
-        if traj.ndim == 1:  # one state's rates stand for the nine identical rows, copied:
-            # einsum sums a stride-0 view in another order
-            rates = np.tile(rates, (nodes, 1))
-            dust_rates = np.full(nodes, dust_rates)
         new = np.einsum("ij,jn->in", weights, rates)
         new += c0
         del rates  # free the batch before the next call
         gap = np.subtract(new, traj)
         np.abs(gap, out=gap)
         gap *= norm_weights
-        diff = float(np.max(np.sum(gap, axis=1)))
+        diff = float(gap.sum(axis=1).max())
         traj = new
         diffs.append(diff)
-        if not np.isfinite(diff):
+        if not math.isfinite(diff):
             raise ContractionError(diff, iteration)
         ratio = diff / diffs[-2] if iteration > 1 else math.inf
         if diff <= tol or (ratio < 1.0 and diff * ratio / (1.0 - ratio) <= tol):

@@ -220,6 +220,15 @@ def test_replacing_the_init_kind_drops_the_fields_the_new_kind_ignores():
     assert replaced.resolved() == table.resolved()
 
 
+@pytest.mark.parametrize("kind", ["Table", "bogus"])
+def test_a_config_made_with_an_unknown_kind_is_refused_under_kind(kind):
+    # the parser's rule, held by every construction: not a bare KeyError
+    with pytest.raises(cb.DomainError) as info:
+        dataclasses.replace(cb.parse_config_text(""), init_kind=kind)
+    assert info.value.param == "kind"
+    assert str(info.value) == f"unknown kind {kind!r}; expected one of ('monodisperse', 'exponential', 'table')"
+
+
 def test_snapshots_outside_horizon_rejected():
     with pytest.raises(ConfigError):
         cb.parse_config_text("time.t_end = 1.0\ntime.snapshots = 0.5,2.0\n")

@@ -861,11 +861,9 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
-    # one call per iteration, over all nine nodes but the first; the dust comes
-    # from the same calls, and the first iterate is the initial state at
-    # every node, so its call takes that one state
-    n = ws.grid.n_cells
-    assert shapes == [(n,)] + [(9, n)] * (result.iterations - 1)
+    # one call per iteration, over all nine nodes, the first iterate's (the
+    # initial state at every node) included; the dust comes from the same calls
+    assert shapes == [(9, ws.grid.n_cells)] * result.iterations
 
 
 def test_picard_chain_bitwise_equals_per_node_oracle():

@@ -893,6 +893,25 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["init.mass = 1.7e308"], "init.mass"),
+        # one row whose density times its bin width is finite but whose moments are not
+        (["grid.x_max = 1e11", "init.kind = table", "init.path = big.csv"], "init.path"),
+    ],
+    ids=["mass", "table"],
+)
+def test_build_problem_refuses_overflowing_initial_data_under_the_key_that_set_it(tmp_path, capsys, lines, key):
+    (tmp_path / "big.csv").write_text("1e10,7e284\n")
+    cfg, out = _write(tmp_path, "\n".join(["grid.n_cells = 16", *lines]) + "\n"), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {key}: initial data overflows double precision\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
 def test_cli_refuses_near_maximal_exponential_mass(tmp_path, capsys, command):
     # the grid's M_1 sum overflows: refused under init.mass, no numpy warning
