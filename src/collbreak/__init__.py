@@ -24,7 +24,6 @@ from .diagnostics import (
     ShatterStudy,
     c1_bound_check,
     mass_budget_check,
-    moment_identity_residual,
     nonexistence_growth_check,
     run_verification,
     shattering_study,

@@ -1,7 +1,9 @@
 """Command-line interface: simulate, bounds, regime, verify, distance, shatter-study.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(step-size collapse), 4 failed verification.
+(step-size collapse, or a run beyond ``verify``'s mass budget, which
+``simulate`` still writes so that ``verify`` can report it), 4 failed
+verification.
 """
 
 from __future__ import annotations
@@ -71,7 +73,13 @@ def _cmd_simulate(args) -> int:
             "content_hash": manifest["content_hash"],
         }
     )
-    return EXIT_OK
+    ok, drift = diagnostics.mass_budget_check(run)
+    if ok:
+        return EXIT_OK
+    budget = diagnostics._MASS_DRIFT_TOL
+    excess = f"max |M_1 + dust - rho| = {drift:.3e}, beyond the mass budget {budget:g} rho = {budget * run.rho:.3e}"
+    print(f"numerical failure: {excess}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def _initial_report(config):

@@ -39,6 +39,7 @@ def tail_check(run, k):
     for row, state in enumerate(run.states):
         tails[row, :-1] = np.cumsum((reps_k * state.contents)[::-1])[::-1]
     allowance = _TAIL_TOL * rho(run) * grid.edges ** (k - 1.0)
+    allowance[0] = min(allowance[0], _TAIL_TOL * rho(run))
     worst = float(np.max((tails - tails[0]) / allowance))
     return worst <= 1.0, worst
 

@@ -122,6 +122,26 @@ def test_a2_tail_monotonicity(a1_run):
     )
 
 
+def moment_identity_residual(run, k):
+    """Residual of the exact power-law moment identity on the snapshot mesh.
+
+    Compares dM_k/dt against the closed production rate
+    (1-k)/(k+nu+1) [M_{k+l1} M_{l2} + M_{k+l2} M_{l1}], adding back the
+    moment flux lost below the grid, the dust's rate times ``leak_ratio``.
+    The identity is exact in the continuum, so the residual measures
+    discretisation error; at k = 1 it is d(M_1 + dust)/dt, which vanishes
+    up to clipping.
+    """
+    coeff = cb.power_sum_change(run.law, k)
+    l1, l2 = run.kernel.lambda1, run.kernel.lambda2
+    dmdt = np.gradient(run.moments(k), run.times)
+    production = coeff * (
+        run.moments(k + l1) * run.moments(l2) + run.moments(k + l2) * run.moments(l1)
+    )
+    leak = np.gradient(run.dust, run.times) * cb.leak_ratio(run.law, k, run.grid.x_min)
+    return dmdt - production + leak
+
+
 def test_a3_moment_identity_refinement(a3_runs):
     limits = {64: 0.05, 128: None, 256: 0.01}
     details = []
@@ -129,7 +149,7 @@ def test_a3_moment_identity_refinement(a3_runs):
     for k in (0.5, 0.8, 1.5):
         rels = []
         for n, run in sorted(a3_runs.items()):
-            residual = cb.moment_identity_residual(run, k)
+            residual = moment_identity_residual(run, k)
             scale = np.gradient(run.moments(k), run.times)
             rel = float(
                 np.linalg.norm(residual[1:-1]) / np.linalg.norm(scale[1:-1])

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from collbreak.cli import main
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -53,3 +55,13 @@ def test_smoke_job_passes_its_checks(name, traced, tmp_path):
             # Picard: one batched call per iteration, which also gives the dust
             assert layers["integrate.picard_iterations"] > 0
             assert layers["integrate.picard_rhs_calls"] == layers["integrate.picard_iterations"]
+
+
+def test_simulate_exits_0_on_the_seed_1_bench_configs(tmp_path, capsys):
+    # simulate exits 3 on a run beyond verify's mass budget; no benchmark run is one
+    crossval = tmp_path / "crossval.cfg"
+    crossval.write_text(workloads.Crossval(1, tmp_path).text)
+    shatter = workloads.Shatter(1, tmp_path)
+    for cfg in (workloads.FineGrid(1, tmp_path).cfg, shatter.cfg, shatter.control_cfg, crossval):
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0, cfg.name
+    assert capsys.readouterr().err == ""

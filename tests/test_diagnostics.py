@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collbreak as cb
-from collbreak import DaughterLaw, InputError, KernelSpec, Regime, State
+from collbreak import DaughterLaw, InputError, KernelSpec, Regime, RunOutput, State
+from test_acceptance import moment_identity_residual
+from test_integrate import F2_CONFIG, F8_CONFIG
 
 
 def test_weighted_distance_basics(small_problem):
@@ -38,13 +44,13 @@ def test_weighted_distance_grid_mismatch(small_problem):
 
 
 def test_moment_identity_residual_k1_vanishes(small_run):
-    residual = cb.moment_identity_residual(small_run, 1.0)
+    residual = moment_identity_residual(small_run, 1.0)
     assert np.max(np.abs(residual)) <= 1e-8
 
 
 def test_moment_identity_residual_divergent_order(small_run):
     with pytest.raises(cb.DivergentMomentError):
-        cb.moment_identity_residual(small_run, 0.1)
+        moment_identity_residual(small_run, 0.1)
 
 
 def test_sublinear_moment_grows_early(small_run):
@@ -139,6 +145,121 @@ def test_run_verification_handles_single_snapshot():
     config = cb.parse_config_text("time.t_end = 0\ngrid.n_cells = 8\n")
     verdicts = cb.run_verification(cb.run(config))
     assert all(v["passed"] for v in verdicts)
+
+
+# The two checks run_verification made before each was found implied by a
+# kept one, written out as they were made: the oracles of the guard tests.
+# Each returns (value, bound); the check passed when value <= bound.
+def parent_superlinear(run):
+    """Max growth of M_(1+k0) against 1e-8 rho."""
+    m_high = run.moments(1.0 + run.law.k0)
+    return float(np.max(m_high - m_high[0])), 1e-8 * run.rho
+
+
+def parent_identity_k1(run):
+    """Max |d(M_1 + dust)/dt| against 1e-6 rho max(1, 1/min_dt)."""
+    residual = moment_identity_residual(run, 1.0)
+    min_dt = float(np.min(np.diff(run.times)))
+    return float(np.max(np.abs(residual))), 1e-6 * run.rho * max(1.0, 1.0 / min_dt)
+
+
+def _stationary_run(grid, state0, snapshots=5):
+    """A record that repeats ``state0``: tails and moments hold still, mass is kept."""
+    contents = np.tile(state0.contents, (snapshots, 1))
+    zeros = np.zeros(snapshots)
+    law = DaughterLaw(-1.2, 0.5)
+    return RunOutput(grid, KernelSpec(0.6, 0.6), law, np.linspace(0.0, 0.4, snapshots), contents, zeros, zeros)
+
+
+def _superlinear_growth(run, rho_fraction):
+    """``run`` with M_(1+k0) of its last snapshot grown by rho_fraction rho in the top cell."""
+    contents = run.contents.copy()
+    contents[-1, -1] += rho_fraction * run.rho / run.grid.reps[-1] ** (1.0 + run.law.k0)
+    return dataclasses.replace(run, contents=contents)
+
+
+def _guard_run(name, small_run):
+    if name == "F8":
+        return cb.run(cb.parse_config_text(F8_CONFIG))
+    if name == "F2-xmin1e-10":
+        return cb.run(cb.with_x_min(cb.parse_config_text(F2_CONFIG), 1e-10))
+    if name == "mass-added-at-last-snapshot":
+        dust = small_run.dust.copy()
+        dust[-1] += 2e-6 * small_run.rho
+        return dataclasses.replace(small_run, dust=dust)
+    x_min, x_max, size = (1e-3, 10.0, 1.0) if name == "superlinear-growth" else (9.0, 100.0, 30.0)
+    grid = cb.build_grid(x_min, x_max, 16)
+    return _superlinear_growth(_stationary_run(grid, cb.monodisperse_state(grid, size, 1.0)), 2e-8)
+
+
+@pytest.mark.parametrize(
+    "name, dropped, failed",
+    [
+        ("F8", "identity", ["mass-budget"]),
+        ("F2-xmin1e-10", "identity", ["mass-budget"]),
+        ("mass-added-at-last-snapshot", "identity", ["mass-budget"]),
+        ("superlinear-growth", "superlinear", ["tail-monotone-k=1.5"]),
+        ("superlinear-growth-x_min-above-1", "superlinear", ["tail-monotone-k=1.5"]),
+    ],
+)
+def test_every_run_a_dropped_check_failed_still_fails_through_a_kept_one(small_run, name, dropped, failed):
+    run = _guard_run(name, small_run)
+    value, bound = (parent_identity_k1 if dropped == "identity" else parent_superlinear)(run)
+    assert value > bound
+    assert [v["check"] for v in cb.run_verification(run) if not v["passed"]] == failed
+
+
+def test_the_cap_holds_M_1_plus_k0_to_1e_8_rho_on_a_grid_above_1():
+    # x_min^k0 = 3: without the cap the first edge would allow 3e-8 rho of growth
+    grid = cb.build_grid(9.0, 100.0, 16)
+    run = _stationary_run(grid, cb.monodisperse_state(grid, 30.0, 1.0))
+    assert cb.tail_monotonicity_check(_superlinear_growth(run, 0.9e-8), 1.5)[0]
+    ok, worst = cb.tail_monotonicity_check(_superlinear_growth(run, 2e-8), 1.5)
+    assert not ok and worst == pytest.approx(2.0, rel=1e-6)
+
+
+@st.composite
+def _drifting_runs(draw):
+    """Synthetic records: fragmentation that only lowers tails, one-signed drift within the budget and top-cell growth.
+
+    x_min lies on either side of 1; the snapshot mesh is random and non-uniform.
+    """
+    x_min = 10.0 ** draw(st.floats(-8.0, 1.0))
+    grid = cb.build_grid(x_min, x_min * 10.0 ** draw(st.floats(0.5, 2.5)), draw(st.integers(2, 40)))
+    nu = draw(st.floats(-1.9, 0.0))
+    law = DaughterLaw(nu, draw(st.floats(max(0.0, -nu - 1.0) + 0.01, 0.99)))
+    kernel = KernelSpec(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    snapshots = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=snapshots - 1, max_size=snapshots - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    base = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=grid.n_cells, max_size=grid.n_cells))) + 1e-3
+
+    def series(top):
+        return np.array([0.0] + draw(st.lists(st.floats(0.0, top), min_size=snapshots - 1, max_size=snapshots - 1)))
+
+    lost, drift, growth = np.sort(series(0.9)), series(1.0), series(1.0)
+    contents = base * (1.0 - lost[:, None])
+    rho = float(np.sum(grid.reps * base))
+    budget = draw(st.floats(0.0, 1.0)) * 1e-6 * rho
+    # what fragmentation takes from the grid goes to the dust, plus the drift
+    dust = np.array([rho - np.sum(grid.reps * row) for row in contents]) + drift * budget
+    contents[:, -1] += growth * 3e-8 * rho / grid.reps[-1] ** (1.0 + law.k0)
+    return RunOutput(grid, kernel, law, times, contents, dust, np.zeros(snapshots))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(run=_drifting_runs())
+def test_the_kept_checks_imply_the_dropped_ones(run):
+    # Each implication holds in exact arithmetic.  A kept check and the
+    # dropped one it implies sum the same terms in other orders, so their
+    # verdicts may part only within that round-off: 8 n eps of the summed series.
+    roundoff = 8 * run.grid.n_cells * np.finfo(float).eps
+    if cb.mass_budget_check(run)[0]:
+        peak, tol = parent_identity_k1(run)
+        assert peak <= tol + roundoff * float(np.max(run.moments(1.0) + run.dust) / np.min(np.diff(run.times)))
+    if cb.tail_monotonicity_check(run, 1.0 + run.law.k0)[0]:
+        growth, bound = parent_superlinear(run)
+        assert growth <= bound + roundoff * float(np.max(run.moments(1.0 + run.law.k0)))
 
 
 def test_shattering_study_requires_three_points():

@@ -425,6 +425,24 @@ F2_CONFIG = (
     .replace("daughter.k0 = 0.6", "daughter.k0 = 0.9")
 )
 
+# F8's first row of the ROADMAP: LocalExistence physics at x_min = 1e-8, run
+# up to 10 T_k0, where the explicit step clips 1.366e-6 rho of mass into
+# existence, beyond the mass budget
+F8_CONFIG = """
+kernel.lambda1 = 0.3
+kernel.lambda2 = 0.3
+daughter.nu = -1.2
+daughter.k0 = 0.25
+grid.x_min = 1e-8
+grid.x_max = 10
+grid.n_cells = 180
+init.kind = exponential
+init.mass = 1
+init.mean = 1
+time.t_end = 0.6175
+time.snapshots = 2
+"""
+
 
 def test_partial_shattering_at_the_positivity_limit_passes_verification(monkeypatch):
     # Growing dt after each clipped step only to halve it again took 16,811

@@ -23,6 +23,7 @@ from collbreak.cli import main
 from collbreak.output import _content_hash
 import test_acceptance
 from conftest import config_text, run_in_fresh_process
+from test_integrate import F2_CONFIG, F8_CONFIG
 
 BASE_CONFIG = """
 kernel.lambda1 = 0.6
@@ -662,6 +663,29 @@ def test_cli_stiffness_exit_code(tmp_path, capsys):
     assert captured.err.startswith("numerical failure: time step collapse at t=")
     assert captured.err.endswith("): halving dt no longer moves the time\n")
     assert not out.exists()
+
+
+def test_cli_simulate_exits_3_on_a_run_beyond_the_mass_budget(tmp_path, capsys):
+    # F8's first row clips 1.366e-6 rho of mass into existence: simulate keeps
+    # the run directory and its summary for verify, and exits 3
+    out = tmp_path / "out"
+    assert main(["simulate", _write(tmp_path, F8_CONFIG), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "numerical failure: max |M_1 + dust - rho| = 1.366e-06, beyond the mass budget 1e-06 rho = 1.000e-06\n"
+    )
+    summary = json.loads(captured.out)
+    assert summary["content_hash"] == json.loads((out / "manifest.json").read_text())["content_hash"]
+    assert main(["verify", str(out)]) == 4
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["check"] for check in checks if not check["passed"]] == ["mass-budget"]
+
+
+def test_cli_simulate_exits_0_on_partial_shattering_within_the_mass_budget(tmp_path, capsys):
+    # F2 at x_min = 1e-8 clips on most steps and drifts 6.1e-8 rho
+    config = cb.with_x_min(cb.parse_config_text(F2_CONFIG), 1e-8)
+    assert main(["simulate", _write(tmp_path, config_text(config)), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_shatter_study_output(tmp_path, capsys):
