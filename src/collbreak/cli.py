@@ -1,9 +1,9 @@
-"""Command-line interface: simulate, bounds, regime, verify, distance, shatter-study.
+"""Command-line interface: simulate, bounds, regime, verify, distance, shatter-study, crossval.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(step-size collapse, or a run beyond ``verify``'s mass budget, which
-``simulate`` still writes so that ``verify`` can report it), 4 failed
-verification.
+(step-size collapse, no Picard contraction, or a run beyond ``verify``'s
+mass budget, which ``simulate`` still writes and ``shatter-study`` still
+prints), 4 failed verification.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import diagnostics
 from .config import build_problem, parse_config, run as run_config
-from .errors import CollbreakError, ConfigError, InputError, StiffnessError
+from .errors import CollbreakError, ConfigError, ContractionError, InputError, StiffnessError
 from .grid import moment
 from .output import emit_outputs, load_run
 
@@ -39,6 +39,11 @@ def _emit_json(payload) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _numerical_failure(reason) -> int:
+    print(f"numerical failure: {reason}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def _check_out_dir(out_dir) -> None:
@@ -74,12 +79,7 @@ def _cmd_simulate(args) -> int:
         }
     )
     ok, drift = diagnostics.mass_budget_check(run)
-    if ok:
-        return EXIT_OK
-    budget = diagnostics._MASS_DRIFT_TOL
-    excess = f"max |M_1 + dust - rho| = {drift:.3e}, beyond the mass budget {budget:g} rho = {budget * run.rho:.3e}"
-    print(f"numerical failure: {excess}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    return EXIT_OK if ok else _numerical_failure(diagnostics.budget_excess(drift, run.rho))
 
 
 def _initial_report(config):
@@ -145,6 +145,11 @@ def _cmd_shatter_study(args) -> int:
         raise ConfigError(f"bad --xmins list: {args.xmins!r}") from None
     study = diagnostics.shattering_study(config, x_mins)
     _emit_json(study.to_dict())
+    return EXIT_OK if study.over_budget is None else _numerical_failure(study.over_budget)
+
+
+def _cmd_crossval(args) -> int:
+    _emit_json({"rows": diagnostics.crossval(parse_config(args.config))})
     return EXIT_OK
 
 
@@ -183,6 +188,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shatter-study", help="dust fraction under x_min refinement")
     p.add_argument("config")
     p.add_argument("--xmins", required=True, help="comma list of grid cutoffs")
+
+    p = sub.add_parser("crossval", help="chained Picard windows against one RK run")
+    p.add_argument("config")
     return parser
 
 
@@ -194,9 +202,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StiffnessError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (StiffnessError, ContractionError) as exc:
+        return _numerical_failure(exc)
     except CollbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

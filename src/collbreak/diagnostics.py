@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import run as run_config, with_x_min
+from .config import build_problem, run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
-from .integrate import RunOutput, row_blocks
+from .integrate import RunOutput, Tolerances, picard_solve, row_blocks, simulate
 
 __all__ = [
     "weighted_distance",
@@ -26,8 +26,10 @@ __all__ = [
     "ShatterStudy",
     "shattering_study",
     "mass_budget_check",
+    "budget_excess",
     "tail_monotonicity_check",
     "run_verification",
+    "crossval",
 ]
 
 # dust fraction must drop at least this factor per decade of x_min for a
@@ -124,15 +126,16 @@ class ShatterStudy:
     """Dust fraction versus grid cutoff, with the fitted trend and verdict."""
 
     t_obs: float
-    rows: list  # (x_min, dust_fraction)
+    rows: list  # (x_min, dust_fraction, mass_drift from mass_budget_check)
     slope: float  # d ln(fraction) / d ln(x_min)
     per_decade_factor: float
     verdict: str  # "shattering" or "conservative"
+    over_budget: str | None  # the first cut beyond the mass budget, as its x_min and budget_excess line
 
     def to_dict(self) -> dict:
         return {
             "t_obs": self.t_obs,
-            "rows": [{"x_min": x, "dust_fraction": f} for x, f in self.rows],
+            "rows": [{"x_min": x, "dust_fraction": f, "mass_drift": d} for x, f, d in self.rows],
             "slope": self.slope,
             "per_decade_factor": self.per_decade_factor,
             "verdict": self.verdict,
@@ -155,19 +158,22 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
         raise InputError("need at least 3 distinct x_min values for a refinement trend")
     cuts = [with_x_min(config, x_min) for x_min in x_mins]
     runner = runner or run_config
-    rows = []
+    rows, over_budget = [], None
     for x_min, cut in zip(x_mins, cuts):
         out = runner(cut)
         frac = float(out.dust[-1] / out.rho)
         if not frac > 0.0:
             raise InputError(f"dust fraction {frac:g} at x_min={x_min:g} leaves no trend to fit")
-        rows.append((x_min, frac))
+        ok, drift = mass_budget_check(out)
+        if not ok and over_budget is None:
+            over_budget = f"x_min={x_min:g}: {budget_excess(drift, out.rho)}"
+        rows.append((x_min, frac, drift))
     xs = np.log([r[0] for r in rows])
     fs = np.log([r[1] for r in rows])
     slope = float(np.polyfit(xs, fs, 1)[0])
     per_decade = 10.0**slope
     verdict = "conservative" if per_decade >= _DECADE_FACTOR else "shattering"
-    return ShatterStudy(float(config.t_end), rows, slope, per_decade, verdict)
+    return ShatterStudy(float(config.t_end), rows, slope, per_decade, verdict, over_budget)
 
 
 def mass_budget_check(run: RunOutput):
@@ -175,6 +181,12 @@ def mass_budget_check(run: RunOutput):
     total = run.moments(1.0) + run.dust
     drift = float(np.max(np.abs(total - run.rho)))
     return drift <= _MASS_DRIFT_TOL * run.rho, drift
+
+
+def budget_excess(drift: float, rho: float) -> str:
+    """The one line that reports a ``mass_budget_check`` drift beyond the budget of mass ``rho``."""
+    budget = f"{_MASS_DRIFT_TOL:g} rho = {_MASS_DRIFT_TOL * rho:.3e}"
+    return f"max |M_1 + dust - rho| = {drift:.3e}, beyond the mass budget {budget}"
 
 
 def tail_monotonicity_check(run: RunOutput, k: float):
@@ -245,3 +257,24 @@ def run_verification(run: RunOutput) -> list[dict]:
         ok = nonexistence_growth_check(run, k0)
         verdict("nonexistence-growth", ok, f"integral growth inequality at k = k0 = {k0:g}")
     return results
+
+
+def crossval(config) -> list[dict]:
+    """Chained Picard windows against one RK run, over the config's snapshot mesh.
+
+    A ``picard_solve`` window per snapshot interval, at ``picard_max_iter``
+    and ``picard_tol``, then a ``simulate`` at ``rel_tol`` and ``abs_tol``;
+    a row per window: its end ``t``, ``iterations`` and ``weighted_distance``
+    at k0 to RK.  Picard runs first, so refuses an untruncated kernel first.
+    """
+    workspace, state0 = build_problem(config)
+    times, windows = config.snapshot_times, []
+    for start, end in zip(times, times[1:]):
+        state = windows[-1].state if windows else state0
+        windows.append(picard_solve(workspace, state, end - start, config.picard_max_iter, config.picard_tol))
+    reference = simulate(workspace, state0, times, Tolerances(config.rel_tol, config.abs_tol))
+    grid, k0 = workspace.grid, config.law.k0
+    return [
+        {"t": t, "distance": float(weighted_distance(w.state, ref, grid, k0)), "iterations": w.iterations}
+        for t, w, ref in zip(times[1:], windows, reference.states[1:])
+    ]

@@ -487,8 +487,8 @@ def picard_solve(
     workspace: RhsWorkspace,
     state0: State,
     t_end: float,
-    max_iter: int = 40,
-    tol: float = 1e-10,
+    max_iter: int,
+    tol: float,
 ) -> PicardResult:
     """Fixed-point iteration u <- u0 + integral of the truncated dynamics.
 
@@ -497,9 +497,9 @@ def picard_solve(
     the spectral collocation rule t_end sum_j W[i, j] f_j, W = ``_PICARD_W``
     (Clenshaw & Norton, Comput. J. 6, 1963), exact on polynomials of degree
     8; its last row holds the Clenshaw-Curtis weights.  The horizon must be
-    short enough for contraction; callers split longer intervals into
-    chained calls.  On the A8 acceptance problem a 0.1-wide window lands
-    within 1e-12 of a tight RK run, in the weighted distance.
+    short enough for contraction; ``diagnostics.crossval`` chains one call
+    per snapshot interval.  On the A8 acceptance problem a 0.1-wide window
+    lands within 1e-12 of a tight RK run, in the weighted distance.
 
     Iteration k measures diff_k, the largest distance between successive
     trajectories at a node in the norm ||.||_k0 + ||.||_1, and stops once

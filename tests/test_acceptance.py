@@ -194,7 +194,7 @@ def test_a5_nonexistence_signature():
     config = cb.parse_config_text(A5_CONFIG)
     x_mins = [1e-2, 1e-3, 1e-4]
     study = cb.shattering_study(config, x_mins)
-    fracs = [frac for _, frac in study.rows]
+    fracs = [frac for _, frac, _ in study.rows]
     ok = study.verdict == "shattering" and min(fracs) >= 0.05
 
     control = cb.shattering_study(cb.parse_config_text(A5_CONTROL_CONFIG), x_mins)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collbreak as cb
-from collbreak import DaughterLaw, InputError, KernelSpec, Regime, RunOutput, State
-from test_acceptance import moment_identity_residual
+from collbreak import DaughterLaw, InputError, KernelSpec, Regime, RunOutput, State, diagnostics
+from test_acceptance import A8_CONFIG, moment_identity_residual
 from test_integrate import F2_CONFIG, F8_CONFIG
 
 
@@ -269,9 +269,16 @@ def test_shattering_study_requires_three_points():
 
 
 class FakeRun:
-    def __init__(self, frac):
+    """One snapshot: dust fraction ``frac`` of rho = 1, and M_1 + dust = 1 + ``drift``."""
+
+    def __init__(self, frac, drift=0.0):
         self.dust = np.array([frac])
         self.rho = 1.0
+        self.drift = drift
+
+    def moments(self, k):
+        assert k == 1.0
+        return 1.0 + self.drift - self.dust
 
 
 def test_shattering_study_verdicts_from_stub_runner():
@@ -323,3 +330,48 @@ def test_shattering_study_refuses_a_too_fine_cut_before_any_run():
         cb.shattering_study(config, [1e-3, 1e-8, 1e-20], runner=runner)
     assert str(info.value) == f"grid.n_cells: need n_cells <= {cb.grid.MAX_CELLS}, got 1050000"
     assert runs == []
+
+
+def test_shattering_study_names_the_first_cut_beyond_the_mass_budget():
+    config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
+    # powers of two, so 1 + drift - dust + dust - 1 is the drift exactly
+    drifts = {1e-2: 0.0, 1e-3: 2.0**-19, 1e-4: 2.0**-18}
+    study = cb.shattering_study(config, list(drifts), runner=lambda cfg: FakeRun(0.5, drifts[cfg.x_min]))
+    assert [r[2] for r in study.rows] == list(drifts.values())
+    assert study.to_dict()["rows"][1] == {"x_min": 1e-3, "dust_fraction": 0.5, "mass_drift": 2.0**-19}
+    assert study.over_budget == (
+        "x_min=0.001: max |M_1 + dust - rho| = 1.907e-06, beyond the mass budget 1e-06 rho = 1.000e-06"
+    )
+    within = cb.shattering_study(config, list(drifts), runner=lambda cfg: FakeRun(0.5, 2.0**-20))
+    assert within.over_budget is None
+
+
+# A8's physics over ten 0.1-wide windows, RK tight enough to show Picard's error
+A8_CROSSVAL = A8_CONFIG.replace(
+    "time.t_end = 0.1", "time.t_end = 1\ntime.rel_tol = 1e-11\ntime.abs_tol = 1e-14\npicard.tol = 1e-12"
+)
+
+
+def test_crossval_is_bitwise_the_hand_written_window_chain():
+    config = cb.parse_config_text(A8_CROSSVAL)
+    rows = diagnostics.crossval(config)
+    # the oracle: chained picard_solve windows over the snapshot mesh, each
+    # end against one tight RK run in the weighted distance at k0
+    ws, state0 = cb.build_problem(config)
+    times = config.snapshot_times
+    reference = cb.simulate(ws, state0, times, cb.Tolerances(rel_tol=1e-11, abs_tol=1e-14))
+    expected, state = [], state0
+    for i in range(1, len(times)):
+        result = cb.picard_solve(ws, state, times[i] - times[i - 1], max_iter=40, tol=1e-12)
+        state = result.state
+        distance = cb.weighted_distance(state, reference.state(i), ws.grid, 0.5)
+        expected.append((times[i].hex(), float(distance).hex(), result.iterations))
+    assert [(r["t"].hex(), r["distance"].hex(), r["iterations"]) for r in rows] == expected
+    # the A8 gate: every window within 1e-10 of RK, fewer than 100 iterations in all
+    assert max(r["distance"] for r in rows) <= 1e-10
+    assert sum(r["iterations"] for r in rows) == 92
+
+
+def test_crossval_reads_the_picard_tolerance():
+    loose = cb.parse_config_text(A8_CROSSVAL.replace("picard.tol = 1e-12", "picard.tol = 1e-6"))
+    assert sum(r["iterations"] for r in diagnostics.crossval(loose)) == 48

@@ -297,7 +297,7 @@ def test_shatter_study_verdicts_and_dust_hold_at_the_default_rel_tol():
         study = cb.shattering_study(config, x_mins)
         tight = cb.shattering_study(dataclasses.replace(config, rel_tol=1e-8), x_mins)
         assert study.verdict == tight.verdict == verdict
-        for (x_min, frac), (tight_x_min, tight_frac) in zip(study.rows, tight.rows):
+        for (x_min, frac, _), (tight_x_min, tight_frac, _) in zip(study.rows, tight.rows):
             assert x_min == tight_x_min
             assert abs(frac - tight_frac) <= 1e-6 * tight_frac
 
@@ -733,7 +733,7 @@ def test_run_with_zero_horizon():
 def test_picard_requires_truncation(small_problem):
     ws, s0 = small_problem
     with pytest.raises(cb.DomainError) as info:
-        cb.picard_solve(ws, s0, 0.01)
+        cb.picard_solve(ws, s0, 0.01, max_iter=40, tol=1e-10)
     assert info.value.param == "truncation"
 
 
@@ -757,7 +757,7 @@ def test_picard_refuses_bad_settings_before_any_rhs(truncated_problem, monkeypat
     calls = []
     monkeypatch.setattr(integrate, "rhs_arrays", lambda *a: calls.append(a))
     with pytest.raises(cb.DomainError) as info:
-        cb.picard_solve(ws, s0, 0.01, **kwargs)
+        cb.picard_solve(ws, s0, 0.01, **({"max_iter": 40, "tol": 1e-10} | kwargs))
     assert info.value.param == param
     assert calls == []
 
@@ -779,7 +779,7 @@ def test_non_finite_times_refused_before_any_rhs(truncated_problem, monkeypatch,
     monkeypatch.setattr(integrate, "rhs_arrays", lambda *a: calls.append(a))
     run = {
         "simulate": lambda: cb.simulate(ws, s0, [0.0, value]),
-        "picard": lambda: cb.picard_solve(ws, s0, value),
+        "picard": lambda: cb.picard_solve(ws, s0, value, max_iter=40, tol=1e-10),
         "step": lambda: cb.step(ws, s0, value, Tolerances()),
     }[solver]
     with pytest.raises(cb.DomainError) as info:
@@ -943,7 +943,7 @@ def test_picard_keeps_mass_plus_dust_at_any_tolerance(tol):
 def test_picard_zero_state_is_fixed_point(truncated_problem):
     ws, _ = truncated_problem
     zero = State(np.zeros(ws.grid.n_cells))
-    result = cb.picard_solve(ws, zero, 0.05)
+    result = cb.picard_solve(ws, zero, 0.05, max_iter=40, tol=1e-10)
     assert np.all(result.state.contents == 0.0)
     assert result.state.dust_mass == 0.0
 

@@ -23,6 +23,7 @@ from collbreak.cli import main
 from collbreak.output import _content_hash
 import test_acceptance
 from conftest import config_text, run_in_fresh_process
+from test_diagnostics import A8_CROSSVAL
 from test_integrate import F2_CONFIG, F8_CONFIG
 
 BASE_CONFIG = """
@@ -368,7 +369,7 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, BASE_CONFIG)
     assert main(["regime", cfg]) == 0
     assert main(["regime", cfg]) == 0
-    assert len(built) == 7 and built[0] == "collbreak"
+    assert len(built) == 8 and built[0] == "collbreak"
     out = capsys.readouterr().out
     assert out[: len(out) // 2] * 2 == out
 
@@ -387,7 +388,7 @@ def test_cli_runs_the_command_rebound_after_the_parser_is_built(tmp_path, capsys
         (
             ["nosuch"],
             "collbreak: error: argument command: invalid choice: 'nosuch' (choose from "
-            "'simulate', 'bounds', 'regime', 'verify', 'distance', 'shatter-study')",
+            "'simulate', 'bounds', 'regime', 'verify', 'distance', 'shatter-study', 'crossval')",
         ),
         (
             ["shatter-study", "case.cfg"],
@@ -409,7 +410,7 @@ def test_cli_usage_error_exits_2_and_the_next_command_runs(tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize(
-    "command", [None, "simulate", "bounds", "regime", "verify", "distance", "shatter-study"]
+    "command", [None, "simulate", "bounds", "regime", "verify", "distance", "shatter-study", "crossval"]
 )
 def test_cli_help_of_the_reused_parser_is_that_of_a_fresh_one(tmp_path, capsys, monkeypatch, command):
     # help after the process's parser has parsed a command and refused a
@@ -701,6 +702,50 @@ def test_cli_shatter_study_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "conservative"
     assert len(payload["rows"]) == 3
+
+
+def test_cli_shatter_study_exits_3_naming_the_first_cut_beyond_the_mass_budget(tmp_path, capsys):
+    # F8's first row: the 1e-8 cut clips 1.366e-6 rho into existence, the run simulate exits 3 on
+    assert main(["shatter-study", _write(tmp_path, F8_CONFIG), "--xmins", "1e-4,1e-6,1e-8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "numerical failure: x_min=1e-08: max |M_1 + dust - rho| = 1.366e-06, "
+        "beyond the mass budget 1e-06 rho = 1.000e-06\n"
+    )
+    study = json.loads(captured.out)
+    assert study["verdict"] == "shattering"
+    assert [row["mass_drift"] > 1e-6 for row in study["rows"]] == [False, False, True]
+
+
+@pytest.mark.parametrize("text", [test_acceptance.A5_CONFIG, test_acceptance.A5_CONTROL_CONFIG], ids=["a5", "control"])
+def test_cli_shatter_study_exits_0_when_every_cut_keeps_the_mass_budget(tmp_path, capsys, text):
+    assert main(["shatter-study", _write(tmp_path, text), "--xmins", "1e-2,1e-3,1e-4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(row["mass_drift"] <= 1e-14 for row in json.loads(captured.out)["rows"])
+
+
+def test_cli_crossval_prints_the_rows_of_diagnostics_crossval(tmp_path, capsys):
+    assert main(["crossval", _write(tmp_path, A8_CROSSVAL)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == cb.diagnostics.crossval(cb.parse_config_text(A8_CROSSVAL))
+
+
+def test_cli_crossval_exits_3_when_picard_does_not_contract(tmp_path, capsys):
+    assert main(["crossval", _write(tmp_path, A8_CROSSVAL + "picard.max_iter = 2\n")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: no contraction after 2 iterations (residual 4.197e-02)\n"
+
+
+def test_cli_crossval_refuses_an_untruncated_kernel_before_any_rhs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda *a: calls.append(a))
+    assert main(["crossval", _write(tmp_path, A8_CROSSVAL.replace("kernel.truncation_n = 4\n", ""))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: picard mode requires a kernel with a truncation index\n"
+    assert calls == []
 
 
 def test_cli_shatter_study_refuses_runs_without_dust(tmp_path, capsys):
