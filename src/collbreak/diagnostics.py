@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import build_problem, run as run_config, with_x_min
+from .config import _cited, build_problem, run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
-from .integrate import RunOutput, Tolerances, picard_solve, row_blocks, simulate
+from .integrate import RunOutput, Tolerances, _require_truncation, picard_solve, row_blocks, simulate
 
 __all__ = [
     "weighted_distance",
@@ -265,8 +265,11 @@ def crossval(config) -> list[dict]:
     A ``picard_solve`` window per snapshot interval, at ``picard_max_iter``
     and ``picard_tol``, then a ``simulate`` at ``rel_tol`` and ``abs_tol``;
     a row per window: its end ``t``, ``iterations`` and ``weighted_distance``
-    at k0 to RK.  Picard runs first, so refuses an untruncated kernel first.
+    at k0 to RK.  An untruncated kernel is refused first, under its key
+    ``kernel.truncation_n``, whatever the horizon, zero included.
     """
+    with _cited():
+        _require_truncation(config.kernel)
     workspace, state0 = build_problem(config)
     times, windows = config.snapshot_times, []
     for start, end in zip(times, times[1:]):

@@ -117,6 +117,7 @@ def step(
     dt_target: float,
     tol: Tolerances,
     rates=None,
+    history=None,
 ):
     """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
@@ -132,18 +133,26 @@ def step(
     round-off negatives to zero, the created mass tracked in ``clip_mass``.
     After an attempt that the negative-content guard alone refused, and
     after an accepted step that clipped, the next step grows no further
-    than this one: either stands at the positivity limit.  An attempt whose
-    error estimate is NaN or infinite, as when a trial stage overflows, is
-    rejected like any other, and no floating-point warning escapes.
+    than this one: either stands at the positivity limit.  ``history`` is
+    the (dt_prev, r_prev) of the previous accepted step, None on a run's
+    first; with it the next step is also at most Gustafsson's predictive
+    dt max(0.2, 0.9 (dt / dt_prev) r^(-1/5) (r_prev / r)^(1/5)), with
+    r = max(est / tol, 1e-2) (ACM TOMS 20(4), 1994; Hairer & Wanner,
+    Solving ODEs II, IV.8), which meets a step size that shrinks step
+    after step before the error test refuses it.  A rejected attempt still
+    halves dt.  An attempt whose error estimate is NaN or infinite, as when
+    a trial stage overflows, is rejected like any other, and no
+    floating-point warning escapes.
     ``StiffnessError`` is raised only when the rates at ``state`` are not
     finite ("non-finite error estimate", after the first attempt) or when
     half the rejected dt would no longer move the time.  No floor bounds dt.
 
-    Returns (new_state, dt_used, dt_next, next_rates, stages).  ``next_rates``
-    is the seventh stage k7 = f(y_new), the right-hand side at the new state,
-    or None when clipping changed y_new; handed back in, it makes an accepted
-    step cost six right-hand sides and each rejected attempt six more.
-    ``stages`` is the accepted attempt's seven contents and dust rates.
+    Returns (new_state, dt_used, dt_next, next_rates, stages, history).
+    ``next_rates`` is the seventh stage k7 = f(y_new), the right-hand side
+    at the new state, or None when clipping changed y_new; handed back in,
+    it makes an accepted step cost six right-hand sides and each rejected
+    attempt six more.  ``stages`` is the accepted attempt's seven contents
+    and dust rates, and ``history`` this step's (dt_used, r) for the next.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
@@ -193,10 +202,15 @@ def step(
     # a step that had to clip stands at the positivity limit: growing dt would see it refused
     growth = 1.0 if low < 0.0 else growth
     factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
+    ratio = max(est / tol_value, 1e-2) if est > 0.0 else 1e-2  # est > 0 passed, so tol_value > 0
+    if history is not None:
+        dt_prev, ratio_prev = history
+        trend = 0.9 * (dt / dt_prev) * ratio ** (-1.0 / 5.0) * (ratio_prev / ratio) ** (1.0 / 5.0)
+        factor = min(factor, max(0.2, trend))
     dt_next = dt * factor
 
     new_state = _finish(workspace.grid, state, y_new, _WEIGHTS, dt, ds, state.time + dt)
-    return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds)
+    return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds), (dt, ratio)
 
 
 def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):
@@ -368,7 +382,8 @@ def simulate(
     crosses it, at no right-hand side.  The first dt comes from the initial
     rates and one explicit Euler probe (``_first_dt``, Hairer, Norsett &
     Wanner's starting step), and those rates start the first step.  Each
-    step hands its ``next_rates`` to the next, so a run costs two
+    step hands its ``next_rates`` and its (dt, r) ``history`` to the next,
+    the latter for Gustafsson's predictive step size, so a run costs two
     right-hand sides to start, six per accepted step, six per rejected
     attempt and one after each step but the last that clipped, whatever the
     snapshot mesh; a one-snapshot run costs none.  ``tolerances`` defaults
@@ -395,7 +410,7 @@ def simulate(
     contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
     filled, state = 1, state0
     dt_next, rates = _first_dt(workspace, state0, horizon, tol) if horizon > 0.0 else (0.0, None)
-    steps = 0
+    steps, history = 0, None
     while state.time < t_end:
         if steps == MAX_STEPS:
             raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")
@@ -404,7 +419,7 @@ def simulate(
         clamp = remaining <= dt_next
         dt_target = remaining if clamp else dt_next
         start = state
-        state, dt_used, dt_next, rates, stages = step(workspace, start, dt_target, tol, rates)
+        state, dt_used, dt_next, rates, stages, history = step(workspace, start, dt_target, tol, rates, history)
         if clamp and dt_used == dt_target:
             state.time = t_end
         while filled < times.size and times[filled] <= state.time:
@@ -483,6 +498,12 @@ def check_picard(max_iter: int, tol: float) -> None:
         raise DomainError(f"tol={tol} must be finite and positive", param="tol")
 
 
+def _require_truncation(kernel) -> None:
+    """Refuse a kernel with no truncation index: Picard integrates the truncated dynamics."""
+    if kernel.truncation is None:
+        raise DomainError("picard mode requires a kernel with a truncation index", param="truncation")
+
+
 def picard_solve(
     workspace: RhsWorkspace,
     state0: State,
@@ -524,8 +545,7 @@ def picard_solve(
     An untruncated kernel, or a ``t_end`` that is negative or not finite,
     is refused with ``DomainError`` before any call.
     """
-    if workspace.kernel.truncation is None:
-        raise DomainError("picard mode requires a kernel with a truncation index", param="truncation")
+    _require_truncation(workspace.kernel)
     if not 0.0 <= t_end < math.inf:
         raise DomainError(f"t_end={t_end} must be finite and non-negative", param="t_end")
     check_picard(max_iter, tol)

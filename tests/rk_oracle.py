@@ -9,7 +9,9 @@ every value that reaches a state or the error estimate is the same as
 ``integrate.step``'s: each combination sum_j (dt a_j) k_j is summed in stage
 order over the non-zero a_j before the base vector is added.  So the two
 must agree bit for bit.  The run's first dt is Hairer, Norsett & Wanner's
-starting step, written out here again from its formulas.  RHS calls go to
+starting step, written out here again from its formulas, and each next dt
+is the smaller of the error-based factor and Gustafsson's predictive factor
+from the previous accepted step's dt and error ratio.  RHS calls go to
 ``scheme.rhs_arrays`` directly, so a counter on ``integrate.rhs_arrays`` does
 not see them.
 """
@@ -59,8 +61,11 @@ def _combine(row, ks, dt):
     return total
 
 
-def oracle_step(workspace, state, dt_target, tol):
-    """One accepted seven-stage step; returns (new_state, dt_used, dt_next)."""
+def oracle_step(workspace, state, dt_target, tol, history=None):
+    """One accepted seven-stage step; returns (new_state, dt_used, dt_next, (dt_used, r)).
+
+    ``history`` is the (dt, r) of the previous accepted step, None on a run's first.
+    """
     if dt_target <= 0.0:
         raise DomainError(f"dt_target must be positive, got {dt_target}")
     grid = workspace.grid
@@ -89,8 +94,15 @@ def oracle_step(workspace, state, dt_target, tol):
         growth = 1.0  # the step clips below: it stands at the positivity limit
     if est > 0.0:
         factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0)))
+        r = max(est / tol_value, 1e-2)
     else:
         factor = growth
+        r = 1e-2
+    if history is not None:
+        # Gustafsson's predictive factor (ACM TOMS 20(4), 1994)
+        dt_prev, r_prev = history
+        predicted = 0.9 * (dt / dt_prev) * r ** (-1.0 / 5.0) * (r_prev / r) ** (1.0 / 5.0)
+        factor = min(factor, max(0.2, predicted))
     dt_next = dt * factor
 
     contents = y_new[:-1]
@@ -106,7 +118,7 @@ def oracle_step(workspace, state, dt_target, tol):
         time=state.time + dt,
         clip_mass=state.clip_mass + clipped,
     )
-    return new_state, dt, dt_next
+    return new_state, dt, dt_next, (dt, r)
 
 
 def oracle_first_dt(workspace, state, horizon, tol):
@@ -150,12 +162,13 @@ def oracle_simulate(workspace, state0, snapshot_times, tolerances=None):
     state = state0.copy()
     snapshots = [state.copy()]
     dt_next = oracle_first_dt(workspace, state, horizon, tol) if horizon > 0.0 else 0.0
+    history = None
     for target in times[1:]:
         while state.time < target:
             remaining = float(target) - state.time
             clamp = remaining <= dt_next
             dt_target = remaining if clamp else dt_next
-            state, dt_used, dt_next = oracle_step(workspace, state, dt_target, tol)
+            state, dt_used, dt_next, history = oracle_step(workspace, state, dt_target, tol, history)
             if clamp and dt_used == dt_target:
                 state.time = float(target)
         snapshots.append(state.copy())

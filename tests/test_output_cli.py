@@ -667,13 +667,13 @@ def test_cli_stiffness_exit_code(tmp_path, capsys):
 
 
 def test_cli_simulate_exits_3_on_a_run_beyond_the_mass_budget(tmp_path, capsys):
-    # F8's first row clips 1.366e-6 rho of mass into existence: simulate keeps
+    # F8's first row clips 2.097e-5 rho of mass into existence: simulate keeps
     # the run directory and its summary for verify, and exits 3
     out = tmp_path / "out"
     assert main(["simulate", _write(tmp_path, F8_CONFIG), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
-        "numerical failure: max |M_1 + dust - rho| = 1.366e-06, beyond the mass budget 1e-06 rho = 1.000e-06\n"
+        "numerical failure: max |M_1 + dust - rho| = 2.097e-05, beyond the mass budget 1e-06 rho = 1.000e-06\n"
     )
     summary = json.loads(captured.out)
     assert summary["content_hash"] == json.loads((out / "manifest.json").read_text())["content_hash"]
@@ -705,11 +705,11 @@ def test_cli_shatter_study_output(tmp_path, capsys):
 
 
 def test_cli_shatter_study_exits_3_naming_the_first_cut_beyond_the_mass_budget(tmp_path, capsys):
-    # F8's first row: the 1e-8 cut clips 1.366e-6 rho into existence, the run simulate exits 3 on
-    assert main(["shatter-study", _write(tmp_path, F8_CONFIG), "--xmins", "1e-4,1e-6,1e-8"]) == 3
+    # F8's first row: the 1e-10 cut clips 2.097e-5 rho into existence, the run simulate exits 3 on
+    assert main(["shatter-study", _write(tmp_path, F8_CONFIG), "--xmins", "1e-4,1e-7,1e-10"]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
-        "numerical failure: x_min=1e-08: max |M_1 + dust - rho| = 1.366e-06, "
+        "numerical failure: x_min=1e-10: max |M_1 + dust - rho| = 2.097e-05, "
         "beyond the mass budget 1e-06 rho = 1.000e-06\n"
     )
     study = json.loads(captured.out)
@@ -744,7 +744,23 @@ def test_cli_crossval_refuses_an_untruncated_kernel_before_any_rhs(tmp_path, cap
     assert main(["crossval", _write(tmp_path, A8_CROSSVAL.replace("kernel.truncation_n = 4\n", ""))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: picard mode requires a kernel with a truncation index\n"
+    assert captured.err == (
+        "configuration error: kernel.truncation_n: picard mode requires a kernel with a truncation index\n"
+    )
+    assert calls == []
+
+
+def test_cli_crossval_refuses_an_untruncated_kernel_at_a_zero_horizon(tmp_path, capsys, monkeypatch):
+    # no window to run, yet the config names no Picard problem: refused as at any horizon
+    calls = []
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda *a: calls.append(a))
+    untruncated = test_acceptance.A8_CONFIG.replace("kernel.truncation_n = 4\n", "")
+    assert main(["crossval", _write(tmp_path, untruncated.replace("time.t_end = 0.1", "time.t_end = 0"))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: kernel.truncation_n: picard mode requires a kernel with a truncation index\n"
+    )
     assert calls == []
 
 
