@@ -58,8 +58,8 @@ def _init_field(kind: str) -> str:
 MAX_SNAPSHOTS = 10**5
 MAX_RECORD = 10**8
 
-# key -> (parser, default, SimConfig attribute it is echoed from); None
-# defaults are resolved contextually.
+# key -> (parser, default, SimConfig attribute it sets and is echoed from);
+# None defaults are resolved contextually.
 _KEYS = {
     "kernel.lambda1": (float, 0.5, "kernel.lambda1"),
     "kernel.lambda2": (float, 0.5, "kernel.lambda2"),
@@ -230,12 +230,17 @@ def _snapshot_times(raw: str, t_end: float, n_cells: int) -> tuple:
 
 
 def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = None) -> SimConfig:
+    """Parse and validate ``text``, in this module's grammar, into a ``SimConfig``.
+
+    ``_KEYS`` gives each key its parser, its default and the field it sets.
+    The checks run in a fixed order, and the first that fails is reported as
+    a ``ConfigError`` under its key and line.  A relative ``init.path`` or
+    ``output.dir`` is taken from ``base_dir``; ``name`` names the text in errors.
+    """
     values = _parse_lines(text, name)
 
     def get(key):
-        if key in values:
-            return values[key][0]
-        return _KEYS[key][1]
+        return values[key][0] if key in values else _KEYS[key][1]
 
     def line_of(key):
         return values[key][1] if key in values else None
@@ -275,26 +280,11 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         for k in orders:
             check_moment_order(law, k)
 
-    return SimConfig(
-        kernel=kernel,
-        law=law,
-        x_min=x_min,
-        x_max=x_max,
-        n_cells=n_cells,
-        init_kind=kind,
-        init_size=get("init.size"),
-        init_mass=mass,
-        init_mean=get("init.mean"),
-        init_path=located(get("init.path")),
-        t_end=t_end,
-        snapshot_times=snapshots,
-        rel_tol=get("time.rel_tol"),
-        abs_tol=get("time.abs_tol"),
-        picard_max_iter=get("picard.max_iter"),
-        picard_tol=get("picard.tol"),
-        moment_orders=orders,
-        out_dir=located(get("output.dir")),
-    )
+    # each field a key sets as parsed, then the seven this parse derives
+    fields = {name: get(key) for key, (_, _, name) in _KEYS.items() if "." not in name}
+    paths = {name: located(fields[name]) for name in ("init_path", "out_dir")}
+    derived = dict(kernel=kernel, law=law, init_mass=mass, snapshot_times=snapshots, moment_orders=orders)
+    return SimConfig(**fields | paths | derived)
 
 
 def parse_config(path) -> SimConfig:

@@ -39,9 +39,9 @@ MAX_STEPS = 10**6
 BLOCK_DOUBLES = 8192
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) in exact
-# rationals: the stage rows a_ij, the nodes c_i, the fifth-order weights b
-# and the embedded fourth-order weights b_hat.  b is the seventh row of a,
-# so the last stage is f(y_new) and starts the next step (first same as last).
+# rationals: the stage rows a_ij, the fifth-order weights b and the embedded
+# fourth-order weights b_hat.  b is the seventh row of a, so the last stage
+# is f(y_new) and starts the next step (first same as last).
 DP_A = (
     (),
     (F(1, 5),),
@@ -51,7 +51,6 @@ DP_A = (
     (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
     (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
 )
-DP_C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
 DP_B = DP_A[6] + (F(0),)
 DP_B_HAT = (
     F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)
@@ -504,6 +503,7 @@ def _require_truncation(kernel) -> None:
         raise DomainError("picard mode requires a kernel with a truncation index", param="truncation")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(
     workspace: RhsWorkspace,
     state0: State,
@@ -543,7 +543,8 @@ def picard_solve(
     integrates the last call's dust rates with the row t_end W[-1] that
     builds the final contents, so M_1 + dust holds as per right-hand side.
     An untruncated kernel, or a ``t_end`` that is negative or not finite,
-    is refused with ``DomainError`` before any call.
+    is refused with ``DomainError`` before any call.  No floating-point
+    warning escapes: an iterate that overflows raises ``ContractionError``.
     """
     _require_truncation(workspace.kernel)
     if not 0.0 <= t_end < math.inf:

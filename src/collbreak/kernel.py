@@ -13,17 +13,6 @@ __all__ = ["KernelSpec", "kernel_factors"]
 _EXPONENT_RANGE = (-2.0, 2.0)
 
 
-def power(x, a):
-    """x**a computed as exp(a*log(x)), elementwise.
-
-    One code path for every exponent keeps rounding independent of whether
-    the exponent happens to be rational, so repeated evaluations are bitwise
-    reproducible.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.exp(a * np.log(x))
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Collision kernel x^l1 y^l2 + x^l2 y^l1, optionally cut outside (1/n, n)^2.
@@ -57,23 +46,18 @@ class KernelSpec:
         return self.lambda1 + self.lambda2
 
 
-def _inside_cutoff(spec: KernelSpec, x):
-    """Indicator of the open interval (1/n, n); all ones without truncation."""
-    x = np.asarray(x, dtype=float)
-    if spec.truncation is None:
-        return np.ones_like(x)
-    n = float(spec.truncation)
-    return ((x > 1.0 / n) & (x < n)).astype(float)
-
-
 def kernel_factors(spec: KernelSpec, sizes):
     """Rank-2 factors (a1, a2) with Phi(x, y) = a1(x) a2(y) + a2(x) a1(y).
 
-    a_k = x^lambda_k times the cut-off indicator, so a truncated kernel keeps
-    the same rank.  Non-positive sizes are rejected.
+    a_k = x**lambda_k, numpy's power, times the indicator of (1/n, n) when
+    the kernel is truncated, so a truncated kernel keeps the same rank.
+    Non-positive sizes are rejected.
     """
     x = np.asarray(sizes, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("kernel arguments must be positive sizes")
-    mask = _inside_cutoff(spec, x)
-    return mask * power(x, spec.lambda1), mask * power(x, spec.lambda2)
+    a1, a2 = x**spec.lambda1, x**spec.lambda2
+    if spec.truncation is None:
+        return a1, a2
+    inside = (x > 1.0 / spec.truncation) & (x < spec.truncation)
+    return a1 * inside, a2 * inside

@@ -206,7 +206,8 @@ def _stage_weights(a, tree):
 
 
 def test_dormand_prince_tableau_order_conditions():
-    a, c = integrate.DP_A, integrate.DP_C
+    a = integrate.DP_A
+    c = (Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), Fraction(1), Fraction(1))
     assert all(isinstance(x, Fraction) for row in a for x in row)
     assert [sum(row, Fraction(0)) for row in a] == list(c)
     # first same as last: the seventh stage is evaluated at y_new
@@ -1022,3 +1023,25 @@ def test_picard_contraction_failure_on_long_horizon(truncated_problem):
     with pytest.raises(ContractionError) as info:
         cb.picard_solve(ws, s0, 0.5 * 10.0, max_iter=10, tol=1e-12)
     assert info.value.residual > 0.0
+
+
+# A truncated kernel on a mass so large that the first iterate's rates overflow
+PICARD_OVERFLOW_CONFIG = """\
+kernel.truncation_n = 4
+grid.x_min = 0.25
+grid.x_max = 4
+grid.n_cells = 16
+init.mass = 1e150
+time.t_end = 0.1
+time.snapshots = 2
+"""
+
+
+def test_picard_overflow_raises_contraction_error_and_no_warning():
+    config = cb.parse_config_text(PICARD_OVERFLOW_CONFIG)
+    ws, s0 = cb.build_problem(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractionError) as info:
+            cb.picard_solve(ws, s0, config.t_end, config.picard_max_iter, config.picard_tol)
+    assert math.isnan(info.value.residual)

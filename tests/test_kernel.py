@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,3 +128,30 @@ def test_kernel_matrix_matches_pointwise_and_is_symmetric():
             assert mat[i, j] == pytest.approx(
                 phi(spec, sizes[i], sizes[j]), rel=1e-14, abs=0.0
             )
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.6, 1.5])
+def test_factors_lie_within_4_ulp_of_mpmath_powers(lam):
+    x = np.geomspace(1e-50, 10.0, 2001)
+    ones, powers = kernel_factors(KernelSpec(0.0, lam), x)
+    with mpmath.workprec(200):
+        want = np.array([float(mpmath.mpf(v) ** mpmath.mpf(lam)) for v in x])
+    assert np.all(np.abs(powers - want) <= 8.9e-16 * want)
+    assert np.all(ones == 1.0)
+
+
+def test_factors_are_exact_at_exponents_0_and_1():
+    x = np.geomspace(1e-50, 10.0, 2001)
+    ones, same = kernel_factors(KernelSpec(0.0, 1.0), x)
+    assert np.all(ones == 1.0)
+    assert np.array_equal(same, x)
+
+
+def test_truncated_factors_vanish_outside_the_window_and_keep_their_values_inside():
+    x = np.concatenate((np.geomspace(1e-2, 1e2, 401), [0.25, 4.0]))
+    inside = (x > 0.25) & (x < 4.0)
+    full = kernel_factors(KernelSpec(0.3, 1.5), x)
+    cut = kernel_factors(KernelSpec(0.3, 1.5, truncation=4), x)
+    for a, a_n in zip(full, cut):
+        assert np.all(a_n[~inside] == 0.0)
+        assert np.array_equal(a_n[inside], a[inside])

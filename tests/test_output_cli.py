@@ -24,7 +24,7 @@ from collbreak.output import _content_hash
 import test_acceptance
 from conftest import config_text, run_in_fresh_process
 from test_diagnostics import A8_CROSSVAL
-from test_integrate import F2_CONFIG, F8_CONFIG
+from test_integrate import F2_CONFIG, F8_CONFIG, PICARD_OVERFLOW_CONFIG
 
 BASE_CONFIG = """
 kernel.lambda1 = 0.6
@@ -122,6 +122,22 @@ def test_table_init_round_trips_moments(emitted_run, tmp_path):
         want = cb.moment(run.grid, run.states[-1], k)
         got = cb.moment(workspace.grid, state, k)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("source", ["csv", "restart"])
+def test_table_start_is_rescaled_to_init_mass(emitted_run, tmp_path, source):
+    # a CSV table, or a run directory to restart from, with init.mass = 2
+    if source == "csv":
+        path = tmp_path / "t.csv"
+        path.write_text("size,density\n0.5,1.0\n1.0,2.0\n2.0,0.5\n")
+    else:
+        path = emitted_run[3]
+    text = BASE_CONFIG.replace("init.kind = exponential", "init.kind = table")
+    config = cb.parse_config_text(text.replace("init.mass = 1.0", f"init.mass = 2\ninit.path = {path}"))
+    workspace, state = cb.build_problem(config)
+    assert cb.moment(workspace.grid, state, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    cb.emit_outputs(cb.run(config), tmp_path / "run")
+    assert cb.load_run(tmp_path / "run").config == config
 
 
 def test_wide_self_restart_builds_fast(tmp_path):
@@ -438,6 +454,51 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "daughter.nu" in err
 
 
+SMALL_CONFIG = "grid.n_cells = 16\ntime.t_end = 0.1\n"
+
+
+def _distance_across_meshes(tmp_path):
+    """``distance`` argv for two runs of 2 and 3 snapshots."""
+    for count in (2, 3):
+        config = cb.parse_config_text(SMALL_CONFIG + f"time.snapshots = {count}\n")
+        cb.emit_outputs(cb.run(config), tmp_path / f"run{count}")
+    return ["distance", str(tmp_path / "run2"), str(tmp_path / "run3")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda d: ["simulate", _write(d, "grid.n_cells = 16\nnonsense\n"), "--out", str(d / "x")],
+            "configuration error: line 2: expected 'section.key = value'",
+        ),
+        (
+            lambda d: ["simulate", _write(d, "time.t_end = -1\n"), "--out", str(d / "x")],
+            "configuration error: line 1: time.t_end: t_end must be non-negative",
+        ),
+        (
+            lambda d: ["simulate", str(d / "none.cfg"), "--out", str(d / "x")],
+            "configuration error: cannot read {d}/none.cfg: [Errno 2] No such file or directory: '{d}/none.cfg'",
+        ),
+        (
+            lambda d: ["shatter-study", _write(d, SMALL_CONFIG), "--xmins", "1e-2,abc"],
+            "configuration error: bad --xmins list: '1e-2,abc'",
+        ),
+        (
+            lambda d: ["simulate", _write(d, SMALL_CONFIG)],
+            "configuration error: no output directory: set output.dir or pass --out",
+        ),
+        (_distance_across_meshes, "error: runs have different snapshot meshes"),
+    ],
+    ids=["no-equals", "negative-t-end", "missing-file", "bad-xmins", "no-out-dir", "different-meshes"],
+)
+def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(d=tmp_path) + "\n"
+
+
 def test_cli_regime_and_bounds(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_CONFIG)
     assert main(["regime", cfg]) == 0
@@ -736,6 +797,13 @@ def test_cli_crossval_exits_3_when_picard_does_not_contract(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: no contraction after 2 iterations (residual 4.197e-02)\n"
+
+
+def test_cli_crossval_overflow_prints_one_line_and_exits_3(tmp_path, capsys):
+    assert main(["crossval", _write(tmp_path, PICARD_OVERFLOW_CONFIG)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: no contraction after 2 iterations (residual nan)\n"
 
 
 def test_cli_crossval_refuses_an_untruncated_kernel_before_any_rhs(tmp_path, capsys, monkeypatch):
