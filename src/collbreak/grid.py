@@ -128,11 +128,16 @@ def check_initial_data(x_min: float, x_max: float, mass, size, mean) -> None:
 
 
 def monodisperse_state(grid: SizeGrid, size: float, mass: float) -> State:
-    """All mass in the cell [lo, hi) holding ``size`` (x_max in the last); M_1 = mass."""
+    """All mass in the cell [lo, hi) holding ``size`` (x_max in the last); M_1 = mass.
+
+    A mass whose content in that cell underflows to zero is refused.
+    """
     check_initial_data(grid.x_min, grid.x_max, mass, size=size, mean=None)
     i = min(int(np.searchsorted(grid.edges, size, side="right")) - 1, grid.n_cells - 1)
     contents = np.zeros(grid.n_cells)
     contents[i] = mass / grid.reps[i]
+    if contents[i] == 0.0:
+        raise DomainError(f"mass {mass} underflows to zero in the cell holding size {size}", param="mass")
     return State(contents)
 
 

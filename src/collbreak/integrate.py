@@ -74,8 +74,8 @@ def _pairs(coefficients):
     return tuple((j, float(a)) for j, a in enumerate(coefficients) if a)
 
 
-_STAGES = tuple(_pairs(row) for row in DP_A[1:6])  # inputs of stages 2 to 6
-_WEIGHTS = _pairs(DP_B)  # y_new, the input of stage 7
+_STAGES = tuple(_pairs(row) for row in DP_A[1:])  # inputs of stages 2 to 7
+_WEIGHTS = _STAGES[-1]  # y_new, the input of stage 7
 _ERROR = _pairs(b - b_hat for b, b_hat in zip(DP_B, DP_B_HAT))
 _DENSE = tuple((i, tuple(float(p) for p in row)) for i, row in enumerate(DP_P) if any(row))
 
@@ -130,9 +130,8 @@ def step(
     1/5.  Halves the step until that estimate passes and no content would
     land below -1e-14 times the state scale; ``_finish`` clips accepted
     round-off negatives to zero, the created mass tracked in ``clip_mass``.
-    After an attempt that the negative-content guard alone refused, and
-    after an accepted step that clipped, the next step grows no further
-    than this one: either stands at the positivity limit.  ``history`` is
+    After an accepted step that clipped, the next step grows no further
+    than this one, which stands at the positivity limit.  ``history`` is
     the (dt_prev, r_prev) of the previous accepted step, None on a run's
     first; with it the next step is also at most Gustafsson's predictive
     dt max(0.2, 0.9 (dt / dt_prev) r^(-1/5) (r_prev / r)^(1/5)), with
@@ -166,20 +165,14 @@ def step(
     ks, ds = [k1], [d1]
     trial, term = weighted, np.empty_like(c)  # weighted's last use was above
     dt = float(dt_target)
-    growth = 5.0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            for row in _STAGES:
-                _increment(row, ks, dt, trial, term)
-                trial += c
-                k, d = rhs_arrays(workspace, trial)
+            for row in _STAGES:  # the last input is y_new, in a fresh buffer that the new state keeps
+                y_new = _increment(row, ks, dt, np.empty_like(c) if row is _WEIGHTS else trial, term)
+                y_new += c
+                k, d = rhs_arrays(workspace, y_new)
                 ks.append(k)
                 ds.append(d)
-            y_new = _increment(_WEIGHTS, ks, dt, np.empty_like(c), term)
-            y_new += c
-            k7, d7 = rhs_arrays(workspace, y_new)
-            ks.append(k7)
-            ds.append(d7)
             # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
             err = _increment(_ERROR, ks, dt, trial, term)
             np.abs(err, out=err)
@@ -189,8 +182,6 @@ def step(
             if est <= tol_value and low >= -neg_floor:
                 break
             del ks[1:], ds[1:]
-            # the guard alone refused: growing dt again would only see it halved again
-            growth = 1.0 if est <= tol_value else growth
             # an overflowing stage is a rejected attempt; non-finite start rates are not
             if not math.isfinite(est) and not (math.isfinite(d1) and np.isfinite(k1).all()):
                 raise StiffnessError(state.time, dt, "non-finite error estimate")
@@ -199,7 +190,7 @@ def step(
             dt /= 2.0
 
     # a step that had to clip stands at the positivity limit: growing dt would see it refused
-    growth = 1.0 if low < 0.0 else growth
+    growth = 1.0 if low < 0.0 else 5.0
     factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
     ratio = max(est / tol_value, 1e-2) if est > 0.0 else 1e-2  # est > 0 passed, so tol_value > 0
     if history is not None:
@@ -209,7 +200,7 @@ def step(
     dt_next = dt * factor
 
     new_state = _finish(workspace.grid, state, y_new, _WEIGHTS, dt, ds, state.time + dt)
-    return new_state, dt, dt_next, None if low < 0.0 else (k7, d7), (ks, ds), (dt, ratio)
+    return new_state, dt, dt_next, None if low < 0.0 else (k, d), (ks, ds), (dt, ratio)
 
 
 def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):

@@ -78,10 +78,12 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     classification with its constants, the SHA-256 of each file, and a
     content hash over the echo and the digests.
     A run without a configuration (a bare ``simulate`` result) is refused
-    before any file is written: ``load_run`` could not read it back.
+    before any file is written: ``load_run`` could not read it back.  So is
+    a run whose start ``bounds.initial_bounds`` refuses.
     """
     if run.config is None:
         raise InputError("the run carries no configuration, so load_run could not read it back")
+    bounds = bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0)).entry()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -102,7 +104,7 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
         "format": FORMAT,
         "config": echo,
         "rho": run.rho,
-        "bounds": bounds_mod.initial_bounds(run.kernel, run.law, run.grid, run.state(0)).entry(),
+        "bounds": bounds,
         "files": files,
     }
     manifest["content_hash"] = _content_hash(manifest)

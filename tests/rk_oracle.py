@@ -76,7 +76,7 @@ def oracle_step(workspace, state, dt_target, tol, history=None):
     tol_value = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
 
     dt = float(dt_target)
-    growth = 5.0  # 1 once the negative-content guard alone has refused an attempt, or on a clip
+    growth = 5.0  # 1 on a clip
     while True:
         ks = [_f(workspace, y)]
         for row in STAGES:
@@ -86,8 +86,6 @@ def oracle_step(workspace, state, dt_target, tol, history=None):
         est = float(np.sum(weights * np.abs(_combine(E, ks, dt)[:-1])))
         if est <= tol_value and float(np.min(y_new[:-1], initial=0.0)) >= -neg_floor:
             break
-        if est <= tol_value:
-            growth = 1.0
         dt /= 2.0
 
     if float(np.min(y_new[:-1], initial=0.0)) < 0.0:

@@ -159,6 +159,26 @@ def test_nonexistence_bound_symbolic_chain():
     assert report.t1_of(0.51) < report.t1_of(0.55)
 
 
+@pytest.mark.parametrize("moments", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)], ids=["rho", "M_k0", "M_1+k0"])
+def test_existence_bounds_refuse_a_non_positive_moment(moments):
+    with pytest.raises(DomainError, match=r"^rho and initial moments must be positive$"):
+        cb.existence_bounds(KernelSpec(0.3, 0.3), DaughterLaw(-1.1, 0.2), *moments)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_nonexistence_bound_refuses_a_non_positive_rho(rho):
+    with pytest.raises(DomainError, match=r"^rho must be positive$"):
+        cb.nonexistence_bound(KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), rho, lambda k: 1.0)
+
+
+@pytest.mark.parametrize("k", [0.2, 0.5, 1.0, 1.5])
+def test_t1_of_refuses_an_order_outside_the_admissible_interval(k):
+    report = cb.nonexistence_bound(KernelSpec(0.0, 0.0), DaughterLaw(-1.5, 0.6), 1.0, lambda k: 1.0)
+    with pytest.raises(DomainError) as info:
+        report.t1_of(k)
+    assert str(info.value) == f"k={k} outside the admissible interval (0.5, 1)"
+
+
 def test_nonexistence_bound_vanishes_toward_threshold():
     kernel = KernelSpec(0.0, 0.0)
     law = DaughterLaw(-1.5, 0.6)

@@ -117,6 +117,29 @@ def test_nonexistence_growth_check(nonexistence_run):
     assert cb.nonexistence_growth_check(nonexistence_run, 0.99)
 
 
+def test_nonexistence_growth_check_refuses_a_single_snapshot(nonexistence_run):
+    run = nonexistence_run
+    single = dataclasses.replace(
+        run, times=run.times[:1], contents=run.contents[:1], dust=run.dust[:1], clip=run.clip[:1]
+    )
+    with pytest.raises(InputError, match=r"^need at least two snapshots for time differencing$"):
+        cb.nonexistence_growth_check(single, 0.6)
+
+
+def test_nonexistence_growth_check_refuses_an_order_above_one(nonexistence_run):
+    with pytest.raises(InputError, match=r"^k=1\.5 above 1, outside the non-existence theorem$"):
+        cb.nonexistence_growth_check(nonexistence_run, 1.5)
+
+
+def test_c1_bound_check_refuses_a_horizon_before_the_first_snapshot(small_run):
+    report = cb.existence_bounds(
+        small_run.kernel, small_run.law, small_run.rho, small_run.moments(0.5)[0], small_run.moments(1.5)[0]
+    )
+    later = dataclasses.replace(small_run, times=small_run.times + 1.0)
+    with pytest.raises(InputError, match=r"^no snapshots at or before the requested horizon$"):
+        cb.c1_bound_check(later, report, 0.5)
+
+
 def test_nonexistence_growth_check_regime_mismatch(small_run):
     with pytest.raises(InputError):
         cb.nonexistence_growth_check(small_run, 0.6)

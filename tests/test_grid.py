@@ -171,11 +171,12 @@ def test_table_state_rejects_bad_input():
 
 def test_state_builders_refuse_non_positive_mass():
     # one mass rule for every builder: a table's explicit mass included, and
-    # a monodisperse mass of 0
+    # a monodisperse mass of 0 or one that underflows to 0 in its cell
     grid = cb.build_grid(0.1, 10.0, 8)
     builds = (
         lambda: cb.table_state(grid, [0.5, 1.0, 2.0], [1.0, 1.0, 1.0], mass=-1.0),
         lambda: cb.monodisperse_state(grid, 1.0, 0.0),
+        lambda: cb.monodisperse_state(grid, 5.0, 5e-324),
         lambda: cb.exponential_state(grid, 0.0, 1.0),
     )
     for build in builds:

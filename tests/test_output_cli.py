@@ -200,6 +200,15 @@ def test_emit_refuses_run_without_config(emitted_run, tmp_path):
     assert not (tmp_path / "bare").exists()
 
 
+def test_emit_refuses_a_run_with_no_mass_before_any_file(emitted_run, tmp_path):
+    # the manifest's bounds entry is built before the run directory is made
+    _, run, _, _ = emitted_run
+    empty = dataclasses.replace(run, contents=np.zeros_like(run.contents))
+    with pytest.raises(cb.DomainError, match=r"^rho and initial moments must be positive$"):
+        cb.emit_outputs(empty, tmp_path / "empty")
+    assert not (tmp_path / "empty").exists()
+
+
 def test_zero_horizon_emits_single_snapshot(tmp_path):
     config = cb.parse_config_text("time.t_end = 0\ngrid.n_cells = 8\n")
     run = cb.run(config)
@@ -465,6 +474,20 @@ def _distance_across_meshes(tmp_path):
     return ["distance", str(tmp_path / "run2"), str(tmp_path / "run3")]
 
 
+UNDERFLOW_CONFIG = "init.kind = monodisperse\ninit.size = 5\ninit.mass = 5e-324\ntime.t_end = 0.1\n"
+
+
+def _empty_table(d):
+    (d / "empty.csv").write_text("")
+    return ["simulate", _write(d, "init.kind = table\ninit.path = empty.csv\n"), "--out", str(d / "x")]
+
+
+def _verify_without_contents(d):
+    cb.emit_outputs(cb.run(cb.parse_config_text(SMALL_CONFIG)), d / "run")
+    (d / "run" / "contents.npy").unlink()
+    return ["verify", str(d / "run")]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -489,14 +512,63 @@ def _distance_across_meshes(tmp_path):
             "configuration error: no output directory: set output.dir or pass --out",
         ),
         (_distance_across_meshes, "error: runs have different snapshot meshes"),
+        (
+            lambda d: ["simulate", _write(d, UNDERFLOW_CONFIG), "--out", str(d / "x")],
+            "configuration error: init.mass: mass 5e-324 underflows to zero in the cell holding size 5.0",
+        ),
+        (
+            lambda d: ["bounds", _write(d, UNDERFLOW_CONFIG)],
+            "configuration error: init.mass: mass 5e-324 underflows to zero in the cell holding size 5.0",
+        ),
+        (
+            lambda d: ["simulate", _write(d, "time.snapshots = 0\n"), "--out", str(d / "x")],
+            "configuration error: line 1: time.snapshots: expected a count or comma list of times, got '0'",
+        ),
+        (
+            lambda d: ["simulate", _write(d, "grid.x_min = 1e-3\ninit.mean = 1e-149\n"), "--out", str(d / "x")],
+            "configuration error: init.mean: initial density carries no mass on the grid",
+        ),
+        (_empty_table, "configuration error: init.path: table must be two equal-length columns (size, density)"),
+        (
+            lambda d: ["simulate", _write(d, SMALL_CONFIG), "--out", str(d / ("x" * 300) / "run")],
+            "error: cannot write run directory {d}/" + "x" * 300 + "/run: File name too long",
+        ),
+        (
+            _verify_without_contents,
+            "error: cannot read contents.npy: [Errno 2] No such file or directory: '{d}/run/contents.npy'",
+        ),
+        (
+            lambda d: ["verify", str(d)],
+            "error: {d} has no readable manifest.json: [Errno 2] No such file or directory: '{d}/manifest.json'",
+        ),
     ],
-    ids=["no-equals", "negative-t-end", "missing-file", "bad-xmins", "no-out-dir", "different-meshes"],
+    ids=[
+        "no-equals",
+        "negative-t-end",
+        "missing-file",
+        "bad-xmins",
+        "no-out-dir",
+        "different-meshes",
+        "underflowing-mass",
+        "underflowing-mass-bounds",
+        "zero-snapshots",
+        "no-mass-on-grid",
+        "empty-table",
+        "long-out-name",
+        "verify-without-contents",
+        "verify-without-manifest",
+    ],
 )
-def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, argv, message):
-    assert main(argv(tmp_path)) == 2
+def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch, argv, message):
+    # refused before any right-hand side, and no run directory is made
+    argv = argv(tmp_path)
+    calls = []
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda *a: calls.append(a))
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message.format(d=tmp_path) + "\n"
+    assert calls == [] and not (tmp_path / "x").exists()
 
 
 def test_cli_regime_and_bounds(tmp_path, capsys):
