@@ -310,7 +310,9 @@ def gronwall_envelope(law: DaughterLaw, times, m_k0_sum, m_high_sum, d0: float):
 
     ``m_k0_sum`` and ``m_high_sum`` are the k0-th and (1+k0+lambda2)-th
     moments of the *sum* of the two solutions, sampled on ``times``.
-    Returns d0 * exp(12 E1 integral of their sum), by trapezoid quadrature.
+    Returns d0 * exp(12 E1 integral of their sum), by trapezoid quadrature,
+    as ``_exp`` of log d0 plus the exponent: inf where it overflows, with no
+    floating-point warning, and 0 throughout when d0 = 0.
     """
     times = np.asarray(times, dtype=float)
     a = np.asarray(m_k0_sum, dtype=float)
@@ -319,6 +321,7 @@ def gronwall_envelope(law: DaughterLaw, times, m_k0_sum, m_high_sum, d0: float):
         raise InputError("moment series must share the time mesh")
     if times.ndim != 1 or times.size == 0:
         raise InputError(f"moment series must be non-empty and 1-D, got shape {times.shape}")
-    e1 = e_constant(law)
-    integral = running_trapezoid(a + b, times)
-    return d0 * np.exp(12.0 * e1 * integral)
+    if d0 == 0.0:
+        return np.zeros_like(times)
+    exponent = 12.0 * e_constant(law) * running_trapezoid(a + b, times)
+    return np.array([_exp(math.log(d0) + value) for value in exponent])

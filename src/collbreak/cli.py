@@ -130,10 +130,11 @@ def _cmd_distance(args) -> int:
     m_high = run_a.moments(k_high) + run_b.moments(k_high)
     envelope = bounds_mod.gronwall_envelope(run_a.law, run_a.times, m_k0, m_high, distances[0])
     rows = [
-        {"t": float(t), "distance": float(d), "envelope": float(e)}
+        {"t": float(t), "distance": float(d), "envelope": bounds_mod._json_number(float(e))}
         for t, d, e in zip(run_a.times, distances, envelope)
     ]
-    _emit_json({"rows": rows, "within_envelope": bool(np.all(distances <= envelope * (1.0 + 1e-12)))})
+    # the slack divides the distance, so an envelope near the largest double cannot overflow
+    _emit_json({"rows": rows, "within_envelope": bool(np.all(distances / (1.0 + 1e-12) <= envelope))})
     return EXIT_OK
 
 

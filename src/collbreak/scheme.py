@@ -17,10 +17,12 @@ a breakup in cell j changes
     dust         by  p_j e_0^a,
 
 so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i: per
-state, two dot products and one reversed cumulative sum.  Weighted by reps,
-the deposits into cells below j telescope to p_j (e_j^a - e_0^a), which with
-the dust balances the own-cell loss p_j e_j^a term by term, so
-sum_i reps_i d_contents_i + d_dust = 0 holds to round-off.
+state, two dot products and one reversed cumulative sum.  When lambda1 =
+lambda2 the kernel has rank 1, Phi c = 2 a (a.c), and one dot product does.
+Weighted by reps, the deposits into cells below j telescope to
+p_j (e_j^a - e_0^a), which with the dust balances the own-cell loss
+p_j e_j^a term by term, so sum_i reps_i d_contents_i + d_dust = 0 holds to
+round-off.
 
 States are rows along the last axis, so ``rhs_arrays`` takes one state of
 shape (N,) or a batch of shape (..., N) in one call, reducing and
@@ -53,6 +55,8 @@ class RhsWorkspace:
     ``own_change[j]`` (fragments kept minus the parent itself), and
     ``dust_row[j]`` of mass falls below the grid.  ``error_weights`` are the
     weights max(reps^k0, reps^(1+k0)) of the integrator's error norm.
+    When lambda1 = lambda2 the two kernel factors are equal, and the
+    right-hand side reduces the contents against ``kernel_hi`` alone.
     Memory is O(N).
     """
 
@@ -90,14 +94,18 @@ def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorks
 def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
     """w = c * (Phi c) per row: the rate of collisions each cell's particles undergo."""
     lo, hi = workspace.kernel_lo, workspace.kernel_hi
-    hi_sum = np.add.reduce(hi * contents, -1)
-    lo_sum = np.add.reduce(lo * contents, -1)
+    batch = contents.ndim > 1
     # A single state's sums stay scalars, which numpy multiplies faster than
     # (1,)-shaped arrays; a batch's get a trailing axis to broadcast per row.
-    if contents.ndim > 1:
-        hi_sum, lo_sum = hi_sum[..., None], lo_sum[..., None]
-    w = lo * hi_sum
-    w += hi * lo_sum
+    hi_sum = np.add.reduce(hi * contents, -1)
+    w = lo * (hi_sum[..., None] if batch else hi_sum)
+    if workspace.kernel.lambda1 == workspace.kernel.lambda2:
+        # rank 1, lo == hi: a s + a s is bitwise the rank-2 sum below, which
+        # (2a) s is not where a s is subnormal
+        w += w
+    else:
+        lo_sum = np.add.reduce(lo * contents, -1)
+        w += hi * (lo_sum[..., None] if batch else lo_sum)
     w *= contents
     return w
 
@@ -122,5 +130,6 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     d_dust = np.add.reduce(workspace.dust_row * w, -1)
     d_contents = w  # w's last use was above; reuse its buffer
     d_contents *= workspace.own_change
-    d_contents[..., :-1] += workspace.lower_counts[:-1] * tail[..., ::-1]
+    tail *= workspace.lower_counts[-2::-1]
+    d_contents[..., :-1] += tail[..., ::-1]
     return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -216,6 +217,40 @@ def test_a5_nonexistence_signature():
         f"verdict={study.verdict}, control={control.verdict} "
         f"({control.per_decade_factor:.1f}x/decade), growth check={growth_ok}, "
         f"T1(0.501)/T1(0.55)={ratio:.4f} (<=0.05)",
+    )
+
+
+def test_e1_product_kernel_against_its_closed_form():
+    # A5's control, Phi = 2xy, is linear fragmentation at rate 2 rho x while
+    # the dust stays negligible, so from cells c_i at sizes x_i
+    #   M_k(T) = sum_i c_i x_i^k 1F1(k-1; k+nu+1; -2 rho x_i T)
+    # (DLMF 13.2.2; Ziff & McGrady, J. Phys. A 18, 3027, 1985). At x_min = 1e-8
+    # the cut is far below the error, so the cell width sets it: second order
+    k = 0.6
+    errors, dusts = [], []
+    for n in (224, 448, 896):
+        text = A5_CONTROL_CONFIG.replace("grid.x_min = 1e-2", "grid.x_min = 1e-8")
+        run = cb.run(cb.parse_config_text(text.replace("grid.n_cells = 56", f"grid.n_cells = {n}")))
+        start, reps = run.states[0], run.grid.reps
+        rate = 2.0 * cb.moment(run.grid, start, 1.0) * float(run.times[-1])
+        b = k + run.law.nu + 1.0
+        with mp.workdps(30):
+            exact = float(
+                mp.fsum(
+                    start.contents[i] * mp.mpf(reps[i]) ** k * mp.hyp1f1(k - 1.0, b, -rate * reps[i])
+                    for i in np.flatnonzero(start.contents)
+                )
+            )
+        errors.append(float(run.moments(k)[-1]) / exact - 1.0)
+        dusts.append(float(run.dust[-1]))
+    orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
+    ok = min(orders) >= 1.9 and abs(errors[-1]) < 5e-6 and max(dusts) < 1e-10
+    _verdict(
+        "E1",
+        ok,
+        f"M_0.6(T) relative errors {', '.join(f'{e:.2e}' for e in errors)} at 224, 448, 896 cells, "
+        f"orders {', '.join(f'{o:.2f}' for o in orders)} (>=1.9, A3 gates 0.9), "
+        f"|error| at 896 < 5e-6, dust {max(dusts):.1e} (<1e-10)",
     )
 
 

@@ -221,6 +221,21 @@ def test_gronwall_envelope_closed_forms():
     assert env[-1] == pytest.approx(d0 * math.exp(12.0), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gronwall_envelope_overflows_to_inf_without_a_warning():
+    # 12 E1 times the integral of 2 M is 120 M t = 750 and 1500: with
+    # d0 = 1e-300 the first is 1e-300 e^750 = 5.3e25, a double that
+    # d0 * exp(750) overflows to reach, and the second is beyond every double
+    law = DaughterLaw(-1.5, 0.6)  # E1 = 5
+    times = np.array([0.0, 0.5, 1.0])
+    m = np.full(3, 12.5)
+    env = cb.gronwall_envelope(law, times, m, m, 1e-300)
+    assert env[0] == pytest.approx(1e-300, rel=1e-15)
+    assert env[1] == pytest.approx(math.exp(750.0 + math.log(1e-300)), rel=1e-12)
+    assert math.isfinite(env[1]) and env[2] == math.inf
+    assert np.all(cb.gronwall_envelope(law, times, m, m, 0.0) == 0.0)
+
+
 def test_gronwall_envelope_mesh_mismatch():
     law = DaughterLaw(-1.5, 0.6)
     with pytest.raises(InputError):

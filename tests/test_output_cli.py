@@ -772,6 +772,47 @@ def test_cli_distance_same_run_is_zero(tmp_path, capsys):
     assert all(row["distance"] == 0.0 for row in payload["rows"])
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, as JSON itself does."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# F8's first row at x_min = 1e-4 to t = 0.618, ten horizons T_k0 = 0.0618, and
+# a start 1% larger in mean: the Gronwall envelope passes the largest double
+F8_DISTANCE_CONFIG = (
+    F8_CONFIG.replace("grid.x_min = 1e-10", "grid.x_min = 1e-4")
+    .replace("grid.n_cells = 220", "grid.n_cells = 100")
+    .replace("time.t_end = 0.6175", "time.t_end = 0.618")
+    .replace("time.snapshots = 2", "time.snapshots = 11")
+)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_distance_prints_an_overflowing_envelope_as_strict_json(tmp_path, capsys):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    shifted = F8_DISTANCE_CONFIG.replace("init.mean = 1\n", "init.mean = 1.01\n")
+    assert main(["simulate", _write(tmp_path, F8_DISTANCE_CONFIG, "a.cfg"), "--out", a]) == 0
+    assert main(["simulate", _write(tmp_path, shifted, "b.cfg"), "--out", b]) == 0
+    capsys.readouterr()
+    assert main(["distance", a, b]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    envelopes = [row["envelope"] for row in payload["rows"]]
+    assert envelopes[-1] == "inf" and all(isinstance(e, float) for e in envelopes[:5])
+    assert envelopes[0] > 0.0 and envelopes[0] == pytest.approx(payload["rows"][0]["distance"], rel=1e-15)
+    assert payload["within_envelope"] is True
+    # the same run against itself: every distance and envelope 0
+    assert main(["distance", a, a]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["within_envelope"] is True
+    assert all(row["distance"] == row["envelope"] == 0.0 for row in payload["rows"])
+
+
 def test_cli_distance_refuses_runs_of_different_physics(tmp_path, capsys):
     # same grid and snapshot mesh, but another daughter exponent and kernel
     other = BASE_CONFIG.replace("daughter.nu = -1.2", "daughter.nu = -1.3").replace(

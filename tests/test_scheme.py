@@ -3,6 +3,7 @@ import pytest
 
 import collbreak as cb
 from collbreak import DaughterLaw, KernelSpec, State
+from collbreak.kernel import kernel_factors
 from conftest import RHS_DIGEST, quad_oracle, run_in_fresh_process
 from dense_oracle import DenseRhs, deposit_counts, expanded_counts, kernel_matrix
 
@@ -95,6 +96,54 @@ def test_batched_rhs_rows_equal_single_calls(regime, n):
     # any number of leading axes: the rows of a (5, 13, n) batch are the same rows
     dc3, dd3 = cb.rhs_arrays(ws, batch.reshape(5, 13, n))
     assert dc3.tobytes() == dc.tobytes() and dd3.tobytes() == dd.tobytes()
+
+
+def rank_two_rhs(ws, contents):
+    """``rhs_arrays`` with both rank-2 reductions, from separate copies of the factors.
+
+    w = c (a1 (a2.c) + a2 (a1.c)) per row, then the deposits of
+    ``rhs_arrays`` in its order: the rates any kernel gets from the two-term sum.
+    """
+    a1, a2 = (f.copy() for f in kernel_factors(ws.kernel, ws.grid.reps))
+    w = a1 * np.add.reduce(a2 * contents, -1)[..., None]
+    w += a2 * np.add.reduce(a1 * contents, -1)[..., None]
+    w *= contents
+    tail = np.add.accumulate((ws.parent_factor * w)[..., :0:-1], -1)
+    d_dust = np.add.reduce(ws.dust_row * w, -1)
+    d_contents = w * ws.own_change
+    d_contents[..., :-1] += ws.lower_counts[:-1] * tail[..., ::-1]
+    return d_contents, d_dust
+
+
+# name -> (kernel with lambda1 = lambda2, grid bounds); on the last grid a s is
+# subnormal in the bottom cells, where (2a) s rounds differently from a s + a s
+RANK_ONE = {
+    "l=(0,0)": (KernelSpec(0.0, 0.0), (1e-4, 10.0)),
+    "l=(0.6,0.6)": (KernelSpec(0.6, 0.6), (1e-4, 10.0)),
+    "l=(1,1)": (KernelSpec(1.0, 1.0), (1e-4, 10.0)),
+    "truncated": (KernelSpec(0.6, 0.6, truncation=4), (1e-4, 10.0)),
+    "l=(2,2),subnormal": (KernelSpec(2.0, 2.0), (1e-78, 1e-73)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 37, 256])
+@pytest.mark.parametrize("case", sorted(RANK_ONE))
+def test_rank_one_rhs_is_bitwise_the_rank_two_sum(case, n):
+    kernel, (x_min, x_max) = RANK_ONE[case]
+    ws = cb.precompute(cb.build_grid(x_min, x_max, n), kernel, DaughterLaw(-1.2, 0.5))
+    rng = np.random.default_rng(n + 2)
+    batch = rng.uniform(0.0, 2.0, size=(9, n)) * (rng.uniform(size=(9, n)) > 0.2)
+    # rows with only the bottom cells occupied: no larger parent's deposits swamp them
+    batch[5:, max(1, n // 8) :] = 0.0
+    assert batch.flags.c_contiguous
+    dc, dd = cb.rhs_arrays(ws, batch)
+    ref_dc, ref_dd = rank_two_rhs(ws, batch)
+    assert dc.tobytes() == ref_dc.tobytes() and dd.tobytes() == ref_dd.tobytes()
+    for contents in batch:
+        single_dc, single_dd = cb.rhs_arrays(ws, contents)
+        ref_dc, ref_dd = rank_two_rhs(ws, contents)
+        assert single_dc.tobytes() == ref_dc.tobytes()
+        assert single_dd.hex() == float(ref_dd).hex()
 
 
 def test_precompute_is_linear_in_cells():
