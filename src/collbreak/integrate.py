@@ -533,6 +533,10 @@ def picard_solve(
     operand (a stride-0 one makes einsum reorder the sum).  The dust
     integrates the last call's dust rates with the row t_end W[-1] that
     builds the final contents, so M_1 + dust holds as per right-hand side.
+    Memory peaks at the (9, N) iterate plus the three batch arrays of the
+    ``rhs_arrays`` call.  Elsewhere at most two batch arrays are alive
+    beside the iterate: the rates are freed before the distance's scratch
+    is made, and the scratch before the next call.
     An untruncated kernel, or a ``t_end`` that is negative or not finite,
     is refused with ``DomainError`` before any call.  No floating-point
     warning escapes: an iterate that overflows raises ``ContractionError``.
@@ -560,6 +564,7 @@ def picard_solve(
         np.abs(gap, out=gap)
         gap *= norm_weights
         diff = float(gap.sum(axis=1).max())
+        del gap  # free the scratch before the next call
         traj = new
         diffs.append(diff)
         if not math.isfinite(diff):

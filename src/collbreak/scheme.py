@@ -31,6 +31,13 @@ pairwise or cumulative sum, never BLAS, and numpy applies it to a
 contiguous last axis row by row in the same order as to a single vector,
 so identical inputs give bitwise identical rates whatever the thread
 settings, and a batched row equals the same state evaluated alone.
+
+A call holds at most three arrays of the batch's shape at once, its
+output included, and adds the deposits into d_contents in one same-shape
+add: an add through shifted 2-D views makes numpy allocate iteration
+buffers, as much as three batch arrays more on a small batch.  The sum
+above the top cell is -0.0, which leaves every double it is added to as
+it is (``rhs_arrays``).
 """
 
 from __future__ import annotations
@@ -122,14 +129,26 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     layouts agree to round-off.  ``d_contents`` has the shape of
     ``contents``; ``d_dust`` has its leading shape, and is a Python float
     for a single state.
+
+    Three batch-sized arrays are alive at the peak: w, whose buffer
+    becomes d_contents, the products p_j w_j, and ``above``, which the
+    reversed cumulative sum fills from the top cell down, unshifted.  The
+    products are freed before ``above`` is scaled by g and added.  Nothing
+    lies above the top cell, so ``above[..., -1]`` is -0.0: g_{N-1} is
+    finite and non-negative, so the multiply keeps its sign, and adding
+    -0.0 changes no double, -0.0 and NaN included.  So an empty top cell
+    keeps the -0.0 rate that its negative own change gives it.
     """
     w = _event_mass(workspace, contents)
-    # tail[..., k] = sum_{j >= N-1-k} p_j w_j, so reversed it reads
-    # above[i] = sum_{j>i} p_j w_j for i < N-1
-    tail = np.add.accumulate((workspace.parent_factor * w)[..., :0:-1], -1)
     d_dust = np.add.reduce(workspace.dust_row * w, -1)
+    # accumulated from the top cell down, above[i] = sum_{j>i} p_j w_j for i < N-1
+    deposits = workspace.parent_factor * w
+    above = np.empty_like(w)
+    np.add.accumulate(deposits[..., :0:-1], -1, out=above[..., -2::-1])
+    del deposits
+    above[..., -1] = -0.0  # nothing above the top cell; adding -0.0 changes no double
+    above *= workspace.lower_counts
     d_contents = w  # w's last use was above; reuse its buffer
     d_contents *= workspace.own_change
-    tail *= workspace.lower_counts[-2::-1]
-    d_contents[..., :-1] += tail[..., ::-1]
+    d_contents += above
     return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust

@@ -225,33 +225,39 @@ def test_e1_product_kernel_against_its_closed_form():
     # the dust stays negligible, so from cells c_i at sizes x_i
     #   M_k(T) = sum_i c_i x_i^k 1F1(k-1; k+nu+1; -2 rho x_i T)
     # (DLMF 13.2.2; Ziff & McGrady, J. Phys. A 18, 3027, 1985). At x_min = 1e-8
-    # the cut is far below the error, so the cell width sets it: second order
+    # the cut is far below the error, so the cell width sets it: second order,
+    # from A5's monodisperse start and from an exponential one of mean 1
     k = 0.6
-    errors, dusts = [], []
-    for n in (224, 448, 896):
-        text = A5_CONTROL_CONFIG.replace("grid.x_min = 1e-2", "grid.x_min = 1e-8")
-        run = cb.run(cb.parse_config_text(text.replace("grid.n_cells = 56", f"grid.n_cells = {n}")))
-        start, reps = run.states[0], run.grid.reps
-        rate = 2.0 * cb.moment(run.grid, start, 1.0) * float(run.times[-1])
-        b = k + run.law.nu + 1.0
-        with mp.workdps(30):
-            exact = float(
-                mp.fsum(
-                    start.contents[i] * mp.mpf(reps[i]) ** k * mp.hyp1f1(k - 1.0, b, -rate * reps[i])
-                    for i in np.flatnonzero(start.contents)
+    deep = A5_CONTROL_CONFIG.replace("grid.x_min = 1e-2", "grid.x_min = 1e-8")
+    starts = {
+        "monodisperse": deep,
+        "exponential": deep.replace("init.kind = monodisperse", "init.kind = exponential\ninit.mean = 1"),
+    }
+    for name, text in starts.items():
+        errors, dusts = [], []
+        for n in (224, 448, 896):
+            run = cb.run(cb.parse_config_text(text.replace("grid.n_cells = 56", f"grid.n_cells = {n}")))
+            start, reps = run.states[0], run.grid.reps
+            rate = 2.0 * cb.moment(run.grid, start, 1.0) * float(run.times[-1])
+            b = k + run.law.nu + 1.0
+            with mp.workdps(30):
+                exact = float(
+                    mp.fsum(
+                        start.contents[i] * mp.mpf(reps[i]) ** k * mp.hyp1f1(k - 1.0, b, -rate * reps[i])
+                        for i in np.flatnonzero(start.contents)
+                    )
                 )
-            )
-        errors.append(float(run.moments(k)[-1]) / exact - 1.0)
-        dusts.append(float(run.dust[-1]))
-    orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
-    ok = min(orders) >= 1.9 and abs(errors[-1]) < 5e-6 and max(dusts) < 1e-10
-    _verdict(
-        "E1",
-        ok,
-        f"M_0.6(T) relative errors {', '.join(f'{e:.2e}' for e in errors)} at 224, 448, 896 cells, "
-        f"orders {', '.join(f'{o:.2f}' for o in orders)} (>=1.9, A3 gates 0.9), "
-        f"|error| at 896 < 5e-6, dust {max(dusts):.1e} (<1e-10)",
-    )
+            errors.append(float(run.moments(k)[-1]) / exact - 1.0)
+            dusts.append(float(run.dust[-1]))
+        orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
+        ok = min(orders) >= 1.9 and abs(errors[-1]) < 5e-6 and max(dusts) < 1e-10
+        _verdict(
+            "E1",
+            ok,
+            f"{name} start: M_0.6(T) relative errors {', '.join(f'{e:.2e}' for e in errors)} "
+            f"at 224, 448, 896 cells, orders {', '.join(f'{o:.2f}' for o in orders)} "
+            f"(>=1.9, A3 gates 0.9), |error| at 896 < 5e-6, dust {max(dusts):.1e} (<1e-10)",
+        )
 
 
 def test_a6_uniqueness_gronwall(a1_run):

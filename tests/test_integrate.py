@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -1026,6 +1027,24 @@ def test_picard_keeps_mass_plus_dust_at_any_tolerance(tol):
     rho = cb.moment(ws.grid, state0, 1.0)
     state = cb.picard_solve(ws, state0, 0.1, max_iter=40, tol=tol).state
     assert abs(cb.moment(ws.grid, state, 1.0) + state.dust_mass - rho) <= 1e-14 * rho
+
+
+def test_picard_window_peaks_at_the_iterate_plus_three_batch_arrays():
+    # one 0.1 window of A8's physics at 20,000 cells: the (9, N) iterate plus the
+    # right-hand side's three batch arrays, 4.11 batches measured; a distance
+    # scratch kept into the next call adds one more (5.11). numpy's iteration
+    # buffers, at most 8192 doubles, are under 1% of a batch here
+    n = 20_000
+    config = cb.parse_config_text(A8_CONFIG.replace("grid.n_cells = 64", f"grid.n_cells = {n}"))
+    ws, state0 = cb.build_problem(config)
+    tracemalloc.start()
+    try:
+        result = cb.picard_solve(ws, state0, 0.1, config.picard_max_iter, config.picard_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations > 1
+    assert peak <= 4.5 * (9 * n * 8)
 
 
 def test_picard_zero_horizon_returns_a_copy_of_the_start_with_no_rhs(truncated_problem, monkeypatch):

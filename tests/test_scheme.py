@@ -139,11 +139,16 @@ def test_rank_one_rhs_is_bitwise_the_rank_two_sum(case, n):
     dc, dd = cb.rhs_arrays(ws, batch)
     ref_dc, ref_dd = rank_two_rhs(ws, batch)
     assert dc.tobytes() == ref_dc.tobytes() and dd.tobytes() == ref_dd.tobytes()
-    for contents in batch:
+    # an empty top cell's rate is 0 times its negative own change, -0.0, and the
+    # -0.0 that rhs_arrays adds above the top cell keeps the sign bit
+    assert np.all(dc[5:, -1] == 0.0) and np.all(np.signbit(dc[5:, -1]))
+    for row, contents in enumerate(batch):
         single_dc, single_dd = cb.rhs_arrays(ws, contents)
         ref_dc, ref_dd = rank_two_rhs(ws, contents)
         assert single_dc.tobytes() == ref_dc.tobytes()
         assert single_dd.hex() == float(ref_dd).hex()
+        if row >= 5:
+            assert single_dc[-1] == 0.0 and np.signbit(single_dc[-1])
 
 
 def test_precompute_is_linear_in_cells():
