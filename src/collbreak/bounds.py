@@ -160,8 +160,8 @@ class BoundsReport:
 def regime_report(kernel: KernelSpec, law: DaughterLaw) -> BoundsReport:
     """A report holding only the checklist and the regime read from it.
 
-    Its ``entry()`` is exactly {"regime", "checklist"}: what ``collbreak
-    regime`` prints.
+    Its ``entry()`` is exactly {"regime", "checklist"}: physics alone,
+    without initial data.
     """
     checklist = hypothesis_checklist(kernel, law)
     holding = {check["hypothesis"] for check in checklist if check["holds"]}

@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, bounds, regime, verify, distance, shatter-study, crossval.
+"""Command-line interface: simulate, bounds, verify, distance, shatter-study, crossval.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (step-size collapse, no Picard contraction, or a run beyond ``verify``'s
@@ -82,7 +82,8 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if ok else _numerical_failure(diagnostics.budget_excess(drift, run.rho))
 
 
-def _initial_report(config):
+def _cmd_bounds(args) -> int:
+    config = parse_config(args.config)
     workspace, state0 = build_problem(config)
     grid, k0 = workspace.grid, config.law.k0
     payload = bounds_mod.initial_bounds(config.kernel, config.law, grid, state0).entry()
@@ -91,18 +92,7 @@ def _initial_report(config):
         "M_k0": moment(grid, state0, k0),
         "M_1+k0": moment(grid, state0, 1.0 + k0),
     }
-    return payload
-
-
-def _cmd_bounds(args) -> int:
-    config = parse_config(args.config)
-    _emit_json(_initial_report(config))
-    return EXIT_OK
-
-
-def _cmd_regime(args) -> int:
-    config = parse_config(args.config)
-    _emit_json(bounds_mod.regime_report(config.kernel, config.law).entry())
+    _emit_json(payload)
     return EXIT_OK
 
 
@@ -173,10 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", help="output directory (overrides output.dir)")
 
-    p = sub.add_parser("bounds", help="constants and horizons for a configuration")
-    p.add_argument("config")
-
-    p = sub.add_parser("regime", help="theorem coverage of a configuration")
+    p = sub.add_parser("bounds", help="regime, hypothesis checklist and constants of a configuration")
     p.add_argument("config")
 
     p = sub.add_parser("verify", help="run the check battery on an emitted run")

@@ -260,6 +260,128 @@ def test_e1_product_kernel_against_its_closed_form():
         )
 
 
+E2_CONFIG = """
+kernel.lambda1 = 0
+kernel.lambda2 = 0
+daughter.nu = -0.5
+daughter.k0 = 0.5
+grid.x_min = 1e-24
+grid.x_max = 2
+grid.n_cells = 680
+init.kind = monodisperse
+init.size = 1
+init.mass = 1
+time.t_end = 1
+"""
+
+
+def _e2_problem(text):
+    """Workspace, start and blow-up time T* = (nu+1) / (2 M_0(0)) of an E2 config."""
+    config = cb.parse_config_text(text)
+    workspace, state0 = cb.build_problem(config)
+    t_star = (config.law.nu + 1.0) / (2.0 * cb.moment(workspace.grid, state0, 0.0))
+    return workspace, state0, t_star
+
+
+def test_e2_constant_kernel_against_its_closed_form():
+    # Phi = 2 closes the moment hierarchy: dM_k/dt = 2 (1-k)/(k+nu+1) M_k M_0, so
+    # M_0 blows up at T* = (nu+1) / (2 M_0(0)) and
+    #   M_k(t) = M_k(0) (1 - t/T*)^(-(1-k)(nu+1)/(k+nu+1))
+    # At x_min = 1e-24 the cut is far below the error before T*, so the cell
+    # width sets it: second order at 28, 56 and 112 cells per decade
+    for fraction in (0.5, 0.9):
+        errors = {0.5: [], 1.5: []}
+        dusts = []
+        for n in (680, 1361, 2722):
+            text = E2_CONFIG.replace("grid.n_cells = 680", f"grid.n_cells = {n}")
+            workspace, state0, t_star = _e2_problem(text)
+            run = cb.simulate(workspace, state0, np.array([0.0, fraction * t_star]))
+            nu = run.law.nu
+            for k, errs in errors.items():
+                growth = (1.0 - fraction) ** (-(1.0 - k) * (nu + 1.0) / (k + nu + 1.0))
+                exact = cb.moment(run.grid, state0, k) * growth
+                errs.append(float(run.moments(k)[-1]) / exact - 1.0)
+            dusts.append(float(run.dust[-1] / run.rho))
+        orders = {k: [float(np.log2(a / b)) for a, b in zip(e, e[1:])] for k, e in errors.items()}
+        ok = (
+            min(min(o) for o in orders.values()) >= 1.9
+            and max(abs(e[-1]) for e in errors.values()) < 2e-5
+            and max(dusts) < 1e-20
+        )
+        _verdict(
+            "E2",
+            ok,
+            f"t = {fraction} T*: "
+            + "; ".join(
+                f"M_{k}(t) relative errors {', '.join(f'{e:.2e}' for e in errs)}, "
+                f"orders {', '.join(f'{o:.2f}' for o in orders[k])}"
+                for k, errs in errors.items()
+            )
+            + f" at 680, 1361, 2722 cells (>=1.9, |error| at 2722 < 2e-5), dust/rho {max(dusts):.1e} (<1e-20)",
+        )
+
+
+@pytest.mark.parametrize("x_min, n", [(1e-8, 232), (1e-16, 456)])
+def test_e2_dust_takes_the_mass_at_t_star(x_min, n):
+    # past T* no solution conserves mass: at 28 cells per decade the dust
+    # jumps from a trace before T* to all the mass after it. Deeper cuts
+    # collapse the explicit step before 1.02 T*
+    text = E2_CONFIG.replace("grid.x_min = 1e-24", f"grid.x_min = {x_min}").replace(
+        "grid.n_cells = 680", f"grid.n_cells = {n}"
+    )
+    workspace, state0, t_star = _e2_problem(text)
+    run = cb.simulate(workspace, state0, np.array([0.0, 0.98 * t_star, 1.02 * t_star]))
+    before, after = (float(d / run.rho) for d in run.dust[1:])
+    ok = before < 1e-6 and after > 0.99
+    _verdict(
+        "E2",
+        ok,
+        f"x_min = {x_min:g}: dust/rho {before:.2e} at 0.98 T* (<1e-6), {after:.5f} at 1.02 T* (>0.99)",
+    )
+
+
+F8_CONFIG = """
+kernel.lambda1 = {l1}
+kernel.lambda2 = {l2}
+daughter.nu = {nu}
+daughter.k0 = {k0}
+grid.x_min = 1e-4
+grid.x_max = 10
+grid.n_cells = 100
+init.kind = exponential
+init.mass = 1
+init.mean = 1
+time.t_end = {t_end!r}
+"""
+
+
+@pytest.mark.parametrize(
+    "l1, l2, nu, k0",
+    [(0.3, 0.3, -1.2, 0.25), (0.3, 0.6, -1.2, 0.3), (0.45, 0.45, -1.4, 0.42)],
+    ids=["row1", "row2", "row3"],
+)
+def test_f8_local_existence_conserves_mass_before_t_k0(l1, l2, nu, k0):
+    # the local-existence theorem (2 k0 <= lambda < 1, k0 <= lambda1): a
+    # mass-conserving solution up to T_k0, so at 0.9 T_k0 the dust is the
+    # grid's cut and falls at least 2x per decade of x_min
+    physics = dict(l1=l1, l2=l2, nu=nu, k0=k0)
+    config = cb.parse_config_text(F8_CONFIG.format(**physics, t_end=1.0))
+    workspace, state0 = cb.build_problem(config)
+    report = cb.initial_bounds(config.kernel, config.law, workspace.grid, state0)
+    assert report.regime is cb.Regime.LOCAL_EXISTENCE
+    config = cb.parse_config_text(F8_CONFIG.format(**physics, t_end=0.9 * report.t_k0))
+    study = cb.shattering_study(config, [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    drift = max(d for _, _, d in study.rows)
+    ok = study.verdict == "conservative" and study.per_decade_factor >= 2.0 and study.over_budget is None
+    _verdict(
+        "F8",
+        ok,
+        f"(l1, l2, nu, k0) = ({l1}, {l2}, {nu}, {k0}), T_k0={report.t_k0:.4f}: at 0.9 T_k0 over "
+        f"x_min 1e-4 ... 1e-12 {study.verdict}, dust falls {study.per_decade_factor:.2f}x per decade (>=2), "
+        f"max drift {drift:.1e} within the mass budget: {study.over_budget is None}",
+    )
+
+
 def test_a6_uniqueness_gronwall(a1_run):
     base = a1_run
     config = cb.parse_config_text(A1_CONFIG)

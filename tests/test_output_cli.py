@@ -392,15 +392,15 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._parser.cache_clear()
     cfg = _write(tmp_path, BASE_CONFIG)
-    assert main(["regime", cfg]) == 0
-    assert main(["regime", cfg]) == 0
-    assert len(built) == 8 and built[0] == "collbreak"
+    assert main(["bounds", cfg]) == 0
+    assert main(["bounds", cfg]) == 0
+    assert len(built) == 7 and built[0] == "collbreak"
     out = capsys.readouterr().out
     assert out[: len(out) // 2] * 2 == out
 
 
 def test_cli_runs_the_command_rebound_after_the_parser_is_built(tmp_path, capsys, monkeypatch):
-    assert main(["regime", _write(tmp_path, BASE_CONFIG)]) == 0
+    assert main(["bounds", _write(tmp_path, BASE_CONFIG)]) == 0
     seen = []
     monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.run_dir) or 4)
     assert main(["verify", "some-run"]) == 4
@@ -413,14 +413,19 @@ def test_cli_runs_the_command_rebound_after_the_parser_is_built(tmp_path, capsys
         (
             ["nosuch"],
             "collbreak: error: argument command: invalid choice: 'nosuch' (choose from "
-            "'simulate', 'bounds', 'regime', 'verify', 'distance', 'shatter-study', 'crossval')",
+            "'simulate', 'bounds', 'verify', 'distance', 'shatter-study', 'crossval')",
+        ),
+        (
+            ["regime", "case.cfg"],
+            "collbreak: error: argument command: invalid choice: 'regime' (choose from "
+            "'simulate', 'bounds', 'verify', 'distance', 'shatter-study', 'crossval')",
         ),
         (
             ["shatter-study", "case.cfg"],
             "collbreak shatter-study: error: the following arguments are required: --xmins",
         ),
     ],
-    ids=["unknown-command", "no-xmins"],
+    ids=["unknown-command", "regime-is-bounds", "no-xmins"],
 )
 def test_cli_usage_error_exits_2_and_the_next_command_runs(tmp_path, capsys, argv, message):
     cfg = _write(tmp_path, BASE_CONFIG)
@@ -430,19 +435,19 @@ def test_cli_usage_error_exits_2_and_the_next_command_runs(tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: collbreak")
     assert captured.err.endswith(message + "\n")
-    assert main(["regime", cfg]) == 0
+    assert main(["bounds", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["regime"] == "GlobalExistence"
 
 
 @pytest.mark.parametrize(
-    "command", [None, "simulate", "bounds", "regime", "verify", "distance", "shatter-study", "crossval"]
+    "command", [None, "simulate", "bounds", "verify", "distance", "shatter-study", "crossval"]
 )
 def test_cli_help_of_the_reused_parser_is_that_of_a_fresh_one(tmp_path, capsys, monkeypatch, command):
     # help after the process's parser has parsed a command and refused a
     # usage error, byte for byte as a newly built parser prints it
     monkeypatch.setenv("COLUMNS", "80")
     argv = ([command] if command else []) + ["--help"]
-    assert main(["regime", _write(tmp_path, BASE_CONFIG)]) == 0
+    assert main(["bounds", _write(tmp_path, BASE_CONFIG)]) == 0
     with pytest.raises(SystemExit):
         main(["nosuch"])
     capsys.readouterr()
@@ -572,12 +577,10 @@ def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_regime_and_bounds(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE_CONFIG)
-    assert main(["regime", cfg]) == 0
+    # bounds prints the regime beside the constants it implies
+    assert main(["bounds", _write(tmp_path, BASE_CONFIG)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["regime"] == "GlobalExistence"
-    assert main(["bounds", cfg]) == 0
-    payload = json.loads(capsys.readouterr().out)
     assert payload["existence"]["c1"] > 0.0
     assert "initial_moments" in payload
 
@@ -601,15 +604,18 @@ A4_CONFIG = (
     ids=["A1", "A4", "A5"],
 )
 def test_cli_regime_prints_the_regime_and_its_checklist(tmp_path, capsys, text, regime):
-    # the bytes of regime_report's regime beside hypothesis_checklist, as JSON
+    # bounds' regime and checklist keys: the bytes of regime_report's regime
+    # beside hypothesis_checklist, as JSON
     config = cb.parse_config_text(text)
     expected = {
         "regime": cb.regime_report(config.kernel, config.law).regime.value,
         "checklist": cb.hypothesis_checklist(config.kernel, config.law),
     }
     assert expected["regime"] == regime
-    assert main(["regime", _write(tmp_path, text)]) == 0
-    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert main(["bounds", _write(tmp_path, text)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    printed = {key: payload[key] for key in expected}
+    assert json.dumps(printed, indent=2, sort_keys=True) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def _break_mass_budget(out):
