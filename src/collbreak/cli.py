@@ -100,9 +100,7 @@ def _cmd_verify(args) -> int:
     run = load_run(args.run_dir)
     verdicts = diagnostics.run_verification(run)
     _emit_json({"run_dir": str(args.run_dir), "checks": verdicts})
-    if all(v["passed"] for v in verdicts):
-        return EXIT_OK
-    return EXIT_VERIFICATION
+    return EXIT_OK if all(v["passed"] for v in verdicts) else EXIT_VERIFICATION
 
 
 def _cmd_distance(args) -> int:

@@ -17,7 +17,7 @@ from .config import _cited, build_problem, run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
 from .errors import InputError
 from .grid import SizeGrid, State, weight_vector
-from .integrate import RunOutput, Tolerances, _require_truncation, picard_solve, row_blocks, simulate
+from .integrate import MASS_BUDGET, RunOutput, Tolerances, _require_truncation, picard_solve, row_blocks, simulate
 
 __all__ = [
     "weighted_distance",
@@ -37,8 +37,6 @@ __all__ = [
 # decade, far above, while the shattering limit gives ~1.
 _DECADE_FACTOR = 2.0
 
-# M_1 + dust is kept by every RHS and step up to round-off and clipping.
-_MASS_DRIFT_TOL = 1e-6
 # Tails never grow in the continuum, nor in a run beyond round-off: this
 # allowance, 1e-8 rho x^(k-1) per edge, is fixed and not tied to time.rel_tol.
 _TAIL_TOL = 1e-8
@@ -177,15 +175,15 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
 
 
 def mass_budget_check(run: RunOutput):
-    """Max drift of M_1(grid) + dust from the initial mass, against 1e-6 rho."""
+    """Max drift of M_1(grid) + dust from the initial mass, against ``MASS_BUDGET`` rho."""
     total = run.moments(1.0) + run.dust
     drift = float(np.max(np.abs(total - run.rho)))
-    return drift <= _MASS_DRIFT_TOL * run.rho, drift
+    return drift <= MASS_BUDGET * run.rho, drift
 
 
 def budget_excess(drift: float, rho: float) -> str:
     """The one line that reports a ``mass_budget_check`` drift beyond the budget of mass ``rho``."""
-    budget = f"{_MASS_DRIFT_TOL:g} rho = {_MASS_DRIFT_TOL * rho:.3e}"
+    budget = f"{MASS_BUDGET:g} rho = {MASS_BUDGET * rho:.3e}"
     return f"max |M_1 + dust - rho| = {drift:.3e}, beyond the mass budget {budget}"
 
 

@@ -88,8 +88,8 @@ def build_grid(x_min: float, x_max: float, n_cells: int) -> SizeGrid:
 class State:
     """Cell particle counts plus the accumulated sub-grid dust mass.
 
-    ``clip_mass`` tracks the (round-off scale) mass created when the
-    integrator clips tiny negative counts back to zero.
+    ``clip_mass`` tracks the mass created when the integrator clips
+    negative counts back to zero, at most 1e-12 of the mass per accepted step.
     """
 
     contents: np.ndarray

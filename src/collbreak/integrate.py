@@ -25,14 +25,14 @@ __all__ = [
     "picard_solve",
 ]
 
-# Negative contents beyond this fraction of the state scale force a step
-# rejection; anything shallower is round-off and gets clipped to zero.
-_NEG_FLOOR_FRACTION = 1e-14
-
 # Accepted steps after which ``simulate`` gives up on reaching t_end.  The
 # largest run on record needs about 1e5, so this bounds the work of any input
 # with 10x headroom and fails it the same way on every machine.
 MAX_STEPS = 10**6
+
+# The drift of M_1 + dust that ``diagnostics`` allows a run, as a fraction of rho.  No step may
+# clip more than MASS_BUDGET / MAX_STEPS of its mass, so no run within MAX_STEPS breaks it by clipping.
+MASS_BUDGET = 1e-6
 
 # Doubles of scratch in one row block of a pass over a run's contents matrix
 # (64 KiB), so a pass holds its record plus O(n_cells + block), not a copy.
@@ -127,9 +127,9 @@ def step(
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
-    1/5.  Halves the step until that estimate passes and no content would
-    land below -1e-14 times the state scale; ``_finish`` clips accepted
-    round-off negatives to zero, the created mass tracked in ``clip_mass``.
+    1/5.  Halves the step until that estimate passes and zeroing the negative
+    contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
+    of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
     After an accepted step that clipped, the next step grows no further
     than this one, which stands at the positivity limit.  ``history`` is
     the (dt_prev, r_prev) of the previous accepted step, None on a run's
@@ -154,10 +154,9 @@ def step(
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
-    weights = workspace.error_weights
+    weights, reps = workspace.error_weights, workspace.grid.reps
     c = state.contents
     weighted = np.abs(c)
-    neg_floor = _NEG_FLOOR_FRACTION * float(weighted.max(initial=0.0))
     weighted *= weights
     tol_value = tol.abs_tol + tol.rel_tol * float(weighted.sum())
 
@@ -179,7 +178,8 @@ def step(
             err *= weights
             est = float(err.sum())
             low = float(y_new.min(initial=0.0))
-            if est <= tol_value and low >= -neg_floor:
+            allowed = MASS_BUDGET / MAX_STEPS * ((reps * c).sum() + state.dust_mass) if low < 0.0 else 0.0
+            if est <= tol_value and (low >= 0.0 or _clipped_mass(reps, y_new) <= allowed):
                 break
             del ks[1:], ds[1:]
             # an overflowing stage is a rejected attempt; non-finite start rates are not
@@ -247,7 +247,7 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
     state.time) / dt, over the step's seven ``stages``, so M_1 + dust holds
     as per right-hand side.  The contents are written into ``out`` and
     finished by ``_finish``, as ``step``'s are: a clip goes into this
-    state's ``clip_mass`` only.  Costs no right-hand side.
+    state's ``clip_mass`` only, uncapped.  Costs no right-hand side.
     """
     ks, ds = stages
     theta = (time - state.time) / dt
@@ -264,15 +264,19 @@ def _finish(grid, start: State, contents, row, dt, ds, time) -> State:
     over the (j, a_j) pairs of ``row``."""
     clipped = 0.0
     if contents.min(initial=0.0) < 0.0:
-        negative = contents < 0.0
-        clipped = float((grid.reps[negative] * -contents[negative]).sum())
-        contents[negative] = 0.0
+        clipped = _clipped_mass(grid.reps, contents)
+        contents[contents < 0.0] = 0.0
     return State(
         contents=contents,
         dust_mass=start.dust_mass + sum((dt * a) * ds[j] for j, a in row),
         time=time,
         clip_mass=start.clip_mass + clipped,
     )
+
+
+def _clipped_mass(reps, contents) -> float:
+    """sum reps max(-contents, 0): the mass that zeroing the negative ``contents`` creates."""
+    return float((reps * -contents)[contents < 0.0].sum())
 
 
 def _increment(row, ks, dt, out, term):

@@ -20,9 +20,8 @@ import numpy as np
 
 from collbreak import DomainError, State, Tolerances
 from collbreak.grid import weight_vector
+from collbreak.integrate import MASS_BUDGET, MAX_STEPS
 from collbreak.scheme import rhs_arrays
-
-NEG_FLOOR_FRACTION = 1e-14
 
 # (stage index, a_j) of stages 2 to 6, of y_new (the b weights) and of the
 # error weights b - b_hat, zeros left out
@@ -61,6 +60,12 @@ def _combine(row, ks, dt):
     return total
 
 
+def _clipped(grid, contents):
+    """sum reps max(-c, 0), the mass that zeroing the negative contents creates."""
+    negative = contents < 0.0
+    return float(np.sum(grid.reps[negative] * -contents[negative]))
+
+
 def oracle_step(workspace, state, dt_target, tol, history=None):
     """One accepted seven-stage step; returns (new_state, dt_used, dt_next, (dt_used, r)).
 
@@ -71,8 +76,8 @@ def oracle_step(workspace, state, dt_target, tol, history=None):
     grid = workspace.grid
     weights = weight_vector(grid, workspace.law.k0)
     y = _augment(state)
-    scale = float(np.max(np.abs(y[:-1]), initial=0.0))
-    neg_floor = NEG_FLOOR_FRACTION * scale
+    # a step may clip at most MASS_BUDGET / MAX_STEPS of the mass M_1 + dust at its start
+    clip_allowance = MASS_BUDGET / MAX_STEPS * (float(np.sum(grid.reps * y[:-1])) + float(y[-1]))
     tol_value = tol.abs_tol + tol.rel_tol * float(np.sum(weights * np.abs(y[:-1])))
 
     dt = float(dt_target)
@@ -84,7 +89,7 @@ def oracle_step(workspace, state, dt_target, tol, history=None):
         y_new = _combine(B, ks, dt) + y
         ks.append(_f(workspace, y_new))
         est = float(np.sum(weights * np.abs(_combine(E, ks, dt)[:-1])))
-        if est <= tol_value and float(np.min(y_new[:-1], initial=0.0)) >= -neg_floor:
+        if est <= tol_value and _clipped(grid, y_new[:-1]) <= clip_allowance:
             break
         dt /= 2.0
 
@@ -103,18 +108,13 @@ def oracle_step(workspace, state, dt_target, tol, history=None):
         factor = min(factor, max(0.2, predicted))
     dt_next = dt * factor
 
-    contents = y_new[:-1]
-    clipped = 0.0
-    negative = contents < 0.0
-    if np.any(negative):
-        clipped = float(np.sum(grid.reps[negative] * -contents[negative]))
-        contents = contents.copy()
-        contents[negative] = 0.0
+    contents = y_new[:-1].copy()
+    contents[contents < 0.0] = 0.0
     new_state = State(
         contents=contents,
         dust_mass=float(y_new[-1]),
         time=state.time + dt,
-        clip_mass=state.clip_mass + clipped,
+        clip_mass=state.clip_mass + _clipped(grid, y_new[:-1]),
     )
     return new_state, dt, dt_next, (dt, r)
 

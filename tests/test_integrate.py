@@ -418,15 +418,16 @@ def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
 
 
-def test_steps_after_guard_refusals_stay_cheap_with_no_guard_cap(clip_problem, monkeypatch):
+def test_the_clip_cap_keeps_steps_after_positivity_refusals_cheap(clip_problem, monkeypatch):
     # On the clip problem almost every rejected attempt passes the error
-    # test and fails only the negative-content guard.  Growing dt 5x after
-    # such a step only to halve it again threw away most RHS calls (6888 in
-    # 335 accepted steps).  Capping dt_next at dt_used after a guard-only
-    # refusal made 4145 in 333, and with no growth after a clipped step
-    # either, 2935 in 416 (3230 in 459 with Gustafsson's predictive step
-    # size).  The clip cap and the predictor now do that cap's work alone:
-    # 3232 calls in 460 steps, and some step after a rejection still keeps
+    # test and fails only the positivity test.  Growing dt 5x after such a
+    # step only to halve it again threw away most RHS calls (6888 in 335
+    # accepted steps, under the earlier floor of -1e-14 max|c|).  Capping
+    # dt_next at dt_used after a refusal that only positivity made took 4145
+    # in 333, and with no growth after a clipped step either, 2935 in 416
+    # (3230 in 459 with Gustafsson's predictive step size).  The clip cap and
+    # the predictor do that cap's work alone: 3239 calls in 461 steps under
+    # the per-step mass cap, and some step after a rejection still keeps
     # dt_next at dt_used.
     ws, s0 = clip_problem
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
@@ -512,9 +513,10 @@ F2_CONFIG = (
 )
 
 # F8's first row of the ROADMAP: LocalExistence physics at x_min = 1e-10, run
-# up to 10 T_k0, where the explicit step clips 2.097e-5 rho of mass into
-# existence, 21 times the mass budget (at 1e-8 the clip, 9.1e-8 rho, is within
-# it, and at 1e-9, 1.66e-6 rho, too close to it to reproduce the defect for long)
+# up to 10 T_k0.  The emptying top cells hold the explicit step at the
+# positivity limit: it clips 8.1e-12 rho of mass into existence in 45,828 RHS
+# calls (2.097e-5 rho, 21 times the mass budget, in 22,062 while a step was
+# refused only below -1e-14 max|c|)
 F8_CONFIG = """
 kernel.lambda1 = 0.3
 kernel.lambda2 = 0.3
@@ -532,17 +534,41 @@ time.snapshots = 2
 
 
 def test_partial_shattering_at_the_positivity_limit_passes_verification(monkeypatch):
-    # Growing dt after each clipped step only to halve it again took 16,811
-    # RHS calls here and clipped 4.1e-6 rho of mass into existence, beyond
-    # the mass budget; with no growth after a clip it takes 8,749 and 6.1e-8,
-    # and 6,013 and 3.2e-8 with Gustafsson's predictive step size (19,329
-    # and 1.0e-5 with the predictor but with no cap after a clip)
+    # Under the earlier floor of -1e-14 max|c|, growing dt after each clipped
+    # step only to halve it again took 16,811 RHS calls here and clipped
+    # 4.1e-6 rho of mass into existence, beyond the mass budget; with no
+    # growth after a clip it took 8,749 and 6.1e-8, and 6,013 and 3.2e-8 with
+    # Gustafsson's predictive step size (19,329 and 1.0e-5 with the predictor
+    # but with no cap after a clip).  The per-step mass cap takes 6,489 and
+    # 9.6e-13.
     ws, s0, times, tol = _problem(F2_CONFIG, 1e-8)
     run, calls = _counted_simulate(monkeypatch, ws, s0, times, tol)
     assert calls <= 10_000
     assert float(np.max(run.clip)) <= 1e-6 * run.rho
     failed = [v for v in cb.run_verification(run) if not v["passed"]]
     assert failed == []
+
+
+def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypatch):
+    # F2 at x_min = 1e-10 clips on most of its 4,693 steps.  Each may create
+    # at most MASS_BUDGET / MAX_STEPS of M_1 + dust at its start, so no run
+    # that ends within MAX_STEPS breaks the budget through clipping; the
+    # allowance beside it is the rounding of the running clip_mass sum.
+    ws, s0, times, tol = _problem(F2_CONFIG, 1e-10)
+    share = integrate.MASS_BUDGET / integrate.MAX_STEPS
+    steps, real_step = [], integrate.step
+
+    def recorded(workspace, state, dt_target, tol, rates=None, history=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history)
+        mass = float((ws.grid.reps * state.contents).sum()) + state.dust_mass
+        clip = result[0].clip_mass
+        steps.append((clip - state.clip_mass, share * mass + 2.0 * np.spacing(clip)))
+        return result
+
+    monkeypatch.setattr(integrate, "step", recorded)
+    cb.simulate(ws, s0, times, tol)
+    assert any(added > 0.0 for added, _ in steps)
+    assert all(added <= cap for added, cap in steps)
 
 
 def test_step_returns_rates_at_new_state(small_problem):

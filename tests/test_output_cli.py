@@ -23,7 +23,7 @@ from collbreak.cli import main
 from collbreak.output import _content_hash
 import test_acceptance
 from conftest import config_text, run_in_fresh_process
-from test_diagnostics import A8_CROSSVAL
+from test_diagnostics import A8_CROSSVAL, F8_FLOOR_EXCESS, with_dust_excess
 from test_integrate import F2_CONFIG, F8_CONFIG, PICARD_OVERFLOW_CONFIG
 
 BASE_CONFIG = """
@@ -846,9 +846,23 @@ def test_cli_stiffness_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_simulate_exits_3_on_a_run_beyond_the_mass_budget(tmp_path, capsys):
-    # F8's first row clips 2.097e-5 rho of mass into existence: simulate keeps
-    # the run directory and its summary for verify, and exits 3
+def _f8_beyond_the_mass_budget(monkeypatch):
+    """Make the runs of F8's first row at x_min = 1e-10 come back with the 2.097e-5 rho that the
+    old negative-content floor let them clip, added to the dust, so the record breaks the budget."""
+    real_run = cli.run_config
+
+    def doctored(config):
+        run = real_run(config)
+        return with_dust_excess(run, *F8_FLOOR_EXCESS) if config.x_min == 1e-10 else run
+
+    monkeypatch.setattr(cli, "run_config", doctored)
+    monkeypatch.setattr(cb.diagnostics, "run_config", doctored)
+
+
+def test_cli_simulate_exits_3_on_a_run_beyond_the_mass_budget(tmp_path, capsys, monkeypatch):
+    # a record with 2.097e-5 rho of mass beyond the budget: simulate keeps the
+    # run directory and its summary for verify, and exits 3
+    _f8_beyond_the_mass_budget(monkeypatch)
     out = tmp_path / "out"
     assert main(["simulate", _write(tmp_path, F8_CONFIG), "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -863,7 +877,7 @@ def test_cli_simulate_exits_3_on_a_run_beyond_the_mass_budget(tmp_path, capsys):
 
 
 def test_cli_simulate_exits_0_on_partial_shattering_within_the_mass_budget(tmp_path, capsys):
-    # F2 at x_min = 1e-8 clips on most steps and drifts 6.1e-8 rho
+    # F2 at x_min = 1e-8 clips on most steps and drifts 9.6e-13 rho
     config = cb.with_x_min(cb.parse_config_text(F2_CONFIG), 1e-8)
     assert main(["simulate", _write(tmp_path, config_text(config)), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
@@ -884,8 +898,9 @@ def test_cli_shatter_study_output(tmp_path, capsys):
     assert len(payload["rows"]) == 3
 
 
-def test_cli_shatter_study_exits_3_naming_the_first_cut_beyond_the_mass_budget(tmp_path, capsys):
-    # F8's first row: the 1e-10 cut clips 2.097e-5 rho into existence, the run simulate exits 3 on
+def test_cli_shatter_study_exits_3_naming_the_first_cut_beyond_the_mass_budget(tmp_path, capsys, monkeypatch):
+    # F8's first row with 2.097e-5 rho beyond the budget at the 1e-10 cut, the record simulate exits 3 on
+    _f8_beyond_the_mass_budget(monkeypatch)
     assert main(["shatter-study", _write(tmp_path, F8_CONFIG), "--xmins", "1e-4,1e-7,1e-10"]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
