@@ -140,7 +140,7 @@ class ShatterStudy:
         }
 
 
-def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
+def shattering_study(config, x_mins) -> ShatterStudy:
     """Refinement sweep of the grid cutoff at otherwise fixed physics.
 
     Runs the configuration once per distinct ``x_min`` (cells per decade held
@@ -155,10 +155,9 @@ def shattering_study(config, x_mins, runner=None) -> ShatterStudy:
     if len(x_mins) < 3:
         raise InputError("need at least 3 distinct x_min values for a refinement trend")
     cuts = [with_x_min(config, x_min) for x_min in x_mins]
-    runner = runner or run_config
     rows, over_budget = [], None
     for x_min, cut in zip(x_mins, cuts):
-        out = runner(cut)
+        out = run_config(cut)
         frac = float(out.dust[-1] / out.rho)
         if not frac > 0.0:
             raise InputError(f"dust fraction {frac:g} at x_min={x_min:g} leaves no trend to fit")

@@ -61,10 +61,7 @@ class ContractionError(CollbreakError):
     """Fixed-point iteration failed to converge within the iteration budget."""
 
     def __init__(self, residual, iterations):
-        super().__init__(
-            f"no contraction after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
+        super().__init__(f"no contraction after {iterations} iterations (residual {residual:.3e})")
         self.residual = residual
         self.iterations = iterations
 

@@ -127,18 +127,28 @@ def check_initial_data(x_min: float, x_max: float, mass, size, mean) -> None:
         raise DomainError(f"mass must be finite and positive, got {mass}", param="mass")
 
 
+def _rescaled(state: State, factor: float) -> State:
+    """``state`` with its contents times ``factor``, refused (key ``mass``) if they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.contents *= factor
+    if not np.isfinite(state.contents).all():
+        raise DomainError("initial data overflows double precision", param="mass")
+    return state
+
+
 def monodisperse_state(grid: SizeGrid, size: float, mass: float) -> State:
     """All mass in the cell [lo, hi) holding ``size`` (x_max in the last); M_1 = mass.
 
-    A mass whose content in that cell underflows to zero is refused.
+    A mass whose content in that cell underflows to zero or overflows is refused.
     """
     check_initial_data(grid.x_min, grid.x_max, mass, size=size, mean=None)
     i = min(int(np.searchsorted(grid.edges, size, side="right")) - 1, grid.n_cells - 1)
-    contents = np.zeros(grid.n_cells)
-    contents[i] = mass / grid.reps[i]
-    if contents[i] == 0.0:
+    state = State(np.zeros(grid.n_cells))
+    state.contents[i] = 1.0
+    state = _rescaled(state, mass / float(grid.reps[i]))  # Python's division: inf on overflow, no warning
+    if state.contents[i] == 0.0:
         raise DomainError(f"mass {mass} underflows to zero in the cell holding size {size}", param="mass")
-    return State(contents)
+    return state
 
 
 def exponential_state(grid: SizeGrid, mass: float, mean: float) -> State:
@@ -147,7 +157,7 @@ def exponential_state(grid: SizeGrid, mass: float, mean: float) -> State:
     Each cell holds the exact integral of ``scale * exp(-x / mean)`` over
     it, written with ``expm1`` so that narrow cells lose no digits; the
     contents are then rescaled so the grid mass M_1 equals ``mass``.  A
-    mass whose M_1 overflows is refused, without a floating-point warning.
+    mass whose M_1 or contents overflow is refused, with no floating-point warning.
     """
     check_initial_data(grid.x_min, grid.x_max, mass, size=None, mean=mean)
     scale = mass / mean**2
@@ -159,8 +169,7 @@ def exponential_state(grid: SizeGrid, mass: float, mean: float) -> State:
         raise DomainError("the grid mass M_1 overflows double precision", param="mass")
     if raw <= 0.0:
         raise DomainError("initial density carries no mass on the grid", param="mean")
-    state.contents *= mass / raw
-    return state
+    return _rescaled(state, mass / raw)
 
 
 def table_state(grid, sizes, densities, mass: float | None = None) -> State:
@@ -172,7 +181,8 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
     on any other grid the step density is integrated exactly, as the sum of
     density times overlap length over the bins each cell meets, in
     O(cells + rows).  A table with no mass on the grid or an overflowing M_1
-    is refused, with or without ``mass``; refusals of the table name ``path``.
+    is refused, with or without ``mass``; refusals of the table name ``path``,
+    and contents that overflow on the rescale to ``mass`` name ``mass``.
     """
     check_initial_data(grid.x_min, grid.x_max, mass, size=None, mean=None)
     sizes = np.asarray(sizes, dtype=float)
@@ -214,6 +224,4 @@ def table_state(grid, sizes, densities, mass: float | None = None) -> State:
         raise DomainError("table contents overflow double precision", param="path")
     if raw <= 0.0:
         raise DomainError("table carries no mass on the grid", param="path")
-    if mass is not None:
-        state.contents *= mass / raw
-    return state
+    return state if mass is None else _rescaled(state, mass / raw)

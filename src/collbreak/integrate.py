@@ -518,11 +518,13 @@ def picard_solve(
     lands within 1e-12 of a tight RK run, in the weighted distance.
 
     Iteration k measures diff_k, the largest distance between successive
-    trajectories at a node in the norm ||.||_k0 + ||.||_1, and stops once
-    the distance left to the fixed point is at most ``tol``: when
-    diff_k <= tol, or when the ratio q = diff_k / diff_(k-1) is below 1 and
-    diff_k q / (1 - q) <= tol, the geometric bound on the remaining
-    corrections (Hairer & Wanner, *Solving ODEs II*, IV.8, eqs. 8.10-8.11).
+    trajectories at a node in the weighted norm of ``weighted_distance``,
+    whose weights ``workspace.error_weights`` the RK error estimate reads
+    too, and stops once the distance left to the fixed point is at most
+    ``tol``: when diff_k <= tol, or when the ratio q = diff_k / diff_(k-1)
+    is below 1 and diff_k q / (1 - q) <= tol, the geometric bound on the
+    remaining corrections (Hairer & Wanner, *Solving ODEs II*, IV.8, eqs.
+    8.10-8.11), which holds in any norm the iteration contracts in.
     Picard's successive ratios fall, its error going like (LT)^k / k!, so
     the bound over-counts what is left.  At k = 1, and while q >= 1, only
     diff_k <= tol stops; a run that does not contract within ``max_iter``
@@ -552,8 +554,6 @@ def picard_solve(
     if t_end == 0.0:
         return PicardResult(state0.copy(), [], 0)
 
-    grid = workspace.grid
-    norm_weights = grid.reps**workspace.law.k0 + grid.reps
     weights = t_end * _PICARD_W
     c0 = state0.contents
 
@@ -566,7 +566,7 @@ def picard_solve(
         del rates  # free the batch before the next call
         gap = np.subtract(new, traj)
         np.abs(gap, out=gap)
-        gap *= norm_weights
+        gap *= workspace.error_weights
         diff = float(gap.sum(axis=1).max())
         del gap  # free the scratch before the next call
         traj = new
@@ -576,11 +576,6 @@ def picard_solve(
         ratio = diff / diffs[-2] if iteration > 1 else math.inf
         if diff <= tol or (ratio < 1.0 and diff * ratio / (1.0 - ratio) <= tol):
             dust = state0.dust_mass + sum(float(w) * float(d) for w, d in zip(weights[-1], dust_rates))
-            final = State(
-                contents=traj[-1].copy(),
-                dust_mass=dust,
-                time=state0.time + t_end,
-                clip_mass=state0.clip_mass,
-            )
+            final = State(traj[-1].copy(), dust, state0.time + t_end, state0.clip_mass)
             return PicardResult(final, diffs, iteration)
     raise ContractionError(diffs[-1], max_iter)

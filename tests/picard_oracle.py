@@ -7,14 +7,14 @@ antiderivative recurrence), not imported from ``integrate``.  Evaluates the
 right-hand side one node at a time, nine calls per iteration on a tiled
 initial state, and builds each new node from fresh temporaries, summed over
 the nodes' rates in node order.  It stops when successive trajectories
-differ by at most ``tol``, or when the ratio q of the last two differences
-is below 1 and the geometric bound diff q / (1 - q) on the distance left is
-at most ``tol``.  The dust integrates the dust rates of the converging
-iteration's calls with the weights of the last node.  Its
-arithmetic on every value that reaches the result is the same as
-``integrate.picard_solve``'s, so the two must agree bit for bit.  RHS calls
-go to ``scheme.rhs_arrays`` directly, so a counter on
-``integrate.rhs_arrays`` does not see them.
+differ by at most ``tol`` in the weighted norm sum max(x^k0, x^(1+k0)) |c_i|,
+or when the ratio q of the last two differences is below 1 and the geometric
+bound diff q / (1 - q) on the distance left is at most ``tol``.  The dust
+integrates the dust rates of the converging iteration's calls with the
+weights of the last node.  Its arithmetic on every value that reaches the
+result is the same as ``integrate.picard_solve``'s, so the two must agree
+bit for bit.  RHS calls go to ``scheme.rhs_arrays`` directly, so a counter
+on ``integrate.rhs_arrays`` does not see them.
 """
 
 import math
@@ -64,8 +64,8 @@ def integration_matrix(n=DEGREE):
 
 def oracle_picard(workspace, state0, t_end, max_iter=40, tol=1e-10):
     """(state, diffs, iterations) of the per-node Picard iteration."""
-    grid = workspace.grid
-    norm_weights = grid.reps**workspace.law.k0 + grid.reps
+    reps, k0 = workspace.grid.reps, workspace.law.k0
+    norm_weights = np.maximum(reps**k0, reps ** (1.0 + k0))  # the uniqueness metric's weights
     weights = [[t_end * w for w in row] for row in integration_matrix()]
     m = len(weights)
     c0 = state0.contents

@@ -335,26 +335,24 @@ class FakeRun:
         return 1.0 + self.drift - self.dust
 
 
-def test_shattering_study_verdicts_from_stub_runner():
+def test_shattering_study_verdicts_from_stub_runner(monkeypatch):
     config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
 
     # integrable-style leakage: two decades per decade of x_min
-    conservative = cb.shattering_study(
-        config, [1e-2, 1e-3, 1e-4], runner=lambda cfg: FakeRun(cfg.x_min**2)
-    )
+    monkeypatch.setattr(cb.diagnostics, "run_config", lambda cfg: FakeRun(cfg.x_min**2))
+    conservative = cb.shattering_study(config, [1e-2, 1e-3, 1e-4])
     assert conservative.verdict == "conservative"
     assert conservative.per_decade_factor == pytest.approx(100.0, rel=1e-6)
     # shattering-style: dust fraction refuses to decrease
-    shattering = cb.shattering_study(
-        config, [1e-2, 1e-3, 1e-4], runner=lambda cfg: FakeRun(0.5)
-    )
+    monkeypatch.setattr(cb.diagnostics, "run_config", lambda cfg: FakeRun(0.5))
+    shattering = cb.shattering_study(config, [1e-2, 1e-3, 1e-4])
     assert shattering.verdict == "shattering"
     assert shattering.per_decade_factor == pytest.approx(1.0, rel=1e-6)
     # table is ordered coarse to fine
     assert [r[0] for r in shattering.rows] == [1e-2, 1e-3, 1e-4]
 
 
-def test_shattering_study_runs_each_distinct_x_min_once():
+def test_shattering_study_runs_each_distinct_x_min_once(monkeypatch):
     config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
     runs = []
 
@@ -362,16 +360,17 @@ def test_shattering_study_runs_each_distinct_x_min_once():
         runs.append(cfg.x_min)
         return FakeRun(0.5)
 
+    monkeypatch.setattr(cb.diagnostics, "run_config", runner)
     # one grid repeated three times is a single point, not a trend
     with pytest.raises(InputError):
-        cb.shattering_study(config, [1e-2, 1e-2, 1e-2], runner=runner)
+        cb.shattering_study(config, [1e-2, 1e-2, 1e-2])
     assert runs == []
-    study = cb.shattering_study(config, [1e-2, 1e-2, 1e-3, 1e-4], runner=runner)
+    study = cb.shattering_study(config, [1e-2, 1e-2, 1e-3, 1e-4])
     assert runs == [1e-2, 1e-3, 1e-4]
     assert [r[0] for r in study.rows] == runs
 
 
-def test_shattering_study_refuses_a_too_fine_cut_before_any_run():
+def test_shattering_study_refuses_a_too_fine_cut_before_any_run(monkeypatch):
     # 5e4 cells per decade: the 1e-20 cut widens the grid past MAX_CELLS
     config = cb.parse_config_text("grid.x_min = 1e-3\ngrid.x_max = 10\ngrid.n_cells = 200000\n")
     runs = []
@@ -380,23 +379,26 @@ def test_shattering_study_refuses_a_too_fine_cut_before_any_run():
         runs.append(cfg.x_min)
         return FakeRun(0.5)
 
+    monkeypatch.setattr(cb.diagnostics, "run_config", runner)
     with pytest.raises(cb.ConfigError) as info:
-        cb.shattering_study(config, [1e-3, 1e-8, 1e-20], runner=runner)
+        cb.shattering_study(config, [1e-3, 1e-8, 1e-20])
     assert str(info.value) == f"grid.n_cells: need n_cells <= {cb.grid.MAX_CELLS}, got 1050000"
     assert runs == []
 
 
-def test_shattering_study_names_the_first_cut_beyond_the_mass_budget():
+def test_shattering_study_names_the_first_cut_beyond_the_mass_budget(monkeypatch):
     config = cb.parse_config_text("init.kind = monodisperse\ninit.size = 1\n")
     # powers of two, so 1 + drift - dust + dust - 1 is the drift exactly
     drifts = {1e-2: 0.0, 1e-3: 2.0**-19, 1e-4: 2.0**-18}
-    study = cb.shattering_study(config, list(drifts), runner=lambda cfg: FakeRun(0.5, drifts[cfg.x_min]))
+    monkeypatch.setattr(cb.diagnostics, "run_config", lambda cfg: FakeRun(0.5, drifts[cfg.x_min]))
+    study = cb.shattering_study(config, list(drifts))
     assert [r[2] for r in study.rows] == list(drifts.values())
     assert study.to_dict()["rows"][1] == {"x_min": 1e-3, "dust_fraction": 0.5, "mass_drift": 2.0**-19}
     assert study.over_budget == (
         "x_min=0.001: max |M_1 + dust - rho| = 1.907e-06, beyond the mass budget 1e-06 rho = 1.000e-06"
     )
-    within = cb.shattering_study(config, list(drifts), runner=lambda cfg: FakeRun(0.5, 2.0**-20))
+    monkeypatch.setattr(cb.diagnostics, "run_config", lambda cfg: FakeRun(0.5, 2.0**-20))
+    within = cb.shattering_study(config, list(drifts))
     assert within.over_budget is None
 
 

@@ -95,6 +95,24 @@ def test_exponential_state_refuses_an_overflowing_mass_without_warning(mean):
     assert info.value.param == "mass"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cb.exponential_state(cb.build_grid(9.337473528892326e-68, 10.0, 16), 1.7976931348623157e308, 1.0),
+        lambda: cb.monodisperse_state(cb.build_grid(1e-70, 10.0, 16), 1e-60, 1e300),
+        lambda: cb.table_state(cb.build_grid(1e-70, 10.0, 16), [1e-69, 2e-69], [1.0, 1.0], mass=1e300),
+    ],
+    ids=["exponential", "monodisperse", "table"],
+)
+def test_state_builders_refuse_contents_that_overflow_on_the_rescale(build):
+    # M_1 = mass is finite, but the contents that carry it are not doubles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            build()
+    assert (str(info.value), info.value.param) == ("initial data overflows double precision", "mass")
+
+
 def test_table_state_round_trips_grid_contents():
     grid = cb.build_grid(1e-3, 10.0, 64)
     original = cb.exponential_state(grid, 1.0, 1.0)

@@ -1029,13 +1029,12 @@ def a8_tight_windows():
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
 def test_picard_stops_within_tol_of_the_fixed_point(a8_tight_windows, tol):
     # the stop on diff q / (1 - q) lands within tol of the fixed point, in the
-    # node norm, never later than the stop on diff <= tol, and earlier somewhere
+    # weighted norm, never later than the stop on diff <= tol, and earlier somewhere
     ws, windows = a8_tight_windows
-    node_norm = ws.grid.reps**ws.law.k0 + ws.grid.reps
     saved = 0
     for start, tight in windows:
         result = cb.picard_solve(ws, start, 0.1, max_iter=40, tol=tol)
-        distance = float(np.sum(node_norm * np.abs(result.state.contents - tight.state.contents)))
+        distance = cb.weighted_distance(result.state, tight.state, ws.grid, ws.law.k0)
         assert distance <= tol
         # the iterates do not depend on tol, so the tight run's diffs hold the old rule's stop
         assert [d.hex() for d in result.diffs] == [d.hex() for d in tight.diffs[: result.iterations]]

@@ -930,7 +930,7 @@ def test_cli_crossval_exits_3_when_picard_does_not_contract(tmp_path, capsys):
     assert main(["crossval", _write(tmp_path, A8_CROSSVAL + "picard.max_iter = 2\n")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical failure: no contraction after 2 iterations (residual 4.197e-02)\n"
+    assert captured.err == "numerical failure: no contraction after 2 iterations (residual 3.402e-02)\n"
 
 
 def test_cli_crossval_overflow_prints_one_line_and_exits_3(tmp_path, capsys):
@@ -1186,11 +1186,15 @@ def test_cli_bounds_extreme_initial_data(tmp_path, capsys, line, code, key):
         (["init.mass = 1.7e308"], "init.mass"),
         # one row whose density times its bin width is finite but whose moments are not
         (["grid.x_max = 1e11", "init.kind = table", "init.path = big.csv"], "init.path"),
+        # a finite mass whose contents overflow once the builder puts it on the grid
+        (["grid.x_min = 1e-70", "init.kind = monodisperse", "init.size = 1e-60", "init.mass = 1e300"], "init.mass"),
+        (["grid.x_min = 1e-70", "init.kind = table", "init.path = tiny.csv", "init.mass = 1e300"], "init.mass"),
     ],
-    ids=["mass", "table"],
+    ids=["mass", "table", "monodisperse-rescale", "table-rescale"],
 )
 def test_build_problem_refuses_overflowing_initial_data_under_the_key_that_set_it(tmp_path, capsys, lines, key):
     (tmp_path / "big.csv").write_text("1e10,7e284\n")
+    (tmp_path / "tiny.csv").write_text("1e-69,1\n2e-69,1\n")
     cfg, out = _write(tmp_path, "\n".join(["grid.n_cells = 16", *lines]) + "\n"), tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
