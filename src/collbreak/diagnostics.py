@@ -222,12 +222,14 @@ def run_verification(run: RunOutput) -> list[dict]:
 
     Each check tests its own fact: the mass budget, tails that never grow
     at k = 1 and 1 + k0 (M_(1+k0) is the k = 1 + k0 tail at x_min), the
-    small-size envelope and, on two or more snapshots, the non-existence
-    growth inequality.  No check on dM_1/dt is needed: clips only add mass
-    and every RHS keeps M_1 + dust to round-off, so M_1 + dust - rho lies
-    in [0, drift] up to round-off; ``np.gradient`` of a series in [0, d]
-    stays below d / min_dt on any snapshot mesh; and a drift within the
-    1e-6 rho budget keeps that below 1e-6 rho max(1, 1/min_dt).
+    small-size envelope (passed as "not reached" when no snapshot after
+    t = 0 lies in its horizon) and, on two or more snapshots, the
+    non-existence growth inequality.  No check on dM_1/dt is needed: clips
+    only add mass and every RHS keeps M_1 + dust to round-off, so M_1 +
+    dust - rho lies in [0, drift] up to round-off; ``np.gradient`` of a
+    series in [0, d] stays below d / min_dt on any snapshot mesh; and a
+    drift within the 1e-6 rho budget keeps that below 1e-6 rho
+    max(1, 1/min_dt).
     """
     k0 = run.law.k0
     results = []
@@ -249,6 +251,8 @@ def run_verification(run: RunOutput) -> list[dict]:
             horizon = min(horizon, 0.9 * report.t_k0)
         ok, margin = c1_bound_check(run, report, horizon)
         detail = f"M_k0 margin {margin:.4g} below C1(T) at T={horizon:.4g}"
+        if not np.any(run.times[1:] <= horizon * (1.0 + 1e-12)):  # t = 0 alone lies within it
+            ok, detail = True, f"not reached: no snapshot in (0, T={horizon:.4g}]"
         verdict("small-size-envelope", ok, detail)
     if report.regime is bounds_mod.Regime.NON_EXISTENCE and run.times.size >= 2:
         ok = nonexistence_growth_check(run, k0)

@@ -68,16 +68,14 @@ DP_P = (
     (F(0), F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)),
 )
 
-
-def _pairs(coefficients):
-    """(stage index, coefficient as a double) for the non-zero coefficients."""
-    return tuple((j, float(a)) for j, a in enumerate(coefficients) if a)
-
-
-_STAGES = tuple(_pairs(row) for row in DP_A[1:])  # inputs of stages 2 to 7
-_WEIGHTS = _STAGES[-1]  # y_new, the input of stage 7
-_ERROR = _pairs(b - b_hat for b, b_hat in zip(DP_B, DP_B_HAT))
-_DENSE = tuple((i, tuple(float(p) for p in row)) for i, row in enumerate(DP_P) if any(row))
+# The pair as doubles, each rational rounded once: rows 0-5 of _TABLEAU are the inputs of stages
+# 2-7 (row 5 is b, for y_new) and row 6 is b - b_hat, column j weighing stage j + 1, zero past the
+# stages a row reads.  The dense output's weights are b_i(theta) = sum_m _DENSE[m, i] theta^(m+1).
+_TABLEAU = np.array(
+    [[float(a) for a in row] + [0.0] * (7 - len(row)) for row in DP_A[1:]]
+    + [[float(b - b_hat) for b, b_hat in zip(DP_B, DP_B_HAT)]]
+)
+_DENSE = np.array([[float(p) for p in column] for column in zip(*DP_P)])
 
 
 @dataclass(frozen=True)
@@ -127,9 +125,13 @@ def step(
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
-    1/5.  Halves the step until that estimate passes and zeroing the negative
-    contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
-    of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
+    1/5.  Each stage input, y_new and the estimate are one unoptimized
+    ``np.einsum("j,jn->n")`` of a row of dt ``_TABLEAU`` with the (7, N)
+    stack of stage rates, as ``picard_solve``'s node sum: in stage order,
+    each product rounded on its own, the base added last.  Halves the step
+    until that estimate passes and zeroing the negative contents of y_new
+    would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12) of M_1 + dust
+    at ``state``, a mass ``_finish`` adds to ``clip_mass``.
     After an accepted step that clipped, the next step grows no further
     than this one, which stands at the positivity limit.  ``history`` is
     the (dt_prev, r_prev) of the previous accepted step, None on a run's
@@ -149,31 +151,31 @@ def step(
     ``next_rates`` is the seventh stage k7 = f(y_new), the right-hand side
     at the new state, or None when clipping changed y_new; handed back in,
     it makes an accepted step cost six right-hand sides and each rejected
-    attempt six more.  ``stages`` is the accepted attempt's seven contents
-    and dust rates, and ``history`` this step's (dt_used, r) for the next.
+    attempt six more.  ``stages`` is the accepted attempt's (7, N) stack of
+    contents rates and its seven dust rates, and ``history`` this step's
+    (dt_used, r) for the next.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
     weights, reps = workspace.error_weights, workspace.grid.reps
     c = state.contents
-    weighted = np.abs(c)
-    weighted *= weights
-    tol_value = tol.abs_tol + tol.rel_tol * float(weighted.sum())
+    tol_value = tol.abs_tol + tol.rel_tol * float((weights * np.abs(c)).sum())
 
-    k1, d1 = rhs_arrays(workspace, c) if rates is None else rates
-    ks, ds = [k1], [d1]
-    trial, term = weighted, np.empty_like(c)  # weighted's last use was above
+    stack, ds = np.empty((7, c.size)), np.empty(7)  # the stage rates k_1 .. k_7 and dust rates
+    stack[0], ds[0] = rhs_arrays(workspace, c) if rates is None else rates
     dt = float(dt_target)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            for row in _STAGES:  # the last input is y_new, in a fresh buffer that the new state keeps
-                y_new = _increment(row, ks, dt, np.empty_like(c) if row is _WEIGHTS else trial, term)
+            scaled = dt * _TABLEAU
+            for i in range(6):
+                # stage i + 2's input goes into the row its rate then overwrites; the last
+                # is y_new, in a fresh buffer that the new state keeps
+                y_new = np.empty_like(c) if i == 5 else stack[i + 1]
+                np.einsum("j,jn->n", scaled[i, : i + 1], stack[: i + 1], out=y_new)
                 y_new += c
-                k, d = rhs_arrays(workspace, y_new)
-                ks.append(k)
-                ds.append(d)
+                stack[i + 1], ds[i + 1] = rhs_arrays(workspace, y_new)
             # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
-            err = _increment(_ERROR, ks, dt, trial, term)
+            err = np.einsum("j,jn->n", scaled[6], stack)
             np.abs(err, out=err)
             err *= weights
             est = float(err.sum())
@@ -181,9 +183,8 @@ def step(
             allowed = MASS_BUDGET / MAX_STEPS * ((reps * c).sum() + state.dust_mass) if low < 0.0 else 0.0
             if est <= tol_value and (low >= 0.0 or _clipped_mass(reps, y_new) <= allowed):
                 break
-            del ks[1:], ds[1:]
             # an overflowing stage is a rejected attempt; non-finite start rates are not
-            if not math.isfinite(est) and not (math.isfinite(d1) and np.isfinite(k1).all()):
+            if not math.isfinite(est) and not (math.isfinite(ds[0]) and np.isfinite(stack[0]).all()):
                 raise StiffnessError(state.time, dt, "non-finite error estimate")
             if state.time + dt / 2.0 == state.time:
                 raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
@@ -199,8 +200,9 @@ def step(
         factor = min(factor, max(0.2, trend))
     dt_next = dt * factor
 
-    new_state = _finish(workspace.grid, state, y_new, _WEIGHTS, dt, ds, state.time + dt)
-    return new_state, dt, dt_next, None if low < 0.0 else (k, d), (ks, ds), (dt, ratio)
+    new_state = _finish(workspace.grid, state, y_new, scaled[5, :6], ds[:6], state.time + dt)
+    next_rates = None if low < 0.0 else (stack[6].copy(), float(ds[6]))
+    return new_state, dt, dt_next, next_rates, (stack, ds), (dt, ratio)
 
 
 def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):
@@ -243,32 +245,32 @@ def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolera
 def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
     """The state at ``time`` inside the step of length ``dt`` that ``step`` took from ``state``.
 
-    Contents and dust take the same weights dt b_i(theta), theta = (time -
-    state.time) / dt, over the step's seven ``stages``, so M_1 + dust holds
-    as per right-hand side.  The contents are written into ``out`` and
-    finished by ``_finish``, as ``step``'s are: a clip goes into this
-    state's ``clip_mass`` only, uncapped.  Costs no right-hand side.
+    Contents and dust take the same coefficient vector dt b(theta), theta =
+    (time - state.time) / dt, over the step's seven ``stages``, contracted
+    as ``step`` contracts its rows, so M_1 + dust holds as per right-hand
+    side.  The contents are written into ``out`` and finished by
+    ``_finish``, as ``step``'s are: a clip goes into this state's
+    ``clip_mass`` only, uncapped.  Costs no right-hand side.
     """
-    ks, ds = stages
+    stack, ds = stages
     theta = (time - state.time) / dt
-    # a list: tuples built by tuple(generator) stay on the interpreter free list
-    row = [(i, theta * (a + theta * (b + theta * (c + theta * d)))) for i, (a, b, c, d) in _DENSE]
-    contents = _increment(row, ks, dt, out, np.empty_like(out))
-    contents += state.contents
-    return _finish(workspace.grid, state, contents, row, dt, ds, time)
+    coeffs = dt * (theta * (_DENSE[0] + theta * (_DENSE[1] + theta * (_DENSE[2] + theta * _DENSE[3]))))
+    np.einsum("j,jn->n", coeffs, stack, out=out)
+    out += state.contents
+    return _finish(workspace.grid, state, out, coeffs, ds, time)
 
 
-def _finish(grid, start: State, contents, row, dt, ds, time) -> State:
-    """The ``State`` at ``time``, ``dt`` after ``start``: ``contents`` with any negatives zeroed in
-    place and their mass sum reps |c| added to ``clip_mass``, and the dust plus sum (dt a_j) ds_j
-    over the (j, a_j) pairs of ``row``."""
+def _finish(grid, start: State, contents, coeffs, ds, time) -> State:
+    """The ``State`` at ``time`` after ``start``: ``contents`` with any negatives zeroed in place
+    and their mass sum reps |c| added to ``clip_mass``, and the dust plus sum_j coeffs_j ds_j,
+    summed in stage order, for the coefficient vector ``coeffs`` that built ``contents``."""
     clipped = 0.0
     if contents.min(initial=0.0) < 0.0:
         clipped = _clipped_mass(grid.reps, contents)
         contents[contents < 0.0] = 0.0
     return State(
         contents=contents,
-        dust_mass=start.dust_mass + sum((dt * a) * ds[j] for j, a in row),
+        dust_mass=start.dust_mass + sum(a * d for a, d in zip(coeffs.tolist(), ds.tolist())),
         time=time,
         clip_mass=start.clip_mass + clipped,
     )
@@ -277,16 +279,6 @@ def _finish(grid, start: State, contents, row, dt, ds, time) -> State:
 def _clipped_mass(reps, contents) -> float:
     """sum reps max(-contents, 0): the mass that zeroing the negative ``contents`` creates."""
     return float((reps * -contents)[contents < 0.0].sum())
-
-
-def _increment(row, ks, dt, out, term):
-    """out = sum (dt a_j) k_j over the (j, a_j) pairs of ``row``, summed in order."""
-    (j, a), *rest = row
-    np.multiply(ks[j], dt * a, out=out)
-    for j, a in rest:
-        np.multiply(ks[j], dt * a, out=term)
-        out += term
-    return out
 
 
 def row_blocks(rows: int, cols: int):
@@ -531,8 +523,9 @@ def picard_solve(
     raises ``ContractionError``.
 
     Each iteration evaluates the nine nodes in one batched ``rhs_arrays``
-    call, so a solve costs ``iterations`` calls; the first iterate is the
-    initial state tiled into a contiguous (9, N) batch.  Each new node is
+    call, so a solve costs ``iterations`` calls; the first iterate, the
+    initial state at every node, is evaluated once and its rates tiled into
+    a contiguous (9, N) batch, bitwise a call on nine copies.  Each new node is
     the contraction ``np.einsum("ij,jn->in", weights, rates)`` plus the
     initial state: unoptimized, so never BLAS, it adds the nodes' rates in
     node order with each product rounded on its own, on a contiguous
@@ -556,11 +549,12 @@ def picard_solve(
 
     weights = t_end * _PICARD_W
     c0 = state0.contents
-
-    traj = np.tile(c0, (len(weights), 1))  # c0 at every node, C-order: no stride-0 operand
+    traj = c0  # the first iterate: c0 at every node
     diffs = []
     for iteration in range(1, max_iter + 1):
         rates, dust_rates = rhs_arrays(workspace, traj)
+        if iteration == 1:  # c0's one row of rates, tiled C-order: no stride-0 operand
+            rates, dust_rates = np.tile(rates, (len(weights), 1)), np.full(len(weights), dust_rates)
         new = np.einsum("ij,jn->in", weights, rates)
         new += c0
         del rates  # free the batch before the next call

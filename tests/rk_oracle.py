@@ -7,11 +7,17 @@ tableau is written out here again as Python divisions, which round each
 rational once, as ``integrate``'s exact fractions do.  Its arithmetic on
 every value that reaches a state or the error estimate is the same as
 ``integrate.step``'s: each combination sum_j (dt a_j) k_j is summed in stage
-order over the non-zero a_j before the base vector is added.  So the two
-must agree bit for bit.  The run's first dt is Hairer, Norsett & Wanner's
-starting step, written out here again from its formulas, and each next dt
-is the smaller of the error-based factor and Gustafsson's predictive factor
-from the previous accepted step's dt and error ratio.  RHS calls go to
+order, each product rounded on its own, before the base vector is added.
+Here the sum runs over the non-zero a_j, in ``step`` over a tableau row's
+coefficients, zeros included, into a zeroed output.  A zero coefficient
+adds +-0, which changes no non-zero partial sum, and the base vector, never
+-0.0 (builders and clips write +0.0), turns a +-0 sum into the same +0.0;
+0 times an overflowed stage gives NaN only in an attempt whose estimate is
+already non-finite, which both reject.  So the two must agree bit for bit.
+The run's first dt is Hairer, Norsett & Wanner's starting step, written
+out here again from its formulas, and each next dt is the smaller of the
+error-based factor and Gustafsson's predictive factor from the previous
+accepted step's dt and error ratio.  RHS calls go to
 ``scheme.rhs_arrays`` directly, so a counter on ``integrate.rhs_arrays`` does
 not see them.
 """

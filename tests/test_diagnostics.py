@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import collbreak as cb
 from collbreak import DaughterLaw, InputError, KernelSpec, Regime, RunOutput, State, diagnostics
-from test_acceptance import A8_CONFIG, moment_identity_residual
+from test_acceptance import A1_CONFIG, A8_CONFIG, moment_identity_residual
 from test_integrate import F2_CONFIG, F8_CONFIG
 
 
@@ -229,6 +229,20 @@ def test_f8_and_f2_at_x_min_1e_10_keep_the_budget_and_pass_every_check(floor_run
     for run in floor_runs.values():
         assert [v["check"] for v in cb.run_verification(run) if not v["passed"]] == []
 
+
+
+def test_small_size_envelope_says_when_no_snapshot_reaches_it(floor_runs):
+    # F8 snapshots t = 0 and 10 T_k0 alone, so its horizon 0.9 T_k0 holds the
+    # initial data and nothing of the run: the check passes, as not reached
+    envelope = {v["check"]: v for v in cb.run_verification(floor_runs["F8"])}["small-size-envelope"]
+    assert envelope == {
+        "check": "small-size-envelope",
+        "passed": True,
+        "detail": "not reached: no snapshot in (0, T=0.05558]",
+    }
+    # a run with snapshots inside the horizon keeps its margin, to the byte
+    a1 = {v["check"]: v for v in cb.run_verification(cb.run(cb.parse_config_text(A1_CONFIG)))}
+    assert a1["small-size-envelope"]["detail"] == "M_k0 margin 1.511e+05 below C1(T) at T=1"
 
 def _guard_run(name, small_run, floor_runs):
     if name == "F8":

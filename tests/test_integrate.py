@@ -22,7 +22,7 @@ from collbreak import (
     integrate,
 )
 from picard_oracle import oracle_picard
-from rk_oracle import oracle_simulate, oracle_step
+from rk_oracle import _combine, oracle_simulate, oracle_step
 from test_acceptance import A1_CONFIG, A5_CONFIG, A5_CONTROL_CONFIG, A8_CONFIG
 
 
@@ -983,6 +983,46 @@ def test_picard_node_sum_is_the_in_order_chain(layout):
     )
 
 
+
+def test_rk_stage_sum_is_the_oracle_chain():
+    # step's and interpolate's np.einsum("j,jn->n", dt * coeffs, stack) plus the
+    # base vector must be the seven-stage oracle's _combine: the non-zero a_j in
+    # stage order, each product rounded on its own, then the base.  The zero
+    # coefficient (as b_2, e_2 and the dense output's stage-2 weight) adds +-0;
+    # columns of -0.0 and of subnormal rates must come out as the oracle's.
+    rng = np.random.default_rng(5)
+    coeffs = rng.uniform(0.5, 1.5, 7)
+    coeffs[1::2] *= -1.0
+    coeffs[1] = 0.0
+    stack = rng.uniform(1.0, 2.0, 48) * (1.0 + 1e-3 * rng.standard_normal((7, 48)))
+    stack[:, :4] = -0.0
+    stack[2, 4:8] = -0.0
+    stack[:, 8:12] = 5e-324 * rng.integers(1, 1000, (7, 4))
+    base = rng.uniform(0.0, 1e-3, 48)
+    base[:2] = 0.0  # contents are never -0.0: builders and clips write +0.0
+    dt = 0.3
+    scaled = dt * coeffs
+
+    def stage_sum(order):
+        total = np.zeros(48)
+        for j in order:
+            total += scaled[j] * stack[j]
+        return total
+
+    # the inputs can tell the in-order chain from a fused or reordered one
+    chain = stage_sum(range(7))
+    assert np.count_nonzero(_fma_chain(scaled[None], stack)[0] != chain) > chain.size // 4
+    assert np.count_nonzero(stage_sum(reversed(range(7))) != chain) > chain.size // 4
+    oracle = _combine([(j, a) for j, a in enumerate(coeffs) if a], stack, dt) + base
+    got = np.einsum("j,jn->n", scaled, stack)
+    got += base
+    assert got.tobytes() == oracle.tobytes(), (
+        "np.einsum no longer sums the stages in order with separately rounded products; "
+        "likely a numpy build whose einsum fuses multiply and add (as on aarch64 NEON), "
+        "so integrate.step's bits differ from the seven-stage RK oracle, and "
+        "picard_solve's from the per-node Picard oracle"
+    )
+
 def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatch):
     ws, s0 = truncated_problem
     shapes = []
@@ -994,9 +1034,11 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)
-    # one call per iteration, over all nine nodes, the first iterate's (the
-    # initial state at every node) included; the dust comes from the same calls
-    assert shapes == [(9, ws.grid.n_cells)] * result.iterations
+    # one call per iteration: the first iterate is the initial state at every
+    # node, evaluated once, and every later one all nine nodes in one batch; the
+    # dust comes from the same calls
+    n = ws.grid.n_cells
+    assert shapes == [(n,)] + [(9, n)] * (result.iterations - 1)
 
 
 def test_picard_chain_bitwise_equals_per_node_oracle():
