@@ -125,13 +125,13 @@ def step(
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
-    1/5.  Each stage input, y_new and the estimate are one unoptimized
-    ``np.einsum("j,jn->n")`` of a row of dt ``_TABLEAU`` with the (7, N)
-    stack of stage rates, as ``picard_solve``'s node sum: in stage order,
-    each product rounded on its own, the base added last.  Halves the step
-    until that estimate passes and zeroing the negative contents of y_new
-    would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12) of M_1 + dust
-    at ``state``, a mass ``_finish`` adds to ``clip_mass``.
+    1/5.  Stage 2's input is one product; each later one, y_new and the
+    estimate are one unoptimized ``np.einsum("j,jn->n")`` of a row of dt
+    ``_TABLEAU`` with the (7, N) stack of stage rates, as ``picard_solve``'s
+    node sum: in stage order, each product rounded on its own, the base added
+    last.  Halves the step until that estimate passes and zeroing the negative
+    contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
+    of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
     After an accepted step that clipped, the next step grows no further
     than this one, which stands at the positivity limit.  ``history`` is
     the (dt_prev, r_prev) of the previous accepted step, None on a run's
@@ -171,7 +171,10 @@ def step(
                 # stage i + 2's input goes into the row its rate then overwrites; the last
                 # is y_new, in a fresh buffer that the new state keeps
                 y_new = np.empty_like(c) if i == 5 else stack[i + 1]
-                np.einsum("j,jn->n", scaled[i, : i + 1], stack[: i + 1], out=y_new)
+                if i == 0:  # one product: einsum's 0 + x, plus c, is x + c unless c is -0.0
+                    np.multiply(scaled[0, 0], stack[0], out=y_new)
+                else:
+                    np.einsum("j,jn->n", scaled[i, : i + 1], stack[: i + 1], out=y_new)
                 y_new += c
                 stack[i + 1], ds[i + 1] = rhs_arrays(workspace, y_new)
             # weights * |dt sum e_i k_i|, the gap to the fourth-order solution

@@ -16,13 +16,13 @@ a breakup in cell j changes
     cell j       by  -p_j e_j^a / reps_j   (fragments kept, minus the parent)
     dust         by  p_j e_0^a,
 
-so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i: per
-state, two dot products and one reversed cumulative sum.  When lambda1 =
-lambda2 the kernel has rank 1, Phi c = 2 a (a.c), and one dot product does.
-Weighted by reps, the deposits into cells below j telescope to
-p_j (e_j^a - e_0^a), which with the dust balances the own-cell loss
-p_j e_j^a term by term, so sum_i reps_i d_contents_i + d_dust = 0 holds to
-round-off.
+so d_contents_i = g_i sum_{j>i} p_j w_j - (p_i e_i^a / reps_i) w_i and
+d_dust = e_0^a sum_j p_j w_j, the bottom of the same suffix sums: per state,
+two dot products and one reversed cumulative sum.  When lambda1 = lambda2
+the kernel has rank 1, Phi c = 2 a (a.c), and one dot product does.
+Weighted by reps, the deposits below j telescope to p_j (e_j^a - e_0^a),
+which with the dust balances the own-cell loss p_j e_j^a term by term, so
+sum_i reps_i d_contents_i + d_dust = 0 holds to round-off.
 
 States are rows along the last axis, so ``rhs_arrays`` takes one state of
 shape (N,) or a batch of shape (..., N) in one call, reducing and
@@ -60,9 +60,9 @@ class RhsWorkspace:
     Per breakup of a parent in cell j, ``lower_counts[i] * parent_factor[j]``
     fragments land in each cell i < j, the count in cell j changes by
     ``own_change[j]`` (fragments kept minus the parent itself), and
-    ``dust_row[j]`` of mass falls below the grid.  ``error_weights`` are the
-    weights max(reps^k0, reps^(1+k0)) of the integrator's error norm.
-    When lambda1 = lambda2 the two kernel factors are equal, and the
+    ``parent_factor[j] * edge_dust`` of mass falls below the grid.  The
+    ``error_weights`` max(reps^k0, reps^(1+k0)) weigh the integrator's error
+    norm.  When lambda1 = lambda2 the two kernel factors are equal, and the
     right-hand side reduces the contents against ``kernel_hi`` alone.
     Memory is O(N).
     """
@@ -75,12 +75,12 @@ class RhsWorkspace:
     parent_factor: np.ndarray = field(repr=False)  # p_j = reps_j^(-nu-1)
     lower_counts: np.ndarray = field(repr=False)  # g_i
     own_change: np.ndarray = field(repr=False)  # -p_j e_j^a / reps_j
-    dust_row: np.ndarray = field(repr=False)  # mass below x_min per break of j
     error_weights: np.ndarray = field(repr=False)  # weight_vector(grid, law.k0)
+    edge_dust: float  # e_0^a = x_min^(nu+2)
 
 
 def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorkspace:
-    """Kernel factors, parent factor, fragment counts, dust row and error weights."""
+    """Kernel factors, parent factor, fragment counts, error weights and the dust factor."""
     reps = grid.reps
     a = law.nu + 2.0
     edge_mass = grid.edges**a
@@ -90,12 +90,11 @@ def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorks
         parent,
         np.diff(edge_mass) / reps,
         -parent * edge_mass[:-1] / reps,
-        parent * edge_mass[0],
         weight_vector(grid, law.k0),
     )
     for vec in vectors:
         vec.flags.writeable = False
-    return RhsWorkspace(grid, kernel, law, *vectors)
+    return RhsWorkspace(grid, kernel, law, *vectors, float(edge_mass[0]))
 
 
 def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
@@ -130,21 +129,22 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
     ``contents``; ``d_dust`` has its leading shape, and is a Python float
     for a single state.
 
-    Three batch-sized arrays are alive at the peak: w, whose buffer
-    becomes d_contents, the products p_j w_j, and ``above``, which the
-    reversed cumulative sum fills from the top cell down, unshifted.  The
-    products are freed before ``above`` is scaled by g and added.  Nothing
-    lies above the top cell, so ``above[..., -1]`` is -0.0: g_{N-1} is
-    finite and non-negative, so the multiply keeps its sign, and adding
-    -0.0 changes no double, -0.0 and NaN included.  So an empty top cell
-    keeps the -0.0 rate that its negative own change gives it.
+    Three batch-sized arrays are alive at the peak: w, whose buffer becomes
+    d_contents, the products p_j w_j, and ``above``, which the reversed
+    cumulative sum fills from the top cell down, unshifted.  Its bottom gives
+    d_dust = e_0^a (above[0] + p_0 w_0), so the mass identity telescopes from
+    the deposits' own sum, whose in-order error grows like N eps (5e-13 at 10^6
+    cells).  The products are freed before ``above`` is scaled by g and added.
+    Nothing lies above the top cell, so ``above[..., -1]`` is -0.0, kept by
+    g_{N-1} >= 0, and adding -0.0 changes no double, -0.0 and NaN included: an
+    empty top cell keeps its -0.0 rate.
     """
     w = _event_mass(workspace, contents)
-    d_dust = np.add.reduce(workspace.dust_row * w, -1)
     # accumulated from the top cell down, above[i] = sum_{j>i} p_j w_j for i < N-1
     deposits = workspace.parent_factor * w
     above = np.empty_like(w)
     np.add.accumulate(deposits[..., :0:-1], -1, out=above[..., -2::-1])
+    d_dust = workspace.edge_dust * (above[..., 0] + deposits[..., 0])
     del deposits
     above[..., -1] = -0.0  # nothing above the top cell; adding -0.0 changes no double
     above *= workspace.lower_counts

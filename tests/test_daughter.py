@@ -31,7 +31,7 @@ def deposits(grid, law):
     Read off the factored vectors of ``scheme.precompute``.
     """
     ws = cb.precompute(grid, cb.KernelSpec(0.0, 0.0), law)
-    return grid.reps[:, None] * expanded_counts(ws), ws.dust_row
+    return grid.reps[:, None] * expanded_counts(ws), ws.parent_factor * ws.edge_dust
 
 
 def test_first_moment_equals_parent_mass():

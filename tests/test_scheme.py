@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import collbreak as cb
 from collbreak import DaughterLaw, KernelSpec, State
+from collbreak.grid import MAX_CELLS
 from collbreak.kernel import kernel_factors
 from conftest import RHS_DIGEST, quad_oracle, run_in_fresh_process
 from dense_oracle import DenseRhs, deposit_counts, expanded_counts, kernel_matrix
@@ -28,10 +31,10 @@ def test_deposit_columns_telescope_to_parent_mass():
     ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
     counts = expanded_counts(ws)
     for j in range(grid.n_cells):
-        total = float(np.sum(grid.reps * counts[:, j])) + ws.dust_row[j]
+        total = float(np.sum(grid.reps * counts[:, j])) + ws.parent_factor[j] * ws.edge_dust
         assert total == pytest.approx(grid.reps[j], rel=1e-12)
     assert np.all(counts >= 0.0)
-    assert np.all(ws.dust_row >= 0.0)
+    assert np.all(ws.parent_factor * ws.edge_dust >= 0.0)
 
 
 # name -> (kernel, law): truncation, nu = 0, nu = -1.5, l = (0, 0), l = (1, 1), mixed
@@ -54,7 +57,7 @@ def test_factored_rhs_matches_dense_oracle(regime, n):
     dense = DenseRhs(grid, kernel, law)
     counts = expanded_counts(ws)
     assert np.max(np.abs(counts - dense.counts)) <= 1e-13 * np.max(dense.counts)
-    assert np.max(np.abs(ws.dust_row - dense.dust)) <= 1e-13 * np.max(dense.dust)
+    assert np.max(np.abs(ws.parent_factor * ws.edge_dust - dense.dust)) <= 1e-13 * np.max(dense.dust)
 
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -108,8 +111,9 @@ def rank_two_rhs(ws, contents):
     w = a1 * np.add.reduce(a2 * contents, -1)[..., None]
     w += a2 * np.add.reduce(a1 * contents, -1)[..., None]
     w *= contents
-    tail = np.add.accumulate((ws.parent_factor * w)[..., :0:-1], -1)
-    d_dust = np.add.reduce(ws.dust_row * w, -1)
+    deposits = ws.parent_factor * w
+    tail = np.add.accumulate(deposits[..., :0:-1], -1)
+    d_dust = ws.edge_dust * (tail[..., -1] + deposits[..., 0])
     d_contents = w * ws.own_change
     d_contents[..., :-1] += ws.lower_counts[:-1] * tail[..., ::-1]
     return d_contents, d_dust
@@ -164,18 +168,39 @@ def test_precompute_is_linear_in_cells():
     assert abs(budget) <= 1e-14 * float(np.sum(grid.reps * np.abs(dc)))
 
 
-def test_dust_row_closed_form_and_quadrature():
+@pytest.mark.parametrize("n", [37, 4096, MAX_CELLS])
+def test_suffix_sum_dust_rate_is_accurate_at_every_size(n):
+    """d_dust, the bottom of the in-order deposit sum, against a correctly rounded sum.
+
+    A1's physics and data on x in [1e-20, 10], up to the largest grid: the
+    sum of N non-negative terms in order errs by at most about N eps, and
+    the per-RHS mass identity holds to the bench's 1e-12.
+    """
+    grid = cb.build_grid(1e-20, 10.0, n)
+    ws = cb.precompute(grid, KernelSpec(0.6, 0.6), DaughterLaw(-1.2, 0.5))
+    contents = cb.exponential_state(grid, 1.0, 1.0).contents
+    dc, dd = cb.rhs_arrays(ws, contents)
+    a = kernel_factors(ws.kernel, grid.reps)[0]
+    w = contents * (2.0 * a * math.fsum(a * contents))
+    exact = math.fsum(ws.edge_dust * ws.parent_factor * w)
+    assert exact > 0.0
+    assert abs(dd - exact) <= 4 * n * np.finfo(float).eps * exact
+    scale = math.fsum(grid.reps * np.abs(dc))
+    assert abs(math.fsum(grid.reps * dc) + dd) <= 1e-12 * scale
+
+
+def test_dust_per_breakup_closed_form_and_quadrature():
     law = DaughterLaw(-1.5, 0.6)
     grid = cb.build_grid(0.25, 4.0, 8)
     ws = cb.precompute(grid, KernelSpec(0.0, 0.0), law)
     for j in (0, 3, 7):
         parent = grid.reps[j]
         expected = parent**0.5 * 0.25**0.5
-        assert ws.dust_row[j] == pytest.approx(expected, rel=1e-12)
+        assert ws.parent_factor[j] * ws.edge_dust == pytest.approx(expected, rel=1e-12)
         oracle = quad_oracle(
             lambda s: s * 0.5 * s**-1.5 * parent**0.5, 0.0, 0.25
         )
-        assert ws.dust_row[j] == pytest.approx(oracle, rel=1e-9)
+        assert ws.parent_factor[j] * ws.edge_dust == pytest.approx(oracle, rel=1e-9)
 
 
 def test_uniform_law_top_cell_dust_fraction():
@@ -183,7 +208,7 @@ def test_uniform_law_top_cell_dust_fraction():
     law = DaughterLaw(0.0, 0.5)
     grid = cb.build_grid(1.0, 4.0, 2)
     ws = cb.precompute(grid, KernelSpec(0.0, 0.0), law)
-    assert ws.dust_row[1] == pytest.approx(1.0 / grid.reps[1], rel=1e-12)
+    assert ws.parent_factor[1] * ws.edge_dust == pytest.approx(1.0 / grid.reps[1], rel=1e-12)
 
 
 def test_rhs_zero_state():
