@@ -59,9 +59,8 @@ def _check_out_dir(out_dir) -> None:
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    out_dir = args.out or config.out_dir
-    if out_dir is None:
-        raise ConfigError("no output directory: set output.dir or pass --out")
+    if not (out_dir := args.out):
+        raise ConfigError("no output directory: pass --out DIR")
     _check_out_dir(out_dir)
     run = run_config(config)
     try:
@@ -159,7 +158,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate a configuration and emit a run directory")
     p.add_argument("config")
-    p.add_argument("--out", help="output directory (overrides output.dir)")
+    p.add_argument("--out", help="output directory (required)")
 
     p = sub.add_parser("bounds", help="regime, hypothesis checklist and constants of a configuration")
     p.add_argument("config")

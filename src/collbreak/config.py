@@ -7,9 +7,9 @@ line number, and the hypothesis they violate.
 
 Every refusal of a setting is a ``DomainError`` naming its parameter:
 ranges are checked by the owner of each parameter, and this module's own
-rules (the init kind, a table's path, the horizon, the snapshot mesh, the
-moment list) raise one too.  Only this module knows the key names, and
-``_cited`` reports each refusal under the key, and line, that set it.
+rules (the init kind, a table's path, the horizon, the snapshot mesh)
+raise one too.  Only this module knows the key names, and ``_cited``
+reports each refusal under the key, and line, that set it.
 ``with_x_min`` holds the grid it makes to the same checks, ``MAX_CELLS``
 and ``MAX_RECORD`` included.
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .daughter import DaughterLaw, check_moment_order
+from .daughter import DaughterLaw
 from .errors import ConfigError, DomainError, InputError
 from .grid import (
     SizeGrid,
@@ -80,16 +80,11 @@ _KEYS = {
     "time.abs_tol": (float, Tolerances.abs_tol, "abs_tol"),
     "picard.max_iter": (int, 40, "picard_max_iter"),
     "picard.tol": (float, 1e-10, "picard_tol"),
-    "output.dir": (str, None, "out_dir"),
-    "output.moments": (str, None, "moment_orders"),
 }
 
 # DomainError.param -> the key that sets it: the key whose last segment is
-# the param, or one of the two owners that name their parameter otherwise.
-_PARAM_KEYS = {key.rpartition(".")[2]: key for key in _KEYS} | {
-    "truncation": "kernel.truncation_n",
-    "k": "output.moments",
-}
+# the param, or kernel.truncation_n, whose owner names it otherwise.
+_PARAM_KEYS = {key.rpartition(".")[2]: key for key in _KEYS} | {"truncation": "kernel.truncation_n"}
 
 
 @contextmanager
@@ -126,8 +121,6 @@ class SimConfig:
     abs_tol: float
     picard_max_iter: int
     picard_tol: float
-    moment_orders: tuple
-    out_dir: str | None
 
     def __post_init__(self):
         read = _init_field(self.init_kind)
@@ -152,7 +145,6 @@ class SimConfig:
             out["time.snapshots"] = str(times.size)
         else:
             out["time.snapshots"] = ",".join(repr(t) for t in self.snapshot_times)
-        out["output.moments"] = ",".join(repr(k) for k in self.moment_orders)
         return out
 
 
@@ -234,8 +226,8 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
 
     ``_KEYS`` gives each key its parser, its default and the field it sets.
     The checks run in a fixed order, and the first that fails is reported as
-    a ``ConfigError`` under its key and line.  A relative ``init.path`` or
-    ``output.dir`` is taken from ``base_dir``; ``name`` names the text in errors.
+    a ``ConfigError`` under its key and line.  A relative ``init.path`` is
+    taken from ``base_dir``; ``name`` names the text in errors.
     """
     values = _parse_lines(text, name)
 
@@ -244,12 +236,6 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
 
     def line_of(key):
         return values[key][1] if key in values else None
-
-    def located(path):
-        """A relative ``path`` taken from the configuration file's directory."""
-        if path is None or base_dir is None or Path(path).is_absolute():
-            return path
-        return str(Path(base_dir) / path)
 
     x_min, x_max, n_cells = get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")
     kind, mass = get("init.kind"), get("init.mass")
@@ -270,28 +256,21 @@ def parse_config_text(text: str, name: str = "<config>", base_dir: str | None = 
         if t_end < 0.0:
             raise DomainError("t_end must be non-negative", param="t_end")
         snapshots = _snapshot_times(get("time.snapshots"), t_end, n_cells)
-        if (raw_orders := get("output.moments")) is None:
-            orders = (law.k0, 1.0, 1.0 + law.k0)
-        else:
-            try:
-                orders = tuple(_finite_float(tok) for tok in raw_orders.split(",") if tok.strip())
-            except ValueError:
-                raise DomainError(f"expected comma list of floats, got {raw_orders!r}", param="moments") from None
-        for k in orders:
-            check_moment_order(law, k)
 
-    # each field a key sets as parsed, then the seven this parse derives
+    path = get("init.path")  # a relative one is taken from the configuration file's directory
+    if path is not None and base_dir is not None and not Path(path).is_absolute():
+        path = str(Path(base_dir) / path)
+    # each field a key sets as parsed, then the five this parse derives
     fields = {name: get(key) for key, (_, _, name) in _KEYS.items() if "." not in name}
-    paths = {name: located(fields[name]) for name in ("init_path", "out_dir")}
-    derived = dict(kernel=kernel, law=law, init_mass=mass, snapshot_times=snapshots, moment_orders=orders)
-    return SimConfig(**fields | paths | derived)
+    derived = dict(kernel=kernel, law=law, init_mass=mass, init_path=path, snapshot_times=snapshots)
+    return SimConfig(**fields | derived)
 
 
 def parse_config(path) -> SimConfig:
     """Parse and validate a configuration file.
 
-    A relative ``init.path`` or ``output.dir`` is taken from the file's
-    directory, so the file means the same from any working directory.
+    A relative ``init.path`` is taken from the file's directory, so the
+    file means the same from any working directory.
     """
     path = Path(path)
     try:

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import parse_config_text
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .grid import build_grid
 from .integrate import RunOutput, row_blocks
 
 __all__ = ["emit_outputs", "load_run"]
 
 # Layout version of a run directory; ``load_run`` reads this one only.
-FORMAT = 3
+FORMAT = 4
 
 
 def _fmt(value) -> str:
@@ -66,17 +66,17 @@ def _write_hashed(path: Path, chunks) -> str:
 def emit_outputs(run: RunOutput, out_dir) -> dict:
     """Write moments.csv, contents.npy and manifest.json.
 
-    ``moments.csv`` has one row per snapshot: its time, the moments, the
-    dust and the clipped mass; it is formatted, written and hashed one
-    ``row_blocks`` block at a time.  ``contents.npy``, a C-order ``<f8``
-    array of shape (snapshots, n_cells), is the run's ``contents`` matrix,
-    written and hashed from its own buffer; with the series from
+    ``moments.csv`` has one row per snapshot: its time, the moments of
+    orders k0, 1 and 1 + k0, the dust and the clipped mass; it is
+    formatted, written and hashed one ``row_blocks`` block at a time.
+    ``contents.npy``, a C-order ``<f8`` array of shape (snapshots, n_cells),
+    is the run's ``contents`` matrix, written and hashed from its own
+    buffer; with the series from
     ``RunOutput.moments``, emitting holds the run plus O(n_cells + block)
     scratch.  Returns the manifest dictionary (also written to disk), which
-    echoes the resolved configuration less ``output.dir`` (where the run was
-    written, so the same run hashes the same wherever it goes), the regime
-    classification with its constants, the SHA-256 of each file, and a
-    content hash over the echo and the digests.
+    echoes the resolved configuration, the regime classification with its
+    constants, the SHA-256 of each file, and a content hash over the echo
+    and the digests; nothing in it says where the run was written.
     A run without a configuration (a bare ``simulate`` result) is refused
     before any file is written: ``load_run`` could not read it back.  So is
     a run whose start ``bounds.initial_bounds`` refuses.
@@ -87,7 +87,7 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    orders = run.config.moment_orders
+    orders = (run.law.k0, 1.0, 1.0 + run.law.k0)
     header = ["t"] + [f"M_{_fmt(k)}" for k in orders] + ["dust_mass", "clip_mass"]
     columns = [run.times, *(run.moments(k) for k in orders), run.dust, run.clip]
     files = {"moments.csv": _write_hashed(out / "moments.csv", _csv_blocks(header, columns))}
@@ -98,11 +98,9 @@ def emit_outputs(run: RunOutput, out_dir) -> dict:
     np.lib.format.write_array_header_1_0(head, {"descr": "<f8", "fortran_order": False, "shape": matrix.shape})
     files["contents.npy"] = _write_hashed(out / "contents.npy", (head.getvalue(), matrix))
 
-    echo = run.config.resolved()
-    echo.pop("output.dir", None)
     manifest = {
         "format": FORMAT,
-        "config": echo,
+        "config": run.config.resolved(),
         "rho": run.rho,
         "bounds": bounds,
         "files": files,
@@ -127,11 +125,11 @@ def load_run(run_dir) -> RunOutput:
     """Reconstruct a RunOutput from an emitted run directory.
 
     The manifest is checked against its content hash and every file against
-    its SHA-256 before anything is parsed, so a truncated or edited run, or
-    one written in another format, is refused with ``InputError``.  Times,
-    contents, dust and clipped mass come back bitwise as they were emitted;
-    ``contents`` is the file's read-only matrix, a view of its bytes that
-    nothing copies.
+    its SHA-256 before anything is parsed, so a truncated or edited run, one
+    written in another format, or one whose echo does not parse, is refused
+    with ``InputError``.  Times, contents, dust and clipped mass come back
+    bitwise as they were emitted; ``contents`` is the file's read-only
+    matrix, a view of its bytes that nothing copies.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -146,9 +144,12 @@ def load_run(run_dir) -> RunOutput:
     echo, files = manifest.get("config"), manifest.get("files")
     if not (echo and isinstance(echo, dict) and isinstance(files, dict)):
         raise InputError(f"{manifest_path} carries no configuration echo or no file digests")
-    # the echo holds init.path as it was resolved when the run was configured
     text = "\n".join(f"{k} = {v}" for k, v in echo.items())
-    config = parse_config_text(text, name=str(manifest_path))
+    try:  # the echo holds init.path as it was resolved when the run was configured
+        config = parse_config_text(text, name="the echo")
+    except ConfigError as exc:  # the echo's line numbers are no file's
+        detail = str(exc).removeprefix(f"line {exc.line}: ")
+        raise InputError(f"{manifest_path} echoes a configuration that does not parse: {detail}") from None
     grid = build_grid(config.x_min, config.x_max, config.n_cells)
 
     series = io.BytesIO(_verified(run_dir, "moments.csv", files))

@@ -50,8 +50,9 @@ def weighted_distance(a, b, grid, k0):
 
 
 def moments_csv(run) -> bytes:
-    """The bytes of ``moments.csv``: one row per state, in shortest round-trip form."""
-    orders = run.config.moment_orders
+    """The bytes of ``moments.csv``: one row per state, in shortest round-trip form,
+    with the moments of orders k0, 1 and 1 + k0."""
+    orders = (run.law.k0, 1.0, 1.0 + run.law.k0)
     lines = [",".join(["t"] + [f"M_{float(k)!r}" for k in orders] + ["dust_mass", "clip_mass"])]
     series = [moments(run, k) for k in orders]
     for i, state in enumerate(run.states):

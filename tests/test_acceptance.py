@@ -25,7 +25,6 @@ init.mass = 1.0
 init.mean = 1.0
 time.t_end = 1.0
 time.snapshots = 21
-output.moments = 0.5,1,1.5
 """
 
 A5_CONFIG = """
@@ -41,7 +40,6 @@ init.size = 1
 init.mass = 1
 time.t_end = 0.5
 time.snapshots = 11
-output.moments = 0.6,1,1.6
 """
 
 A5_CONTROL_CONFIG = A5_CONFIG.replace("kernel.lambda1 = 0", "kernel.lambda1 = 1").replace(
@@ -379,6 +377,56 @@ def test_f8_local_existence_conserves_mass_before_t_k0(l1, l2, nu, k0):
         f"(l1, l2, nu, k0) = ({l1}, {l2}, {nu}, {k0}), T_k0={report.t_k0:.4f}: at 0.9 T_k0 over "
         f"x_min 1e-4 ... 1e-12 {study.verdict}, dust falls {study.per_decade_factor:.2f}x per decade (>=2), "
         f"max drift {drift:.1e} within the mass budget: {study.over_budget is None}",
+    )
+
+
+def _truncated_runs(text, x_min, ns):
+    """Runs of ``text`` cut at ``x_min``, cells per decade kept, with the kernel truncated to (1/n, n)."""
+    texts = (text + ("" if n is None else f"kernel.truncation_n = {n}\n") for n in ns)
+    return [cb.run(cb.with_x_min(cb.parse_config_text(t), x_min)) for t in texts]
+
+
+def test_f13_truncated_global_existence_runs_approach_the_untruncated_one():
+    # GlobalExistence (A1) at x_min = 1e-12, 333 cells: as the truncation n grows the
+    # truncated solutions approach the untruncated one. Measured M_0.5(T) 3.6778, 5.5590
+    # and 7.3820 at n = 10, 100 and 10^4 against 7.8254, and weighted distances at T
+    # 4.993, 2.734 and 0.5385: a factor 0.55 over the first decade of n, 0.20 over the
+    # next two
+    *truncated, full = _truncated_runs(A1_CONFIG, 1e-12, (10, 100, 10_000, None))
+    k0 = full.law.k0
+    m_half = [run.moments(0.5)[-1] for run in (*truncated, full)]
+    distances = [cb.weighted_distance(run.state(-1), full.state(-1), full.grid, k0) for run in truncated]
+    ratios = [b / a for a, b in zip(distances, distances[1:])]
+    ok = all(np.diff(m_half) > 0.0) and all(r <= 0.6 for r in ratios) and distances[-1] <= 0.6
+    _verdict(
+        "F13-GE",
+        ok,
+        f"n = 10, 100, 1e4: M_0.5(T) {', '.join(f'{m:.4f}' for m in m_half[:-1])} rising to "
+        f"{m_half[-1]:.4f}; distance to the untruncated run {', '.join(f'{d:.4g}' for d in distances)}, "
+        f"each step down to <= 0.6 of the last ({', '.join(f'{r:.3f}' for r in ratios)}), the last <= 0.6",
+    )
+
+
+def test_f13_truncated_nonexistence_runs_keep_their_mass_but_leave_every_fixed_size():
+    # NonExistence (A5) at x_min = 1e-16, 397 cells: every truncated kernel is bounded,
+    # so its run keeps the mass on the grid (dust/rho 1.35e-8, 8.7e-8 and 1.01e-6 at
+    # n = 10, 100 and 10^4; the untruncated run loses all of it). The mass above a
+    # fixed size still falls as n grows: 0.9565, 0.7199 and 1.2e-4 above 1e-3, and
+    # 0.9986, 0.9911 and 0.8966 above 1e-6. Each run takes under 400 RHS calls
+    runs = _truncated_runs(A5_CONFIG, 1e-16, (10, 100, 10_000))
+    dust = [run.dust[-1] / run.rho for run in runs]
+    above = {
+        size: [float(np.sum((run.grid.reps * run.contents[-1])[run.grid.reps > size])) / run.rho for run in runs]
+        for size in (1e-3, 1e-6)
+    }
+    falling = all(all(np.diff(masses) < 0.0) for masses in above.values())
+    ok = max(dust) <= 2e-6 and falling and above[1e-3][-1] <= 1e-3 and above[1e-6][-1] <= 0.95
+    _verdict(
+        "F13-NE",
+        ok,
+        f"n = 10, 100, 1e4: dust/rho {', '.join(f'{d:.2e}' for d in dust)} (<= 2e-6); mass/rho above "
+        + "; ".join(f"{size:g}: {', '.join(f'{m:.4g}' for m in masses)}" for size, masses in above.items())
+        + " falls with n, to <= 1e-3 above 1e-3 and <= 0.95 above 1e-6",
     )
 
 

@@ -29,7 +29,6 @@ def test_empty_file_gives_documented_defaults():
     assert config.t_end == 1.0
     assert config.snapshot_times[0] == 0.0
     assert config.snapshot_times[-1] == 1.0
-    assert config.moment_orders == (0.5, 1.0, 1.5)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -92,7 +91,6 @@ def test_k0_violation_cites_hypothesis():
         ("init.mass = -1\n", "init.mass", 1),
         ("init.mean = 1e-151\n", "init.mean", 1),
         ("init.kind = monodisperse\ninit.size = 50\n", "init.size", 2),
-        ("daughter.nu = -1.5\ndaughter.k0 = 0.6\noutput.moments = 0.4\n", "output.moments", 3),
     ],
 )
 def test_range_violation_cites_key_and_line(text, key, line):
@@ -115,17 +113,17 @@ def test_huge_grid_refused_before_allocation():
     cb.parse_config_text(f"grid.n_cells = {cb.grid.MAX_CELLS}\n")
 
 
-def test_moment_orders_validated_against_divergence_threshold():
-    with pytest.raises(ConfigError) as info:
-        cb.parse_config_text("daughter.nu = -1.5\ndaughter.k0 = 0.6\noutput.moments = 0.4,1\n")
-    assert "k > |nu|-1" in str(info.value)
-
-
-def test_smallest_admitted_k0_is_a_valid_moment_order():
+def test_smallest_admitted_k0_is_a_valid_moment_order(tmp_path):
     # k0 one ulp above |nu| - 1, where (k0 + nu) + 1 rounds to 0 but
-    # k0 + (nu + 1) does not: DaughterLaw admits it, so the default orders must
-    config = cb.parse_config_text("daughter.nu = -1.4375\ndaughter.k0 = 0.43750000000000006\n")
-    assert config.moment_orders[0] == config.law.k0
+    # k0 + (nu + 1) does not: DaughterLaw admits it, so the moment of order
+    # k0 that moments.csv writes must be admitted too
+    config = cb.parse_config_text(
+        "daughter.nu = -1.4375\ndaughter.k0 = 0.43750000000000006\ntime.t_end = 0\ngrid.n_cells = 8\n"
+    )
+    assert cb.check_moment_order(config.law, config.law.k0) > 0.0
+    cb.emit_outputs(cb.run(config), tmp_path)
+    header = (tmp_path / "moments.csv").read_text().splitlines()[0]
+    assert header == "t,M_0.43750000000000006,M_1.0,M_1.4375,dust_mass,clip_mass"
 
 
 def test_snapshot_count_and_list_forms():
@@ -199,15 +197,13 @@ def test_param_keys_derive_from_the_key_table():
         "mean": "init.mean",
         "mass": "init.mass",
         "path": "init.path",
-        "k": "output.moments",
         "kind": "init.kind",
         "t_end": "time.t_end",
         "snapshots": "time.snapshots",
-        "moments": "output.moments",
     }
     assert {param: _PARAM_KEYS[param] for param in explicit} == explicit
     # the rest are the keys no check names: a param for every key, a key for every param
-    assert set(_PARAM_KEYS) - set(explicit) == {"truncation_n", "dir"}
+    assert set(_PARAM_KEYS) - set(explicit) == {"truncation_n"}
     assert set(_PARAM_KEYS.values()) == set(_KEYS)
 
 
@@ -254,7 +250,6 @@ def test_round_trip_is_fixed_point():
         "grid.x_min = 2e-4\ngrid.x_max = 7\ngrid.n_cells = 96\n"
         "init.kind = monodisperse\ninit.size = 1.5\ninit.mass = 2.0\n"
         "time.t_end = 0.75\ntime.snapshots = 7\n"
-        "output.moments = 0.7,1,1.9\n"
     )
     first = cb.parse_config_text(text)
     second = cb.parse_config_text(config_text(first))
@@ -304,9 +299,6 @@ def _config_texts(draw):
     else:
         times = draw(st.lists(st.floats(0.0, t_end), min_size=1, max_size=6))
         lines["time.snapshots"] = ",".join(repr(t) for t in times)
-    if draw(st.booleans()):
-        orders = draw(st.lists(st.floats(threshold, 5.0, exclude_min=True), min_size=1, max_size=4))
-        lines["output.moments"] = ",".join(repr(k) for k in orders)
     return "".join(
         f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
         for key, value in lines.items()
@@ -323,7 +315,7 @@ def test_to_text_round_trips_generated_configs(text):
 
 
 _FLOAT_KEYS = sorted(key for key, (parser, *_) in _KEYS.items() if parser is float)
-_LIST_KEYS = ["time.snapshots", "output.moments"]
+_LIST_KEYS = ["time.snapshots"]
 _float_tokens = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "-0.0", "5e-324", "1.7976931348623157e308"]),

@@ -69,7 +69,7 @@ def test_emit_files_exist_with_headers(emitted_run):
     assert raw.endswith(b"".join(state.contents.tobytes() for state in run.states))
     payload = json.loads((out_dir / "manifest.json").read_text())
     assert payload == manifest
-    assert payload["format"] == 3
+    assert payload["format"] == 4
     assert sorted(payload["files"]) == ["contents.npy", "moments.csv"]
     assert "snapshots" not in payload
     assert payload["bounds"]["regime"] == "GlobalExistence"
@@ -250,7 +250,8 @@ def test_moments_csv_is_streamed_in_row_blocks(tmp_path):
     dust, clip = rng.random(times.size), rng.random(times.size) * 1e-20
     grid = cb.build_grid(config.x_min, config.x_max, config.n_cells)
     run = cb.RunOutput(grid, config.kernel, config.law, times, contents, dust, clip, config)
-    columns = [times, *(run.moments(k) for k in config.moment_orders), dust, clip]
+    orders = (config.law.k0, 1.0, 1.0 + config.law.k0)
+    columns = [times, *(run.moments(k) for k in orders), dust, clip]
     tracemalloc.start()
     try:
         manifest = cb.emit_outputs(run, tmp_path)
@@ -258,7 +259,7 @@ def test_moments_csv_is_streamed_in_row_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     written = (tmp_path / "moments.csv").read_bytes()
-    header = "t," + ",".join(f"M_{float(k)!r}" for k in config.moment_orders) + ",dust_mass,clip_mass"
+    header = "t," + ",".join(f"M_{float(k)!r}" for k in orders) + ",dust_mass,clip_mass"
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     assert written == ("\n".join(lines) + "\n").encode()
     assert manifest["files"]["moments.csv"] == hashlib.sha256(written).hexdigest()
@@ -493,6 +494,21 @@ def _verify_without_contents(d):
     return ["verify", str(d / "run")]
 
 
+def _resigned_run(d, edit):
+    """``verify`` argv of a run in ``d``/run whose manifest ``edit`` changed, then signed again."""
+    out = d / "run"
+    cb.emit_outputs(cb.run(cb.parse_config_text(SMALL_CONFIG)), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest)
+    manifest["content_hash"] = _content_hash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return ["verify", str(out)]
+
+
+def _echoing_one_cell(manifest):
+    manifest["config"]["grid.n_cells"] = 1  # the third line of the echo
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -514,7 +530,11 @@ def _verify_without_contents(d):
         ),
         (
             lambda d: ["simulate", _write(d, SMALL_CONFIG)],
-            "configuration error: no output directory: set output.dir or pass --out",
+            "configuration error: no output directory: pass --out DIR",
+        ),
+        (
+            lambda d: ["simulate", _write(d, SMALL_CONFIG), "--out", ""],
+            "configuration error: no output directory: pass --out DIR",
         ),
         (_distance_across_meshes, "error: runs have different snapshot meshes"),
         (
@@ -546,6 +566,15 @@ def _verify_without_contents(d):
             lambda d: ["verify", str(d)],
             "error: {d} has no readable manifest.json: [Errno 2] No such file or directory: '{d}/manifest.json'",
         ),
+        (
+            lambda d: _resigned_run(d, lambda manifest: manifest.update(format=3)),
+            "error: {d}/run/manifest.json is not a format-4 run manifest; re-run simulate",
+        ),
+        (
+            lambda d: _resigned_run(d, _echoing_one_cell),
+            "error: {d}/run/manifest.json echoes a configuration that does not parse: "
+            "grid.n_cells: need n_cells >= 2, got 1",
+        ),
     ],
     ids=[
         "no-equals",
@@ -553,6 +582,7 @@ def _verify_without_contents(d):
         "missing-file",
         "bad-xmins",
         "no-out-dir",
+        "empty-out-dir",
         "different-meshes",
         "underflowing-mass",
         "underflowing-mass-bounds",
@@ -562,18 +592,51 @@ def _verify_without_contents(d):
         "long-out-name",
         "verify-without-contents",
         "verify-without-manifest",
+        "verify-format-3",
+        "verify-unparsable-echo",
     ],
 )
 def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch, argv, message):
-    # refused before any right-hand side, and no run directory is made
+    # refused before any right-hand side, and no file or directory is made
     argv = argv(tmp_path)
+    made = sorted(tmp_path.rglob("*"))
     calls = []
     monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda *a: calls.append(a))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message.format(d=tmp_path) + "\n"
-    assert calls == [] and not (tmp_path / "x").exists()
+    assert calls == [] and sorted(tmp_path.rglob("*")) == made
+
+
+@pytest.mark.parametrize(
+    "segment, value, out", [("dir", "run", []), ("moments", "0.5", ["--out", "x"])], ids=["dir", "moments"]
+)
+def test_cli_refuses_the_output_section_as_unknown_keys(tmp_path, capsys, segment, value, out):
+    # the output section is gone: moments.csv holds orders k0, 1 and 1 + k0, and
+    # --out alone says where a run is written; a config still setting either key
+    # is refused under its key and line before anything is written
+    key = f"output.{segment}"
+    cfg = _write(tmp_path, f"{SMALL_CONFIG}{key} = {value}\n")
+    assert main(["simulate", cfg, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: line 3: {key}: unknown key in {cfg}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case.cfg"]
+
+
+def test_restart_from_a_run_whose_echo_does_not_parse_cites_init_path(tmp_path, capsys):
+    # the echo's refusal is the run directory's, not one of the restarting config's lines
+    _resigned_run(tmp_path, _echoing_one_cell)
+    cfg = _write(tmp_path, "grid.n_cells = 16\ninit.kind = table\ninit.path = run\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: init.path: {tmp_path}/run/manifest.json echoes a configuration "
+        "that does not parse: grid.n_cells: need n_cells >= 2, got 1\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_regime_and_bounds(tmp_path, capsys):
@@ -649,24 +712,9 @@ def test_cli_keeps_its_exit_code_when_the_reader_closes_early(tmp_path):
     assert _cli_read_by_nobody("verify", str(out)) == (4, "")
 
 
-def test_output_dir_is_taken_from_the_config_files_directory(tmp_path, monkeypatch, capsys):
-    # as init.path is; --out stays relative to the working directory
-    (tmp_path / "cfgdir").mkdir()
-    _write(tmp_path / "cfgdir", BASE_CONFIG + "output.dir = myrun\n", "a.cfg")
-    monkeypatch.chdir(tmp_path)
-    assert cb.parse_config("cfgdir/a.cfg").out_dir == str(Path("cfgdir") / "myrun")
-    assert main(["simulate", "cfgdir/a.cfg"]) == 0
-    assert (tmp_path / "cfgdir" / "myrun" / "manifest.json").exists()
-    assert not (tmp_path / "myrun").exists()
-    assert main(["simulate", "cfgdir/a.cfg", "--out", "other"]) == 0
-    assert (tmp_path / "other" / "manifest.json").exists()
-    capsys.readouterr()
-
-
 def test_content_hash_does_not_depend_on_where_the_run_is_written(tmp_path, monkeypatch, capsys):
     (tmp_path / "cfgdir").mkdir()
-    _write(tmp_path / "cfgdir", BASE_CONFIG + "output.dir = myrun\n", "a.cfg")
-    _write(tmp_path, BASE_CONFIG, "plain.cfg")
+    _write(tmp_path / "cfgdir", BASE_CONFIG, "a.cfg")
 
     def content_hash(*argv):
         capsys.readouterr()
@@ -675,18 +723,14 @@ def test_content_hash_does_not_depend_on_where_the_run_is_written(tmp_path, monk
 
     monkeypatch.chdir(tmp_path)
     hashes = {
-        content_hash("cfgdir/a.cfg"),
         content_hash("cfgdir/a.cfg", "--out", "other"),
-        content_hash("plain.cfg", "--out", "plain"),  # no output.dir at all
+        content_hash("cfgdir/a.cfg", "--out", str(tmp_path / "absolute")),
     }
     monkeypatch.chdir(tmp_path / "cfgdir")
-    hashes.add(content_hash("a.cfg"))
+    hashes.add(content_hash("a.cfg", "--out", "myrun"))
     assert len(hashes) == 1
-    assert "output.dir" not in json.loads((tmp_path / "other" / "manifest.json").read_text())["config"]
-    # the configuration itself still carries and round-trips it
-    config = cb.parse_config("a.cfg")
-    assert "output.dir = myrun\n" in config_text(config)
-    assert cb.parse_config_text(config_text(config)) == config
+    manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("other", "absolute", "cfgdir/myrun")]
+    assert manifests[0] == manifests[1] == manifests[2]
 
 
 @pytest.mark.parametrize("name", ["moments.csv", "contents.npy"])
@@ -711,7 +755,6 @@ def test_cli_verify_rejects_truncated_file(tmp_path, capsys, name):
         "init.mass = inf",
         "init.mean = inf",
         "grid.x_max = inf",
-        "output.moments = 0.5,nan",
         "time.snapshots = 0,nan",
     ],
 )
@@ -1075,12 +1118,12 @@ def test_load_run_refuses_other_formats(tmp_path, capsys):
     out, manifest = _simulated(tmp_path, capsys)
     unversioned = dict(manifest)
     del unversioned["format"]  # as in the per-snapshot layout, which had no field
-    for old in (unversioned, _format_2(out, manifest)):
+    for old in (unversioned, dict(manifest, format=3), _format_2(out, manifest)):
         old["content_hash"] = _content_hash(old)
         for text in (json.dumps(old), "[]"):
             (out / "manifest.json").write_text(text)
             assert main(["verify", str(out)]) == 2
-            assert "is not a format-3 run manifest; re-run simulate" in capsys.readouterr().err
+            assert "is not a format-4 run manifest; re-run simulate" in capsys.readouterr().err
             with pytest.raises(cb.InputError):
                 cb.load_run(out)
 
