@@ -36,6 +36,7 @@ class ConfigError(CollbreakError, ValueError):
         if line is not None:
             detail = f"line {line}: {detail}"
         super().__init__(detail)
+        self.reason = message
         self.key = key
         self.line = line
 

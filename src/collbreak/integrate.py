@@ -129,7 +129,9 @@ def step(
     estimate are one unoptimized ``np.einsum("j,jn->n")`` of a row of dt
     ``_TABLEAU`` with the (7, N) stack of stage rates, as ``picard_solve``'s
     node sum: in stage order, each product rounded on its own, the base added
-    last.  Halves the step until that estimate passes and zeroing the negative
+    last.  Stage inputs 2-6 share one scratch vector, and each stage's rates
+    go straight into their row of the stack as ``rhs_arrays``' ``out``.
+    Halves the step until that estimate passes and zeroing the negative
     contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
     of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
     After an accepted step that clipped, the next step grows no further
@@ -162,21 +164,21 @@ def step(
     tol_value = tol.abs_tol + tol.rel_tol * float((weights * np.abs(c)).sum())
 
     stack, ds = np.empty((7, c.size)), np.empty(7)  # the stage rates k_1 .. k_7 and dust rates
-    stack[0], ds[0] = rhs_arrays(workspace, c) if rates is None else rates
+    stack[0], ds[0] = rhs_arrays(workspace, c, stack[0]) if rates is None else rates
+    scratch = np.empty_like(c)  # the input of stages 2 to 6
     dt = float(dt_target)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             scaled = dt * _TABLEAU
             for i in range(6):
-                # stage i + 2's input goes into the row its rate then overwrites; the last
-                # is y_new, in a fresh buffer that the new state keeps
-                y_new = np.empty_like(c) if i == 5 else stack[i + 1]
+                # the last input is y_new, in a fresh buffer that the new state keeps
+                y_new = np.empty_like(c) if i == 5 else scratch
                 if i == 0:  # one product: einsum's 0 + x, plus c, is x + c unless c is -0.0
                     np.multiply(scaled[0, 0], stack[0], out=y_new)
                 else:
                     np.einsum("j,jn->n", scaled[i, : i + 1], stack[: i + 1], out=y_new)
                 y_new += c
-                stack[i + 1], ds[i + 1] = rhs_arrays(workspace, y_new)
+                ds[i + 1] = rhs_arrays(workspace, y_new, stack[i + 1])[1]
             # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
             err = np.einsum("j,jn->n", scaled[6], stack)
             np.abs(err, out=err)
@@ -203,7 +205,7 @@ def step(
         factor = min(factor, max(0.2, trend))
     dt_next = dt * factor
 
-    new_state = _finish(workspace.grid, state, y_new, scaled[5, :6], ds[:6], state.time + dt)
+    new_state = _finish(workspace.grid, state, y_new, low, scaled[5, :6], ds[:6], state.time + dt)
     next_rates = None if low < 0.0 else (stack[6].copy(), float(ds[6]))
     return new_state, dt, dt_next, next_rates, (stack, ds), (dt, ratio)
 
@@ -260,15 +262,15 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
     coeffs = dt * (theta * (_DENSE[0] + theta * (_DENSE[1] + theta * (_DENSE[2] + theta * _DENSE[3]))))
     np.einsum("j,jn->n", coeffs, stack, out=out)
     out += state.contents
-    return _finish(workspace.grid, state, out, coeffs, ds, time)
+    return _finish(workspace.grid, state, out, float(out.min(initial=0.0)), coeffs, ds, time)
 
 
-def _finish(grid, start: State, contents, coeffs, ds, time) -> State:
-    """The ``State`` at ``time`` after ``start``: ``contents`` with any negatives zeroed in place
-    and their mass sum reps |c| added to ``clip_mass``, and the dust plus sum_j coeffs_j ds_j,
-    summed in stage order, for the coefficient vector ``coeffs`` that built ``contents``."""
+def _finish(grid, start: State, contents, low, coeffs, ds, time) -> State:
+    """The ``State`` at ``time`` after ``start``: ``contents``, whose least entry or 0 is ``low``,
+    with any negatives zeroed in place and their mass sum reps |c| added to ``clip_mass``, and the
+    dust plus sum_j coeffs_j ds_j, summed in stage order, for the ``coeffs`` that built ``contents``."""
     clipped = 0.0
-    if contents.min(initial=0.0) < 0.0:
+    if low < 0.0:
         clipped = _clipped_mass(grid.reps, contents)
         contents[contents < 0.0] = 0.0
     return State(

@@ -33,11 +33,11 @@ so identical inputs give bitwise identical rates whatever the thread
 settings, and a batched row equals the same state evaluated alone.
 
 A call holds at most three arrays of the batch's shape at once, its
-output included, and adds the deposits into d_contents in one same-shape
-add: an add through shifted 2-D views makes numpy allocate iteration
-buffers, as much as three batch arrays more on a small batch.  The sum
-above the top cell is -0.0, which leaves every double it is added to as
-it is (``rhs_arrays``).
+output included, whether fresh or an ``out`` it is handed, and adds the
+deposits into d_contents in one same-shape add: an add through shifted 2-D
+views makes numpy allocate iteration buffers, as much as three batch arrays
+more on a small batch.  The sum above the top cell is -0.0, which leaves
+every double it is added to as it is, and one state is indexed plainly.
 """
 
 from __future__ import annotations
@@ -97,14 +97,40 @@ def precompute(grid: SizeGrid, kernel: KernelSpec, law: DaughterLaw) -> RhsWorks
     return RhsWorkspace(grid, kernel, law, *vectors, float(edge_mass[0]))
 
 
-def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
-    """w = c * (Phi c) per row: the rate of collisions each cell's particles undergo."""
+def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray, out=None):
+    """Time derivative (d_contents, d_dust) of raw contents of shape (..., N).
+
+    Every collision breaks both partners, so the particles of cell j break
+    up at rate w = c * (Phi c) and send their fragments down from there.
+    Each row along the last axis is an independent state, so a batch of
+    states costs one call.  In a batch laid out row by row (C order) every
+    row comes out bitwise equal to a call on that row alone, because numpy
+    reduces and accumulates a contiguous last axis row by row in the same
+    order; other layouts agree to round-off.  ``d_contents`` has the shape
+    of ``contents``, and is written into ``out`` and is ``out`` when one of
+    that shape not overlapping ``contents`` is given; ``d_dust`` has the
+    leading shape, and is a Python float for a single state.
+
+    Three batch-sized arrays are alive at the peak, ``out`` included: hi * c,
+    whose buffer becomes w and then d_contents, the products p_j w_j, and
+    ``above``, which the reversed cumulative sum fills from the top cell
+    down, unshifted.  Its bottom gives d_dust = e_0^a (above[0] + p_0 w_0),
+    so the mass identity telescopes from the deposits' own sum, whose
+    in-order error grows like N eps (5e-13 at 10^6 cells).  The products are
+    freed before ``above`` is scaled by g and added.  Nothing lies above the
+    top cell, so ``above[..., -1]`` is -0.0, kept by g_{N-1} >= 0, and adding
+    -0.0 changes no double, -0.0 and NaN included: an empty top cell keeps
+    its -0.0 rate.  A single state is indexed plainly and its d_dust summed
+    in Python floats, the same doubles: ``[..., 0]`` would build 0-d arrays,
+    each dearer than the arithmetic on a small grid.
+    """
     lo, hi = workspace.kernel_lo, workspace.kernel_hi
     batch = contents.ndim > 1
     # A single state's sums stay scalars, which numpy multiplies faster than
     # (1,)-shaped arrays; a batch's get a trailing axis to broadcast per row.
-    hi_sum = np.add.reduce(hi * contents, -1)
-    w = lo * (hi_sum[..., None] if batch else hi_sum)
+    w = np.multiply(hi, contents, out, order="C")  # hi * c, C order whatever the input's layout
+    hi_sum = np.add.reduce(w, -1)  # hi * c's last use: w takes its buffer
+    np.multiply(lo, hi_sum[..., None] if batch else hi_sum, out=w)
     if workspace.kernel.lambda1 == workspace.kernel.lambda2:
         # rank 1, lo == hi: a s + a s is bitwise the rank-2 sum below, which
         # (2a) s is not where a s is subnormal
@@ -113,42 +139,20 @@ def _event_mass(workspace: RhsWorkspace, contents: np.ndarray) -> np.ndarray:
         lo_sum = np.add.reduce(lo * contents, -1)
         w += hi * (lo_sum[..., None] if batch else lo_sum)
     w *= contents
-    return w
-
-
-def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray):
-    """Time derivative (d_contents, d_dust) of raw contents of shape (..., N).
-
-    Every collision breaks both partners, so the particles of cell j break
-    up at rate w[j] and send their fragments down from there.  Each row
-    along the last axis is an independent state, so a batch of states costs
-    one call.  In a batch laid out row by row (C order) every row comes out
-    bitwise equal to a call on that row alone, because numpy reduces and
-    accumulates a contiguous last axis row by row in the same order; other
-    layouts agree to round-off.  ``d_contents`` has the shape of
-    ``contents``; ``d_dust`` has its leading shape, and is a Python float
-    for a single state.
-
-    Three batch-sized arrays are alive at the peak: w, whose buffer becomes
-    d_contents, the products p_j w_j, and ``above``, which the reversed
-    cumulative sum fills from the top cell down, unshifted.  Its bottom gives
-    d_dust = e_0^a (above[0] + p_0 w_0), so the mass identity telescopes from
-    the deposits' own sum, whose in-order error grows like N eps (5e-13 at 10^6
-    cells).  The products are freed before ``above`` is scaled by g and added.
-    Nothing lies above the top cell, so ``above[..., -1]`` is -0.0, kept by
-    g_{N-1} >= 0, and adding -0.0 changes no double, -0.0 and NaN included: an
-    empty top cell keeps its -0.0 rate.
-    """
-    w = _event_mass(workspace, contents)
     # accumulated from the top cell down, above[i] = sum_{j>i} p_j w_j for i < N-1
     deposits = workspace.parent_factor * w
     above = np.empty_like(w)
     np.add.accumulate(deposits[..., :0:-1], -1, out=above[..., -2::-1])
-    d_dust = workspace.edge_dust * (above[..., 0] + deposits[..., 0])
+    # nothing above the top cell; adding -0.0 changes no double
+    if batch:
+        d_dust = workspace.edge_dust * (above[..., 0] + deposits[..., 0])
+        above[..., -1] = -0.0
+    else:
+        d_dust = workspace.edge_dust * (above.item(0) + deposits.item(0))
+        above[-1] = -0.0
     del deposits
-    above[..., -1] = -0.0  # nothing above the top cell; adding -0.0 changes no double
     above *= workspace.lower_counts
     d_contents = w  # w's last use was above; reuse its buffer
     d_contents *= workspace.own_change
     d_contents += above
-    return d_contents, float(d_dust) if d_dust.ndim == 0 else d_dust
+    return d_contents, d_dust

@@ -68,6 +68,11 @@ class DenseRhs:
         self.kernel_mat = kernel_matrix(kernel, grid.reps)
         self.counts, self.dust = deposit_counts(grid, law)
 
-    def __call__(self, contents):
+    def __call__(self, contents, out=None):
+        """(d_contents, d_dust); d_contents is written into ``out`` when it is given."""
         w = contents * (self.kernel_mat @ contents)
-        return self.counts @ w - w, float(np.sum(self.dust * w))
+        d_contents = self.counts @ w - w
+        if out is not None:
+            out[...] = d_contents
+            d_contents = out
+        return d_contents, float(np.sum(self.dust * w))

@@ -430,6 +430,46 @@ def test_f13_truncated_nonexistence_runs_keep_their_mass_but_leave_every_fixed_s
     )
 
 
+
+# F11: A1's kernel is homogeneous of degree lambda = 1.2 and its daughter law is
+# scale-free, so a long run nears a self-similar state whose typical size decays
+# like t^(-1/(lambda - 1)) = t^-5. A1's cells per decade, to t = 20 at x_min = 1e-20
+LONG_A1_CONFIG = A1_CONFIG.replace("time.t_end = 1.0", "time.t_end = 20").replace(
+    "time.snapshots = 21", "time.snapshots = 41"
+)
+
+
+@pytest.fixture(scope="module")
+def long_a1_runs():
+    """The exponential start (mean 1) and a monodisperse start at size 1, to t = 20."""
+    monodisperse = LONG_A1_CONFIG.replace("init.kind = exponential", "init.kind = monodisperse\ninit.size = 1")
+    return [cb.run(cb.with_x_min(cb.parse_config_text(t), 1e-20)) for t in (LONG_A1_CONFIG, monodisperse)]
+
+
+def test_f11_long_runs_from_two_starts_reach_one_scaling_profile(long_a1_runs):
+    # R = M_0.5 M_1.5 / M_1^2 does not depend on the scale: measured R(20) = 2.406057
+    # and 2.406059 (2.341407 and 2.402201 from the exponential start at 1e-12 and 1e-16)
+    ratios = [run.moments(0.5)[-1] * run.moments(1.5)[-1] / run.moments(1.0)[-1] ** 2 for run in long_a1_runs]
+    ok = all(run.times[-1] == 20.0 for run in long_a1_runs) and abs(ratios[0] - ratios[1]) <= 1e-4
+    _verdict("F11-R", ok, f"R(20) {ratios[0]:.6f} (exponential) and {ratios[1]:.6f} (monodisperse), within 1e-4")
+
+
+def test_f11_long_runs_decay_like_their_scaling_law(long_a1_runs):
+    # the local decay exponent of M_2/M_1 over [10, 20]: measured 4.756 and 4.746
+    exponents = []
+    for run in long_a1_runs:
+        size = run.moments(2.0) / run.moments(1.0)
+        i10, i20 = np.searchsorted(run.times, [10.0, 20.0])
+        assert (run.times[i10], run.times[i20]) == (10.0, 20.0)
+        exponents.append(float(np.log(size[i10] / size[i20]) / np.log(2.0)))
+    ok = all(abs(p - 5.0) <= 0.5 for p in exponents)
+    _verdict(
+        "F11-decay",
+        ok,
+        f"M_2/M_1 decays like t^-p over [10, 20], p = {', '.join(f'{p:.3f}' for p in exponents)}, within 10% of 5",
+    )
+
+
 def test_a6_uniqueness_gronwall(a1_run):
     base = a1_run
     config = cb.parse_config_text(A1_CONFIG)
@@ -563,7 +603,7 @@ def test_a1_factored_rhs_matches_dense_oracle(n, monkeypatch):
     config = cb.parse_config_text(A1_CONFIG.replace("grid.n_cells = 128", f"grid.n_cells = {n}"))
     factored = cb.run(config)
     dense = DenseRhs(factored.grid, config.kernel, config.law)
-    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda workspace, contents: dense(contents))
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda workspace, contents, out=None: dense(contents, out))
     oracle = cb.run(config)
     weights = cb.weight_vector(factored.grid, config.law.k0)
     worst = max(

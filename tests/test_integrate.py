@@ -86,11 +86,11 @@ def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
     calls = []
     real = integrate.rhs_arrays
 
-    def counted(workspace, contents):
+    def counted(workspace, contents, out=None):
         calls.append(1)
         # a step that keeps halving dt would otherwise never return
         assert len(calls) <= 40, "step keeps retrying a NaN state"
-        return real(workspace, contents)
+        return real(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with pytest.raises(StiffnessError) as info:
@@ -109,9 +109,9 @@ def test_step_halves_past_an_overflowing_stage_without_warning(small_problem, mo
     calls = []
     real = integrate.rhs_arrays
 
-    def counted(workspace, contents):
+    def counted(workspace, contents, out=None):
         calls.append(1)
-        return real(workspace, contents)
+        return real(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
@@ -589,9 +589,9 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
     tally = {"rhs": 0, "accepted": 0, "rejected": 0, "clips": 0, "last_clipped": False}
     real_rhs, real_step = integrate.rhs_arrays, integrate.step
 
-    def counted_rhs(workspace, contents):
+    def counted_rhs(workspace, contents, out=None):
         tally["rhs"] += 1
-        return real_rhs(workspace, contents)
+        return real_rhs(workspace, contents, out)
 
     def counted_step(workspace, state, dt_target, tol, rates=None, history=None):
         result = real_step(workspace, state, dt_target, tol, rates, history)
@@ -707,9 +707,9 @@ def test_non_finite_initial_rates_raise_before_the_probe(small_problem, monkeypa
     calls = []
     real = integrate.rhs_arrays
 
-    def counted(workspace, contents):
+    def counted(workspace, contents, out=None):
         calls.append(1)
-        return real(workspace, contents)
+        return real(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
@@ -737,9 +737,9 @@ def _counted_simulate(monkeypatch, ws, s0, times, tol):
     calls = [0]
     real_rhs = integrate.rhs_arrays
 
-    def counted_rhs(workspace, contents):
+    def counted_rhs(workspace, contents, out=None):
         calls[0] += 1
-        return real_rhs(workspace, contents)
+        return real_rhs(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
     out = cb.simulate(ws, s0, times, tol)
@@ -1028,9 +1028,9 @@ def test_picard_batches_one_rhs_call_per_iteration(truncated_problem, monkeypatc
     shapes = []
     real = integrate.rhs_arrays
 
-    def counted(workspace, contents):
+    def counted(workspace, contents, out=None):
         shapes.append(contents.shape)
-        return real(workspace, contents)
+        return real(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     result = cb.picard_solve(ws, s0, 0.05, max_iter=40, tol=1e-12)

@@ -1017,6 +1017,30 @@ def test_cli_shatter_study_refuses_runs_without_dust(tmp_path, capsys):
     assert "dust fraction 0 at x_min=0.01" in captured.err
 
 
+
+@pytest.mark.parametrize(
+    "cut, reason",
+    [
+        ("1e-300", "need x_min >= 1e-150, got 1e-300"),
+        ("nan", "need 0 < x_min < x_max, got (nan, 2.0)"),
+        ("inf", "need 0 < x_min < x_max, got (inf, 2.0)"),
+        ("0", "need 0 < x_min < x_max, got (0.0, 2.0)"),
+        ("-1", "need 0 < x_min < x_max, got (-1.0, 2.0)"),
+        ("5", "need 0 < x_min < x_max, got (5.0, 2.0)"),
+    ],
+)
+def test_cli_shatter_study_refuses_a_bad_cut_under_xmins(tmp_path, capsys, monkeypatch, cut, reason):
+    # A5's own grid.x_min is valid: a cut that with_x_min refuses is the --xmins list's
+    # fault, refused on one line before any run
+    calls = []
+    monkeypatch.setattr(cb.integrate, "rhs_arrays", lambda *a: calls.append(a))
+    assert main(["shatter-study", _write(tmp_path, test_acceptance.A5_CONFIG), "--xmins", f"1e-2,1e-3,{cut}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --xmins: {reason}\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "table, message",
     [

@@ -155,6 +155,32 @@ def test_rank_one_rhs_is_bitwise_the_rank_two_sum(case, n):
             assert single_dc[-1] == 0.0 and np.signbit(single_dc[-1])
 
 
+
+@pytest.mark.parametrize("n", [2, 37, 256])
+@pytest.mark.parametrize("case", [*sorted(RANK_ONE), "rank-2"])
+def test_rhs_written_into_out_is_out_with_the_same_bytes(case, n):
+    # rank 2 is REGIMES' mixed kernel; a vector's out is a row of a stage stack, as in step
+    kernel, (x_min, x_max) = RANK_ONE.get(case, (KernelSpec(0.2, 0.7), (1e-4, 10.0)))
+    ws = cb.precompute(cb.build_grid(x_min, x_max, n), kernel, DaughterLaw(-1.2, 0.5))
+    rng = np.random.default_rng(n + 3)
+    batch = rng.uniform(0.0, 2.0, size=(9, n)) * (rng.uniform(size=(9, n)) > 0.2)
+    batch[5:, -1] = 0.0  # empty top cells
+    out = np.full_like(batch, np.nan)
+    dc, dd = cb.rhs_arrays(ws, batch, out)
+    ref_dc, ref_dd = cb.rhs_arrays(ws, batch)
+    assert dc is out and out.tobytes() == ref_dc.tobytes() and dd.tobytes() == ref_dd.tobytes()
+    assert np.all(out[5:, -1] == 0.0) and np.all(np.signbit(out[5:, -1]))
+    stack = np.full((7, n), np.nan)
+    for row, contents in enumerate(batch):
+        view = stack[3]
+        dc, dd = cb.rhs_arrays(ws, contents, view)
+        ref_dc, ref_dd = cb.rhs_arrays(ws, contents)
+        assert dc is view and stack[3].tobytes() == ref_dc.tobytes()
+        assert type(dd) is float and dd.hex() == ref_dd.hex()
+        if row >= 5:
+            assert dc[-1] == 0.0 and np.signbit(dc[-1])
+
+
 def test_precompute_is_linear_in_cells():
     n = 100_000
     grid = cb.build_grid(1e-8, 10.0, n)
