@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .config import _cited, build_problem, run as run_config, with_x_min
 from .daughter import leak_ratio, power_sum_change
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .grid import SizeGrid, State, weight_vector
 from .integrate import MASS_BUDGET, RunOutput, Tolerances, _require_truncation, picard_solve, row_blocks, simulate
 
@@ -148,16 +148,20 @@ def shattering_study(config, x_mins) -> ShatterStudy:
     dust fraction falling at least 2x per decade of x_min is the signature
     of an integrable cascade ("conservative"); failure to do so is the
     shattering signature.  Every cut's config is made, and so checked by
-    ``with_x_min``, before the first run.  A run that ends with no dust,
+    ``with_x_min``, before the first run: a cut it refuses raises
+    ``ConfigError`` under the key ``x_mins``.  A run that ends with no dust,
     which has no trend to fit, is refused with ``InputError``.
     """
-    x_mins = sorted({float(x) for x in x_mins}, reverse=True)
+    try:
+        cuts = {x_min: with_x_min(config, x_min) for x_min in map(float, x_mins)}
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, key="x_mins") from None
+    x_mins = sorted(cuts, reverse=True)
     if len(x_mins) < 3:
         raise InputError("need at least 3 distinct x_min values for a refinement trend")
-    cuts = [with_x_min(config, x_min) for x_min in x_mins]
     rows, over_budget = [], None
-    for x_min, cut in zip(x_mins, cuts):
-        out = run_config(cut)
+    for x_min in x_mins:
+        out = run_config(cuts[x_min])
         frac = float(out.dust[-1] / out.rho)
         if not frac > 0.0:
             raise InputError(f"dust fraction {frac:g} at x_min={x_min:g} leaves no trend to fit")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
@@ -34,9 +35,9 @@ MAX_STEPS = 10**6
 # clip more than MASS_BUDGET / MAX_STEPS of its mass, so no run within MAX_STEPS breaks it by clipping.
 MASS_BUDGET = 1e-6
 
-# Doubles of scratch in one row block of a pass over a run's contents matrix
-# (64 KiB), so a pass holds its record plus O(n_cells + block), not a copy.
-BLOCK_DOUBLES = 8192
+# Doubles of scratch in one row block of a pass over a run's contents matrix (32 KiB; numpy 2.4
+# adds an iteration buffer as large), so a pass holds its record plus O(n_cells + block), not a copy.
+BLOCK_DOUBLES = 4096
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) in exact
 # rationals: the stage rows a_ij, the fifth-order weights b and the embedded
@@ -70,12 +71,12 @@ DP_P = (
 
 # The pair as doubles, each rational rounded once: rows 0-5 of _TABLEAU are the inputs of stages
 # 2-7 (row 5 is b, for y_new) and row 6 is b - b_hat, column j weighing stage j + 1, zero past the
-# stages a row reads.  The dense output's weights are b_i(theta) = sum_m _DENSE[m, i] theta^(m+1).
+# stages a row reads.  The dense output's weights, in floats, are b_i(theta) = sum_m _DENSE[i][m] theta^(m+1).
 _TABLEAU = np.array(
     [[float(a) for a in row] + [0.0] * (7 - len(row)) for row in DP_A[1:]]
     + [[float(b - b_hat) for b, b_hat in zip(DP_B, DP_B_HAT)]]
 )
-_DENSE = np.array([[float(p) for p in column] for column in zip(*DP_P)])
+_DENSE = [[float(p) for p in row] for row in DP_P]
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ class Tolerances:
             raise DomainError("rel_tol and abs_tol must not both be zero", param="rel_tol")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(
     workspace: RhsWorkspace,
     state: State,
@@ -115,6 +117,7 @@ def step(
     tol: Tolerances,
     rates=None,
     history=None,
+    stages=None,
 ):
     """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
@@ -129,8 +132,10 @@ def step(
     estimate are one unoptimized ``np.einsum("j,jn->n")`` of a row of dt
     ``_TABLEAU`` with the (7, N) stack of stage rates, as ``picard_solve``'s
     node sum: in stage order, each product rounded on its own, the base added
-    last.  Stage inputs 2-6 share one scratch vector, and each stage's rates
-    go straight into their row of the stack as ``rhs_arrays``' ``out``.
+    last.  Stage inputs 2-6 and the estimate share one scratch vector, and
+    each stage's rates go straight into their row of the stack as
+    ``rhs_arrays``' ``out``.  ``stages``, the buffers and views an earlier
+    step on this grid returned, are overwritten; None makes fresh ones.
     Halves the step until that estimate passes and zeroing the negative
     contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
     of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
@@ -153,47 +158,50 @@ def step(
     ``next_rates`` is the seventh stage k7 = f(y_new), the right-hand side
     at the new state, or None when clipping changed y_new; handed back in,
     it makes an accepted step cost six right-hand sides and each rejected
-    attempt six more.  ``stages`` is the accepted attempt's (7, N) stack of
-    contents rates and its seven dust rates, and ``history`` this step's
+    attempt six more.  ``stages`` holds the buffers, first the accepted
+    attempt's (7, N) stack of contents rates and then its seven dust rates,
+    until it is handed to another step, and ``history`` this step's
     (dt_used, r) for the next.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
     weights, reps = workspace.error_weights, workspace.grid.reps
     c = state.contents
-    tol_value = tol.abs_tol + tol.rel_tol * float((weights * np.abs(c)).sum())
+    tol_value = tol.abs_tol + tol.rel_tol * float(np.add.reduce(weights * np.abs(c)))
 
-    stack, ds = np.empty((7, c.size)), np.empty(7)  # the stage rates k_1 .. k_7 and dust rates
-    stack[0], ds[0] = rhs_arrays(workspace, c, stack[0]) if rates is None else rates
-    scratch = np.empty_like(c)  # the input of stages 2 to 6
+    if stages is None:  # the stage rates k_1 .. k_7, their dust rates, the scratch, dt _TABLEAU, views
+        stack, scaled = np.empty((7, c.size)), np.empty((7, 7))
+        prefixes, coeffs = [stack[: i + 1] for i in range(6)], [scaled[i, : i + 1] for i in range(7)]
+        stages = (stack, np.empty(7), np.empty_like(c), scaled, list(stack), prefixes, coeffs)
+    stack, ds, scratch, scaled, rows, prefixes, coeffs = stages
+    stack[0], ds[0] = rhs_arrays(workspace, c, rows[0]) if rates is None else rates
     dt = float(dt_target)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            scaled = dt * _TABLEAU
-            for i in range(6):
-                # the last input is y_new, in a fresh buffer that the new state keeps
-                y_new = np.empty_like(c) if i == 5 else scratch
-                if i == 0:  # one product: einsum's 0 + x, plus c, is x + c unless c is -0.0
-                    np.multiply(scaled[0, 0], stack[0], out=y_new)
-                else:
-                    np.einsum("j,jn->n", scaled[i, : i + 1], stack[: i + 1], out=y_new)
-                y_new += c
-                ds[i + 1] = rhs_arrays(workspace, y_new, stack[i + 1])[1]
-            # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
-            err = np.einsum("j,jn->n", scaled[6], stack)
-            np.abs(err, out=err)
-            err *= weights
-            est = float(err.sum())
-            low = float(y_new.min(initial=0.0))
-            allowed = MASS_BUDGET / MAX_STEPS * ((reps * c).sum() + state.dust_mass) if low < 0.0 else 0.0
-            if est <= tol_value and (low >= 0.0 or _clipped_mass(reps, y_new) <= allowed):
-                break
-            # an overflowing stage is a rejected attempt; non-finite start rates are not
-            if not math.isfinite(est) and not (math.isfinite(ds[0]) and np.isfinite(stack[0]).all()):
-                raise StiffnessError(state.time, dt, "non-finite error estimate")
-            if state.time + dt / 2.0 == state.time:
-                raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
-            dt /= 2.0
+    while True:
+        np.multiply(dt, _TABLEAU, out=scaled)
+        for i in range(6):
+            # the last input is y_new, in a fresh buffer that the new state keeps
+            y_new = np.empty_like(c) if i == 5 else scratch
+            if i == 0:  # one product: einsum's 0 + x, plus c, is x + c unless c is -0.0
+                np.multiply(scaled[0, 0], rows[0], out=y_new)
+            else:
+                np.einsum("j,jn->n", coeffs[i], prefixes[i], out=y_new)
+            y_new += c
+            ds[i + 1] = rhs_arrays(workspace, y_new, rows[i + 1])[1]
+        # weights * |dt sum e_i k_i|, the gap to the fourth-order solution
+        err = np.einsum("j,jn->n", coeffs[6], stack, out=scratch)
+        np.abs(err, out=err)
+        err *= weights
+        est = float(np.add.reduce(err))
+        low = float(np.minimum.reduce(y_new, initial=0.0))
+        allowed = MASS_BUDGET / MAX_STEPS * (np.add.reduce(reps * c) + state.dust_mass) if low < 0.0 else 0.0
+        if est <= tol_value and (low >= 0.0 or _clipped_mass(reps, y_new) <= allowed):
+            break
+        # an overflowing stage is a rejected attempt; non-finite start rates are not
+        if not math.isfinite(est) and not (math.isfinite(ds[0]) and np.isfinite(stack[0]).all()):
+            raise StiffnessError(state.time, dt, "non-finite error estimate")
+        if state.time + dt / 2.0 == state.time:
+            raise StiffnessError(state.time, dt, "halving dt no longer moves the time")
+        dt /= 2.0
 
     # a step that had to clip stands at the positivity limit: growing dt would see it refused
     growth = 1.0 if low < 0.0 else 5.0
@@ -205,9 +213,9 @@ def step(
         factor = min(factor, max(0.2, trend))
     dt_next = dt * factor
 
-    new_state = _finish(workspace.grid, state, y_new, low, scaled[5, :6], ds[:6], state.time + dt)
+    new_state = _finish(workspace.grid, state, y_new, low, coeffs[5].tolist(), ds, state.time + dt)
     next_rates = None if low < 0.0 else (stack[6].copy(), float(ds[6]))
-    return new_state, dt, dt_next, next_rates, (stack, ds), (dt, ratio)
+    return new_state, dt, dt_next, next_rates, stages, (dt, ratio)
 
 
 def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):
@@ -250,32 +258,32 @@ def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolera
 def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
     """The state at ``time`` inside the step of length ``dt`` that ``step`` took from ``state``.
 
-    Contents and dust take the same coefficient vector dt b(theta), theta =
-    (time - state.time) / dt, over the step's seven ``stages``, contracted
-    as ``step`` contracts its rows, so M_1 + dust holds as per right-hand
-    side.  The contents are written into ``out`` and finished by
-    ``_finish``, as ``step``'s are: a clip goes into this state's
-    ``clip_mass`` only, uncapped.  Costs no right-hand side.
+    Contents and dust take the same coefficients dt b(theta), theta =
+    (time - state.time) / dt, in Python floats, over the step's seven stage
+    rates in ``stages``, contracted as ``step`` contracts its rows, so
+    M_1 + dust holds as per right-hand side.  The contents are written into
+    ``out`` and finished by ``_finish``, as ``step``'s are: a clip goes into
+    this state's ``clip_mass`` only, uncapped.  Costs no right-hand side.
     """
-    stack, ds = stages
-    theta = (time - state.time) / dt
-    coeffs = dt * (theta * (_DENSE[0] + theta * (_DENSE[1] + theta * (_DENSE[2] + theta * _DENSE[3]))))
+    stack, ds = stages[:2]
+    theta = float(time - state.time) / dt
+    coeffs = [dt * (theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))) for p0, p1, p2, p3 in _DENSE]
     np.einsum("j,jn->n", coeffs, stack, out=out)
     out += state.contents
-    return _finish(workspace.grid, state, out, float(out.min(initial=0.0)), coeffs, ds, time)
+    return _finish(workspace.grid, state, out, float(np.minimum.reduce(out, initial=0.0)), coeffs, ds, time)
 
 
 def _finish(grid, start: State, contents, low, coeffs, ds, time) -> State:
     """The ``State`` at ``time`` after ``start``: ``contents``, whose least entry or 0 is ``low``,
-    with any negatives zeroed in place and their mass sum reps |c| added to ``clip_mass``, and the
-    dust plus sum_j coeffs_j ds_j, summed in stage order, for the ``coeffs`` that built ``contents``."""
+    with any negatives zeroed in place and their mass sum reps |c| added to ``clip_mass``, and the dust
+    plus sum_j coeffs_j ds_j, in floats and stage order, for the list ``coeffs`` that built ``contents``."""
     clipped = 0.0
     if low < 0.0:
         clipped = _clipped_mass(grid.reps, contents)
         contents[contents < 0.0] = 0.0
     return State(
         contents=contents,
-        dust_mass=start.dust_mass + sum(a * d for a, d in zip(coeffs.tolist(), ds.tolist())),
+        dust_mass=start.dust_mass + sum(map(operator.mul, coeffs, ds.tolist())),
         time=time,
         clip_mass=start.clip_mass + clipped,
     )
@@ -283,7 +291,7 @@ def _finish(grid, start: State, contents, low, coeffs, ds, time) -> State:
 
 def _clipped_mass(reps, contents) -> float:
     """sum reps max(-contents, 0): the mass that zeroing the negative ``contents`` creates."""
-    return float((reps * -contents)[contents < 0.0].sum())
+    return float(np.add.reduce((reps * -contents)[contents < 0.0]))
 
 
 def row_blocks(rows: int, cols: int):
@@ -373,11 +381,12 @@ def simulate(
     crosses it, at no right-hand side.  The first dt comes from the initial
     rates and one explicit Euler probe (``_first_dt``, Hairer, Norsett &
     Wanner's starting step), and those rates start the first step.  Each
-    step hands its ``next_rates`` and its (dt, r) ``history`` to the next,
-    the latter for Gustafsson's predictive step size, so a run costs two
-    right-hand sides to start, six per accepted step, six per rejected
-    attempt and one after each step but the last that clipped, whatever the
-    snapshot mesh; a one-snapshot run costs none.  ``tolerances`` defaults
+    step hands its ``next_rates``, its (dt, r) ``history``, for Gustafsson's
+    predictive step size, and its ``stages`` to the next, so the stage
+    buffers are made once per run.  A run costs two right-hand sides to
+    start, six per accepted step, six per rejected attempt and one after
+    each step but the last that clipped, whatever the snapshot mesh; a
+    one-snapshot run costs none.  ``tolerances`` defaults
     to ``Tolerances()``, rel_tol 1e-6 and abs_tol 1e-12.
     A run that ``step`` cannot advance, or that is still short of the last
     time after ``MAX_STEPS`` accepted steps, raises ``StiffnessError``.
@@ -401,7 +410,7 @@ def simulate(
     contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
     filled, state = 1, state0
     dt_next, rates = _first_dt(workspace, state0, horizon, tol) if horizon > 0.0 else (0.0, None)
-    steps, history = 0, None
+    steps, history, stages = 0, None, None
     while state.time < t_end:
         if steps == MAX_STEPS:
             raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")
@@ -410,7 +419,9 @@ def simulate(
         clamp = remaining <= dt_next
         dt_target = remaining if clamp else dt_next
         start = state
-        state, dt_used, dt_next, rates, stages, history = step(workspace, start, dt_target, tol, rates, history)
+        state, dt_used, dt_next, rates, stages, history = step(
+            workspace, start, dt_target, tol, rates, history, stages
+        )
         if clamp and dt_used == dt_target:
             state.time = t_end
         while filled < times.size and times[filled] <= state.time:
@@ -421,7 +432,6 @@ def simulate(
                 snap, contents[filled] = state, state.contents
             dust[filled], clip[filled] = snap.dust_mass, snap.clip_mass
             filled += 1
-        del stages  # seven stages of two arrays: free them before the next step
     contents.flags.writeable = False
     return RunOutput(workspace.grid, workspace.kernel, workspace.law, times.copy(), contents, dust, clip)
 

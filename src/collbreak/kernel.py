@@ -51,13 +51,14 @@ def kernel_factors(spec: KernelSpec, sizes):
 
     a_k = x**lambda_k, numpy's power, times the indicator of (1/n, n) when
     the kernel is truncated, so a truncated kernel keeps the same rank.
-    Non-positive sizes are rejected.
+    When lambda1 = lambda2 both factors are one array, truncated or not, so
+    ``a1 is a2`` marks a rank-1 kernel.  Non-positive sizes are rejected.
     """
     x = np.asarray(sizes, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("kernel arguments must be positive sizes")
-    a1, a2 = x**spec.lambda1, x**spec.lambda2
-    if spec.truncation is None:
-        return a1, a2
-    inside = (x > 1.0 / spec.truncation) & (x < spec.truncation)
-    return a1 * inside, a2 * inside
+    factors = [x**spec.lambda1] + ([] if spec.lambda2 == spec.lambda1 else [x**spec.lambda2])
+    if spec.truncation is not None:
+        inside = (x > 1.0 / spec.truncation) & (x < spec.truncation)
+        factors = [a * inside for a in factors]
+    return factors[0], factors[-1]

@@ -62,9 +62,9 @@ class RhsWorkspace:
     ``own_change[j]`` (fragments kept minus the parent itself), and
     ``parent_factor[j] * edge_dust`` of mass falls below the grid.  The
     ``error_weights`` max(reps^k0, reps^(1+k0)) weigh the integrator's error
-    norm.  When lambda1 = lambda2 the two kernel factors are equal, and the
-    right-hand side reduces the contents against ``kernel_hi`` alone.
-    Memory is O(N).
+    norm.  When lambda1 = lambda2 ``kernel_lo`` is ``kernel_hi``, one
+    array (``kernel_factors``), and the right-hand side reduces the contents
+    against it alone.  Memory is O(N).
     """
 
     grid: SizeGrid
@@ -109,7 +109,8 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray, out=None):
     order; other layouts agree to round-off.  ``d_contents`` has the shape
     of ``contents``, and is written into ``out`` and is ``out`` when one of
     that shape not overlapping ``contents`` is given; ``d_dust`` has the
-    leading shape, and is a Python float for a single state.
+    leading shape, and is a Python float for a single state.  A rank-1
+    workspace, ``kernel_lo is kernel_hi``, takes one dot product per state.
 
     Three batch-sized arrays are alive at the peak, ``out`` included: hi * c,
     whose buffer becomes w and then d_contents, the products p_j w_j, and
@@ -131,8 +132,8 @@ def rhs_arrays(workspace: RhsWorkspace, contents: np.ndarray, out=None):
     w = np.multiply(hi, contents, out, order="C")  # hi * c, C order whatever the input's layout
     hi_sum = np.add.reduce(w, -1)  # hi * c's last use: w takes its buffer
     np.multiply(lo, hi_sum[..., None] if batch else hi_sum, out=w)
-    if workspace.kernel.lambda1 == workspace.kernel.lambda2:
-        # rank 1, lo == hi: a s + a s is bitwise the rank-2 sum below, which
+    if lo is hi:
+        # rank 1: a s + a s is bitwise the rank-2 sum below, which
         # (2a) s is not where a s is subnormal
         w += w
     else:

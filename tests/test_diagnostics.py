@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import collbreak as cb
 from collbreak import DaughterLaw, InputError, KernelSpec, Regime, RunOutput, State, diagnostics
-from test_acceptance import A1_CONFIG, A8_CONFIG, moment_identity_residual
+from test_acceptance import A1_CONFIG, A5_CONFIG, A8_CONFIG, moment_identity_residual
 from test_integrate import F2_CONFIG, F8_CONFIG
 
 
@@ -396,7 +397,30 @@ def test_shattering_study_refuses_a_too_fine_cut_before_any_run(monkeypatch):
     monkeypatch.setattr(cb.diagnostics, "run_config", runner)
     with pytest.raises(cb.ConfigError) as info:
         cb.shattering_study(config, [1e-3, 1e-8, 1e-20])
-    assert str(info.value) == f"grid.n_cells: need n_cells <= {cb.grid.MAX_CELLS}, got 1050000"
+    assert str(info.value) == f"x_mins: need n_cells <= {cb.grid.MAX_CELLS}, got 1050000"
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "cut, reason",
+    [
+        (math.nan, "need 0 < x_min < x_max, got (nan, 2.0)"),
+        (math.inf, "need 0 < x_min < x_max, got (inf, 2.0)"),
+        (0.0, "need 0 < x_min < x_max, got (0.0, 2.0)"),
+        (-1.0, "need 0 < x_min < x_max, got (-1.0, 2.0)"),
+        (5.0, "need 0 < x_min < x_max, got (5.0, 2.0)"),
+        (1e-300, "need x_min >= 1e-150, got 1e-300"),
+    ],
+    ids=["nan", "inf", "0", "-1", "5", "1e-300"],
+)
+def test_shattering_study_refuses_a_bad_cut_under_its_own_argument(monkeypatch, cut, reason):
+    # A5's grid.x_min is valid: the cut is the list's fault, refused before any run
+    runs = []
+    monkeypatch.setattr(cb.diagnostics, "run_config", lambda cfg: runs.append(cfg) or FakeRun(0.5))
+    with pytest.raises(cb.ConfigError) as info:
+        cb.shattering_study(cb.parse_config_text(A5_CONFIG), [1e-2, 1e-3, cut])
+    assert (info.value.key, info.value.reason) == ("x_mins", reason)
+    assert str(info.value) == f"x_mins: {reason}"
     assert runs == []
 
 

@@ -433,8 +433,8 @@ def test_the_clip_cap_keeps_steps_after_positivity_refusals_cheap(clip_problem, 
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history)
+    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
         steps.append((dt_target, result[1], result[2]))
         return result
 
@@ -487,8 +487,8 @@ def test_predictive_step_only_shortens_the_error_based_step(problem, clip_proble
         (ws, s0), times, tol = clip_problem, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     taken, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history)
+    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
         taken.append((state, dt_target, rates, history, result))
         return result
 
@@ -558,8 +558,8 @@ def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypat
     share = integrate.MASS_BUDGET / integrate.MAX_STEPS
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history)
+    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
         mass = float((ws.grid.reps * state.contents).sum()) + state.dust_mass
         clip = result[0].clip_mass
         steps.append((clip - state.clip_mass, share * mass + 2.0 * np.spacing(clip)))
@@ -579,6 +579,29 @@ def test_step_returns_rates_at_new_state(small_problem):
     assert d_dust == expect[1]
 
 
+@pytest.mark.parametrize(
+    "case, dt_target", [("accepted", 1e-3), ("halved", 1e3), ("clip", 0.1)], ids=["accepted", "halved", "clip"]
+)
+def test_step_on_an_earlier_steps_buffers_is_bitwise_a_fresh_step(small_problem, clip_problem, case, dt_target):
+    ws, s0 = clip_problem if case == "clip" else small_problem
+    tol = Tolerances()
+    fresh = cb.step(ws, s0, dt_target, tol)
+    earlier = cb.step(ws, s0, 1e-4, tol)[4]  # another dt's stages; poisoned, so nothing is read unwritten
+    for buffer in earlier[:4]:
+        buffer.fill(np.nan)
+    reused = cb.step(ws, s0, dt_target, tol, None, None, earlier)
+    assert reused[4] is earlier
+    if case == "halved":
+        assert fresh[1] < dt_target / 2.0
+    assert (fresh[0].clip_mass > 0.0) == (case == "clip") == (fresh[3] is None)
+    assert _same_states([reused[0]], [fresh[0]])
+    assert reused[1:3] == fresh[1:3] and reused[5] == fresh[5]
+    if fresh[3] is not None:
+        assert reused[3][0].tobytes() == fresh[3][0].tobytes() and reused[3][1] == fresh[3][1]
+    for got, want in zip(reused[4][:2], fresh[4][:2]):  # the (7, N) stack and the seven dust rates
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("problem", ["a1", "clip"])
 def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
     if problem == "a1":
@@ -593,8 +616,8 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         tally["rhs"] += 1
         return real_rhs(workspace, contents, out)
 
-    def counted_step(workspace, state, dt_target, tol, rates=None, history=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history)
+    def counted_step(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
         tally["accepted"] += 1
         tally["rejected"] += round(math.log2(dt_target / result[1]))
         tally["clips"] += result[3] is None
@@ -619,8 +642,8 @@ def _recorded_simulate(monkeypatch, ws, s0, times, tol):
     """simulate's output, its RHS calls and (dt_target, dt_used, dt_next, clipped) per step."""
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history)
+    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
+        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
         steps.append((dt_target, result[1], result[2], result[3] is None))
         return result
 

@@ -2,7 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from collbreak import DomainError, KernelSpec
+import collbreak as cb
+from collbreak import DaughterLaw, DomainError, KernelSpec
 from collbreak.kernel import kernel_factors
 from dense_oracle import kernel_matrix
 
@@ -155,3 +156,22 @@ def test_truncated_factors_vanish_outside_the_window_and_keep_their_values_insid
     for a, a_n in zip(full, cut):
         assert np.all(a_n[~inside] == 0.0)
         assert np.array_equal(a_n[inside], a[inside])
+
+
+@pytest.mark.parametrize("truncation", [None, 4])
+def test_equal_exponents_give_one_factor_array_and_unequal_ones_two(truncation):
+    x = np.geomspace(1e-2, 1e2, 401)
+    inside = (x > 0.25) & (x < 4.0) if truncation else np.ones(x.size, bool)
+    a1, a2 = kernel_factors(KernelSpec(0.6, 0.6, truncation), x)
+    assert a1 is a2
+    assert np.array_equal(a1, np.where(inside, x**0.6, 0.0))
+    b1, b2 = kernel_factors(KernelSpec(0.3, 1.5, truncation), x)
+    assert not np.shares_memory(b1, b2)
+    assert np.array_equal(b1, np.where(inside, x**0.3, 0.0))
+    assert np.array_equal(b2, np.where(inside, x**1.5, 0.0))
+    # a rank-1 workspace holds one kernel vector, which rhs_arrays tells by identity
+    grid, law = cb.build_grid(1e-2, 1e2, 64), DaughterLaw(-1.2, 0.5)
+    rank_one = cb.precompute(grid, KernelSpec(0.6, 0.6, truncation), law)
+    rank_two = cb.precompute(grid, KernelSpec(0.3, 1.5, truncation), law)
+    assert rank_one.kernel_lo is rank_one.kernel_hi
+    assert not np.shares_memory(rank_two.kernel_lo, rank_two.kernel_hi)

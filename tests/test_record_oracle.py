@@ -22,8 +22,8 @@ def _a1(cells, snapshots):
     return text.replace("time.snapshots = 21", f"time.snapshots = {snapshots}")
 
 
-# The first three records fit in one row block of BLOCK_DOUBLES = 8192; A1 on
-# 200 snapshots of 128 cells takes three blocks of 64 rows and a last of 8,
+# The first three records fit in one row block of BLOCK_DOUBLES = 4096; A1 on
+# 200 snapshots of 128 cells takes six blocks of 32 rows and a last of 8,
 # and on 9000 cells each row is wider than a block, so each block is one row.
 RUNS = pytest.mark.parametrize(
     "text, x_min",
@@ -40,8 +40,10 @@ def _run(text, x_min):
 
 
 def test_block_cases_cover_what_they_claim():
-    assert BLOCK_DOUBLES == 8192
-    assert [(r.start, r.stop) for r, _ in row_blocks(200, 128)] == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    assert BLOCK_DOUBLES == 4096
+    assert [(r.start, r.stop) for r, _ in row_blocks(200, 128)] == [
+        (0, 32), (32, 64), (64, 96), (96, 128), (128, 160), (160, 192), (192, 200)
+    ]
     blocks = list(row_blocks(3, 9000))
     assert [(r.start, r.stop) for r, _ in blocks] == [(0, 1), (1, 2), (2, 3)]
     assert all(scratch.shape == (1, 9000) for _, scratch in blocks)
@@ -143,6 +145,28 @@ def test_record_passes_hold_a_fraction_of_the_record_beyond_their_inputs(tmp_pat
     }
     for name, call in passes.items():
         assert extra_peak(call) < record / 8, name
+
+
+def test_row_block_passes_hold_one_old_block_on_a_fine_grid_record():
+    # numpy 2.4 gives a broadcasting ufunc on a 2-D block an iteration buffer of
+    # min(8192, block) doubles, so a pass holds two blocks.  On a (41, 1024)
+    # record, blocks of 4096 doubles keep a moments pass at 76 KB and a tail
+    # check at 102 KB beyond the record; blocks of 8192 took 142 and 200 KB.
+    run = _run(_a1(1024, 41), None)
+    assert run.contents.shape == (41, 1024)
+    assert run.rho > 0.0  # the tail check's M_1 pass, made before its own pass is measured
+
+    def extra_peak(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert extra_peak(lambda: dataclasses.replace(run).moments(0.5)) <= 90_000
+    assert extra_peak(lambda: cb.tail_monotonicity_check(run, 1.0 + run.law.k0)) <= 120_000
 
 
 def test_cli_distance_equals_per_snapshot_weighted_distance(tmp_path):
