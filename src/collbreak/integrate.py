@@ -109,22 +109,25 @@ class Tolerances:
             raise DomainError("rel_tol and abs_tol must not both be zero", param="rel_tol")
 
 
+class _Stages:
+    """What a run's steps hand on.  ``buffers``: the (7, N) stack of stage rates k_1 .. k_7, their dust
+    rates, the scratch, dt ``_TABLEAU``, the stack's rows and prefixes and dt ``_TABLEAU``'s rows.
+    ``fsal``: row 6 holds the rates at the state the last step ended at; ``history``: its (dt, r)."""
+
+    def __init__(self, n: int):
+        stack, scaled = np.empty((7, n)), np.empty((7, 7))
+        prefixes, coeffs = [stack[: i + 1] for i in range(6)], [scaled[i, : i + 1] for i in range(7)]
+        self.buffers = (stack, np.empty(7), np.empty(n), scaled, list(stack), prefixes, coeffs)
+        self.fsal, self.history = False, None
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def step(
-    workspace: RhsWorkspace,
-    state: State,
-    dt_target: float,
-    tol: Tolerances,
-    rates=None,
-    history=None,
-    stages=None,
-):
+def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerances, stages=None):
     """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
-    ``rates`` is the right-hand side ``(d_contents, d_dust)`` at ``state``
-    when the caller has it: the ``next_rates`` of the previous step, or for
-    a run's first step the rates that chose its dt; when None it is
-    evaluated here, once, outside the rejection loop.
+    ``stages`` is the run's ``_Stages``, None for fresh ones.  With its
+    ``fsal`` set, k1 is its row 6 copied into row 0 in place; otherwise k1
+    is evaluated here, once, outside the rejection loop.
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
@@ -134,15 +137,14 @@ def step(
     node sum: in stage order, each product rounded on its own, the base added
     last.  Stage inputs 2-6 and the estimate share one scratch vector, and
     each stage's rates go straight into their row of the stack as
-    ``rhs_arrays``' ``out``.  ``stages``, the buffers and views an earlier
-    step on this grid returned, are overwritten; None makes fresh ones.
+    ``rhs_arrays``' ``out``.
     Halves the step until that estimate passes and zeroing the negative
     contents of y_new would create at most ``MASS_BUDGET / MAX_STEPS`` (1e-12)
     of M_1 + dust at ``state``, a mass ``_finish`` adds to ``clip_mass``.
     After an accepted step that clipped, the next step grows no further
-    than this one, which stands at the positivity limit.  ``history`` is
-    the (dt_prev, r_prev) of the previous accepted step, None on a run's
-    first; with it the next step is also at most Gustafsson's predictive
+    than this one, which stands at the positivity limit.  With the
+    (dt_prev, r_prev) of the previous accepted step in ``stages.history``,
+    the next step is also at most Gustafsson's predictive
     dt max(0.2, 0.9 (dt / dt_prev) r^(-1/5) (r_prev / r)^(1/5)), with
     r = max(est / tol, 1e-2) (ACM TOMS 20(4), 1994; Hairer & Wanner,
     Solving ODEs II, IV.8), which meets a step size that shrinks step
@@ -154,27 +156,24 @@ def step(
     finite ("non-finite error estimate", after the first attempt) or when
     half the rejected dt would no longer move the time.  No floor bounds dt.
 
-    Returns (new_state, dt_used, dt_next, next_rates, stages, history).
-    ``next_rates`` is the seventh stage k7 = f(y_new), the right-hand side
-    at the new state, or None when clipping changed y_new; handed back in,
-    it makes an accepted step cost six right-hand sides and each rejected
-    attempt six more.  ``stages`` holds the buffers, first the accepted
-    attempt's (7, N) stack of contents rates and then its seven dust rates,
-    until it is handed to another step, and ``history`` this step's
-    (dt_used, r) for the next.
+    Returns (new_state, dt_used, dt_next, stages).  Until the next step
+    the buffers hold the accepted attempt's seven stage rates, and row 6,
+    k7 = f(y_new), starts that step (``fsal``) unless clipping changed
+    y_new: an accepted step costs six right-hand sides and each rejected
+    attempt six more.  ``history`` is now this step's (dt_used, r).
+    ``step`` stays public and module-level because the bench probes span
+    it by name, reading ``dt_target`` as its third positional argument
+    and ``dt_used`` as ``result[1]``.
     """
     if not 0.0 < dt_target < math.inf:
         raise DomainError(f"dt_target={dt_target} must be finite and positive", param="dt_target")
-    weights, reps = workspace.error_weights, workspace.grid.reps
-    c = state.contents
+    weights, reps, c = workspace.error_weights, workspace.grid.reps, state.contents
     tol_value = tol.abs_tol + tol.rel_tol * float(np.add.reduce(weights * np.abs(c)))
 
-    if stages is None:  # the stage rates k_1 .. k_7, their dust rates, the scratch, dt _TABLEAU, views
-        stack, scaled = np.empty((7, c.size)), np.empty((7, 7))
-        prefixes, coeffs = [stack[: i + 1] for i in range(6)], [scaled[i, : i + 1] for i in range(7)]
-        stages = (stack, np.empty(7), np.empty_like(c), scaled, list(stack), prefixes, coeffs)
-    stack, ds, scratch, scaled, rows, prefixes, coeffs = stages
-    stack[0], ds[0] = rhs_arrays(workspace, c, rows[0]) if rates is None else rates
+    stages = stages or _Stages(c.size)
+    stack, ds, scratch, scaled, rows, prefixes, coeffs = stages.buffers
+    # k1 is the last step's k7, copied in place, when that step ended at ``state`` unclipped
+    stack[0], ds[0] = (rows[6], ds[6]) if stages.fsal else rhs_arrays(workspace, c, rows[0])
     dt = float(dt_target)
     while True:
         np.multiply(dt, _TABLEAU, out=scaled)
@@ -207,33 +206,34 @@ def step(
     growth = 1.0 if low < 0.0 else 5.0
     factor = min(growth, max(0.2, 0.9 * (tol_value / est) ** (1.0 / 5.0))) if est > 0.0 else growth
     ratio = max(est / tol_value, 1e-2) if est > 0.0 else 1e-2  # est > 0 passed, so tol_value > 0
-    if history is not None:
-        dt_prev, ratio_prev = history
+    if stages.history is not None:
+        dt_prev, ratio_prev = stages.history
         trend = 0.9 * (dt / dt_prev) * ratio ** (-1.0 / 5.0) * (ratio_prev / ratio) ** (1.0 / 5.0)
         factor = min(factor, max(0.2, trend))
     dt_next = dt * factor
 
     new_state = _finish(workspace.grid, state, y_new, low, coeffs[5].tolist(), ds, state.time + dt)
-    next_rates = None if low < 0.0 else (stack[6].copy(), float(ds[6]))
-    return new_state, dt, dt_next, next_rates, stages, (dt, ratio)
+    stages.fsal, stages.history = low >= 0.0, (dt, ratio)
+    return new_state, dt, dt_next, stages
 
 
-def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances):
+def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances, stages) -> float:
     """The first step of a run (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
 
-    Returns (dt, rates), the rates f0 = f(c0) at ``state`` to start the
-    first step.  Norms are ``step``'s error norm over its tolerance at
-    ``state``, ||x|| = sum w |x| / (abs_tol + rel_tol sum w |c0|).  With
-    d0 = ||c0|| and d1 = ||f0||, an explicit Euler probe of length
-    h0 = 0.01 d0 / d1 (1e-6 when d0 or d1 is below 1e-5) estimates the
-    second derivative d2 = ||f(c0 + h0 f0) - f0|| / h0.  The step is
-    min(100 h0, h1, horizon), with h1 = (0.01 / max(d1, d2))^(1/5), or
-    max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.  Costs two right-hand
-    sides, and no floating-point warning escapes.  Rates f0 that are not
-    finite raise ``StiffnessError`` ("non-finite error estimate", with dt
-    NaN: no step was chosen).  Where the arithmetic gives no positive step,
-    as from a probe whose rates overflow, the run starts from the horizon
-    and ``step`` halves from there.
+    Returns dt; the rates f0 = f(c0) at ``state`` start the first step
+    from row 6 of ``stages``, whose ``fsal`` is set.  Norms are ``step``'s
+    error norm over its tolerance at ``state``, ||x|| = sum w |x| /
+    (abs_tol + rel_tol sum w |c0|).  With d0 = ||c0|| and d1 = ||f0||, an
+    explicit Euler probe of length h0 = 0.01 d0 / d1 (1e-6 when d0 or d1
+    is below 1e-5) estimates the second derivative d2 = ||f(c0 + h0 f0) -
+    f0|| / h0.  The step is min(100 h0, h1, horizon), with h1 = (0.01 /
+    max(d1, d2))^(1/5), or max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.
+    Costs two right-hand sides, and no floating-point warning escapes.
+    Rates f0 that are not finite raise ``StiffnessError`` ("non-finite
+    error estimate", with dt NaN: no step was chosen).  Where the
+    arithmetic gives no positive step, as from a probe whose rates
+    overflow, the run starts from the horizon and ``step`` halves from
+    there.
     """
     weights, c0 = workspace.error_weights, state.contents
 
@@ -241,8 +241,9 @@ def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolera
         return (weights * np.abs(x)).sum()
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rates = k0, dust_rate = rhs_arrays(workspace, c0)
-        if not (math.isfinite(dust_rate) and np.isfinite(k0).all()):
+        stack, ds = stages.buffers[:2]
+        k0, ds[6] = rhs_arrays(workspace, c0, stack[6])
+        if not (math.isfinite(ds[6]) and np.isfinite(k0).all()):
             raise StiffnessError(state.time, math.nan, "non-finite error estimate")
         n0 = weighted(c0)
         scale = tol.abs_tol + tol.rel_tol * n0
@@ -252,7 +253,8 @@ def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolera
         d_max = max(d1, d2)
         h1 = (0.01 / d_max) ** (1.0 / 5.0) if d_max > 1e-15 else max(1e-6, 1e-3 * h0)
         dt = float(min(100.0 * h0, h1, horizon))
-    return (dt if dt > 0.0 else horizon), rates
+    stages.fsal = True
+    return dt if dt > 0.0 else horizon
 
 
 def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
@@ -260,12 +262,12 @@ def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: 
 
     Contents and dust take the same coefficients dt b(theta), theta =
     (time - state.time) / dt, in Python floats, over the step's seven stage
-    rates in ``stages``, contracted as ``step`` contracts its rows, so
+    rates in ``stages.buffers``, contracted as ``step`` contracts its rows, so
     M_1 + dust holds as per right-hand side.  The contents are written into
     ``out`` and finished by ``_finish``, as ``step``'s are: a clip goes into
     this state's ``clip_mass`` only, uncapped.  Costs no right-hand side.
     """
-    stack, ds = stages[:2]
+    stack, ds = stages.buffers[:2]
     theta = float(time - state.time) / dt
     coeffs = [dt * (theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))) for p0, p1, p2, p3 in _DENSE]
     np.einsum("j,jn->n", coeffs, stack, out=out)
@@ -380,10 +382,10 @@ def simulate(
     step; each interior snapshot is ``interpolate`` inside the step that
     crosses it, at no right-hand side.  The first dt comes from the initial
     rates and one explicit Euler probe (``_first_dt``, Hairer, Norsett &
-    Wanner's starting step), and those rates start the first step.  Each
-    step hands its ``next_rates``, its (dt, r) ``history``, for Gustafsson's
-    predictive step size, and its ``stages`` to the next, so the stage
-    buffers are made once per run.  A run costs two right-hand sides to
+    Wanner's starting step), and those rates start the first step.  One
+    ``_Stages`` carries the stage buffers, made once per run, from step to
+    step, with the FSAL rates and the (dt, r) history of Gustafsson's
+    predictive step size.  A run costs two right-hand sides to
     start, six per accepted step, six per rejected attempt and one after
     each step but the last that clipped, whatever the snapshot mesh; a
     one-snapshot run costs none.  ``tolerances`` defaults
@@ -409,8 +411,8 @@ def simulate(
     dust, clip = np.empty(times.size), np.empty(times.size)
     contents[0], dust[0], clip[0] = state0.contents, state0.dust_mass, state0.clip_mass
     filled, state = 1, state0
-    dt_next, rates = _first_dt(workspace, state0, horizon, tol) if horizon > 0.0 else (0.0, None)
-    steps, history, stages = 0, None, None
+    steps, stages = 0, _Stages(state0.contents.size)
+    dt_next = _first_dt(workspace, state0, horizon, tol, stages) if horizon > 0.0 else 0.0
     while state.time < t_end:
         if steps == MAX_STEPS:
             raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")
@@ -419,9 +421,7 @@ def simulate(
         clamp = remaining <= dt_next
         dt_target = remaining if clamp else dt_next
         start = state
-        state, dt_used, dt_next, rates, stages, history = step(
-            workspace, start, dt_target, tol, rates, history, stages
-        )
+        state, dt_used, dt_next, stages = step(workspace, start, dt_target, tol, stages)
         if clamp and dt_used == dt_target:
             state.time = t_end
         while filled < times.size and times[filled] <= state.time:

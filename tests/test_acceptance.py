@@ -470,6 +470,30 @@ def test_f11_long_runs_decay_like_their_scaling_law(long_a1_runs):
     )
 
 
+def test_f10_the_amplification_of_a_nearby_start_converges_as_x_min_falls(long_a1_runs):
+    # Uniqueness seen through the cut: the weighted distance between the starts
+    # of mean 1 and 1.01 grows to T = 20 by a factor that converges as x_min -> 0.
+    # Measured: 15.5, 41.8, 43.7501 and 43.8165 at x_min = 1e-8, 1e-12, 1e-16 and
+    # 1e-20; the first of long_a1_runs is the mean-1 run at 1e-20.
+    shifted = LONG_A1_CONFIG.replace("init.mean = 1.0", "init.mean = 1.01")
+    pairs = [
+        [cb.run(cb.with_x_min(cb.parse_config_text(text), 1e-16)) for text in (LONG_A1_CONFIG, shifted)],
+        [long_a1_runs[0], cb.run(cb.with_x_min(cb.parse_config_text(shifted), 1e-20))],
+    ]
+    amplification = []
+    for base, other in pairs:
+        distance = cb.weighted_distance(base, other, base.grid, 0.5)
+        assert base.times[-1] == other.times[-1] == 20.0
+        amplification.append(float(distance[-1] / distance[0]))
+    ok = abs(amplification[0] - amplification[1]) <= 0.01 * amplification[1]
+    _verdict(
+        "F10-converges",
+        ok,
+        f"amplification to T = 20 is {amplification[0]:.4f} at x_min = 1e-16 and "
+        f"{amplification[1]:.4f} at 1e-20, within 1%",
+    )
+
+
 def test_a6_uniqueness_gronwall(a1_run):
     base = a1_run
     config = cb.parse_config_text(A1_CONFIG)

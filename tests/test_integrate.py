@@ -39,7 +39,7 @@ def truncated_problem():
 def test_step_zero_state_accepts_target(small_problem):
     ws, _ = small_problem
     zero = State(np.zeros(ws.grid.n_cells))
-    out, dt_used, dt_next, _, _, _ = cb.step(ws, zero, 0.05, Tolerances())
+    out, dt_used, dt_next, _ = cb.step(ws, zero, 0.05, Tolerances())
     assert np.all(out.contents == 0.0)
     assert out.dust_mass == 0.0
     assert dt_used == 0.05
@@ -49,7 +49,7 @@ def test_step_zero_state_accepts_target(small_problem):
 def test_step_conserves_budget_and_advances_time(small_problem):
     ws, s0 = small_problem
     before = float(np.sum(ws.grid.reps * s0.contents)) + s0.dust_mass
-    out, dt_used, _, _, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
+    out, dt_used, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
     after = float(np.sum(ws.grid.reps * out.contents)) + out.dust_mass
     assert after == pytest.approx(before, abs=1e-13)
     assert out.time == pytest.approx(s0.time + dt_used)
@@ -116,7 +116,7 @@ def test_step_halves_past_an_overflowing_stage_without_warning(small_problem, mo
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, dt_used, _, _, _, _ = cb.step(ws, big, 1e-140, Tolerances(rel_tol=1e-8))
+        out, dt_used, _, _ = cb.step(ws, big, 1e-140, Tolerances(rel_tol=1e-8))
     assert len(calls) == 1 + 6 * 40 == 241
     assert dt_used == 1e-140 / 2**39
     assert np.all(np.isfinite(out.contents)) and math.isfinite(out.dust_mass)
@@ -407,10 +407,10 @@ def test_interpolated_snapshots_match_clamped_oracle(text, x_min):
 
 def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
     ws, s0 = clip_problem
-    out, dt_used, dt_next, next_rates, _, _ = cb.step(ws, s0, 0.1, Tolerances())
+    out, dt_used, dt_next, stages = cb.step(ws, s0, 0.1, Tolerances())
     ref, ref_dt, ref_next, _ = oracle_step(ws, s0, 0.1, Tolerances())
     assert out.clip_mass > 0.0
-    assert next_rates is None
+    assert not stages.fsal
     assert _same_states([out], [ref])
     assert (dt_used, dt_next) == (ref_dt, ref_next)
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
@@ -433,9 +433,9 @@ def test_the_clip_cap_keeps_steps_after_positivity_refusals_cheap(clip_problem, 
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
-        steps.append((dt_target, result[1], result[2]))
+    def recorded(*args):
+        result = real_step(*args)
+        steps.append((args[2], result[1], result[2]))
         return result
 
     monkeypatch.setattr(integrate, "step", recorded)
@@ -487,18 +487,19 @@ def test_predictive_step_only_shortens_the_error_based_step(problem, clip_proble
         (ws, s0), times, tol = clip_problem, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     taken, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
-        taken.append((state, dt_target, rates, history, result))
+    def recorded(*args):
+        history = args[4].history  # the call overwrites it
+        result = real_step(*args)
+        taken.append((args[1], args[2], history, result[1:3]))
         return result
 
     monkeypatch.setattr(integrate, "step", recorded)
     cb.simulate(ws, s0, times, tol)
     monkeypatch.setattr(integrate, "step", real_step)
-    assert taken[0][3] is None and all(history is not None for *_, history, _ in taken[1:])
+    assert taken[0][2] is None and all(history is not None for _, _, history, _ in taken[1:])
     shorter = 0
-    for state, dt_target, rates, history, (_, dt_used, dt_next, *_) in taken:
-        _, alone_used, alone_next, *_ = real_step(ws, state, dt_target, tol, rates)
+    for state, dt_target, _, (dt_used, dt_next) in taken:
+        _, alone_used, alone_next, _ = real_step(ws, state, dt_target, tol)
         assert alone_used == dt_used and dt_next <= alone_next
         shorter += dt_next < alone_next
     assert shorter > 0
@@ -558,8 +559,8 @@ def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypat
     share = integrate.MASS_BUDGET / integrate.MAX_STEPS
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
+    def recorded(*args):
+        result, state = real_step(*args), args[1]
         mass = float((ws.grid.reps * state.contents).sum()) + state.dust_mass
         clip = result[0].clip_mass
         steps.append((clip - state.clip_mass, share * mass + 2.0 * np.spacing(clip)))
@@ -573,10 +574,11 @@ def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypat
 
 def test_step_returns_rates_at_new_state(small_problem):
     ws, s0 = small_problem
-    out, _, _, (d_contents, d_dust), _, _ = cb.step(ws, s0, 1e-3, Tolerances())
+    out, _, _, stages = cb.step(ws, s0, 1e-3, Tolerances())
     expect = cb.rhs_arrays(ws, out.contents)
-    assert np.array_equal(d_contents, expect[0])
-    assert d_dust == expect[1]
+    assert stages.fsal
+    assert np.array_equal(stages.buffers[0][6], expect[0])
+    assert stages.buffers[1][6] == expect[1]
 
 
 @pytest.mark.parametrize(
@@ -586,20 +588,61 @@ def test_step_on_an_earlier_steps_buffers_is_bitwise_a_fresh_step(small_problem,
     ws, s0 = clip_problem if case == "clip" else small_problem
     tol = Tolerances()
     fresh = cb.step(ws, s0, dt_target, tol)
-    earlier = cb.step(ws, s0, 1e-4, tol)[4]  # another dt's stages; poisoned, so nothing is read unwritten
-    for buffer in earlier[:4]:
+    earlier = cb.step(ws, s0, 1e-4, tol)[3]  # another dt's stages; poisoned, so nothing is read unwritten
+    for buffer in earlier.buffers[:4]:
         buffer.fill(np.nan)
-    reused = cb.step(ws, s0, dt_target, tol, None, None, earlier)
-    assert reused[4] is earlier
+    earlier.fsal, earlier.history = False, None  # a fresh carry's: no k1 to take, no history
+    reused = cb.step(ws, s0, dt_target, tol, earlier)
+    assert reused[3] is earlier
     if case == "halved":
         assert fresh[1] < dt_target / 2.0
-    assert (fresh[0].clip_mass > 0.0) == (case == "clip") == (fresh[3] is None)
+    assert (fresh[0].clip_mass > 0.0) == (case == "clip") == (not fresh[3].fsal)
     assert _same_states([reused[0]], [fresh[0]])
-    assert reused[1:3] == fresh[1:3] and reused[5] == fresh[5]
-    if fresh[3] is not None:
-        assert reused[3][0].tobytes() == fresh[3][0].tobytes() and reused[3][1] == fresh[3][1]
-    for got, want in zip(reused[4][:2], fresh[4][:2]):  # the (7, N) stack and the seven dust rates
+    assert reused[1:3] == fresh[1:3]
+    assert (reused[3].fsal, reused[3].history) == (fresh[3].fsal, fresh[3].history)
+    # the (7, N) stack and the seven dust rates
+    for got, want in zip(reused[3].buffers[:2], fresh[3].buffers[:2]):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("problem", ["a1", "clip"])
+def test_a_carried_k1_is_bitwise_a_fresh_one(problem, clip_problem, monkeypatch):
+    # after a step that did not clip, k1 is that step's k7, copied in place;
+    # each step taken again from a fresh carry with the same history, which
+    # evaluates k1 at the step's start, gives the same bits
+    if problem == "a1":
+        ws, s0, times, tol = _problem(A1_CONFIG)
+    else:
+        (ws, s0), times, tol = clip_problem, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
+    taken, real_step = [], integrate.step
+
+    def recorded(*args):
+        carry = args[4]
+        fsal, history = carry.fsal, carry.history  # the call overwrites both
+        result = real_step(*args)
+        taken.append((args[1].copy(), args[2], fsal, history, result[0].copy(), result[1:3]))
+        return result
+
+    monkeypatch.setattr(integrate, "step", recorded)
+    cb.simulate(ws, s0, times, tol)
+    monkeypatch.setattr(integrate, "step", real_step)
+    carried = [fsal for _, _, fsal, *_ in taken]
+    assert all(carried) if problem == "a1" else 0 < sum(carried) < len(carried)  # clipped steps carry nothing
+    for state, dt_target, _, history, out, dts in taken:
+        fresh = integrate._Stages(ws.grid.n_cells)
+        fresh.history = history
+        again, *again_dts, _ = real_step(ws, state, dt_target, tol, fresh)
+        assert _same_states([again], [out]) and tuple(again_dts) == dts
+
+
+@pytest.mark.parametrize("problem", ["small", "a1"])
+def test_first_dt_leaves_the_initial_rates_for_the_first_step(problem, small_problem):
+    ws, s0 = small_problem if problem == "small" else _problem(A1_CONFIG)[:2]
+    stages = integrate._Stages(ws.grid.n_cells)
+    integrate._first_dt(ws, s0, 1.0, Tolerances(), stages)
+    d_contents, d_dust = cb.rhs_arrays(ws, s0.contents)
+    assert stages.fsal
+    assert stages.buffers[0][6].tobytes() == d_contents.tobytes() and stages.buffers[1][6] == d_dust
 
 
 @pytest.mark.parametrize("problem", ["a1", "clip"])
@@ -616,12 +659,12 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         tally["rhs"] += 1
         return real_rhs(workspace, contents, out)
 
-    def counted_step(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
+    def counted_step(*args):
+        result = real_step(*args)
         tally["accepted"] += 1
-        tally["rejected"] += round(math.log2(dt_target / result[1]))
-        tally["clips"] += result[3] is None
-        tally["last_clipped"] = result[3] is None
+        tally["rejected"] += round(math.log2(args[2] / result[1]))
+        tally["clips"] += not result[3].fsal
+        tally["last_clipped"] = not result[3].fsal
         return result
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
@@ -642,9 +685,9 @@ def _recorded_simulate(monkeypatch, ws, s0, times, tol):
     """simulate's output, its RHS calls and (dt_target, dt_used, dt_next, clipped) per step."""
     steps, real_step = [], integrate.step
 
-    def recorded(workspace, state, dt_target, tol, rates=None, history=None, stages=None):
-        result = real_step(workspace, state, dt_target, tol, rates, history, stages)
-        steps.append((dt_target, result[1], result[2], result[3] is None))
+    def recorded(*args):
+        result = real_step(*args)
+        steps.append((args[2], result[1], result[2], not result[3].fsal))
         return result
 
     monkeypatch.setattr(integrate, "step", recorded)
@@ -707,7 +750,7 @@ def test_first_dt_falls_back_to_the_horizon_where_the_rule_gives_no_step(small_p
     tol = Tolerances(rel_tol=0.0, abs_tol=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dt, _ = integrate._first_dt(ws, State(1e100 * s0.contents), 0.5, tol)
+        dt = integrate._first_dt(ws, State(1e100 * s0.contents), 0.5, tol, integrate._Stages(ws.grid.n_cells))
     assert dt == 0.5
 
 
@@ -798,15 +841,15 @@ def test_interpolated_negatives_are_clipped_into_the_snapshot(clip_problem):
     # that snapshot's clip_mass only, so M_1 + dust - clip_mass is kept.
     ws, s0 = clip_problem
     tol = Tolerances(rel_tol=1e-4)
-    state, dt, rates, history, clipped = s0, 0.1, None, None, 0
+    state, dt, stages, clipped = s0, 0.1, None, 0
     reps, rho = ws.grid.reps, float(np.sum(ws.grid.reps * s0.contents))
     for _ in range(40):
-        new, dt_used, dt, rates, stages, history = cb.step(ws, state, dt, tol, rates, history)
+        new, dt_used, dt, stages = cb.step(ws, state, dt, tol, stages)
         for theta in np.linspace(0.05, 0.95, 19):
             time = state.time + theta * dt_used
             snap = integrate.interpolate(ws, state, stages, dt_used, time, np.empty_like(state.contents))
             weights = [float(sum(c * Fraction(theta) ** (m + 1) for m, c in enumerate(row))) for row in integrate.DP_P]
-            raw = state.contents + sum((dt_used * w) * k for w, k in zip(weights, stages[0]))
+            raw = state.contents + sum((dt_used * w) * k for w, k in zip(weights, stages.buffers[0]))
             created = float(np.sum(reps * np.maximum(-raw, 0.0)))
             assert snap.time == time and np.all(snap.contents >= 0.0)
             assert snap.clip_mass - state.clip_mass == pytest.approx(created, rel=1e-6, abs=1e-300)
