@@ -1,8 +1,10 @@
-"""Theorem-level runtime checks on simulation output.
+"""Theorem-level runtime checks on simulation output, and the studies that make their runs.
 
-All checks work from the emitted snapshot/moment series only (time
-derivatives by central differences on the snapshot mesh), so they test the
-output contract rather than integrator internals.
+The checks work from a run's snapshot/moment series only (time derivatives
+by central differences on the snapshot mesh), so they test the output
+contract rather than integrator internals.  ``shattering_study`` and
+``crossval`` take a configuration instead and run it: one RK run per
+x_min cut, and Picard windows against one RK run.
 """
 
 from __future__ import annotations

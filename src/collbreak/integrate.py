@@ -20,7 +20,6 @@ __all__ = [
     "row_blocks",
     "PicardResult",
     "step",
-    "interpolate",
     "simulate",
     "check_picard",
     "picard_solve",
@@ -110,24 +109,25 @@ class Tolerances:
 
 
 class _Stages:
-    """What a run's steps hand on.  ``buffers``: the (7, N) stack of stage rates k_1 .. k_7, their dust
-    rates, the scratch, dt ``_TABLEAU``, the stack's rows and prefixes and dt ``_TABLEAU``'s rows.
-    ``fsal``: row 6 holds the rates at the state the last step ended at; ``history``: its (dt, r)."""
+    """The record of a run's last step.  ``start``: the state it began at; ``history``: its (dt, r);
+    ``buffers``: the (7, N) stack of its stage rates k_1 .. k_7, their dust rates, the scratch, dt
+    ``_TABLEAU``, the stack's rows and prefixes and dt ``_TABLEAU``'s rows; ``fsal``: row 6 holds
+    the rates at the state it ended at."""
 
     def __init__(self, n: int):
         stack, scaled = np.empty((7, n)), np.empty((7, 7))
         prefixes, coeffs = [stack[: i + 1] for i in range(6)], [scaled[i, : i + 1] for i in range(7)]
         self.buffers = (stack, np.empty(7), np.empty(n), scaled, list(stack), prefixes, coeffs)
-        self.fsal, self.history = False, None
+        self.start, self.fsal, self.history = None, False, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerances, stages=None):
+def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerances, stages: _Stages):
     """One accepted Dormand-Prince 5(4) step, first same as last (FSAL).
 
-    ``stages`` is the run's ``_Stages``, None for fresh ones.  With its
-    ``fsal`` set, k1 is its row 6 copied into row 0 in place; otherwise k1
-    is evaluated here, once, outside the rejection loop.
+    ``stages`` is the run's ``_Stages``, the record of its last step.  With
+    its ``fsal`` set, k1 is its row 6 copied into row 0 in place; otherwise
+    k1 is evaluated here, once, outside the rejection loop.
     The contents and the dust advance with the fifth-order weights b; the
     error estimate is dt sum (b_i - b_hat_i) k_i against the embedded
     fourth-order weights b_hat, and sets the next step through the exponent
@@ -156,11 +156,12 @@ def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerance
     finite ("non-finite error estimate", after the first attempt) or when
     half the rejected dt would no longer move the time.  No floor bounds dt.
 
-    Returns (new_state, dt_used, dt_next, stages).  Until the next step
-    the buffers hold the accepted attempt's seven stage rates, and row 6,
-    k7 = f(y_new), starts that step (``fsal``) unless clipping changed
+    Returns (new_state, dt_used, dt_next) and makes ``stages`` this step's
+    record: ``start`` is ``state``, ``history`` (dt_used, r), the buffers
+    hold the accepted attempt's seven stage rates, and row 6, k7 =
+    f(y_new), starts the next step (``fsal``) unless clipping changed
     y_new: an accepted step costs six right-hand sides and each rejected
-    attempt six more.  ``history`` is now this step's (dt_used, r).
+    attempt six more.
     ``step`` stays public and module-level because the bench probes span
     it by name, reading ``dt_target`` as its third positional argument
     and ``dt_used`` as ``result[1]``.
@@ -170,7 +171,6 @@ def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerance
     weights, reps, c = workspace.error_weights, workspace.grid.reps, state.contents
     tol_value = tol.abs_tol + tol.rel_tol * float(np.add.reduce(weights * np.abs(c)))
 
-    stages = stages or _Stages(c.size)
     stack, ds, scratch, scaled, rows, prefixes, coeffs = stages.buffers
     # k1 is the last step's k7, copied in place, when that step ended at ``state`` unclipped
     stack[0], ds[0] = (rows[6], ds[6]) if stages.fsal else rhs_arrays(workspace, c, rows[0])
@@ -213,8 +213,8 @@ def step(workspace: RhsWorkspace, state: State, dt_target: float, tol: Tolerance
     dt_next = dt * factor
 
     new_state = _finish(workspace.grid, state, y_new, low, coeffs[5].tolist(), ds, state.time + dt)
-    stages.fsal, stages.history = low >= 0.0, (dt, ratio)
-    return new_state, dt, dt_next, stages
+    stages.start, stages.fsal, stages.history = state, low >= 0.0, (dt, ratio)
+    return new_state, dt, dt_next
 
 
 def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolerances, stages) -> float:
@@ -257,22 +257,22 @@ def _first_dt(workspace: RhsWorkspace, state: State, horizon: float, tol: Tolera
     return dt if dt > 0.0 else horizon
 
 
-def interpolate(workspace: RhsWorkspace, state: State, stages, dt: float, time: float, out) -> State:
-    """The state at ``time`` inside the step of length ``dt`` that ``step`` took from ``state``.
+def _interpolate(workspace: RhsWorkspace, stages: _Stages, time: float, out) -> State:
+    """The state at ``time`` inside the last step of ``stages``, of length dt from ``stages.start``.
 
     Contents and dust take the same coefficients dt b(theta), theta =
-    (time - state.time) / dt, in Python floats, over the step's seven stage
+    (time - start.time) / dt, in Python floats, over the step's seven stage
     rates in ``stages.buffers``, contracted as ``step`` contracts its rows, so
     M_1 + dust holds as per right-hand side.  The contents are written into
     ``out`` and finished by ``_finish``, as ``step``'s are: a clip goes into
     this state's ``clip_mass`` only, uncapped.  Costs no right-hand side.
     """
-    stack, ds = stages.buffers[:2]
-    theta = float(time - state.time) / dt
+    start, dt, (stack, ds) = stages.start, stages.history[0], stages.buffers[:2]
+    theta = float(time - start.time) / dt
     coeffs = [dt * (theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))) for p0, p1, p2, p3 in _DENSE]
     np.einsum("j,jn->n", coeffs, stack, out=out)
-    out += state.contents
-    return _finish(workspace.grid, state, out, float(np.minimum.reduce(out, initial=0.0)), coeffs, ds, time)
+    out += start.contents
+    return _finish(workspace.grid, start, out, float(np.minimum.reduce(out, initial=0.0)), coeffs, ds, time)
 
 
 def _finish(grid, start: State, contents, low, coeffs, ds, time) -> State:
@@ -375,21 +375,21 @@ def simulate(
     Snapshot times must be finite, strictly increasing and start at the
     initial state's time; other times are refused with ``DomainError``
     (param ``snapshot_times``) before any right-hand side is evaluated.  Snapshot i is row i of the
-    run's ``contents``, written in place by ``interpolate`` or copied from
+    run's ``contents``, written in place by ``_interpolate`` or copied from
     the step that ends there.
     Deterministic: the step sequence depends only on the initial state, the
     first and last times and the tolerances, as only the last time clamps a
-    step; each interior snapshot is ``interpolate`` inside the step that
+    step; each interior snapshot is ``_interpolate`` inside the step that
     crosses it, at no right-hand side.  The first dt comes from the initial
     rates and one explicit Euler probe (``_first_dt``, Hairer, Norsett &
     Wanner's starting step), and those rates start the first step.  One
-    ``_Stages`` carries the stage buffers, made once per run, from step to
-    step, with the FSAL rates and the (dt, r) history of Gustafsson's
-    predictive step size.  A run costs two right-hand sides to
-    start, six per accepted step, six per rejected attempt and one after
-    each step but the last that clipped, whatever the snapshot mesh; a
-    one-snapshot run costs none.  ``tolerances`` defaults
-    to ``Tolerances()``, rel_tol 1e-6 and abs_tol 1e-12.
+    ``_Stages``, the record of the last step, carries the stage buffers,
+    made once per run, from step to step, with the step's start, the FSAL
+    rates and the (dt, r) history of Gustafsson's predictive step size.
+    A run costs two right-hand sides to start, six per accepted step, six
+    per rejected attempt and one after each step but the last that clipped,
+    whatever the snapshot mesh; a one-snapshot run costs none.
+    ``tolerances`` defaults to ``Tolerances()``, rel_tol 1e-6 and abs_tol 1e-12.
     A run that ``step`` cannot advance, or that is still short of the last
     time after ``MAX_STEPS`` accepted steps, raises ``StiffnessError``.
     """
@@ -418,16 +418,14 @@ def simulate(
             raise StiffnessError(state.time, dt_next, f"used up the step budget MAX_STEPS={MAX_STEPS}")
         steps += 1
         remaining = t_end - state.time
-        clamp = remaining <= dt_next
-        dt_target = remaining if clamp else dt_next
-        start = state
-        state, dt_used, dt_next, stages = step(workspace, start, dt_target, tol, stages)
-        if clamp and dt_used == dt_target:
+        # only a step clamped to the last time can use all that remains
+        state, dt_used, dt_next = step(workspace, state, min(remaining, dt_next), tol, stages)
+        if dt_used == remaining:
             state.time = t_end
         while filled < times.size and times[filled] <= state.time:
             t = float(times[filled])
             if t < state.time:
-                snap = interpolate(workspace, start, stages, dt_used, t, contents[filled])
+                snap = _interpolate(workspace, stages, t, contents[filled])
             else:
                 snap, contents[filled] = state, state.contents
             dust[filled], clip[filled] = snap.dust_mass, snap.clip_mass

@@ -39,6 +39,19 @@ def test_comments_and_blank_lines_ignored():
     assert config.kernel.lambda2 == 0.9
 
 
+def test_a_key_set_on_two_lines_takes_the_last_lines_value():
+    # the last line's value is the one checked, cited, used and echoed; an
+    # earlier line's value must still parse, but its range goes unchecked
+    config = cb.parse_config_text("grid.n_cells = 1\ntime.t_end = 0.5\ngrid.n_cells = 32\n")
+    assert config.n_cells == 32 and config.resolved()["grid.n_cells"] == 32
+    with pytest.raises(ConfigError) as info:
+        cb.parse_config_text("grid.n_cells = 32\ngrid.n_cells = 1\n")
+    assert str(info.value) == "line 2: grid.n_cells: need n_cells >= 2, got 1"
+    with pytest.raises(ConfigError) as info:
+        cb.parse_config_text("grid.n_cells = sixty\ngrid.n_cells = 32\n")
+    assert str(info.value) == "line 1: grid.n_cells: expected a finite int, got 'sixty'"
+
+
 def test_unknown_key_cites_line():
     with pytest.raises(ConfigError) as info:
         cb.parse_config_text("kernel.lambda1 = 0.5\nbogus.key = 1\n")

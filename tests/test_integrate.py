@@ -39,7 +39,7 @@ def truncated_problem():
 def test_step_zero_state_accepts_target(small_problem):
     ws, _ = small_problem
     zero = State(np.zeros(ws.grid.n_cells))
-    out, dt_used, dt_next, _ = cb.step(ws, zero, 0.05, Tolerances())
+    out, dt_used, dt_next = cb.step(ws, zero, 0.05, Tolerances(), integrate._Stages(ws.grid.n_cells))
     assert np.all(out.contents == 0.0)
     assert out.dust_mass == 0.0
     assert dt_used == 0.05
@@ -49,7 +49,7 @@ def test_step_zero_state_accepts_target(small_problem):
 def test_step_conserves_budget_and_advances_time(small_problem):
     ws, s0 = small_problem
     before = float(np.sum(ws.grid.reps * s0.contents)) + s0.dust_mass
-    out, dt_used, _, _ = cb.step(ws, s0, 1e-3, Tolerances())
+    out, dt_used, _ = cb.step(ws, s0, 1e-3, Tolerances(), integrate._Stages(ws.grid.n_cells))
     after = float(np.sum(ws.grid.reps * out.contents)) + out.dust_mass
     assert after == pytest.approx(before, abs=1e-13)
     assert out.time == pytest.approx(s0.time + dt_used)
@@ -59,7 +59,7 @@ def test_step_conserves_budget_and_advances_time(small_problem):
 def test_step_rejects_bad_dt(small_problem):
     ws, s0 = small_problem
     with pytest.raises(cb.DomainError):
-        cb.step(ws, s0, 0.0, Tolerances())
+        cb.step(ws, s0, 0.0, Tolerances(), integrate._Stages(ws.grid.n_cells))
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_step_nan_state_raises_promptly(small_problem, monkeypatch):
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
     with pytest.raises(StiffnessError) as info:
-        cb.step(ws, bad, 0.1, Tolerances())
+        cb.step(ws, bad, 0.1, Tolerances(), integrate._Stages(ws.grid.n_cells))
     assert len(calls) == 7
     assert (info.value.dt, info.value.reason) == (0.1, "non-finite error estimate")
 
@@ -114,9 +114,10 @@ def test_step_halves_past_an_overflowing_stage_without_warning(small_problem, mo
         return real(workspace, contents, out)
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted)
+    stages = integrate._Stages(ws.grid.n_cells)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, dt_used, _, _ = cb.step(ws, big, 1e-140, Tolerances(rel_tol=1e-8))
+        out, dt_used, _ = cb.step(ws, big, 1e-140, Tolerances(rel_tol=1e-8), stages)
     assert len(calls) == 1 + 6 * 40 == 241
     assert dt_used == 1e-140 / 2**39
     assert np.all(np.isfinite(out.contents)) and math.isfinite(out.dust_mass)
@@ -167,7 +168,7 @@ def test_step_reports_the_dt_that_no_longer_moves_the_time(small_problem):
     # is reported, not its half
     late = State(s0.contents, time=1e20)
     with pytest.raises(StiffnessError) as info:
-        cb.step(ws, late, 1e-3, Tolerances(rel_tol=1e-30, abs_tol=0.0))
+        cb.step(ws, late, 1e-3, Tolerances(rel_tol=1e-30, abs_tol=0.0), integrate._Stages(ws.grid.n_cells))
     assert (info.value.dt, info.value.reason) == (1e-3, "halving dt no longer moves the time")
 
 
@@ -407,7 +408,8 @@ def test_interpolated_snapshots_match_clamped_oracle(text, x_min):
 
 def test_clip_step_drops_rates_and_matches_oracle(clip_problem):
     ws, s0 = clip_problem
-    out, dt_used, dt_next, stages = cb.step(ws, s0, 0.1, Tolerances())
+    stages = integrate._Stages(ws.grid.n_cells)
+    out, dt_used, dt_next = cb.step(ws, s0, 0.1, Tolerances(), stages)
     ref, ref_dt, ref_next, _ = oracle_step(ws, s0, 0.1, Tolerances())
     assert out.clip_mass > 0.0
     assert not stages.fsal
@@ -431,17 +433,9 @@ def test_the_clip_cap_keeps_steps_after_positivity_refusals_cheap(clip_problem, 
     # dt_next at dt_used.
     ws, s0 = clip_problem
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
-    steps, real_step = [], integrate.step
-
-    def recorded(*args):
-        result = real_step(*args)
-        steps.append((args[2], result[1], result[2]))
-        return result
-
-    monkeypatch.setattr(integrate, "step", recorded)
-    run, calls = _counted_simulate(monkeypatch, ws, s0, times, loose)
+    run, calls, steps = _recorded_simulate(monkeypatch, ws, s0, times, loose)
     assert calls <= 4200
-    assert any(used < target and following == used for target, used, following in steps)
+    assert any(used < target and following == used for target, used, following, _ in steps)
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
 
 
@@ -499,7 +493,7 @@ def test_predictive_step_only_shortens_the_error_based_step(problem, clip_proble
     assert taken[0][2] is None and all(history is not None for _, _, history, _ in taken[1:])
     shorter = 0
     for state, dt_target, _, (dt_used, dt_next) in taken:
-        _, alone_used, alone_next, _ = real_step(ws, state, dt_target, tol)
+        _, alone_used, alone_next = real_step(ws, state, dt_target, tol, integrate._Stages(ws.grid.n_cells))
         assert alone_used == dt_used and dt_next <= alone_next
         shorter += dt_next < alone_next
     assert shorter > 0
@@ -574,7 +568,8 @@ def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypat
 
 def test_step_returns_rates_at_new_state(small_problem):
     ws, s0 = small_problem
-    out, _, _, stages = cb.step(ws, s0, 1e-3, Tolerances())
+    stages = integrate._Stages(ws.grid.n_cells)
+    out, _, _ = cb.step(ws, s0, 1e-3, Tolerances(), stages)
     expect = cb.rhs_arrays(ws, out.contents)
     assert stages.fsal
     assert np.array_equal(stages.buffers[0][6], expect[0])
@@ -586,22 +581,23 @@ def test_step_returns_rates_at_new_state(small_problem):
 )
 def test_step_on_an_earlier_steps_buffers_is_bitwise_a_fresh_step(small_problem, clip_problem, case, dt_target):
     ws, s0 = clip_problem if case == "clip" else small_problem
-    tol = Tolerances()
-    fresh = cb.step(ws, s0, dt_target, tol)
-    earlier = cb.step(ws, s0, 1e-4, tol)[3]  # another dt's stages; poisoned, so nothing is read unwritten
+    tol, n = Tolerances(), ws.grid.n_cells
+    carry, earlier = integrate._Stages(n), integrate._Stages(n)
+    fresh = cb.step(ws, s0, dt_target, tol, carry)
+    cb.step(ws, s0, 1e-4, tol, earlier)  # another dt's stages; poisoned, so nothing is read unwritten
     for buffer in earlier.buffers[:4]:
         buffer.fill(np.nan)
     earlier.fsal, earlier.history = False, None  # a fresh carry's: no k1 to take, no history
     reused = cb.step(ws, s0, dt_target, tol, earlier)
-    assert reused[3] is earlier
     if case == "halved":
         assert fresh[1] < dt_target / 2.0
-    assert (fresh[0].clip_mass > 0.0) == (case == "clip") == (not fresh[3].fsal)
+    assert (fresh[0].clip_mass > 0.0) == (case == "clip") == (not carry.fsal)
     assert _same_states([reused[0]], [fresh[0]])
-    assert reused[1:3] == fresh[1:3]
-    assert (reused[3].fsal, reused[3].history) == (fresh[3].fsal, fresh[3].history)
+    assert reused[1:] == fresh[1:]
+    assert earlier.start is carry.start is s0
+    assert (earlier.fsal, earlier.history) == (carry.fsal, carry.history)
     # the (7, N) stack and the seven dust rates
-    for got, want in zip(reused[3].buffers[:2], fresh[3].buffers[:2]):
+    for got, want in zip(earlier.buffers[:2], carry.buffers[:2]):
         assert got.tobytes() == want.tobytes()
 
 
@@ -631,7 +627,7 @@ def test_a_carried_k1_is_bitwise_a_fresh_one(problem, clip_problem, monkeypatch)
     for state, dt_target, _, history, out, dts in taken:
         fresh = integrate._Stages(ws.grid.n_cells)
         fresh.history = history
-        again, *again_dts, _ = real_step(ws, state, dt_target, tol, fresh)
+        again, *again_dts = real_step(ws, state, dt_target, tol, fresh)
         assert _same_states([again], [out]) and tuple(again_dts) == dts
 
 
@@ -663,8 +659,8 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         result = real_step(*args)
         tally["accepted"] += 1
         tally["rejected"] += round(math.log2(args[2] / result[1]))
-        tally["clips"] += not result[3].fsal
-        tally["last_clipped"] = not result[3].fsal
+        tally["clips"] += not args[4].fsal
+        tally["last_clipped"] = not args[4].fsal
         return result
 
     monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
@@ -687,7 +683,7 @@ def _recorded_simulate(monkeypatch, ws, s0, times, tol):
 
     def recorded(*args):
         result = real_step(*args)
-        steps.append((args[2], result[1], result[2], not result[3].fsal))
+        steps.append((args[2], result[1], result[2], not args[4].fsal))
         return result
 
     monkeypatch.setattr(integrate, "step", recorded)
@@ -841,13 +837,13 @@ def test_interpolated_negatives_are_clipped_into_the_snapshot(clip_problem):
     # that snapshot's clip_mass only, so M_1 + dust - clip_mass is kept.
     ws, s0 = clip_problem
     tol = Tolerances(rel_tol=1e-4)
-    state, dt, stages, clipped = s0, 0.1, None, 0
+    state, dt, stages, clipped = s0, 0.1, integrate._Stages(ws.grid.n_cells), 0
     reps, rho = ws.grid.reps, float(np.sum(ws.grid.reps * s0.contents))
     for _ in range(40):
-        new, dt_used, dt, stages = cb.step(ws, state, dt, tol, stages)
+        new, dt_used, dt = cb.step(ws, state, dt, tol, stages)
         for theta in np.linspace(0.05, 0.95, 19):
             time = state.time + theta * dt_used
-            snap = integrate.interpolate(ws, state, stages, dt_used, time, np.empty_like(state.contents))
+            snap = integrate._interpolate(ws, stages, time, np.empty_like(state.contents))
             weights = [float(sum(c * Fraction(theta) ** (m + 1) for m, c in enumerate(row))) for row in integrate.DP_P]
             raw = state.contents + sum((dt_used * w) * k for w, k in zip(weights, stages.buffers[0]))
             created = float(np.sum(reps * np.maximum(-raw, 0.0)))
@@ -961,7 +957,7 @@ def test_non_finite_times_refused_before_any_rhs(truncated_problem, monkeypatch,
     run = {
         "simulate": lambda: cb.simulate(ws, s0, [0.0, value]),
         "picard": lambda: cb.picard_solve(ws, s0, value, max_iter=40, tol=1e-10),
-        "step": lambda: cb.step(ws, s0, value, Tolerances()),
+        "step": lambda: cb.step(ws, s0, value, Tolerances(), integrate._Stages(ws.grid.n_cells)),
     }[solver]
     with pytest.raises(cb.DomainError) as info:
         run()

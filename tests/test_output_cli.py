@@ -488,6 +488,13 @@ def _empty_table(d):
     return ["simulate", _write(d, "init.kind = table\ninit.path = empty.csv\n"), "--out", str(d / "x")]
 
 
+MISSING_TABLE_CONFIG = "grid.n_cells = 16\ninit.kind = table\ninit.path = missing.csv\n"
+MISSING_TABLE = (
+    "configuration error: init.path: cannot read init.path {d}/missing.csv: "
+    "[Errno 2] No such file or directory: '{d}/missing.csv'"
+)
+
+
 def _verify_without_contents(d):
     cb.emit_outputs(cb.run(cb.parse_config_text(SMALL_CONFIG)), d / "run")
     (d / "run" / "contents.npy").unlink()
@@ -554,6 +561,9 @@ def _echoing_one_cell(manifest):
             "configuration error: init.mean: initial density carries no mass on the grid",
         ),
         (_empty_table, "configuration error: init.path: table must be two equal-length columns (size, density)"),
+        (lambda d: ["simulate", _write(d, MISSING_TABLE_CONFIG), "--out", str(d / "x")], MISSING_TABLE),
+        # a config error that is not a refused cut keeps its own key, not --xmins
+        (lambda d: ["shatter-study", _write(d, MISSING_TABLE_CONFIG), "--xmins", "1e-2,1e-3,1e-4"], MISSING_TABLE),
         (
             lambda d: ["simulate", _write(d, SMALL_CONFIG), "--out", str(d / ("x" * 300) / "run")],
             "error: cannot write run directory {d}/" + "x" * 300 + "/run: File name too long",
@@ -589,6 +599,8 @@ def _echoing_one_cell(manifest):
         "zero-snapshots",
         "no-mass-on-grid",
         "empty-table",
+        "missing-table",
+        "shatter-study-missing-table",
         "long-out-name",
         "verify-without-contents",
         "verify-without-manifest",
@@ -607,6 +619,20 @@ def test_cli_refusal_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err == message.format(d=tmp_path) + "\n"
     assert calls == [] and sorted(tmp_path.rglob("*")) == made
+
+
+def test_cli_simulate_refuses_a_failed_write_in_one_line(tmp_path, capsys, monkeypatch):
+    # a write that fails after the run, as on a full disk, which the check
+    # before the run cannot see, exits 2 and names the run directory
+    def full_disk(run, out_dir):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_outputs", full_disk)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", _write(tmp_path, SMALL_CONFIG), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write run directory {out_dir}: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize(
