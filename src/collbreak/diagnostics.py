@@ -149,18 +149,18 @@ def shattering_study(config, x_mins) -> ShatterStudy:
     constant), records dust(t_end)/rho, and fits the power-law trend.  A
     dust fraction falling at least 2x per decade of x_min is the signature
     of an integrable cascade ("conservative"); failure to do so is the
-    shattering signature.  Every cut's config is made, and so checked by
-    ``with_x_min``, before the first run: a cut it refuses raises
-    ``ConfigError`` under the key ``x_mins``.  A run that ends with no dust,
+    shattering signature.  A cut that is not a number or that ``with_x_min``
+    refuses, or fewer than 3 distinct cuts, raise ``ConfigError`` under the
+    key ``x_mins`` before the first run.  A run that ends with no dust,
     which has no trend to fit, is refused with ``InputError``.
     """
     try:
         cuts = {x_min: with_x_min(config, x_min) for x_min in map(float, x_mins)}
-    except ConfigError as exc:
-        raise ConfigError(exc.reason, key="x_mins") from None
+        if len(cuts) < 3:
+            raise ConfigError("need at least 3 distinct x_min values for a refinement trend")
+    except ValueError as exc:  # a cut that is not a number; ConfigError is one too
+        raise ConfigError(getattr(exc, "reason", str(exc)), key="x_mins") from None
     x_mins = sorted(cuts, reverse=True)
-    if len(x_mins) < 3:
-        raise InputError("need at least 3 distinct x_min values for a refinement trend")
     rows, over_budget = [], None
     for x_min in x_mins:
         out = run_config(cuts[x_min])

@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 
-# Largest grid accepted.  The workspace and the state take about 50 bytes a
-# cell, and every snapshot writes 8 more: 8 MB per snapshot at 1e6 cells.
+# Largest grid accepted.  The workspace and the state take 48 bytes a cell,
+# and a ``simulate`` about 112 more at its peak: the stage stack, the scratch,
+# the RHS temporaries and 16 for a 2-snapshot record (tracemalloc, A1's physics
+# at 1e4 and 1e5 cells).  Every snapshot writes 8 more: 8 MB per snapshot at 1e6 cells.
 MAX_CELLS = 10**6
 
 # Smallest and largest sizes a grid, an exponential mean or a table may
@@ -89,7 +91,8 @@ class State:
     """Cell particle counts plus the accumulated sub-grid dust mass.
 
     ``clip_mass`` tracks the mass created when the integrator clips
-    negative counts back to zero, at most 1e-12 of the mass per accepted step.
+    negative counts back to zero, at most 1e-12 of the mass per accepted step;
+    the clip of an interpolated snapshot is not capped (ROADMAP item 15).
     """
 
     contents: np.ndarray

@@ -51,6 +51,11 @@ def test_smoke_job_passes_its_checks(name, traced, tmp_path):
         # FSAL: six RHS per accepted step, plus one to start each run
         assert layers["integrate.steps_accepted"] > 0
         assert 6.0 <= layers["integrate.rhs_per_step"] < 7.0
+        # CI's traced identity: two starting RHS per RK run, six per accepted step
+        # or rejected attempt, one per Picard iteration.  No smoke job clips, so a
+        # change that makes one clip must add the fresh k1 after each clip here
+        attempts = layers["integrate.steps_accepted"] + layers["integrate.steps_rejected"]
+        assert layers["scheme.rhs_calls"] == layers["integrate.picard_rhs_calls"] + 2 * len(probe.runs) + 6 * attempts
         if name == "crossval":
             # Picard: one batched call per iteration, which also gives the dust
             assert layers["integrate.picard_iterations"] > 0

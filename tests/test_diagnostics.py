@@ -333,8 +333,9 @@ def test_the_kept_checks_imply_the_dropped_ones(run):
 
 def test_shattering_study_requires_three_points():
     config = cb.parse_config_text("time.t_end = 0.1\n")
-    with pytest.raises(InputError):
+    with pytest.raises(cb.ConfigError) as info:
         cb.shattering_study(config, [1e-2, 1e-3])
+    assert str(info.value) == "x_mins: need at least 3 distinct x_min values for a refinement trend"
 
 
 class FakeRun:
@@ -377,8 +378,9 @@ def test_shattering_study_runs_each_distinct_x_min_once(monkeypatch):
 
     monkeypatch.setattr(cb.diagnostics, "run_config", runner)
     # one grid repeated three times is a single point, not a trend
-    with pytest.raises(InputError):
+    with pytest.raises(cb.ConfigError) as info:
         cb.shattering_study(config, [1e-2, 1e-2, 1e-2])
+    assert info.value.key == "x_mins"
     assert runs == []
     study = cb.shattering_study(config, [1e-2, 1e-2, 1e-3, 1e-4])
     assert runs == [1e-2, 1e-3, 1e-4]
@@ -410,8 +412,9 @@ def test_shattering_study_refuses_a_too_fine_cut_before_any_run(monkeypatch):
         (-1.0, "need 0 < x_min < x_max, got (-1.0, 2.0)"),
         (5.0, "need 0 < x_min < x_max, got (5.0, 2.0)"),
         (1e-300, "need x_min >= 1e-150, got 1e-300"),
+        ("abc", "could not convert string to float: 'abc'"),
     ],
-    ids=["nan", "inf", "0", "-1", "5", "1e-300"],
+    ids=["nan", "inf", "0", "-1", "5", "1e-300", "abc"],
 )
 def test_shattering_study_refuses_a_bad_cut_under_its_own_argument(monkeypatch, cut, reason):
     # A5's grid.x_min is valid: the cut is the list's fault, refused before any run

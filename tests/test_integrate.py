@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -435,7 +436,7 @@ def test_the_clip_cap_keeps_steps_after_positivity_refusals_cheap(clip_problem, 
     times, loose = np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
     run, calls, steps = _recorded_simulate(monkeypatch, ws, s0, times, loose)
     assert calls <= 4200
-    assert any(used < target and following == used for target, used, following, _ in steps)
+    assert any(used < target and following == used for target, used, following, *_ in steps)
     assert _same_states(run.states, oracle_simulate(ws, s0, times, loose))
 
 
@@ -445,7 +446,7 @@ def test_growth_stops_after_a_clip_and_resumes_after_a_step_that_did_not_clip(cl
     ws, s0 = clip_problem
     _, _, steps = _recorded_simulate(monkeypatch, ws, s0, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4))
     clipped = [step for step in steps if step[3]]
-    assert clipped and all(following <= used for _, used, following, _ in clipped)
+    assert clipped and all(following <= used for _, used, following, *_ in clipped)
     assert any(
         before[3] and not after[3] and after[2] > after[1] for before, after in zip(steps, steps[1:])
     )
@@ -479,21 +480,11 @@ def test_predictive_step_only_shortens_the_error_based_step(problem, clip_proble
         ws, s0, times, tol = _problem(A5_CONFIG, 1e-5)
     else:
         (ws, s0), times, tol = clip_problem, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
-    taken, real_step = [], integrate.step
-
-    def recorded(*args):
-        history = args[4].history  # the call overwrites it
-        result = real_step(*args)
-        taken.append((args[1], args[2], history, result[1:3]))
-        return result
-
-    monkeypatch.setattr(integrate, "step", recorded)
-    cb.simulate(ws, s0, times, tol)
-    monkeypatch.setattr(integrate, "step", real_step)
-    assert taken[0][2] is None and all(history is not None for _, _, history, _ in taken[1:])
+    _, _, taken = _recorded_simulate(monkeypatch, ws, s0, times, tol)
+    assert taken[0].history is None and all(step.history is not None for step in taken[1:])
     shorter = 0
-    for state, dt_target, _, (dt_used, dt_next) in taken:
-        _, alone_used, alone_next = real_step(ws, state, dt_target, tol, integrate._Stages(ws.grid.n_cells))
+    for dt_target, dt_used, dt_next, _, state, *_ in taken:
+        _, alone_used, alone_next = cb.step(ws, state, dt_target, tol, integrate._Stages(ws.grid.n_cells))
         assert alone_used == dt_used and dt_next <= alone_next
         shorter += dt_next < alone_next
     assert shorter > 0
@@ -551,17 +542,11 @@ def test_no_accepted_step_clips_more_than_its_share_of_the_mass_budget(monkeypat
     # allowance beside it is the rounding of the running clip_mass sum.
     ws, s0, times, tol = _problem(F2_CONFIG, 1e-10)
     share = integrate.MASS_BUDGET / integrate.MAX_STEPS
-    steps, real_step = [], integrate.step
-
-    def recorded(*args):
-        result, state = real_step(*args), args[1]
+    steps = []
+    for step in _recorded_simulate(monkeypatch, ws, s0, times, tol)[2]:
+        state, clip = step.start, step.new.clip_mass
         mass = float((ws.grid.reps * state.contents).sum()) + state.dust_mass
-        clip = result[0].clip_mass
         steps.append((clip - state.clip_mass, share * mass + 2.0 * np.spacing(clip)))
-        return result
-
-    monkeypatch.setattr(integrate, "step", recorded)
-    cb.simulate(ws, s0, times, tol)
     assert any(added > 0.0 for added, _ in steps)
     assert all(added <= cap for added, cap in steps)
 
@@ -610,25 +595,14 @@ def test_a_carried_k1_is_bitwise_a_fresh_one(problem, clip_problem, monkeypatch)
         ws, s0, times, tol = _problem(A1_CONFIG)
     else:
         (ws, s0), times, tol = clip_problem, np.array([0.0, 10.0]), Tolerances(rel_tol=1e-4)
-    taken, real_step = [], integrate.step
-
-    def recorded(*args):
-        carry = args[4]
-        fsal, history = carry.fsal, carry.history  # the call overwrites both
-        result = real_step(*args)
-        taken.append((args[1].copy(), args[2], fsal, history, result[0].copy(), result[1:3]))
-        return result
-
-    monkeypatch.setattr(integrate, "step", recorded)
-    cb.simulate(ws, s0, times, tol)
-    monkeypatch.setattr(integrate, "step", real_step)
-    carried = [fsal for _, _, fsal, *_ in taken]
+    _, _, taken = _recorded_simulate(monkeypatch, ws, s0, times, tol)
+    carried = [step.fsal for step in taken]
     assert all(carried) if problem == "a1" else 0 < sum(carried) < len(carried)  # clipped steps carry nothing
-    for state, dt_target, _, history, out, dts in taken:
+    for step in taken:
         fresh = integrate._Stages(ws.grid.n_cells)
-        fresh.history = history
-        again, *again_dts = real_step(ws, state, dt_target, tol, fresh)
-        assert _same_states([again], [out]) and tuple(again_dts) == dts
+        fresh.history = step.history
+        again, *again_dts = cb.step(ws, step.start, step.dt_target, tol, fresh)
+        assert _same_states([again], [step.new]) and tuple(again_dts) == step[1:3]
 
 
 @pytest.mark.parametrize("problem", ["small", "a1"])
@@ -648,42 +622,34 @@ def test_simulate_rhs_call_count(problem, clip_problem, monkeypatch):
         (ws, s0), times, tol = cb.build_problem(config), config.snapshot_times, None
     else:
         (ws, s0), times, tol = clip_problem, np.linspace(0.0, 10.0, 3), Tolerances(rel_tol=1e-4)
-    tally = {"rhs": 0, "accepted": 0, "rejected": 0, "clips": 0, "last_clipped": False}
-    real_rhs, real_step = integrate.rhs_arrays, integrate.step
-
-    def counted_rhs(workspace, contents, out=None):
-        tally["rhs"] += 1
-        return real_rhs(workspace, contents, out)
-
-    def counted_step(*args):
-        result = real_step(*args)
-        tally["accepted"] += 1
-        tally["rejected"] += round(math.log2(args[2] / result[1]))
-        tally["clips"] += not args[4].fsal
-        tally["last_clipped"] = not args[4].fsal
-        return result
-
-    monkeypatch.setattr(integrate, "rhs_arrays", counted_rhs)
-    monkeypatch.setattr(integrate, "step", counted_step)
-    cb.simulate(ws, s0, times, tol)
+    _, calls, steps = _recorded_simulate(monkeypatch, ws, s0, times, tol)
+    rejected = sum(round(math.log2(step.dt_target / step.dt_used)) for step in steps)
+    clips = sum(step.clipped for step in steps)
     # one k1 to start and one Euler probe that picks the first dt (the probe
     # is the +1 of Hairer, Norsett & Wanner's starting step), k2 to k7 per
     # attempt, and a fresh k1 after a clip, unless the clip was on the last
     # step, which no step follows
-    fresh = tally["clips"] - tally["last_clipped"]
-    expect = 6 * tally["accepted"] + 1 + 1 + fresh + 6 * tally["rejected"]
-    assert tally["rhs"] == expect
+    fresh = clips - steps[-1].clipped
+    expect = 6 * len(steps) + 1 + 1 + fresh + 6 * rejected
+    assert calls == expect
     if problem == "clip":
-        assert tally["clips"] > 0 and tally["rejected"] > 0
+        assert clips > 0 and rejected > 0
+
+
+# one step of a run: what it was asked and gave, whether it clipped (no k1
+# carried out), copies of its start and new state, and its carry's fsal and
+# history as the step found them
+Step = collections.namedtuple("Step", "dt_target dt_used dt_next clipped start new fsal history")
 
 
 def _recorded_simulate(monkeypatch, ws, s0, times, tol):
-    """simulate's output, its RHS calls and (dt_target, dt_used, dt_next, clipped) per step."""
+    """simulate's output, its RHS calls and a ``Step`` per step."""
     steps, real_step = [], integrate.step
 
-    def recorded(*args):
-        result = real_step(*args)
-        steps.append((args[2], result[1], result[2], not args[4].fsal))
+    def recorded(workspace, state, dt_target, tol, stages):
+        fsal, history = stages.fsal, stages.history  # the call overwrites both
+        new, dt_used, dt_next = result = real_step(workspace, state, dt_target, tol, stages)
+        steps.append(Step(dt_target, dt_used, dt_next, not stages.fsal, state.copy(), new.copy(), fsal, history))
         return result
 
     monkeypatch.setattr(integrate, "step", recorded)

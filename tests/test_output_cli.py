@@ -533,7 +533,11 @@ def _echoing_one_cell(manifest):
         ),
         (
             lambda d: ["shatter-study", _write(d, SMALL_CONFIG), "--xmins", "1e-2,abc"],
-            "configuration error: bad --xmins list: '1e-2,abc'",
+            "configuration error: --xmins: could not convert string to float: 'abc'",
+        ),
+        (
+            lambda d: ["shatter-study", _write(d, SMALL_CONFIG), "--xmins", "1e-2,,1e-3, "],
+            "configuration error: --xmins: need at least 3 distinct x_min values for a refinement trend",
         ),
         (
             lambda d: ["simulate", _write(d, SMALL_CONFIG)],
@@ -591,6 +595,7 @@ def _echoing_one_cell(manifest):
         "negative-t-end",
         "missing-file",
         "bad-xmins",
+        "two-xmins",
         "no-out-dir",
         "empty-out-dir",
         "different-meshes",
